@@ -159,8 +159,7 @@ def cmd_resolve(args):
 
 def cmd_decide(args):
     omega, field, config = _foliation_and_config(args)
-    caps = engine.Caps(d_max=args.dmax, lam_max=args.lmax,
-                       depth_cap=args.depth)
+    caps = engine.Caps(d_max=args.dmax, lam_max=args.lmax)
     verdict = engine.pipeline(omega, config, caps, trace=_trace_fn(args))
     return _print_verdict(args, verdict)
 

@@ -372,13 +372,11 @@ def decompose_in_AS(T: DivisorClass, s_classes: Sequence[DivisorClass],
                     config: Configuration) -> Decomposition:
     """Exact rational coefficients of [T] on A_S; raises if inconsistent."""
     nf = config.non_dicritical_indices()
-    cols = [list(c.coordinates()) for c in s_classes]
-    cols += [list(config.exceptional_strict_class(q).coordinates())
-             for q in nf]
-    matrix = [[Fraction(cols[k][r]) for k in range(len(cols))]
-              for r in range(config.size + 1)]
-    rhs = [Fraction(v) for v in T.coordinates()]
-    sol = _solve_rational(matrix, rhs)
+    cols = [c.coordinates() for c in s_classes]
+    cols += [config.exceptional_strict_class(q).coordinates() for q in nf]
+    matrix = [list(row) for row in zip(*cols)]
+    rhs = T.coordinates()
+    sol = linalg.solve(matrix, rhs)
     if sol is None:
         raise ConfigurationError("class does not decompose in A_S")
     alpha = tuple(sol[:len(s_classes)])
@@ -389,35 +387,9 @@ def decompose_in_AS(T: DivisorClass, s_classes: Sequence[DivisorClass],
     for coeff, col in zip(sol, cols):
         for r in range(len(acc)):
             acc[r] += coeff * col[r]
-    assert acc == rhs
+    if acc != list(rhs):
+        raise RuntimeError("the decomposition does not reconstruct T")
     return Decomposition(alpha, beta)
-
-
-def _solve_rational(matrix, rhs):
-    aug = [row + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for row in aug[r:]:
-        if row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][-1]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -444,47 +416,30 @@ def is_p_sufficient(config: Configuration) -> bool:
     n = config.size
     if any(G[i][i] <= 0 for i in range(n)):
         return False
+    G = [[Fraction(v) for v in row] for row in G]
+    zero, one = Fraction(0), Fraction(1)
     for mask in range(1, 1 << n):
         support = [i for i in range(n) if mask >> i & 1]
         if len(support) == 1:
             continue            # singletons are the diagonal check
         k = len(support)
-        rows = [[Fraction(G[i][j]) for j in support] + [Fraction(-1)]
-                for i in support]
-        rows.append([Fraction(1)] * k + [Fraction(0)])
-        rhs = [Fraction(0)] * k + [Fraction(1)]
-        sol = _square_solve(rows, rhs)
-        if sol is not None:
-            x, mu = sol[:k], sol[k]
+        aug = [[G[i][j] for j in support] + [-one, zero] for i in support]
+        aug.append([one] * k + [zero, one])
+        reduced, pivots = linalg.rref(aug)
+        if pivots == list(range(k + 1)):
+            # a pivot in every unknown: the unique solution is the last column
+            x, mu = [row[-1] for row in reduced[:k]], reduced[k][-1]
             if mu <= 0 and all(v >= 0 for v in x):
                 return False
             continue
         # singular face: exact feasibility of G_F x = -nu, sum x = 1,
         # x >= 0, nu >= 0
-        A = [[Fraction(G[i][j]) for j in support] + [Fraction(1)]
-             for i in support]
-        A.append([Fraction(1)] * k + [Fraction(0)])
-        b = [Fraction(0)] * k + [Fraction(1)]
+        A = [[G[i][j] for j in support] + [one] for i in support]
+        A.append([one] * k + [zero])
+        b = [zero] * k + [one]
         if linalg.lp_feasible(A, b):
             return False
     return True
-
-
-def _square_solve(rows, rhs):
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        piv = aug[c][c]
-        aug[c] = [v / piv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][-1] for i in range(n)]
 
 
 def chain_criterion(config: Configuration) -> bool:

@@ -187,7 +187,9 @@ def exists_negative_square(cone: RationalCone) -> bool:
         if lorentz(r, r) < 0:
             return True
         # nonzero ray with r.r >= 0 cannot be orthogonal to L* (signature)
-        assert r[0] != 0
+        if r[0] == 0:
+            raise RuntimeError("a ray of nonnegative square is orthogonal "
+                               "to L*")
         (pos if r[0] > 0 else neg).append(r)
     if not pos or not neg:
         return False

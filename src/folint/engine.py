@@ -11,8 +11,8 @@ from math import gcd
 from typing import List, Optional, Sequence
 
 from . import cones, linalg, linsys
-from .cluster import Configuration, Decomposition, DivisorClass, \
-    decompose_in_AS, t_from_system
+from .cluster import Configuration, ConfigurationError, Decomposition, \
+    DivisorClass, decompose_in_AS, t_from_system
 from .polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, gcd3,
     is_first_integral, is_invariant_curve,
@@ -27,7 +27,6 @@ class NotAnIndependentSystem(ValueError):
 class Caps:
     d_max: int = 30
     lam_max: int = 60
-    depth_cap: int = 50
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def classify_conditions(system: IndependentSystem,
         coeffs = list(decomposition.alpha) + list(decomposition.beta.values())
         if coeffs and all(c > 0 for c in coeffs):
             conds.add(2)
-    except Exception:
+    except ConfigurationError:
         decomposition = None
     alpha = None
     capped = False
@@ -207,24 +206,26 @@ def algorithm2(omega: ProjectiveOneForm, config: Configuration,
     if T.square() != 0:
         return Verdict.no_integral("T^2 = %d is nonzero" % T.square())
     report = classify_conditions(system, lam_max=lam_max)
+    if not report.conditions:
+        return Verdict.inconclusive(
+            "the system satisfies none of the usability conditions within "
+            "the caps")
     if 2 in report.conditions:
         bound = delta_bound(omega, system, report.decomposition)
         if bound is None:
             return Verdict.no_integral("the degree bound is not well defined")
-        alpha = None
-        for lam in range(1, int(bound) + 1):
-            if linsys.h0(lam * T, config) >= 2:
-                alpha = lam
-                break
-        if alpha is None:
+        # the condition sweep already tried every lambda <= lam_max
+        alpha = report.alpha
+        if report.sigma_capped:
+            alpha = next((lam for lam in range(lam_max + 1, int(bound) + 1)
+                          if linsys.h0(lam * T, config) >= 2), None)
+        if alpha is None or alpha > bound:
             return Verdict.no_integral(
                 "no multiple of T up to the bound %s moves in a pencil"
                 % bound)
-    elif report.alpha is not None:
-        alpha = report.alpha
     else:
-        return Verdict.inconclusive(
-            "condition (3) could not be certified for lambda <= %d" % lam_max)
+        # with T^2 = 0 a nonempty report without (2) holds condition (3)
+        alpha = report.alpha
     D = alpha * T
     dim = linsys.h0(D, config)
     if dim > 2:
@@ -446,7 +447,7 @@ def _lines_through(config: Configuration):
     point = config.points[0].origin
     field = config.field
     rows = [[point[0], point[1], point[2]]]
-    kernel = linalg.nullspace(rows, field)
+    kernel = linalg.nullspace(rows)
     lines = []
     for vec in kernel:
         coeffs = {}
@@ -479,9 +480,4 @@ def pipeline(omega: ProjectiveOneForm, config: Configuration,
     shortcut = memo_fastpath(omega, config, system)
     if shortcut is not None:
         return shortcut
-    report = classify_conditions(system, lam_max=caps.lam_max)
-    if not report.conditions:
-        return Verdict.inconclusive(
-            "the system satisfies none of the usability conditions within "
-            "the caps")
     return algorithm2(omega, config, system, lam_max=caps.lam_max)

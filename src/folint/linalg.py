@@ -1,8 +1,11 @@
 """Small exact linear algebra kernel used across the package.
 
-Two layers: generic routines over FieldElement entries, and integer/Fraction
-routines (Bareiss determinants, primitive nullspace vectors) for lattice
-computations where entries are plain integers.
+``rref`` is the one elimination loop: it works on exact entries, Fraction
+or FieldElement, and rank, nullspace and solve are thin wrappers over it.
+Plain integers go through ``rank_int`` and ``solve``, which make them
+Fractions first so that no division can produce a float.  Bareiss
+determinants and the simplex are separate algorithms on integer/Fraction
+matrices for lattice computations.
 """
 
 from __future__ import annotations
@@ -10,11 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .numfield import FieldElement, NumberField
+from .numfield import FieldElement
 
 
-def rref(rows, field: NumberField):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
+def rref(rows):
+    """Reduced row echelon form (on a copy); returns (rows, pivots), the
+    nonzero reduced rows and their pivot columns."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -22,20 +26,18 @@ def rref(rows, field: NumberField):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
+        # the pivot row is zero left of c, so only columns c.. change
+        inv = 1 / m[r][c]
+        tail = [v * inv for v in m[r][c:]]
+        m[r][c:] = tail
         for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -43,41 +45,54 @@ def rref(rows, field: NumberField):
     return m[:r], pivots
 
 
-def rank(rows, field: NumberField) -> int:
-    return len(rref(rows, field)[0])
+def _exact(rows):
+    """Integers become Fractions; Fraction and FieldElement entries stay."""
+    return [[v if isinstance(v, FieldElement) else Fraction(v) for v in row]
+            for row in rows]
 
 
-def nullspace(rows, field: NumberField):
-    """Basis of the right kernel of the matrix."""
-    if not rows:
+def rank(rows) -> int:
+    """Rank of a matrix of Fraction or FieldElement entries."""
+    return len(rref(rows)[0])
+
+
+def rank_int(matrix) -> int:
+    """Rank of an integer/rational matrix."""
+    return rank(_exact(matrix))
+
+
+def nullspace(rows):
+    """Basis of the right kernel: one vector per free column, in column
+    order, with a one there and minus the reduced entries at the pivots."""
+    if not rows or not rows[0]:
         return []
     ncols = len(rows[0])
-    reduced, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = rref(rows)
+    zero = rows[0][0] * 0           # the zero and one of the entries' field
+    one = zero + 1
     basis = []
-    for fc in free:
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
 
 
-def solve(rows, rhs, field: NumberField):
-    """One exact solution of A x = b, or None when inconsistent."""
+def solve(rows, rhs):
+    """One exact solution of A x = b (free unknowns zero), or None when the
+    system is inconsistent."""
     if not rows:
-        return [] if all(v.is_zero() for v in rhs) else None
+        return [] if all(v == 0 for v in rhs) else None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, field)
-    for row in reduced:
-        if all(v.is_zero() for v in row[:-1]) and not row[-1].is_zero():
-            return None
-    x = [field.zero()] * ncols
+    aug = _exact([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced, pivots = rref(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    zero = aug[0][-1] * 0
+    x = [zero] * ncols
     for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
         x[pc] = reduced[r][-1]
     return x
 
@@ -107,63 +122,6 @@ def det_bareiss(matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def rank_int(matrix) -> int:
-    """Rank of an integer/rational matrix by exact Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def nullspace_rational(matrix):
-    """Right-kernel basis of a rational matrix, as Fraction vectors."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
-        basis.append(vec)
-    return basis
 
 
 def lp_feasible(A, b) -> bool:

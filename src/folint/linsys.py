@@ -20,11 +20,15 @@ from .cluster import Configuration, DivisorClass, root_chart_images
 from .numfield import FieldElement
 from .polyforms import HomogeneousForm, monomials
 
-Series = Dict[Tuple[int, int], list]
+# A series maps a monomial (i, j) in the local coordinates (u, v) to its
+# coefficients, one per column, stored sparsely as {column: coefficient}.
+# A concrete form is the one-column case; the generic degree-d form has one
+# column per monomial.
+Series = Dict[Tuple[int, int], Dict[int, FieldElement]]
 
 
 # ---------------------------------------------------------------------------
-# scalar bivariate helpers (dicts (i, j) -> FieldElement)
+# the series engine: root series and one chart step
 # ---------------------------------------------------------------------------
 
 def _bi_mul(a, b, field):
@@ -52,72 +56,68 @@ def _bi_pow(base, e, field, cache):
     return result
 
 
-def root_scalar_series(form: HomogeneousForm, origin) -> dict:
-    """The local equation of the curve at a plane point, in chart coordinates."""
-    field = form.field
-    images = root_chart_images(origin, field)
-    polys = []
-    for cu, cv, c1 in images:
-        img = {}
-        for key, c in (((1, 0), cu), ((0, 1), cv), ((0, 0), c1)):
-            if not c.is_zero():
-                img[key] = c
-        polys.append(img)
-    caches = [{}, {}, {}]
+def _prune(series: Series) -> Series:
+    """Drop entries that cancelled to zero, and monomials left empty."""
     out = {}
-    for (i, j, k), coeff in form.coeffs.items():
-        term = _bi_mul(_bi_pow(polys[0], i, field, caches[0]),
-                       _bi_pow(polys[1], j, field, caches[1]), field)
-        term = _bi_mul(term, _bi_pow(polys[2], k, field, caches[2]), field)
-        for key, c in term.items():
-            cur = out.get(key)
-            v = coeff * c
-            out[key] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _scalar_chart1(series, drop, divide, c, field):
-    """v = u*(w + c): reindex monomials, dropping total degree < ``drop``."""
-    powers = {0: field.one()}
-
-    def cpow(e):
-        if e not in powers:
-            powers[e] = cpow(e - 1) * c
-        return powers[e]
-
-    out = {}
-    for (i, j), coeff in series.items():
-        if i + j < drop:
-            continue
-        base = i + j - divide
-        for k in range(j + 1):
-            factor = comb(j, k)
-            scale = cpow(j - k) * factor
-            if scale.is_zero():
-                continue
-            key = (base, k)
-            v = coeff * scale
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _scalar_chart2(series, drop, divide):
-    """u = s*v in child coordinates (u', v') = (v, s)."""
-    out = {}
-    for (i, j), coeff in series.items():
-        if i + j < drop:
-            continue
-        key = (i + j - divide, i)
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
+    for key, vec in series.items():
+        vec = {t: v for t, v in vec.items() if not v.is_zero()}
+        if vec:
+            out[key] = vec
     return out
 
 
-def _scalar_descend(series, child_point, drop, divide, field):
-    if child_point.chart == 1:
-        return _scalar_chart1(series, drop, divide, child_point.c, field)
-    return _scalar_chart2(series, drop, divide)
+def root_series(origin, columns, field) -> Series:
+    """Local series at a plane point, in its canonical chart coordinates, of
+    the forms whose coefficient dicts {(i, j, k): c} are ``columns``."""
+    polys = []
+    for cu, cv, c1 in root_chart_images(origin, field):
+        polys.append({key: c for key, c in (((1, 0), cu), ((0, 1), cv),
+                                            ((0, 0), c1)) if not c.is_zero()})
+    caches = [{}, {}, {}]
+    out: Series = {}
+    for t, coeffs in enumerate(columns):
+        for (i, j, k), coeff in coeffs.items():
+            term = _bi_mul(_bi_pow(polys[0], i, field, caches[0]),
+                           _bi_pow(polys[1], j, field, caches[1]), field)
+            term = _bi_mul(term, _bi_pow(polys[2], k, field, caches[2]), field)
+            for key, c in term.items():
+                vec = out.setdefault(key, {})
+                v = coeff * c
+                cur = vec.get(t)
+                vec[t] = v if cur is None else cur + v
+    return _prune(out)
+
+
+def chart_step(series: Series, point, e: int, field) -> Series:
+    """The series at a child point: drop the monomials of total degree below
+    the parent's multiplicity e, substitute the chart map (chart 1:
+    v = u*(w + c); chart 2: u = s*v with coordinates (v, s)) and divide by
+    the exceptional's u^e."""
+    out: Series = {}
+    if point.chart == 2:
+        # (i, j) -> (i + j - e, i) is injective: nothing can cancel
+        for (i, j), vec in series.items():
+            if i + j >= e:
+                out[(i + j - e, i)] = vec
+        return out
+    powers = [field.one()]
+    scales = {}
+    for (i, j), vec in series.items():
+        if i + j < e:
+            continue
+        row = scales.get(j)
+        if row is None:
+            while len(powers) <= j:
+                powers.append(powers[-1] * point.c)
+            scaled = ((k, powers[j - k] * comb(j, k)) for k in range(j + 1))
+            row = scales[j] = [(k, f) for k, f in scaled if not f.is_zero()]
+        for k, scale in row:
+            acc = out.setdefault((i + j - e, k), {})
+            for t, v in vec.items():
+                w = v * scale
+                cur = acc.get(t)
+                acc[t] = w if cur is None else cur + w
+    return _prune(out)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +137,10 @@ def effective_multiplicities(form: HomogeneousForm,
     local = {}
     for idx, point in enumerate(config.points):
         if point.is_root():
-            series = root_scalar_series(form, point.origin)
+            series = root_series(point.origin, [form.coeffs], field)
         else:
             parent = config.parent_idx[idx]
-            m = mults[parent]
-            series = _scalar_descend(local[parent], point, m, m, field)
+            series = chart_step(local[parent], point, mults[parent], field)
         mults[idx] = min((i + j for i, j in series), default=0)
         local[idx] = series
     return mults
@@ -163,35 +162,6 @@ def total_valuations(mults, config: Configuration):
 # the linear system of a divisor class
 # ---------------------------------------------------------------------------
 
-def _vec_series_root(config: Configuration, root_idx: int, degree: int):
-    """Vector-valued local series of the generic degree-d form at a root."""
-    field = config.field
-    order = monomials(degree)
-    n = len(order)
-    images = root_chart_images(config.points[root_idx].origin, field)
-    polys = []
-    for cu, cv, c1 in images:
-        img = {}
-        for key, c in (((1, 0), cu), ((0, 1), cv), ((0, 0), c1)):
-            if not c.is_zero():
-                img[key] = c
-        polys.append(img)
-    caches = [{}, {}, {}]
-    zero = field.zero()
-    out: Series = {}
-    for t, (i, j, k) in enumerate(order):
-        term = _bi_mul(_bi_pow(polys[0], i, field, caches[0]),
-                       _bi_pow(polys[1], j, field, caches[1]), field)
-        term = _bi_mul(term, _bi_pow(polys[2], k, field, caches[2]), field)
-        for key, c in term.items():
-            vec = out.get(key)
-            if vec is None:
-                vec = [zero] * n
-                out[key] = vec
-            vec[t] = vec[t] + c
-    return out
-
-
 def _root_series_cached(config, root_idx, degree):
     # cached on the configuration itself so the entries share its lifetime
     cache = getattr(config, "_root_series_cache", None)
@@ -202,54 +172,11 @@ def _root_series_cached(config, root_idx, degree):
     if key not in cache:
         if len(cache) > 64:
             cache.clear()
-        cache[key] = _vec_series_root(config, root_idx, degree)
+        one = config.field.one()
+        cache[key] = root_series(config.points[root_idx].origin,
+                                 [{m: one} for m in monomials(degree)],
+                                 config.field)
     return cache[key]
-
-
-def _vec_chart1(series: Series, drop, divide, c, field, n):
-    powers = {0: field.one()}
-
-    def cpow(e):
-        if e not in powers:
-            powers[e] = cpow(e - 1) * c
-        return powers[e]
-
-    zero = field.zero()
-    out: Series = {}
-    for (i, j), vec in series.items():
-        if i + j < drop:
-            continue
-        base = i + j - divide
-        for k in range(j + 1):
-            scale = cpow(j - k) * comb(j, k)
-            if scale.is_zero():
-                continue
-            key = (base, k)
-            acc = out.get(key)
-            if acc is None:
-                acc = [zero] * n
-                out[key] = acc
-            for t, v in enumerate(vec):
-                if not v.is_zero():
-                    acc[t] = acc[t] + v * scale
-    return out
-
-
-def _vec_chart2(series: Series, drop, divide, field, n):
-    zero = field.zero()
-    out: Series = {}
-    for (i, j), vec in series.items():
-        if i + j < drop:
-            continue
-        key = (i + j - divide, i)
-        acc = out.get(key)
-        if acc is None:
-            acc = [zero] * n
-            out[key] = acc
-        for t, v in enumerate(vec):
-            if not v.is_zero():
-                acc[t] = acc[t] + v
-    return out
 
 
 def condition_rows(D: DivisorClass, config: Configuration):
@@ -258,6 +185,7 @@ def condition_rows(D: DivisorClass, config: Configuration):
     if D.d < 0:
         raise ValueError("negative degree %d" % D.d)
     field = config.field
+    zero = field.zero()
     n = len(monomials(D.d))
     clamped = [max(v, 0) for v in D.e]
     rows = []
@@ -267,17 +195,15 @@ def condition_rows(D: DivisorClass, config: Configuration):
             series = _root_series_cached(config, idx, D.d)
         else:
             parent = config.parent_idx[idx]
-            e_p = clamped[parent]
-            prev = local[parent]
-            if point.chart == 1:
-                series = _vec_chart1(prev, e_p, e_p, point.c, field, n)
-            else:
-                series = _vec_chart2(prev, e_p, e_p, field, n)
+            series = chart_step(local[parent], point, clamped[parent], field)
         local[idx] = series
         e_q = clamped[idx]
         for (i, j), vec in series.items():
             if i + j < e_q:
-                rows.append(vec)
+                row = [zero] * n
+                for t, v in vec.items():
+                    row[t] = v
+                rows.append(row)
     return rows
 
 
@@ -285,7 +211,7 @@ def h0(D: DivisorClass, config: Configuration) -> int:
     """dim H^0 of the direct image on the plane of O(D)."""
     n = len(monomials(D.d))
     rows = condition_rows(D, config)
-    return n - linalg.rank(rows, config.field)
+    return n - linalg.rank(rows)
 
 
 def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:
@@ -294,7 +220,7 @@ def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:
     rows = condition_rows(D, config)
     field = config.field
     if rows:
-        kernel = linalg.nullspace(rows, field)
+        kernel = linalg.nullspace(rows)
     else:
         kernel = [[field.one() if i == t else field.zero()
                    for i in range(len(order))] for t in range(len(order))]
@@ -315,9 +241,9 @@ def same_span(forms_a: Sequence[HomogeneousForm],
     order = monomials(degree)
     rows_a = [f.coefficient_vector(order) for f in forms_a]
     rows_b = [f.coefficient_vector(order) for f in forms_b]
-    ra = linalg.rank(rows_a, field)
-    rb = linalg.rank(rows_b, field)
-    rab = linalg.rank(rows_a + rows_b, field)
+    ra = linalg.rank(rows_a)
+    rb = linalg.rank(rows_b)
+    rab = linalg.rank(rows_a + rows_b)
     return ra == rb == rab
 
 

@@ -505,7 +505,8 @@ def poly_squarefree_part(p, field):
         inv = p[-1].inverse()
         return [c * inv for c in p]
     quo, rem = poly_divmod(p, g, field)
-    assert not rem
+    if rem:
+        raise RuntimeError("gcd(p, p') does not divide p")
     inv = quo[-1].inverse()
     return [c * inv for c in quo]
 

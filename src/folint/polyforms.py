@@ -130,24 +130,6 @@ class HomogeneousForm:
             acc = acc + c * x ** i * y ** j * z ** k
         return acc
 
-    def compose_linear(self, matrix) -> "HomogeneousForm":
-        """Substitute (X, Y, Z) -> matrix * (X, Y, Z) (rows give new inputs)."""
-        images = []
-        for row in matrix:
-            img = HomogeneousForm(self.field, 1, {})
-            for idx, c in enumerate(row):
-                ce = self.field.element(c)
-                if not ce.is_zero():
-                    img = img + HomogeneousForm.variable(self.field, idx) * ce
-            images.append(img)
-        out = HomogeneousForm(self.field, self.degree, {})
-        for (i, j, k), c in self.coeffs.items():
-            term = HomogeneousForm.constant(self.field, 1)
-            for img, e in zip(images, (i, j, k)):
-                term = term * img ** e
-            out = out + term * c
-        return out
-
     def dehomogenize(self, index: int) -> dict:
         """Set variable ``index`` to 1; keys are exponent pairs of the others."""
         keep = [i for i in range(3) if i != index]
@@ -299,7 +281,8 @@ def _bi_primitive(p, field):
             out.append([])
             continue
         quo, rem = _uni_divmod(row, cont, field)
-        assert not rem
+        if rem:
+            raise RuntimeError("the content does not divide a coefficient")
         out.append(quo)
     return out, cont
 

@@ -24,7 +24,7 @@ from .numfield import (
     poly_trim, rational_is_square,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
-from .linsys import root_scalar_series
+from .linsys import root_series
 
 
 class ResolutionError(RuntimeError):
@@ -122,7 +122,8 @@ def _divide_u(poly, k):
         return dict(poly)
     out = {}
     for (i, j), c in poly.items():
-        assert i >= k
+        if i < k:
+            raise ResolutionError("u^%d does not divide the local form" % k)
         out[(i - k, j)] = c
     return out
 
@@ -185,13 +186,13 @@ def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
     for comp, (cu, cv, _) in zip(omega.components(), images):
         if comp.is_zero():
             continue
-        series = root_scalar_series(comp, origin)
+        series = root_series(origin, [comp.coeffs], field)
         if not cu.is_zero():
-            for key, c in series.items():
-                _bi_add_term(a, key, c * cu)
+            for key, vec in series.items():
+                _bi_add_term(a, key, vec[0] * cu)
         if not cv.is_zero():
-            for key, c in series.items():
-                _bi_add_term(b, key, c * cv)
+            for key, vec in series.items():
+                _bi_add_term(b, key, vec[0] * cv)
     return LocalFoliation(field, a, b)
 
 
@@ -271,12 +272,13 @@ def blow_up_local(omega: LocalFoliation, debug: bool = False) -> BlowUpResult:
     b2 = {(i + 1, j): c for (i, j), c in _subst_chart2(omega.a).items()}
     vals2 = [v for v in (_u_valuation(a2), _u_valuation(b2)) if v is not None]
     k2 = min(vals2)
-    assert k2 == k
+    if k2 != k:
+        raise ResolutionError("the two charts disagree on the exceptional "
+                              "valuation")
     a2 = _divide_u(a2, k2)
     b2 = _divide_u(b2, k2)
-    if debug:
-        dic2 = any(i == 0 for i, _ in b2)
-        assert dic2 == dicritical
+    if debug and any(i == 0 for i, _ in b2) != dicritical:
+        raise ResolutionError("the two charts disagree on dicriticalness")
     omega2 = LocalFoliation(field, a2, b2)
     zero = field.zero()
     sing2 = (_bi_eval(a2, zero, zero, field).is_zero()
@@ -323,7 +325,8 @@ def _require_orbit_simple(a, b, modulus, field, point):
                 "outside the base field (certificate %s)" % certificate,
                 certificate=g)
     g1, rem = poly_divmod(g, g0, field) if poly_degree(g0) >= 1 else (list(g), [])
-    assert not rem
+    if rem:
+        raise ResolutionError("g0 does not divide the orbit polynomial")
     if poly_degree(g1) < 1:
         return
     # candidates for a rational eigenvalue-ratio invariant c = (tr^2-2det)/det
@@ -527,7 +530,8 @@ def _bi_to_x_poly(poly, field):
     deg = max((i for i, _ in poly), default=-1)
     out = [field.zero()] * (deg + 1)
     for (i, j), c in poly.items():
-        assert j == 0
+        if j != 0:
+            raise ResolutionError("the polynomial still involves y")
         out[i] = out[i] + c
     return poly_trim(out)
 

@@ -5,7 +5,7 @@ import pytest
 
 from folint import engine
 from folint.cli import load_foliation, load_config_file
-from folint.cluster import load_configuration
+from folint.cluster import ConfigurationError, load_configuration
 from folint.engine import (
     Caps, IndependentSystem, NotAnIndependentSystem, Verdict, algorithm1,
     algorithm2, algorithm3, classify_conditions, delta_bound, discard_checks,
@@ -91,6 +91,27 @@ def test_classify_conditions_example1():
     assert 1 not in report.conditions
     assert 2 not in report.conditions
     assert 3 in report.conditions and report.alpha == 1
+
+
+def test_classify_conditions_lets_unexpected_errors_through(monkeypatch):
+    omega, config, _ = load("penultimate")
+    system = IndependentSystem([parse_form("Y-Z")], config)
+
+    def inconsistent(*args):
+        raise ConfigurationError("class does not decompose in A_S")
+
+    monkeypatch.setattr(engine, "decompose_in_AS", inconsistent)
+    report = classify_conditions(system, lam_max=1)
+    assert report.decomposition is None and 2 not in report.conditions
+
+    def broken(*args):
+        raise ZeroDivisionError("a bug in the decomposition")
+
+    monkeypatch.setattr(engine, "decompose_in_AS", broken)
+    with pytest.raises(ZeroDivisionError):
+        classify_conditions(system, lam_max=1)
+    with pytest.raises(ZeroDivisionError):
+        pipeline(omega, config)
 
 
 def test_classify_conditions_synthetic_t_square():

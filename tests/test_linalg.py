@@ -1,0 +1,115 @@
+"""Properties of the exact elimination kernel over Q and Q(i)."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from folint import linalg
+from folint.numfield import FieldElement, NumberField
+
+QI = NumberField((1, 0, 1))          # Q(i), i^2 = -1
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def int_matrices(draw, extra_cols=0):
+    """A 1..4 x 1..4 integer matrix, plus ``extra_cols`` more columns."""
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4)) + extra_cols
+    return [[draw(small) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def qi_matrices(draw, extra_cols=0):
+    """The same shapes over Q(i), entries a + b*i with a, b in -3..3."""
+    rows = draw(int_matrices(extra_cols))
+    return [[QI.element((v, draw(small))) for v in row] for row in rows]
+
+
+def as_exact(rows):
+    return [[v if isinstance(v, FieldElement) else Fraction(v) for v in row]
+            for row in rows]
+
+
+def matvec(rows, vec):
+    return [sum((a * x for a, x in zip(row, vec)), start=0 * vec[0])
+            for row in rows]
+
+
+def no_float(value):
+    """True when no float hides anywhere in a (nested) result."""
+    if isinstance(value, float):
+        return False
+    if isinstance(value, FieldElement):
+        return all(isinstance(c, Fraction) for c in value.coeffs)
+    if isinstance(value, (list, tuple)):
+        return all(no_float(v) for v in value)
+    return True
+
+
+def check_kernel(rows):
+    ncols = len(rows[0])
+    reduced, pivots = linalg.rref(rows)
+    kernel = linalg.nullspace(rows)
+    assert len(reduced) == len(pivots) == linalg.rank(rows)
+    assert linalg.rank(rows) + len(kernel) == ncols
+    for vec in kernel:
+        assert all(v == 0 for v in matvec(rows, vec))
+    assert no_float(reduced) and no_float(kernel)
+
+
+def check_solve(rows, rhs):
+    x = linalg.solve(rows, rhs)
+    aug = as_exact([list(row) + [b] for row, b in zip(rows, rhs)])
+    if linalg.rank(aug) > linalg.rank(as_exact(rows)):
+        assert x is None
+    else:
+        assert x is not None and len(x) == len(rows[0])
+        assert matvec(rows, x) == list(rhs)
+        assert no_float(x)
+
+
+@settings(deadline=None)
+@given(int_matrices())
+def test_kernel_over_q(matrix):
+    check_kernel(as_exact(matrix))
+
+
+@settings(deadline=None)
+@given(qi_matrices())
+def test_kernel_over_qi(rows):
+    check_kernel(rows)
+
+
+@settings(deadline=None)
+@given(int_matrices(extra_cols=1))
+def test_solve_over_q(matrix):
+    # integers go in as they are: solve makes them Fractions itself
+    rows, rhs = [row[:-1] for row in matrix], [row[-1] for row in matrix]
+    check_solve(rows, rhs)
+    check_solve(as_exact(rows), as_exact([rhs])[0])
+
+
+@settings(deadline=None)
+@given(qi_matrices(extra_cols=1))
+def test_solve_over_qi(matrix):
+    check_solve([row[:-1] for row in matrix], [row[-1] for row in matrix])
+
+
+@settings(deadline=None)
+@given(int_matrices())
+def test_rank_int_matches_rank_over_q(matrix):
+    assert linalg.rank_int(matrix) == linalg.rank(as_exact(matrix))
+
+
+def test_consistent_solution_of_a_singular_system():
+    # rank 1, consistent: free unknowns are zero
+    assert linalg.solve([[1, 2], [2, 4]], [3, 6]) == [Fraction(3), 0]
+    assert linalg.solve([[1, 2], [2, 4]], [3, 7]) is None
+
+
+def test_rank_int_is_exact_where_floats_are_not():
+    # row 3 = row 1 - row 2; elimination in floats leaves a tiny residue
+    # and reports rank 3
+    assert linalg.rank_int([[3, 4, -8], [-1, 7, 6], [4, -3, -14]]) == 2

@@ -52,7 +52,7 @@ def taylor_h0(D, config):
                         * affine[1] ** (db - b)
                     row.append(val)
                 rows.append(row)
-    return len(order) - linalg.rank(rows, field)
+    return len(order) - linalg.rank(rows)
 
 
 def plane_points_config(coords, field=QQ):
