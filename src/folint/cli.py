@@ -308,7 +308,11 @@ def main(argv=None) -> int:
             print("inconclusive: %s" % err)
         return EXIT_INCONCLUSIVE
     except DepthCapExceeded as err:
-        print("inconclusive: %s" % err)
+        if getattr(args, "machine", False):
+            print("verdict=inconclusive")
+            print("reason=depth cap exceeded")
+        else:
+            print("inconclusive: %s" % err)
         return EXIT_INCONCLUSIVE
     except (ConfigurationError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -167,9 +167,19 @@ def delta_bound(omega: ProjectiveOneForm, system: IndependentSystem,
 @dataclass
 class ConditionReport:
     conditions: set
-    alpha: Optional[int]            # min of Sigma(F, S) when certified
-    sigma_capped: bool              # search for condition (3) hit lam_max
+    alpha: Optional[int]            # min of Sigma(F, S); None: hit lam_max
+    alpha_h0: Optional[int]         # h0(alpha T), the sweep's value
     decomposition: Optional[Decomposition]
+
+
+def _first_pencil_multiple(T: DivisorClass, config: Configuration, lams):
+    """The first lam in lams with h0(lam T) >= 2 and that h0, or
+    (None, None)."""
+    for lam in lams:
+        dim = linsys.h0(lam * T, config)
+        if dim >= 2:
+            return lam, dim
+    return None, None
 
 
 def classify_conditions(system: IndependentSystem,
@@ -187,16 +197,11 @@ def classify_conditions(system: IndependentSystem,
             conds.add(2)
     except ConfigurationError:
         decomposition = None
-    alpha = None
-    capped = False
-    for lam in range(1, lam_max + 1):
-        if linsys.h0(lam * T, system.config) >= 2:
-            alpha = lam
-            conds.add(3)
-            break
-    else:
-        capped = True
-    return ConditionReport(conds, alpha, capped, decomposition)
+    alpha, alpha_h0 = _first_pencil_multiple(T, system.config,
+                                             range(1, lam_max + 1))
+    if alpha is not None:
+        conds.add(3)
+    return ConditionReport(conds, alpha, alpha_h0, decomposition)
 
 
 def algorithm2(omega: ProjectiveOneForm, config: Configuration,
@@ -210,26 +215,23 @@ def algorithm2(omega: ProjectiveOneForm, config: Configuration,
         return Verdict.inconclusive(
             "the system satisfies none of the usability conditions within "
             "the caps")
+    # the condition sweep already tried every lambda <= lam_max
+    alpha, dim = report.alpha, report.alpha_h0
     if 2 in report.conditions:
         bound = delta_bound(omega, system, report.decomposition)
         if bound is None:
             return Verdict.no_integral("the degree bound is not well defined")
-        # the condition sweep already tried every lambda <= lam_max
-        alpha = report.alpha
-        if report.sigma_capped:
-            alpha = next((lam for lam in range(lam_max + 1, int(bound) + 1)
-                          if linsys.h0(lam * T, config) >= 2), None)
+        if alpha is None:
+            alpha, dim = _first_pencil_multiple(
+                T, config, range(lam_max + 1, int(bound) + 1))
         if alpha is None or alpha > bound:
             return Verdict.no_integral(
                 "no multiple of T up to the bound %s moves in a pencil"
                 % bound)
-    else:
-        # with T^2 = 0 a nonempty report without (2) holds condition (3)
-        alpha = report.alpha
-    D = alpha * T
-    dim = linsys.h0(D, config)
+    # with T^2 = 0 a nonempty report without (2) holds condition (3)
     if dim > 2:
         return Verdict.no_integral("h0(alpha T) = %d exceeds 2" % dim)
+    D = alpha * T
     F, G = linsys.basis(D, config)
     if is_first_integral(F, G, omega):
         return Verdict.integral(F, G, omega)

@@ -8,6 +8,7 @@ coefficients.  Everything here is exact; no floats anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -54,32 +55,66 @@ def _qdivmod(num, den):
 
 
 def _rational_roots(coeffs):
-    """All rational roots of a Q-polynomial, via the rational root test."""
+    """All rational roots of a Q-polynomial, sorted, by p-adic lifting.
+
+    Let f be the squarefree integer part, a_n its leading coefficient and B
+    the sum of its |coefficients|.  A root u/v of f has v | a_n and
+    |a_n u/v| <= B, so a_n u/v is the symmetric residue of a_n r mod p^k
+    for the Hensel lift r of u/v mod p, once p^k > 2B.  The primes only
+    propose candidates; each one is kept only if it is an exact root.
+    """
     p = _qtrim([Fraction(c) for c in coeffs])
     if not p:
         raise ValueError("zero polynomial has every root")
-    roots = []
-    low = 0
-    while low < len(p) and p[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        p = p[low:]
+    low = next(i for i, c in enumerate(p) if c)
+    roots = [Fraction(0)] if low else []
+    p = p[low:]
     if len(p) <= 1:
         return roots
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in roots:
-                    continue
-                if _qeval(ints, cand) == 0:
-                    roots.append(cand)
-    return roots
+    p = _qsquarefree(p)
+    den = math.lcm(*(c.denominator for c in p))
+    f = [int(c * den) for c in p]
+    content = math.gcd(*f)
+    f = [c // content for c in f]
+    df = [i * c for i, c in enumerate(f)][1:]
+    lead, bound = f[-1], sum(abs(c) for c in f)
+    modulus, lifted = _simple_roots_mod_prime(f, df)
+    while modulus <= 2 * bound:
+        # one Newton step doubles the p-adic precision of every simple root
+        modulus *= modulus
+        lifted = [(r - _ieval(f, r, modulus) *
+                   pow(_ieval(df, r, modulus), -1, modulus)) % modulus
+                  for r in lifted]
+    for r in lifted:
+        c = lead * r % modulus
+        if 2 * c > modulus:
+            c -= modulus
+        cand = Fraction(c, lead)
+        if _qeval(f, cand) == 0:
+            roots.append(cand)
+    return sorted(roots)
+
+
+def _simple_roots_mod_prime(f, df):
+    """The first prime p not dividing the leading coefficient of the integer
+    polynomial f at which every root of f mod p is simple, and those roots.
+    For squarefree f only the primes dividing a_n or disc(f) are skipped."""
+    p = 1
+    while True:
+        p += 1
+        if f[-1] % p == 0 or any(p % d == 0
+                                 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        roots = [r for r in range(p) if _ieval(f, r, p) == 0]
+        if all(_ieval(df, r, p) for r in roots):
+            return p, roots
+
+
+def _ieval(coeffs, x, modulus):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
 
 
 def _qeval(coeffs, x):
@@ -89,25 +124,10 @@ def _qeval(coeffs, x):
     return acc
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _qsquarefree(p):
+    """p / gcd(p, p') for a nonconstant Q-polynomial p."""
+    g = _qgcd(p, _qtrim([c * i for i, c in enumerate(p)][1:]))
+    return _qdivmod(p, g)[0] if len(g) > 1 else p
 
 
 def rational_is_square(q):
@@ -118,16 +138,11 @@ def rational_is_square(q):
     if q == 0:
         return Fraction(0)
     n, d = q.numerator, q.denominator
-    rn = _isqrt(n)
-    rd = _isqrt(d)
+    rn = math.isqrt(n)
+    rd = math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +494,67 @@ def poly_resultant(p, q, field) -> FieldElement:
 
 
 def poly_interpolate(xs, ys, field):
-    """Lagrange interpolation over K at rational nodes."""
+    """The polynomial over K of degree < len(xs) through (xs[i], ys[i]).
+
+    The nodes are rational, so each coordinate of K is interpolated over Q:
+    Newton divided differences, expanded to the monomial basis by Horner.
+    """
+    xs = [Fraction(x) for x in xs]
+    coords = [_qinterpolate(xs, [y.coeffs[j] for y in ys])
+              for j in range(field.degree)]
+    return poly_trim(FieldElement(field, column) for column in zip(*coords))
+
+
+def _qinterpolate(xs, ys):
+    """Dense Q-polynomial of degree < len(xs) through the given points."""
     n = len(xs)
-    out = [field.zero()] * n
-    for i in range(n):
-        num = [field.one()]
-        den = field.one()
-        for j in range(n):
-            if i == j:
-                continue
-            num = poly_mul(num, [field.element(-xs[j]), field.one()], field)
-            den = den * field.element(xs[i] - xs[j])
-        scale = ys[i] * den.inverse()
-        for k, c in enumerate(num):
-            out[k] = out[k] + scale * c
-    return poly_trim(out)
+    c = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    out = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        # out <- out * (t - xs[i]) + c[i]; out has degree < n - 1 - i here
+        for k in range(n - 1 - i, 0, -1):
+            out[k] = out[k - 1] - xs[i] * out[k]
+        out[0] = c[i] - xs[i] * out[0]
+    return out
+
+
+def bivariate_resultant(p, q, field):
+    """Res_y of two bivariate dicts {(i, j): c} over K, as a K[x] list.
+
+    Evaluation at x = 0, 1, -1, 2, ... and interpolation; None when either
+    polynomial does not involve y or the nodes keep degenerating.
+    """
+    p_rows, q_rows = _to_y_rows(p, field), _to_y_rows(q, field)
+    m, n = len(p_rows) - 1, len(q_rows) - 1
+    if m < 1 or n < 1:
+        return None
+    bound = (m * max(len(r) - 1 for r in q_rows) +
+             n * max(len(r) - 1 for r in p_rows) + 1)
+    nodes, values = [], []
+    x_val = 0
+    while len(nodes) < bound:
+        xe = field.element(x_val)
+        pe = poly_trim([poly_eval(r, xe) for r in p_rows])
+        qe = poly_trim([poly_eval(r, xe) for r in q_rows])
+        if len(pe) == m + 1 and len(qe) == n + 1:
+            nodes.append(x_val)
+            values.append(poly_resultant(pe, qe, field))
+        x_val = -x_val + (1 if x_val <= 0 else 0)
+        if abs(x_val) > 4 * (bound + 4):
+            return None
+    return poly_interpolate(nodes, values, field)
+
+
+def _to_y_rows(poly, field):
+    """Bivariate dict -> list over y-degree of K[x] coefficient lists."""
+    rows = [[] for _ in range(max((j for _, j in poly), default=-1) + 1)]
+    for (i, j), c in poly.items():
+        rows[j].extend([field.zero()] * (i + 1 - len(rows[j])))
+        rows[j][i] = c
+    return [poly_trim(row) for row in rows]
 
 
 def poly_squarefree_part(p, field):
@@ -520,7 +581,7 @@ class RootsResult(NamedTuple):
 def find_roots_in_field(f: Sequence[FieldElement], field: NumberField = None) -> RootsResult:
     """All roots of f that lie in K, plus the degree of the unsplit cofactor.
 
-    Complete for K = Q (any degree, by the rational root test) and for
+    Complete for K = Q (any degree, by p-adic lifting) and for
     quadratic K (by reduction to a rational bivariate system).  For fields of
     degree >= 3 only rational roots and roots of low-degree cofactors are
     found; any possibly-unsplit part is reported through remaining_degree.
@@ -758,20 +819,6 @@ def _clean(d):
     return {k: v for k, v in d.items() if v != 0}
 
 
-def _to_y_coeffs(poly, x_as_main=False):
-    """Bivariate dict -> dense list over Q[x] (inner lists indexed by x-deg)."""
-    if not poly:
-        return []
-    if x_as_main:
-        poly = {(j, i): c for (i, j), c in poly.items()}
-    ydeg = max(j for _, j in poly)
-    xdeg = max(i for i, _ in poly)
-    out = [[Fraction(0)] * (xdeg + 1) for _ in range(ydeg + 1)]
-    for (i, j), c in poly.items():
-        out[j][i] = c
-    return [_qtrim(row) for row in out]
-
-
 def _bivariate_rational_solutions(P, Q):
     """Common rational zeros of two coprime polynomials in Q[x, y]."""
     res = _resultant_y(P, Q)
@@ -819,62 +866,10 @@ def _common_univariate_roots(P, Q, x_value=None, y_value=None):
 
 
 def _resultant_y(P, Q):
-    """Res_y of two bivariate dicts, as a Q[x] list; None if degenerate."""
-    A = _to_y_coeffs(P)
-    B = _to_y_coeffs(Q)
-    if len(A) <= 1 or len(B) <= 1:
-        return None
-    # Sylvester determinant over Q[x] via expansion into Q(x) is avoided;
-    # use evaluation-interpolation on rational points instead.
-    m, n = len(A) - 1, len(B) - 1
-    bound = m * max((len(r) - 1 for r in B), default=0) + \
-        n * max((len(r) - 1 for r in A), default=0)
-    points, values = [], []
-    x0 = 0
-    while len(points) < bound + 1:
-        xv = Fraction(x0)
-        a = _qtrim([_qeval(row, xv) for row in A])
-        b = _qtrim([_qeval(row, xv) for row in B])
-        if len(a) == m + 1 and len(b) == n + 1:
-            points.append(xv)
-            values.append(_univariate_resultant(a, b))
-        x0 = -x0 + (1 if x0 <= 0 else 0)
-        if abs(x0) > 4 * (bound + 5):
-            return None
-    return _interpolate(points, values)
-
-
-def _univariate_resultant(a, b):
-    """Resultant of two Q-polynomials by the Euclidean algorithm."""
-    a, b = _qtrim(list(a)), _qtrim(list(b))
-    res = Fraction(1)
-    while True:
-        if not b:
-            return Fraction(0) if len(a) > 1 else res
-        if len(b) == 1:
-            return res * b[0] ** (len(a) - 1)
-        _, r = _qdivmod(a, b)
-        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
-        res *= Fraction((-1) ** (da * db)) * b[-1] ** (da - dr)
-        a, b = b, r
-
-
-def _interpolate(xs, ys):
-    """Lagrange interpolation over Q, dense output."""
-    n = len(xs)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if i == j:
-                continue
-            num = _qmul(num, [-xs[j], Fraction(1)])
-            den *= xs[i] - xs[j]
-        scale = ys[i] / den
-        for k, c in enumerate(num):
-            out[k] += scale * c
-    return _qtrim(out)
+    """Res_y of two Q[x, y] dicts, as a Q[x] list; None if degenerate."""
+    res = bivariate_resultant({k: QQ.element(c) for k, c in P.items()},
+                              {k: QQ.element(c) for k, c in Q.items()}, QQ)
+    return None if res is None else [c.coeffs[0] for c in res]
 
 
 # ---------------------------------------------------------------------------

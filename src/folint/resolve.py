@@ -18,10 +18,10 @@ from .cluster import (
     Configuration, InfinitelyNearPoint, normalize_point, root_chart_images,
 )
 from .numfield import (
-    FieldElement, FieldExtensionNeeded, NumberField, find_roots_in_field,
-    format_poly_in_t, poly_degree, poly_divmod, poly_eval, poly_gcd,
-    poly_interpolate, poly_mul, poly_resultant, poly_squarefree_part,
-    poly_trim, rational_is_square,
+    FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
+    find_roots_in_field, format_poly_in_t, poly_degree, poly_divmod,
+    poly_gcd, poly_interpolate, poly_mul, poly_resultant,
+    poly_squarefree_part, poly_trim, rational_is_square,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
 from .linsys import root_series
@@ -497,7 +497,7 @@ def _solve_affine(p, q, field):
             for y0 in _y_roots_at(other, x0, None, field, escaped, (p, q)):
                 points.append((x0, y0))
         return points, escaped
-    rx = _resultant_in_y(p, q, field)
+    rx = bivariate_resultant(p, q, field)
     if not rx:
         raise ResolutionError("degenerate affine singular system")
     roots, remaining, cofactor = find_roots_in_field(
@@ -543,50 +543,6 @@ def _bi_eval_x(poly, x0, field):
     for (i, j), c in poly.items():
         out[j] = out[j] + c * x0 ** i
     return poly_trim(out)
-
-
-def _resultant_in_y(p, q, field):
-    """Res_y of bivariate dicts over K, by evaluation-interpolation in x."""
-    p_rows = _to_y_rows(p, field)
-    q_rows = _to_y_rows(q, field)
-    m, n = len(p_rows) - 1, len(q_rows) - 1
-    xdeg_p = max((len(r) - 1 for r in p_rows if r), default=0)
-    xdeg_q = max((len(r) - 1 for r in q_rows if r), default=0)
-    bound = m * xdeg_q + n * xdeg_p + 1
-    nodes, values = [], []
-    x_val = 0
-    attempts = 0
-    while len(nodes) < bound:
-        xe = field.element(Fraction(x_val))
-        pe = poly_trim([poly_eval(r, xe) if r else field.zero()
-                        for r in p_rows])
-        qe = poly_trim([poly_eval(r, xe) if r else field.zero()
-                        for r in q_rows])
-        if len(pe) == m + 1 and len(qe) == n + 1:
-            nodes.append(Fraction(x_val))
-            values.append(poly_resultant(pe, qe, field))
-        x_val = -x_val + (1 if x_val <= 0 else 0)
-        attempts += 1
-        if attempts > 8 * bound + 32:
-            raise ResolutionError("resultant evaluation kept degenerating")
-    return poly_interpolate(nodes, values, field)
-
-
-def _to_y_rows(poly, field):
-    """Bivariate dict -> list over y-degree of K[x] coefficient lists."""
-    ydeg = max(j for _, j in poly)
-    acc = [dict() for _ in range(ydeg + 1)]
-    for (i, j), c in poly.items():
-        acc[j][i] = c
-    rows = []
-    for row in acc:
-        if not row:
-            rows.append([])
-            continue
-        deg = max(row)
-        rows.append(poly_trim([row.get(i, field.zero())
-                               for i in range(deg + 1)]))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -120,3 +120,18 @@ def test_machine_output_is_stable(capsys):
                  fx("penultimate.cfg"))
     assert first == second
     assert first[0] == 0
+
+
+def test_depth_cap_is_inconclusive_in_both_modes(tmp_path, capsys):
+    deep = tmp_path / "deep.fol"
+    deep.write_text("A = 2*Y*Z^5\n"
+                    "B = -7*Y^5*Z-3*X*Z^5+Y*Z^5\n"
+                    "C = 7*Y^6+X*Y*Z^4-Y^2*Z^4\n")
+    code, out, _ = run(capsys, "resolve", "--depth", "2", str(deep))
+    assert code == 2
+    assert out.startswith("inconclusive: ")
+    code, out, _ = run(capsys, "resolve", "--depth", "2", "--machine",
+                       str(deep))
+    assert code == 2
+    assert out.splitlines() == ["verdict=inconclusive",
+                                "reason=depth cap exceeded"]

@@ -93,6 +93,23 @@ def test_classify_conditions_example1():
     assert 3 in report.conditions and report.alpha == 1
 
 
+def test_algorithm2_reuses_the_sweep_h0(monkeypatch):
+    omega, config, field = load("example1")
+    line = parse_form("X-Z", field)
+    conic = parse_form("(8*a-1)*X^2+4*a*X*Y+8*Y^2+(2-8*a)*X*Z-4*a*Y*Z-Z^2",
+                       field)
+    system = IndependentSystem([line, conic], config)
+    report = classify_conditions(system)
+    assert report.alpha_h0 == engine.linsys.h0(report.alpha * system.T,
+                                               config) == 2
+    seen = []
+    real_h0 = engine.linsys.h0
+    monkeypatch.setattr(engine.linsys, "h0",
+                        lambda D, c: seen.append(D) or real_h0(D, c))
+    assert algorithm2(omega, config, system).is_integral
+    assert seen == [system.T]       # the sweep's one call, not repeated
+
+
 def test_classify_conditions_lets_unexpected_errors_through(monkeypatch):
     omega, config, _ = load("penultimate")
     system = IndependentSystem([parse_form("Y-Z")], config)

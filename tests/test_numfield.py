@@ -1,13 +1,16 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, find_roots_in_field, format_element,
-    format_minpoly, poly_degree, poly_divmod, poly_eval, poly_gcd, poly_mul,
-    sqrt_in_field,
+    format_minpoly, poly_degree, poly_divmod, poly_eval, poly_gcd,
+    poly_interpolate, poly_mul, poly_trim, sqrt_in_field, _qmul,
+    _rational_roots,
 )
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
@@ -175,3 +178,66 @@ def test_poly_gcd_monic():
     g = poly_mul([QQ.element(-1), one], [QQ.element(3), one], QQ)
     d = poly_gcd(f, g, QQ)
     assert d == [QQ.element(-1), one]
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _rational_roots_by_divisors(coeffs):
+    """Reference: the rational root test over every divisor pair."""
+    p = [Fraction(c) for c in coeffs]
+    while p[-1] == 0:
+        p.pop()
+    roots = set()
+    if p[0] == 0:
+        roots.add(Fraction(0))
+        while p[0] == 0:
+            p.pop(0)
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    for u in _divisors(ints[0]):
+        for v in _divisors(ints[-1]):
+            for cand in (Fraction(u, v), Fraction(-u, v)):
+                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+small_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(small_fraction, st.integers(1, 2)), max_size=3),
+       st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+def test_rational_roots_match_divisor_enumeration(factors, cofactor):
+    f = cofactor
+    for root, mult in factors:
+        for _ in range(mult):
+            f = _qmul(f, [-root, Fraction(1)])
+    assert _rational_roots(f) == _rational_roots_by_divisors(f)
+
+
+def test_rational_roots_with_a_huge_constant_term():
+    # constant term of 42 digits: divisor enumeration would never finish
+    big = 10 ** 20 + 39
+    f = _qmul(_qmul([-3, 7], [big, 5]), [10 ** 21 + 1, 0, 1])
+    assert len(str(abs(f[0]))) >= 40 and f[-1] == 35
+    start = time.perf_counter()
+    roots = _rational_roots(f)
+    assert time.perf_counter() - start < 1
+    assert roots == [Fraction(-big, 5), Fraction(3, 7)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([QQ, GAUSS]),
+       st.lists(st.tuples(small_fraction, small_fraction), max_size=7),
+       st.integers(0, 3), st.integers(-5, 5))
+def test_poly_interpolate_recovers_polynomials(field, coeffs, extra, shift):
+    f = poly_trim([field.element(pair[:field.degree]) for pair in coeffs])
+    nodes = [Fraction(shift + 3 * k, 2) for k in range(len(coeffs) + extra)]
+    values = [poly_eval(f, field.element(x)) for x in nodes]
+    assert poly_interpolate(nodes, values, field) == f

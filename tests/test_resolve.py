@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from folint.cli import load_foliation, main
 from folint.cluster import dump_configuration, load_configuration
 from folint.numfield import QQ, FieldExtensionNeeded, NumberField
 from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
@@ -129,3 +132,25 @@ def test_depth_cap_is_an_error():
         parse_form("7*Y^6+X*Y*Z^4-Y^2*Z^4"))
     with pytest.raises(DepthCapExceeded):
         build_configuration(omega, depth_cap=2)
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", [
+    "example1", "fig2", "fig3", "family_a0", "family_a59", "family_a861",
+    "penultimate"])
+def test_build_configuration_reproduces_fixture(name):
+    omega, _ = load_foliation(str(FIXTURES / (name + ".fol")))
+    lines = (FIXTURES / (name + ".cfg")).read_text().splitlines(True)
+    expected = "".join(l for l in lines if not l.startswith("#"))
+    assert dump_configuration(build_configuration(omega)) == expected
+
+
+def test_resolve_cubic_pencil_needs_a_field_extension(capsys):
+    code = main(["resolve", "--machine", str(FIXTURES / "cubic_pencil.fol")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out[:2] == ["verdict=inconclusive",
+                       "reason=field extension required"]
+    assert len(out) == 3 and out[2].startswith("certificate=t^")
