@@ -8,17 +8,17 @@ internally the sign flip reduces it to Euclidean duality once, here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
-from .linalg import primitive_integer_vector
 
 
-def lorentz(u, v) -> Fraction:
-    acc = Fraction(u[0]) * Fraction(v[0])
+def lorentz(u, v):
+    acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
-        acc -= Fraction(a) * Fraction(b)
+        acc -= a * b
     return acc
 
 
@@ -26,14 +26,95 @@ def _flip(v):
     return tuple([v[0]] + [-x for x in v[1:]])
 
 
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _reduce(vec):
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _combine(a, u, b, v):
+    """a*u - b*v on integer vectors, divided by its gcd."""
+    return _reduce([a * x - b * y for x, y in zip(u, v)])
+
+
+class _DualDescription(NamedTuple):
+    """Generators of {x : n . x >= 0 (Euclidean) for every normal n processed
+    so far}, as primitive integer vectors.  ``step`` is one iteration of the
+    double description method (Fukuda & Prodon 1996); it returns a new
+    description and leaves this one as it is."""
+
+    lineality: list     # a basis of the lineality space
+    rays: dict          # extremal ray modulo lineality -> its tight normals
+    count: int          # normals processed; bit i of a mask is the i-th
+
+    def step(self, n) -> "_DualDescription":
+        bit = 1 << self.count
+        rays = {}
+        scores = [_dot(n, l) for l in self.lineality]
+        pivot = next((i for i, s in enumerate(scores) if s), None)
+        if pivot is not None:
+            # n cuts the lineality space: l0 turns into a ray tight on every
+            # earlier normal, and every other generator moves along l0 onto
+            # the hyperplane n . x = 0, keeping its incidences
+            l0, s0 = self.lineality[pivot], scores[pivot]
+            if s0 < 0:
+                l0, s0 = tuple(-v for v in l0), -s0
+            lineality = [_combine(s0, l, s, l0) if s else l
+                         for i, (l, s) in enumerate(zip(self.lineality,
+                                                        scores))
+                         if i != pivot]
+            for r, m in self.rays.items():
+                s = _dot(n, r)
+                rays.setdefault(_combine(s0, r, s, l0) if s else r,
+                                m | bit)
+            rays.setdefault(l0, bit - 1)
+            return _DualDescription(lineality, rays, self.count + 1)
+        dots = {r: _dot(n, r) for r in self.rays}
+        for r, m in self.rays.items():
+            if dots[r] >= 0:
+                rays[r] = m if dots[r] else m | bit
+        masks = list(self.rays.values())
+        minus = [r for r, s in dots.items() if s < 0]
+        for rp, sp in dots.items():
+            if sp <= 0:
+                continue
+            for rm in minus:
+                common = self.rays[rp] & self.rays[rm]
+                if _is_edge(common, masks):
+                    rays.setdefault(_combine(sp, rm, dots[rm], rp),
+                                    common | bit)
+        return _DualDescription(self.lineality, rays, self.count + 1)
+
+
+def _is_edge(common, masks):
+    """Two rays span an edge iff no third ray is tight on every normal
+    both are tight on (the combinatorial adjacency test)."""
+    hits = 0
+    for m in masks:
+        if m & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
+
+
 class RationalCone:
-    """Finitely generated cone; generators are primitive integer vectors."""
+    """Finitely generated cone; integer generators, stored divided by the
+    gcd of their entries.
+
+    The dual's double description is built on first use and carried along
+    by ``with_generator``, one step per added generator.
+    """
 
     def __init__(self, generators: Iterable[Sequence], dim: int = None):
         gens = []
         seen = set()
         for g in generators:
-            vec = tuple(primitive_integer_vector(list(g)))
+            vec = _reduce(g)
             if all(x == 0 for x in vec):
                 raise ValueError("zero generator")
             if vec not in seen:
@@ -46,9 +127,26 @@ class RationalCone:
             if len(g) != self.dim:
                 raise ValueError("generator length mismatch")
         self.generators = gens
+        self._dd = None
 
     def with_generator(self, v) -> "RationalCone":
-        return RationalCone(self.generators + [tuple(v)], self.dim)
+        out = RationalCone(self.generators + [tuple(v)], self.dim)
+        if self._dd is not None:
+            added = len(out.generators) > len(self.generators)
+            out._dd = (self._dd.step(_flip(out.generators[-1])) if added
+                       else self._dd)
+        return out
+
+    def _dual_description(self) -> _DualDescription:
+        """The dual's double description, with the Lorentzian pairing
+        turned Euclidean by flipping each generator."""
+        if self._dd is None:
+            dd = _DualDescription([tuple(int(i == j) for j in range(self.dim))
+                                   for i in range(self.dim)], {}, 0)
+            for g in self.generators:
+                dd = dd.step(_flip(g))
+            self._dd = dd
+        return self._dd
 
     def __repr__(self):
         return "RationalCone(%d generators in Q^%d)" % (len(self.generators),
@@ -56,119 +154,28 @@ class RationalCone:
 
 
 def contains(cone: RationalCone, x) -> bool:
-    """Exact membership: x = sum lambda_i g_i with lambda >= 0."""
-    if all(v == 0 for v in x):
-        return True
-    if not cone.generators:
-        return False
-    A = [[Fraction(g[r]) for g in cone.generators] for r in range(cone.dim)]
-    b = [Fraction(v) for v in x]
-    return linalg.lp_feasible(A, b)
+    """Exact membership by Farkas: x lies in the cone iff it pairs
+    nonnegatively with every ray of the dual and to zero with the dual's
+    lineality."""
+    dd = cone._dual_description()
+    fx = _flip(x)
+    return (all(_dot(fx, l) == 0 for l in dd.lineality)
+            and all(_dot(fx, r) >= 0 for r in dd.rays))
 
 
 def dual(cone: RationalCone) -> RationalCone:
     """Extremal rays of {x : x . g >= 0 for all generators}, intersection
     pairing; a lineality space (dual of a non-spanning cone) comes out as
     pairs of opposite generators."""
-    normals = [_flip(g) for g in cone.generators]
-    lin, rays = _double_description(normals, cone.dim)
+    dd = cone._dual_description()
+    rays = sorted(dd.rays)
     gens = []
-    for l in lin:
+    for l in dd.lineality:
         gens.append(l)
         gens.append(tuple(-v for v in l))
-    gens.extend(rays)
-    out = RationalCone(gens, cone.dim) if gens else RationalCone([], cone.dim)
-    out.lineality = [tuple(l) for l in lin]
-    out.extremal_rays = sorted(rays)
-    return out
-
-
-def extremal_rays(cone: RationalCone):
-    """Canonical extremal rays of a pointed cone (via double dualization)."""
-    return dual(dual(cone)).extremal_rays
-
-
-def _double_description(normals, dim):
-    """Generators of {x : n . x >= 0 (Euclidean) for n in normals}.
-
-    Returns (lineality basis, extremal rays modulo lineality); processes the
-    inequalities in input order, which pins the output for reproducibility.
-    """
-    lineality = [tuple(Fraction(1) if j == i else Fraction(0)
-                       for j in range(dim)) for i in range(dim)]
-    rays = []
-    processed = []
-
-    def dot(n, v):
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(n, v))
-
-    for n in normals:
-        scores = [dot(n, l) for l in lineality]
-        pivot = next((i for i, s in enumerate(scores) if s != 0), None)
-        if pivot is not None:
-            l0, s0 = lineality[pivot], scores[pivot]
-            if s0 < 0:
-                l0 = tuple(-v for v in l0)
-                s0 = -s0
-            new_lin = []
-            for i, l in enumerate(lineality):
-                if i == pivot:
-                    continue
-                s = scores[i]
-                new_lin.append(tuple(a - (s / s0) * b for a, b in zip(l, l0)))
-            new_rays = []
-            for r in rays:
-                s = dot(n, r)
-                new_rays.append(_primitive(tuple(
-                    a - (s / s0) * b for a, b in zip(r, l0))))
-            new_rays.append(_primitive(l0))
-            lineality = [_primitive(l) for l in new_lin]
-            rays = _dedupe(new_rays)
-        else:
-            plus, zero, minus = [], [], []
-            for r in rays:
-                s = dot(n, r)
-                if s > 0:
-                    plus.append((r, s))
-                elif s < 0:
-                    minus.append((r, s))
-                else:
-                    zero.append((r, s))
-            if minus:
-                zero_sets = {r: frozenset(
-                    i for i, p in enumerate(processed) if dot(p, r) == 0)
-                    for r in rays}
-                new_rays = [r for r, _ in plus] + [r for r, _ in zero]
-                for rp, sp in plus:
-                    for rm, sm in minus:
-                        common = zero_sets[rp] & zero_sets[rm]
-                        adjacent = True
-                        for other in rays:
-                            if other == rp or other == rm:
-                                continue
-                            if common <= zero_sets[other]:
-                                adjacent = False
-                                break
-                        if not adjacent:
-                            continue
-                        combo = tuple(sp * b - sm * a for a, b in
-                                      zip(rp, rm))
-                        new_rays.append(_primitive(combo))
-                rays = _dedupe(new_rays)
-        processed.append(n)
-    return lineality, sorted(rays)
-
-
-def _primitive(vec):
-    return tuple(primitive_integer_vector(list(vec)))
-
-
-def _dedupe(rays):
-    out, seen = [], set()
-    for r in rays:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
+    out = RationalCone(gens + rays, cone.dim)
+    out.lineality = list(dd.lineality)
+    out.extremal_rays = rays
     return out
 
 

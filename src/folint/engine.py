@@ -37,12 +37,16 @@ class Verdict:
     reason: str = ""
 
     @classmethod
-    def integral(cls, F, G, omega) -> "Verdict":
+    def integral(cls, F, G, omega, otherwise: str) -> "Verdict":
+        """F/G with common factors removed if it passes the wedge test,
+        else no_integral with the reason ``otherwise``.  The reduced pair
+        spans the same pencil (G dF - F dG scales by g^2), so the one wedge
+        test here certifies the pencil the caller proposed."""
         g = gcd3(F, G)
         if g.degree > 0:
             F, G = divides(g, F), divides(g, G)
         if not is_first_integral(F, G, omega):
-            raise ValueError("claimed first integral fails the wedge test")
+            return cls.no_integral(otherwise)
         return cls("integral", F, G)
 
     @classmethod
@@ -233,9 +237,8 @@ def algorithm2(omega: ProjectiveOneForm, config: Configuration,
         return Verdict.no_integral("h0(alpha T) = %d exceeds 2" % dim)
     D = alpha * T
     F, G = linsys.basis(D, config)
-    if is_first_integral(F, G, omega):
-        return Verdict.integral(F, G, omega)
-    return Verdict.no_integral("the candidate pencil is not invariant")
+    return Verdict.integral(F, G, omega,
+                            "the candidate pencil is not invariant")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,7 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration,
         raise ValueError("the fixed-degree search needs >= 2 points")
     dic_strict = [(q, config.exceptional_strict_class(q))
                   for q in config.dicritical_indices()]
+    failure = "no degree-%d pencil is invariant" % d
     for e in _candidate_multiplicities(config, d, "zero-sum"):
         D = config.divisor(d, e)
         if D.square() != 0:
@@ -298,9 +302,10 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration,
         if linsys.h0(D, config) != 2:
             continue
         F, G = linsys.basis(D, config)
-        if is_first_integral(F, G, omega):
-            return Verdict.integral(F, G, omega)
-    return Verdict.no_integral("no degree-%d pencil is invariant" % d)
+        verdict = Verdict.integral(F, G, omega, failure)
+        if verdict.is_integral:
+            return verdict
+    return Verdict.no_integral(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +421,8 @@ def memo_fastpath(omega: ProjectiveOneForm, config: Configuration,
     if linsys.h0(T, config) != 2:
         return Verdict.no_integral("K.T < 0 but T does not move in a pencil")
     F, G = linsys.basis(T, config)
-    if is_first_integral(F, G, omega):
-        return Verdict.integral(F, G, omega)
-    return Verdict.no_integral("K.T < 0 and the T-pencil is not invariant")
+    return Verdict.integral(F, G, omega,
+                            "K.T < 0 and the T-pencil is not invariant")
 
 
 def discard_checks(omega: ProjectiveOneForm, config: Configuration,
@@ -470,11 +474,9 @@ def pipeline(omega: ProjectiveOneForm, config: Configuration,
         return Verdict.no_integral("no dicritical points")
     if config.size == 1:
         L1, L2 = _lines_through(config)
-        if is_first_integral(L1, L2, omega):
-            return Verdict.integral(L1, L2, omega)
-        return Verdict.no_integral(
-            "the line pencil through the single dicritical point is not "
-            "invariant")
+        return Verdict.integral(
+            L1, L2, omega, "the line pencil through the single dicritical "
+            "point is not invariant")
     result = algorithm3(omega, config, d_max=caps.d_max, trace=trace)
     if result.verdict is not None:
         return result.verdict

@@ -11,7 +11,6 @@ matrices for lattice computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .numfield import FieldElement
 
@@ -166,22 +165,3 @@ def lp_feasible(A, b) -> bool:
             cost = [a - f * c for a, c in zip(cost, tab[leave])]
         basis[leave] = enter
     return -cost[-1] == 0
-
-
-def primitive_integer_vector(vec):
-    """Scale a rational vector by a positive factor to coprime integers.
-
-    The direction is preserved: only a positive rational multiple is applied,
-    so cone rays keep their orientation.
-    """
-    denom = 1
-    for v in vec:
-        f = Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(Fraction(v) * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    return ints

@@ -51,12 +51,6 @@ def _bi_add_term(out, key, val):
             out[key] = s
 
 
-def _bi_scale(poly, k):
-    if k.is_zero():
-        return {}
-    return {key: c * k for key, c in poly.items()}
-
-
 def _bi_partial(poly, index):
     out = {}
     for (i, j), c in poly.items():

@@ -1,6 +1,6 @@
 import random
-from fractions import Fraction
 
+from folint import linalg
 from folint.cones import (
     RationalCone, cone_equal, contains, dual, exists_negative_square, lorentz,
     rank_of_classes,
@@ -75,6 +75,95 @@ def _random_cone(rng, dim, count):
         if any(v):
             gens.append(v)
     return RationalCone(gens)
+
+
+def _random_shaped_cone(rng, dim):
+    """A random cone that may contain a line or span a proper subspace."""
+    shape = rng.choice(("general", "line", "subspace"))
+    count = rng.randint(1, dim + 2)
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    if shape == "subspace":
+        basis = _random_cone(rng, dim, rng.randint(1, dim - 1)).generators
+    gens = []
+    while len(gens) < count:
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                  for i in range(dim))
+        if any(v):
+            gens.append(v)
+    if shape == "line":
+        gens.append(tuple(-x for x in gens[0]))
+    return RationalCone(gens, dim)
+
+
+def _lp_contains(cone, x):
+    """Reference membership: an exact simplex on x = sum lambda_i g_i."""
+    A = [[g[r] for g in cone.generators] for r in range(cone.dim)]
+    return linalg.lp_feasible(A, list(x))
+
+
+def test_contains_matches_lp_bulk():
+    """Membership read from the dual agrees with the simplex, inside (on
+    nonnegative combinations of the generators) and outside."""
+    rng = random.Random(77)
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        dim = rng.randint(2, 8)
+        cone = _random_shaped_cone(rng, dim)
+        for _ in range(4):
+            x = [0] * dim
+            for g in cone.generators:
+                k = rng.randint(0, 3)
+                x = [a + k * b for a, b in zip(x, g)]
+            assert _lp_contains(cone, x)
+            assert contains(cone, x)
+        for _ in range(6):
+            x = [rng.randint(-4, 4) for _ in range(dim)]
+            truth = _lp_contains(cone, x)
+            assert contains(cone, x) == truth
+            outcomes[truth] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def test_incremental_dual_matches_fresh_dual():
+    """The dual carried through with_generator, one step per generator,
+    equals the dual computed anew after every step."""
+    rng = random.Random(4242)
+    for _ in range(80):
+        dim = rng.randint(2, 8)
+        gens = _random_shaped_cone(rng, dim).generators
+        chain = RationalCone([], dim)
+        dual(chain)
+        for k, g in enumerate(gens, start=1):
+            chain = chain.with_generator(g)
+            carried, fresh = dual(chain), dual(RationalCone(gens[:k], dim))
+            assert carried.extremal_rays == fresh.extremal_rays
+            assert carried.lineality == fresh.lineality
+            # fraction-free: every entry stays a plain int
+            assert all(type(v) is int for vec in carried.extremal_rays
+                       + carried.lineality for v in vec)
+
+
+def test_dual_rays_extremal_bulk():
+    """Every dual ray is extremal: the generators tight on it have rank
+    dim - lineality - 1, and no two rays share their tight set.  The
+    lineality is the orthogonal complement of the generators."""
+    rng = random.Random(31337)
+    for _ in range(120):
+        dim = rng.randint(2, 8)
+        cone = _random_shaped_cone(rng, dim)
+        d = dual(cone)
+        gens = cone.generators
+        assert len(d.lineality) == dim - rank_of_classes(gens)
+        assert rank_of_classes(d.lineality) == len(d.lineality)
+        assert all(lorentz(g, l) == 0 for g in gens for l in d.lineality)
+        tight_sets = set()
+        for ray in d.extremal_rays:
+            assert all(lorentz(g, ray) >= 0 for g in gens)
+            tight = frozenset(g for g in gens if lorentz(g, ray) == 0)
+            assert rank_of_classes(tight) == dim - len(d.lineality) - 1
+            tight_sets.add(tight)
+        assert len(tight_sets) == len(d.extremal_rays)
 
 
 def test_dual_dual_identity_bulk():

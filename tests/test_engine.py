@@ -110,6 +110,30 @@ def test_algorithm2_reuses_the_sweep_h0(monkeypatch):
     assert seen == [system.T]       # the sweep's one call, not repeated
 
 
+def test_verdict_integral_runs_the_one_wedge_test():
+    # F/G = X/Y is a first integral of Y dX - X dY; the common factor Z
+    # goes before the test
+    X, Y, Z = (HomogeneousForm.variable(QQ, i) for i in range(3))
+    omega = ProjectiveOneForm(Y, -X, Z * 0)
+    verdict = Verdict.integral(X * Z, Y * Z, omega, "unused")
+    assert verdict.is_integral
+    assert (verdict.numerator, verdict.denominator) == (X, Y)
+    verdict = Verdict.integral(X * Z, Z * Z, omega, "not invariant")
+    assert verdict.outcome == "no_integral"
+    assert verdict.reason == "not invariant"
+
+
+@pytest.mark.parametrize("name", ["fig2", "family_a0", "penultimate"])
+def test_pipeline_runs_one_wedge_test_per_integral(monkeypatch, name):
+    omega, config, _ = load(name)
+    calls = []
+    real = engine.is_first_integral
+    monkeypatch.setattr(engine, "is_first_integral",
+                        lambda F, G, w: calls.append(F) or real(F, G, w))
+    assert pipeline(omega, config).is_integral
+    assert len(calls) == 1
+
+
 def test_classify_conditions_lets_unexpected_errors_through(monkeypatch):
     omega, config, _ = load("penultimate")
     system = IndependentSystem([parse_form("Y-Z")], config)

@@ -113,3 +113,40 @@ def test_rank_int_is_exact_where_floats_are_not():
     # row 3 = row 1 - row 2; elimination in floats leaves a tiny residue
     # and reports rank 3
     assert linalg.rank_int([[3, 4, -8], [-1, 7, 6], [4, -3, -14]]) == 2
+
+
+def _face_lp(G):
+    """The LP of a singular stationarity face in ``is_p_sufficient``:
+    G x = -nu (one scalar nu), sum x = 1, x >= 0, nu >= 0."""
+    k = len(G)
+    A = [list(row) + [1] for row in G] + [[1] * k + [0]]
+    return A, [0] * k + [1]
+
+
+def _face_is_singular(G):
+    k = len(G)
+    aug = [[Fraction(v) for v in row] + [Fraction(-1), Fraction(0)]
+           for row in G]
+    aug.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    return linalg.rref(aug)[1] != list(range(k + 1))
+
+
+def test_lp_feasible_on_degenerate_singular_faces():
+    # feasible only with nu = 0, e.g. x = (1/2, 1/2, 0): a degenerate
+    # vertex on a face whose stationarity system is singular
+    G = [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]]
+    assert _face_is_singular(G)
+    assert linalg.lp_feasible(*_face_lp(G))
+    # singular too, but G x > 0 for every x >= 0 with sum x = 1
+    G = [[1, 1], [1, 1]]
+    assert _face_is_singular(G)
+    assert not linalg.lp_feasible(*_face_lp(G))
+
+
+def test_lp_feasible_with_redundant_rows():
+    # a repeated row and a zero right-hand side leave an artificial
+    # variable basic at level 0 when phase 1 ends
+    A = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    assert linalg.lp_feasible(A, [2, 2, 0])
+    assert not linalg.lp_feasible(A, [2, 3, 0])
+    assert not linalg.lp_feasible(A, [2, 2, -1])

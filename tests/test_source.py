@@ -53,3 +53,49 @@ def test_float_check_sees_floats():
                "from math import sqrt\n")
     kinds = sorted(what for _, what in _float_uses(ast.parse(snippet)))
     assert kinds == ["float literal", "float()", "math.sqrt", "math.sqrt"]
+
+
+def _unused_private_functions(trees):
+    """Module-level ``_private`` functions of {module: tree} that no code
+    outside their own body names."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined[node.name] = module
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    return sorted("%s:%s" % (module, name)
+                  for name, module in defined.items() if name not in used)
+
+
+def test_no_functions_without_callers():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    assert _unused_private_functions(trees) == []
+
+
+def test_caller_check_sees_unused_functions():
+    used = ast.parse("def _used():\n    return 1\n\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                     "def _unused():\n    return _used()\n")
+    caller = ast.parse("import m\nx = m._named_by_attribute\n")
+    other = ast.parse("def _named_by_attribute():\n    pass\n\n"
+                      "def _kept():\n    pass\n\nclass C:\n"
+                      "    def _method(self):\n        return _kept()\n")
+    found = _unused_private_functions({"a.py": used, "b.py": caller,
+                                       "c.py": other})
+    assert found == ["a.py:_recursive", "a.py:_unused"]
