@@ -79,6 +79,21 @@ def root_chart_images(origin, field):
     return images
 
 
+class LinsysMemo:
+    """What ``linsys`` keeps per configuration, so that it lives as long as
+    the configuration: its chart data over K and over the residue field of
+    K (False when it has no image there), each with the generic root series
+    per (root index, degree); and the last exact elimination that ``h0``
+    made, as (class, reduced rows, pivots), for ``basis``."""
+
+    __slots__ = ("exact", "residue", "elimination")
+
+    def __init__(self):
+        self.exact = None
+        self.residue = None
+        self.elimination = None
+
+
 class Configuration:
     """An ordered tree (forest) of infinitely near points: the dicritical
     configuration of a foliation, with derived proximity structure."""
@@ -121,6 +136,7 @@ class Configuration:
                                    for j in range(self.size)]
         if require_dicritical:
             self._check_dicritical_closure()
+        self.linsys_memo = LinsysMemo()
 
     # -- structure ----------------------------------------------------------
 
@@ -408,9 +424,16 @@ def proximity_gram_matrix(config: Configuration):
 def is_p_sufficient(config: Configuration) -> bool:
     """Exact strict-copositivity test of G_C by support enumeration.
 
-    For each support the stationarity system G_F x = mu, sum x = 1 is solved;
-    a solution with x >= 0 and mu <= 0 certifies failure (its value is mu).
-    Singular stationarity systems fall back to exact LP feasibility.
+    For each support F the stationarity system G_F x = mu, sum x = 1 is
+    solved; a solution with x >= 0 and mu <= 0 certifies failure (its value
+    is mu).  Supports whose system is singular are skipped, which loses
+    nothing.  If G is not strictly copositive, take a minimiser x of x^T G x
+    on the simplex with the least support F.  It is stationary on F with mu
+    = x^T G x <= 0.  A kernel vector (y, t) of F's system would have
+    G_F y = t, sum y = 0 and y != 0, so x^T G x would stay constant along
+    x + s y until a coordinate reached zero, leaving a minimiser of smaller
+    support.  So F's system is nonsingular, its unique solution is x, and F
+    certifies the failure (or the diagonal check does, when |F| = 1).
     """
     G = proximity_gram_matrix(config)
     n = config.size
@@ -426,18 +449,11 @@ def is_p_sufficient(config: Configuration) -> bool:
         aug = [[G[i][j] for j in support] + [-one, zero] for i in support]
         aug.append([one] * k + [zero, one])
         reduced, pivots = linalg.rref(aug)
-        if pivots == list(range(k + 1)):
-            # a pivot in every unknown: the unique solution is the last column
-            x, mu = [row[-1] for row in reduced[:k]], reduced[k][-1]
-            if mu <= 0 and all(v >= 0 for v in x):
-                return False
+        if pivots != list(range(k + 1)):
             continue
-        # singular face: exact feasibility of G_F x = -nu, sum x = 1,
-        # x >= 0, nu >= 0
-        A = [[G[i][j] for j in support] + [one] for i in support]
-        A.append([one] * k + [zero])
-        b = [zero] * k + [one]
-        if linalg.lp_feasible(A, b):
+        # a pivot in every unknown: the unique solution is the last column
+        x, mu = [row[-1] for row in reduced[:k]], reduced[k][-1]
+        if mu <= 0 and all(v >= 0 for v in x):
             return False
     return True
 

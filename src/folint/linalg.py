@@ -1,11 +1,12 @@
 """Small exact linear algebra kernel used across the package.
 
-``rref`` is the one elimination loop: it works on exact entries, Fraction
-or FieldElement, and rank, nullspace and solve are thin wrappers over it.
-Plain integers go through ``rank_int`` and ``solve``, which make them
-Fractions first so that no division can produce a float.  Bareiss
-determinants and the simplex are separate algorithms on integer/Fraction
-matrices for lattice computations.
+``rref`` is the one elimination loop: it works on exact entries, Fraction,
+FieldElement or Residue, and rank, nullspace and solve are thin wrappers
+over it.  Plain integers go through ``rank_int`` and ``solve``, which make
+them Fractions first so that no division can produce a float.  Bareiss
+determinants are a separate algorithm on integer matrices for lattice
+computations, and the simplex is the reference that the tests check cone
+membership against.
 """
 
 from __future__ import annotations
@@ -61,13 +62,17 @@ def rank_int(matrix) -> int:
 
 
 def nullspace(rows):
-    """Basis of the right kernel: one vector per free column, in column
-    order, with a one there and minus the reduced entries at the pivots."""
+    """Basis of the right kernel of a matrix of Fraction or FieldElement
+    entries."""
     if not rows or not rows[0]:
         return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    zero = rows[0][0] * 0           # the zero and one of the entries' field
+    return kernel(*rref(rows), len(rows[0]), rows[0][0] * 0)
+
+
+def kernel(reduced, pivots, ncols, zero):
+    """The right kernel read off ``rref``'s output: one vector per free
+    column, in column order, with a one there and minus the reduced entries
+    at the pivots."""
     one = zero + 1
     basis = []
     for fc in [c for c in range(ncols) if c not in pivots]:

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .cluster import Configuration, DivisorClass, root_chart_images
-from .numfield import FieldElement
+from .numfield import FieldElement, UnluckyPrime
 from .polyforms import HomogeneousForm, monomials
 
 # A series maps a monomial (i, j) in the local coordinates (u, v) to its
@@ -66,11 +66,12 @@ def _prune(series: Series) -> Series:
     return out
 
 
-def root_series(origin, columns, field) -> Series:
+def root_series(images, columns, field) -> Series:
     """Local series at a plane point, in its canonical chart coordinates, of
-    the forms whose coefficient dicts {(i, j, k): c} are ``columns``."""
+    the forms whose coefficient dicts {(i, j, k): c} are ``columns``;
+    ``images`` are the point's ``root_chart_images``."""
     polys = []
-    for cu, cv, c1 in root_chart_images(origin, field):
+    for cu, cv, c1 in images:
         polys.append({key: c for key, c in (((1, 0), cu), ((0, 1), cv),
                                             ((0, 0), c1)) if not c.is_zero()})
     caches = [{}, {}, {}]
@@ -88,13 +89,13 @@ def root_series(origin, columns, field) -> Series:
     return _prune(out)
 
 
-def chart_step(series: Series, point, e: int, field) -> Series:
+def chart_step(series: Series, chart: int, c, e: int, field) -> Series:
     """The series at a child point: drop the monomials of total degree below
     the parent's multiplicity e, substitute the chart map (chart 1:
     v = u*(w + c); chart 2: u = s*v with coordinates (v, s)) and divide by
     the exceptional's u^e."""
     out: Series = {}
-    if point.chart == 2:
+    if chart == 2:
         # (i, j) -> (i + j - e, i) is injective: nothing can cancel
         for (i, j), vec in series.items():
             if i + j >= e:
@@ -108,7 +109,7 @@ def chart_step(series: Series, point, e: int, field) -> Series:
         row = scales.get(j)
         if row is None:
             while len(powers) <= j:
-                powers.append(powers[-1] * point.c)
+                powers.append(powers[-1] * c)
             scaled = ((k, powers[j - k] * comb(j, k)) for k in range(j + 1))
             row = scales[j] = [(k, f) for k, f in scaled if not f.is_zero()]
         for k, scale in row:
@@ -137,10 +138,12 @@ def effective_multiplicities(form: HomogeneousForm,
     local = {}
     for idx, point in enumerate(config.points):
         if point.is_root():
-            series = root_series(point.origin, [form.coeffs], field)
+            series = root_series(root_chart_images(point.origin, field),
+                                 [form.coeffs], field)
         else:
             parent = config.parent_idx[idx]
-            series = chart_step(local[parent], point, mults[parent], field)
+            series = chart_step(local[parent], point.chart, point.c,
+                                mults[parent], field)
         mults[idx] = min((i + j for i, j in series), default=0)
         local[idx] = series
     return mults
@@ -162,29 +165,69 @@ def total_valuations(mults, config: Configuration):
 # the linear system of a divisor class
 # ---------------------------------------------------------------------------
 
-def _root_series_cached(config, root_idx, degree):
-    # cached on the configuration itself so the entries share its lifetime
-    cache = getattr(config, "_root_series_cache", None)
-    if cache is None:
-        cache = {}
-        config._root_series_cache = cache
-    key = (root_idx, degree)
-    if key not in cache:
-        if len(cache) > 64:
-            cache.clear()
-        one = config.field.one()
-        cache[key] = root_series(config.points[root_idx].origin,
-                                 [{m: one} for m in monomials(degree)],
-                                 config.field)
-    return cache[key]
+class _ChartData:
+    """A configuration's chart data over one field, K or a residue field of
+    K, and the series of the generic form at each root point, memoised per
+    (root index, degree)."""
+
+    __slots__ = ("field", "images", "constants", "series")
+
+    def __init__(self, field, images, constants):
+        self.field = field
+        self.images = images            # root index -> root_chart_images
+        self.constants = constants      # point index -> chart-1 constant c
+        self.series = {}
+
+    def root_series(self, idx: int, degree: int) -> Series:
+        key = (idx, degree)
+        series = self.series.get(key)
+        if series is None:
+            if len(self.series) > 64:
+                self.series.clear()
+            one = self.field.one()
+            series = self.series[key] = root_series(
+                self.images[idx], [{m: one} for m in monomials(degree)],
+                self.field)
+        return series
 
 
-def condition_rows(D: DivisorClass, config: Configuration):
-    """Linear conditions on the generic degree-d coefficients cut out by the
-    virtual transform of D; negative multiplicities are clamped to zero."""
+def _exact_data(config: Configuration) -> _ChartData:
+    memo = config.linsys_memo
+    if memo.exact is None:
+        field = config.field
+        memo.exact = _ChartData(
+            field, {idx: root_chart_images(point.origin, field)
+                    for idx, point in enumerate(config.points)
+                    if point.is_root()},
+            [point.c for point in config.points])
+    return memo.exact
+
+
+def _residue_data(config: Configuration):
+    """The chart data mapped once into the residue field of K, or None when
+    a datum has the prime in a denominator.  The data are normalised in K
+    first: a coordinate can be nonzero in K and zero mod p."""
+    memo = config.linsys_memo
+    if memo.residue is None:
+        exact = _exact_data(config)
+        field = config.field.residue_field()
+        try:
+            memo.residue = _ChartData(
+                field, {idx: tuple(tuple(field.image(v) for v in triple)
+                                   for triple in images)
+                        for idx, images in exact.images.items()},
+                [None if c is None else field.image(c)
+                 for c in exact.constants])
+        except UnluckyPrime:
+            memo.residue = False
+    return memo.residue or None
+
+
+def _condition_rows(D: DivisorClass, config: Configuration,
+                    data: _ChartData):
     if D.d < 0:
         raise ValueError("negative degree %d" % D.d)
-    field = config.field
+    field = data.field
     zero = field.zero()
     n = len(monomials(D.d))
     clamped = [max(v, 0) for v in D.e]
@@ -192,10 +235,11 @@ def condition_rows(D: DivisorClass, config: Configuration):
     local = {}
     for idx, point in enumerate(config.points):
         if point.is_root():
-            series = _root_series_cached(config, idx, D.d)
+            series = data.root_series(idx, D.d)
         else:
             parent = config.parent_idx[idx]
-            series = chart_step(local[parent], point, clamped[parent], field)
+            series = chart_step(local[parent], point.chart,
+                                data.constants[idx], clamped[parent], field)
         local[idx] = series
         e_q = clamped[idx]
         for (i, j), vec in series.items():
@@ -207,25 +251,43 @@ def condition_rows(D: DivisorClass, config: Configuration):
     return rows
 
 
+def condition_rows(D: DivisorClass, config: Configuration):
+    """Linear conditions on the generic degree-d coefficients cut out by the
+    virtual transform of D; negative multiplicities are clamped to zero."""
+    return _condition_rows(D, config, _exact_data(config))
+
+
 def h0(D: DivisorClass, config: Configuration) -> int:
-    """dim H^0 of the direct image on the plane of O(D)."""
+    """dim H^0 of the direct image on the plane of O(D).
+
+    When the conditions can number as many as the n degree-d monomials,
+    their rank is first taken in the residue field of K: it is at most the
+    rank in K (see ``numfield.ResidueField``), so a rank of n there proves
+    h0 = 0.  Otherwise the rows are eliminated in K, and the elimination is
+    kept for ``basis``.
+    """
     n = len(monomials(D.d))
-    rows = condition_rows(D, config)
-    return n - linalg.rank(rows)
+    if sum(e * (e + 1) // 2 for e in D.e if e > 0) >= n:
+        residue = _residue_data(config)
+        if (residue is not None and
+                linalg.rank(_condition_rows(D, config, residue)) == n):
+            return 0
+    reduced, pivots = linalg.rref(condition_rows(D, config))
+    config.linsys_memo.elimination = (D, reduced, pivots)
+    return n - len(pivots)
 
 
 def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:
     """A basis of the linear system, as degree-d forms."""
     order = monomials(D.d)
-    rows = condition_rows(D, config)
-    field = config.field
-    if rows:
-        kernel = linalg.nullspace(rows)
+    last = config.linsys_memo.elimination
+    if last is not None and last[0] == D:
+        _, reduced, pivots = last
     else:
-        kernel = [[field.one() if i == t else field.zero()
-                   for i in range(len(order))] for t in range(len(order))]
+        reduced, pivots = linalg.rref(condition_rows(D, config))
+    field = config.field
     out = []
-    for vec in kernel:
+    for vec in linalg.kernel(reduced, pivots, len(order), field.zero()):
         coeffs = {order[t]: v for t, v in enumerate(vec) if not v.is_zero()}
         out.append(HomogeneousForm(field, D.d, coeffs))
     return out

@@ -3,7 +3,8 @@
 A field is described by a monic minimal polynomial over Q in the variable
 ``t``; degree 1 means K = Q.  Elements are stored as canonical residues,
 i.e. polynomials in the generator of degree < deg(K) with Fraction
-coefficients.  Everything here is exact; no floats anywhere.
+coefficients.  A residue field F_p of K receives the elements without p in
+a denominator.  Everything here is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -102,12 +103,37 @@ def _simple_roots_mod_prime(f, df):
     p = 1
     while True:
         p += 1
-        if f[-1] % p == 0 or any(p % d == 0
-                                 for d in range(2, math.isqrt(p) + 1)):
+        if f[-1] % p == 0 or not _is_prime(p):
             continue
         roots = [r for r in range(p) if _ieval(f, r, p) == 0]
         if all(_ieval(df, r, p) for r in roots):
             return p, roots
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide every
+    n < 3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980)."""
+    if n >= 3215031751:
+        raise ValueError("%d is beyond the proven Miller-Rabin range" % n)
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _ieval(coeffs, x, modulus):
@@ -173,6 +199,7 @@ class NumberField:
         self.irreducibility_verified = self.degree <= 3
         self._zero = FieldElement(self, (Fraction(0),) * self.degree)
         self._one = self.element(1)
+        self._residue = None
 
     @classmethod
     def rationals(cls) -> "NumberField":
@@ -222,6 +249,13 @@ class NumberField:
             coeffs = rem
         coeffs = list(coeffs) + [Fraction(0)] * (self.degree - len(coeffs))
         return tuple(coeffs)
+
+    def residue_field(self) -> "ResidueField":
+        """The residue field of K at the largest prime below 2^31 at which
+        the minimal polynomial has a root; found on first use."""
+        if self._residue is None:
+            self._residue = ResidueField(self)
+        return self._residue
 
     def parse(self, text: str) -> "FieldElement":
         """Parse an element in the ``a`` syntax, e.g. ``-3/2*a+7``."""
@@ -406,6 +440,157 @@ def _qmul(a, b):
         for j, d in enumerate(b):
             out[i + j] += c * d
     return _qtrim(out)
+
+
+# ---------------------------------------------------------------------------
+# a residue field of K
+# ---------------------------------------------------------------------------
+
+class UnluckyPrime(ArithmeticError):
+    """An element of K has the residue prime in a denominator, so it has no
+    image in the residue field."""
+
+
+class Residue:
+    """An element of the prime field F_p.  Immutable; ints multiply and
+    divide in as their residues."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v          # the canonical residue, 0 <= v < p
+        self.p = p
+
+    def is_zero(self) -> bool:
+        return self.v == 0
+
+    def __add__(self, other):
+        return Residue((self.v + other.v) % self.p, self.p)
+
+    def __sub__(self, other):
+        return Residue((self.v - other.v) % self.p, self.p)
+
+    def __neg__(self):
+        return Residue(-self.v % self.p, self.p)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return Residue(self.v * other % self.p, self.p)
+        return Residue(self.v * other.v % self.p, self.p)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Residue":
+        if self.v == 0:
+            raise ZeroDivisionError("inverting zero in F_%d" % self.p)
+        return Residue(pow(self.v, -1, self.p), self.p)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return (self.v - other) % self.p == 0
+        return (isinstance(other, Residue) and self.v == other.v
+                and self.p == other.p)
+
+    def __ne__(self, other):
+        if type(other) is int:
+            return (self.v - other) % self.p != 0
+        return not self == other
+
+    def __repr__(self):
+        return "%d (mod %d)" % (self.v, self.p)
+
+
+class ResidueField:
+    """F_p as the image of K = Q[t]/(m) under t -> r, where m(r) = 0 mod p.
+
+    The elements of K whose coordinates have no p in a denominator form the
+    ring Z_(p)[t]/(m), and reducing it mod p with t -> r is a ring
+    homomorphism phi onto F_p.  A polynomial expression in such elements
+    therefore maps to the same expression in their images: the rank of a
+    matrix mod p is at most its rank in K, since a minor that is nonzero
+    mod p is the image of a nonzero minor.
+    """
+
+    def __init__(self, field: NumberField):
+        m = field.minpoly
+        p = 2 ** 31 - 1
+        while True:
+            if _is_prime(p) and all(c.denominator % p for c in m):
+                self.p = p
+                self._zero, self._one = Residue(0, p), Residue(1, p)
+                self.r = self._root([self._reduce(c) for c in m])
+                if self.r is not None:
+                    break
+            p -= 2
+        if _ieval([self._reduce(c).v for c in m], self.r, p) != 0:
+            raise RuntimeError("%d is not a root of the minimal polynomial "
+                               "mod %d" % (self.r, p))
+
+    def zero(self) -> Residue:
+        return self._zero
+
+    def one(self) -> Residue:
+        return self._one
+
+    def _reduce(self, q: Fraction) -> Residue:
+        if q.denominator % self.p == 0:
+            raise UnluckyPrime("%d divides the denominator of %s" %
+                               (self.p, q))
+        return Residue(q.numerator * pow(q.denominator, -1, self.p) % self.p,
+                       self.p)
+
+    def image(self, x: FieldElement) -> Residue:
+        """phi(x); raises UnluckyPrime when a coordinate of x has p in its
+        denominator."""
+        acc = self._zero
+        for c in reversed(x.coeffs):
+            acc = acc * self.r + self._reduce(c)
+        return acc
+
+    def _root(self, m):
+        """A root of the monic m over F_p as an int, or None.
+
+        gcd(x^p - x, m) is the product of the distinct linear factors of m.
+        The gcd with (x + a)^((p-1)/2) - 1 keeps those whose root shifted by
+        a is a nonzero square, so trying a = 0, 1, ... in turn splits it
+        down to one factor.
+        """
+        one, p = self._one, self.p
+        g = poly_gcd(m, _minus_power(_powmod([self._zero, one], p, m, self),
+                                     1, self), self)
+        a = 0
+        while len(g) > 2:
+            shifted = _powmod([Residue(a, p), one], (p - 1) // 2, g, self)
+            h = poly_gcd(g, _minus_power(shifted, 0, self), self)
+            if 2 <= len(h) < len(g):
+                g = h
+            a += 1
+        return (-g[0]).v if len(g) == 2 else None
+
+
+def _powmod(base, e, modulus, field):
+    """base^e mod modulus, over K or F_p, by squaring."""
+    result, base = [field.one()], poly_divmod(base, modulus, field)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(poly_mul(result, base, field), modulus,
+                                 field)[1]
+        base = poly_divmod(poly_mul(base, base, field), modulus, field)[1]
+        e >>= 1
+    return result
+
+
+def _minus_power(poly, k, field):
+    """poly - x^k."""
+    poly = list(poly) + [field.zero()] * (k + 1 - len(poly))
+    poly[k] = poly[k] - field.one()
+    return poly_trim(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
     for comp, (cu, cv, _) in zip(omega.components(), images):
         if comp.is_zero():
             continue
-        series = root_series(origin, [comp.coeffs], field)
+        series = root_series(images, [comp.coeffs], field)
         if not cu.is_zero():
             for key, vec in series.items():
                 _bi_add_term(a, key, vec[0] * cu)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,3 +137,29 @@ def test_depth_cap_is_inconclusive_in_both_modes(tmp_path, capsys):
     assert code == 2
     assert out.splitlines() == ["verdict=inconclusive",
                                 "reason=depth cap exceeded"]
+
+
+def test_optimized_interpreter_gives_the_same_output(capsys):
+    """``python -O`` strips asserts; no check may depend on them."""
+    argv = ["decide", fx("family_a0.fol"), fx("family_a0.cfg"), "--machine"]
+    code, out, _ = run(capsys, *argv)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import sys\nfrom folint.cli import main\n"
+              "sys.exit(main(%r))\n" % argv)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("cubic_pencil", False), ("example1", False), ("family_a0", True),
+    ("family_a59", True), ("family_a861", True), ("fig2", True),
+    ("fig3", True), ("penultimate", False),
+])
+def test_psufficient_machine_output(capsys, name, expected):
+    code, out, _ = run(capsys, "psufficient", "--machine", fx(name + ".cfg"))
+    assert out == "psufficient=%s\n" % str(expected).lower()
+    assert code == (0 if expected else 1)

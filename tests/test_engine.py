@@ -110,6 +110,30 @@ def test_algorithm2_reuses_the_sweep_h0(monkeypatch):
     assert seen == [system.T]       # the sweep's one call, not repeated
 
 
+@pytest.mark.parametrize("name", ["example1", "fig2", "penultimate"])
+def test_basis_reuses_the_h0_elimination(monkeypatch, name):
+    omega, config, _ = load(name)
+    bases, rebuilt = [], []
+    real_rows, real_basis = engine.linsys.condition_rows, engine.linsys.basis
+
+    def rows(D, c):
+        if bases and bases[-1] is not None:
+            rebuilt.append(D)
+        return real_rows(D, c)
+
+    def basis(D, c):
+        bases.append(D)
+        try:
+            return real_basis(D, c)
+        finally:
+            bases.append(None)
+
+    monkeypatch.setattr(engine.linsys, "condition_rows", rows)
+    monkeypatch.setattr(engine.linsys, "basis", basis)
+    assert pipeline(omega, config).is_integral
+    assert bases and rebuilt == []
+
+
 def test_verdict_integral_runs_the_one_wedge_test():
     # F/G = X/Y is a first integral of Y dX - X dY; the common factor Z
     # goes before the test

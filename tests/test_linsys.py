@@ -1,9 +1,12 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folint import linalg
+from folint.cli import load_config_file
 from folint.cluster import Configuration, InfinitelyNearPoint, load_configuration
 from folint.linsys import (
     basis, condition_rows, effective_multiplicities, h0, same_span,
@@ -173,3 +176,65 @@ def test_basis_dimension_agrees():
     assert len(forms) == h0(D, config)
     for f in forms:
         assert f.degree == 4
+
+
+# ---------------------------------------------------------------------------
+# h0 = 0 certified by the rank in the residue field of K
+# ---------------------------------------------------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+MODULAR_CONFIGS = {name: load_config_file(os.path.join(FIXTURES,
+                                                       name + ".cfg"))
+                   for name in ("fig3", "example1", "family_a861",
+                                "cubic_pencil")}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_h0_equals_the_exact_rank(data):
+    config = MODULAR_CONFIGS[data.draw(st.sampled_from(sorted(
+        MODULAR_CONFIGS)))]
+    d = data.draw(st.integers(0, 4))
+    e = data.draw(st.lists(st.integers(-1, 3), min_size=config.size,
+                           max_size=config.size))
+    D = config.divisor(d, e)
+    n = len(monomials(d))
+    assert h0(D, config) == n - linalg.rank(condition_rows(D, config))
+
+
+def test_prime_in_a_chart_constant_falls_back():
+    p = QQ.residue_field().p
+    points = [pt("q1", origin=(0, 0, 1)),
+              pt("q2", parent="q1", chart=1, c=QQ.element(Fraction(1, p))),
+              pt("q3", parent="q2", chart=1, c=QQ.element(0),
+                 dicritical=True),
+              pt("q4", origin=(1, 0, 0), dicritical=True),
+              pt("q5", origin=(0, 1, 0), dicritical=True)]
+    config = Configuration(points, QQ)
+    D = config.divisor(2, [2, 1, 1, 1, 1])
+    assert h0(D, config) == 0
+    assert config.linsys_memo.residue is False
+    assert h0(D, config) == 6 - linalg.rank(condition_rows(D, config))
+    # the line pair at q1 through q4 and along q2
+    D = config.divisor(2, [2, 1, 0, 1, 0])
+    assert h0(D, config) == 1 == len(basis(D, config))
+
+
+def test_rank_drop_mod_p_gets_the_exact_rank():
+    # (1:0:0), (0:1:0) and (1:1:p) are not collinear, but their
+    # determinant p vanishes mod p
+    p = QQ.residue_field().p
+    config = plane_points_config([(1, 0, 0), (0, 1, 0), (1, 1, p)])
+    D = config.divisor(1, [1, 1, 1])
+    rows = condition_rows(D, config)
+    F = QQ.residue_field()
+    assert linalg.rank([[F.image(v) for v in row] for row in rows]) == 2
+    assert linalg.rank(rows) == 3
+    assert h0(D, config) == 0
+    assert basis(D, config) == []
+    # through two of them: the exact path keeps its elimination for basis
+    D = config.divisor(1, [1, 0, 1])
+    assert h0(D, config) == 1
+    (line,) = basis(D, config)
+    assert line.coefficient_vector(monomials(1)) == \
+        [QQ.zero(), QQ.element(-p), QQ.one()]

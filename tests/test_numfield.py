@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, find_roots_in_field, format_element,
     format_minpoly, poly_degree, poly_divmod, poly_eval, poly_gcd,
-    poly_interpolate, poly_mul, poly_trim, sqrt_in_field, _qmul,
-    _rational_roots,
+    UnluckyPrime, poly_interpolate, poly_mul, poly_trim, sqrt_in_field,
+    _is_prime, _qmul, _rational_roots,
 )
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
@@ -241,3 +241,67 @@ def test_poly_interpolate_recovers_polynomials(field, coeffs, extra, shift):
     nodes = [Fraction(shift + 3 * k, 2) for k in range(len(coeffs) + extra)]
     values = [poly_eval(f, field.element(x)) for x in nodes]
     assert poly_interpolate(nodes, values, field) == f
+
+
+# ---------------------------------------------------------------------------
+# the residue field of K
+# ---------------------------------------------------------------------------
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _mod(q, p):
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("field", [
+    QQ, GAUSS, EISEN, ROOT5, NumberField.from_string("t^4-14*t^2+9"),
+    NumberField.from_string("t^3-2"), NumberField.from_string("t^2-1/2"),
+], ids=repr)
+def test_residue_field_prime_and_root(field):
+    F = field.residue_field()
+    assert field.residue_field() is F
+    assert F.p < 2 ** 31 and _trial_division_prime(F.p)
+    assert all(c.denominator % F.p for c in field.minpoly)
+    value = sum(_mod(c, F.p) * pow(F.r, i, F.p)
+                for i, c in enumerate(field.minpoly))
+    assert value % F.p == 0
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert all(_is_prime(n) == _trial_division_prime(n) for n in range(3000))
+    for n in (2 ** 31 - 1, 2 ** 31 - 19, 1105, 2047, 1373653, 25326001,
+              3215031749):
+        assert _is_prime(n) == _trial_division_prime(n)
+
+
+def _elements(field):
+    return st.lists(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=6),
+                    min_size=field.degree, max_size=field.degree).map(
+                        field.element)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_residue_map_is_a_ring_homomorphism(data):
+    field = data.draw(st.sampled_from([QQ, EISEN, ROOT5]))
+    a, b = data.draw(_elements(field)), data.draw(_elements(field))
+    F = field.residue_field()
+    assert F.image(a + b) == F.image(a) + F.image(b)
+    assert F.image(a - b) == F.image(a) - F.image(b)
+    assert F.image(a * b) == F.image(a) * F.image(b)
+    assert F.image(a * 3) == F.image(a) * 3
+    if not F.image(b).is_zero():
+        assert F.image(a) / F.image(b) * F.image(b) == F.image(a)
+
+
+def test_residue_map_refuses_the_prime_in_a_denominator():
+    F = GAUSS.residue_field()
+    with pytest.raises(UnluckyPrime):
+        F.image(GAUSS.element((Fraction(1, F.p), 1)))
+    # p in a numerator maps to zero instead
+    assert F.image(GAUSS.element(F.p)).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        1 / F.image(GAUSS.element(F.p))
