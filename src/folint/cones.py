@@ -12,8 +12,6 @@ from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from . import linalg
-
 
 def lorentz(u, v):
     acc = u[0] * v[0]
@@ -79,12 +77,15 @@ class _DualDescription(NamedTuple):
                 rays[r] = m if dots[r] else m | bit
         masks = list(self.rays.values())
         minus = [r for r, s in dots.items() if s < 0]
+        # two adjacent rays share at least dim - lineality - 2 tight normals
+        # (Fukuda & Prodon 1996), so pairs with fewer skip the scan
+        least = len(n) - len(self.lineality) - 2
         for rp, sp in dots.items():
             if sp <= 0:
                 continue
             for rm in minus:
                 common = self.rays[rp] & self.rays[rm]
-                if _is_edge(common, masks):
+                if common.bit_count() >= least and _is_edge(common, masks):
                     rays.setdefault(_combine(sp, rm, dots[rm], rp),
                                     common | bit)
         return _DualDescription(self.lineality, rays, self.count + 1)
@@ -205,13 +206,3 @@ def exists_negative_square(cone: RationalCone) -> bool:
             if u != tuple(-x for x in v):
                 return True
     return False
-
-
-def rank_of_classes(vectors) -> int:
-    return linalg.rank_int([list(v) for v in vectors])
-
-
-def cone_equal(a: RationalCone, b: RationalCone) -> bool:
-    """Equality as sets, by double inclusion of generators."""
-    return (all(contains(b, g) for g in a.generators)
-            and all(contains(a, g) for g in b.generators))

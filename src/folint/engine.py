@@ -349,6 +349,13 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
             trace(line)
 
     for d in range(1, d_max + 1):
+        # Algorithm 1 at each degree finds the pencils that need no
+        # independent system; its integral is wedge-verified, and a
+        # no_integral of it decides nothing here
+        found = algorithm1(omega, config, d)
+        emit("%d algorithm1 | %s" % (d, found.outcome))
+        if found.is_integral:
+            return Algorithm3Result(found, None, g_curves, history)
         for e in _candidate_multiplicities(config, d, "effective"):
             C2 = d * d - sum(v * v for v in e)
             KC = -3 * d + sum(e)

@@ -13,7 +13,7 @@ are clamped to zero.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .cluster import Configuration, DivisorClass, root_chart_images
@@ -153,14 +153,6 @@ def strict_class(form: HomogeneousForm, config: Configuration) -> DivisorClass:
     return config.divisor(form.degree, effective_multiplicities(form, config))
 
 
-def total_valuations(mults, config: Configuration):
-    """Valuation of the total transform along each exceptional divisor."""
-    vals = [0] * config.size
-    for i in range(config.size):
-        vals[i] = mults[i] + sum(vals[j] for j in config.prox_to[i])
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # the linear system of a divisor class
 # ---------------------------------------------------------------------------
@@ -291,21 +283,3 @@ def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:
         coeffs = {order[t]: v for t, v in enumerate(vec) if not v.is_zero()}
         out.append(HomogeneousForm(field, D.d, coeffs))
     return out
-
-
-def same_span(forms_a: Sequence[HomogeneousForm],
-              forms_b: Sequence[HomogeneousForm]) -> bool:
-    """Spans are compared by ranks of stacked coefficient matrices."""
-    if not forms_a and not forms_b:
-        return True
-    degree = (forms_a[0] if forms_a else forms_b[0]).degree
-    field = (forms_a[0] if forms_a else forms_b[0]).field
-    order = monomials(degree)
-    rows_a = [f.coefficient_vector(order) for f in forms_a]
-    rows_b = [f.coefficient_vector(order) for f in forms_b]
-    ra = linalg.rank(rows_a)
-    rb = linalg.rank(rows_b)
-    rab = linalg.rank(rows_a + rows_b)
-    return ra == rb == rab
-
-

@@ -2,9 +2,13 @@
 
 A field is described by a monic minimal polynomial over Q in the variable
 ``t``; degree 1 means K = Q.  Elements are stored as canonical residues,
-i.e. polynomials in the generator of degree < deg(K) with Fraction
-coefficients.  A residue field F_p of K receives the elements without p in
-a denominator.  Everything here is exact; no floats anywhere.
+i.e. polynomials in the generator of degree < deg(K) whose coordinates are
+exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
+lowest terms (see ``_canon``).  Most coordinates met in practice are
+integers, and int arithmetic skips Fraction's gcd normalisation; every
+division of coordinates goes through a Fraction.  A residue field F_p of K
+receives the elements without p in a denominator.  Everything here is
+exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -34,6 +38,23 @@ class FieldExtensionNeeded(ValueError):
 # ---------------------------------------------------------------------------
 # rational polynomial helpers (lists of Fractions, low degree first)
 # ---------------------------------------------------------------------------
+
+def _canon(c):
+    """The canonical form of an exact coordinate: an int when c is integral,
+    else c itself, a Fraction in lowest terms.  Equal ints and Fractions
+    compare and hash alike, so the form changes no value."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _exact(value):
+    """value, an int, a Fraction or anything else ``Fraction`` accepts, as a
+    canonical coordinate; a bool becomes an int."""
+    if type(value) is int:
+        return value
+    return _canon(Fraction(value))
+
 
 def _qtrim(p):
     while p and p[-1] == 0:
@@ -197,9 +218,10 @@ class NumberField:
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
         self.irreducibility_verified = self.degree <= 3
-        self._zero = FieldElement(self, (Fraction(0),) * self.degree)
+        self._zero = FieldElement(self, (0,) * self.degree)
         self._one = self.element(1)
         self._residue = None
+        self._tpowers = None
 
     @classmethod
     def rationals(cls) -> "NumberField":
@@ -227,8 +249,8 @@ class NumberField:
         """The residue class of t (for K = Q this is the rational -m[0])."""
         if self.degree == 1:
             return self.element(-self.minpoly[0])
-        c = [Fraction(0)] * self.degree
-        c[1] = Fraction(1)
+        c = [0] * self.degree
+        c[1] = 1
         return FieldElement(self, tuple(c))
 
     def element(self, value) -> "FieldElement":
@@ -237,18 +259,32 @@ class NumberField:
                 raise FieldMismatchError("element of a different field")
             return value
         if isinstance(value, (int, Fraction)):
-            c = [Fraction(0)] * self.degree
-            c[0] = Fraction(value)
-            return FieldElement(self, tuple(c))
-        coeffs = [Fraction(v) for v in value]
-        return FieldElement(self, self._reduce(coeffs))
+            return FieldElement(self, (_exact(value),) + self._zero.coeffs[1:])
+        return FieldElement(self, self._reduce([Fraction(v) for v in value]))
 
     def _reduce(self, coeffs):
+        """Canonical coordinates of a Q-polynomial in t modulo m."""
         if len(coeffs) > self.degree:
             _, rem = _qdivmod(coeffs, list(self.minpoly))
             coeffs = rem
-        coeffs = list(coeffs) + [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(coeffs)
+        coeffs = [_canon(c) for c in coeffs]
+        return tuple(coeffs + [0] * (self.degree - len(coeffs)))
+
+    def _t_powers(self):
+        """t^k mod m for k = n .. 2n - 2, as rows of n canonical
+        coordinates: what a product of two residues reduces by.  Built on
+        first use."""
+        if self._tpowers is None:
+            n = self.degree
+            low = [_canon(-c) for c in self.minpoly[:n]]     # t^n mod m
+            rows = [low] if n >= 2 else []
+            for _ in range(n - 2):
+                top = rows[-1][-1]
+                shifted = [0] + rows[-1][:-1]
+                rows.append([_canon(a + top * b)
+                             for a, b in zip(shifted, low)])
+            self._tpowers = rows
+        return self._tpowers
 
     def residue_field(self) -> "ResidueField":
         """The residue field of K at the largest prime below 2^31 at which
@@ -265,7 +301,8 @@ class NumberField:
         return self.element(coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return self is other or (isinstance(other, NumberField)
+                                 and self.minpoly == other.minpoly)
 
     def __hash__(self):
         return hash(self.minpoly)
@@ -277,7 +314,11 @@ class NumberField:
 
 
 class FieldElement:
-    """A canonical residue in a NumberField.  Immutable."""
+    """A canonical residue in a NumberField.  Immutable.
+
+    Every constructor path leaves the coordinates canonical (``_canon``):
+    ints where integral, Fractions in lowest terms otherwise.
+    """
 
     __slots__ = ("field", "coeffs", "_hash")
 
@@ -289,21 +330,21 @@ class FieldElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("%s is not rational" % self)
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -311,20 +352,28 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.field.degree == 1:
+            return FieldElement(self.field,
+                                (_canon(self.coeffs[0] + other.coeffs[0]),))
+        return FieldElement(self.field, tuple(
+            _canon(a + b) for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.field.degree == 1:
+            return FieldElement(self.field,
+                                (_canon(self.coeffs[0] - other.coeffs[0]),))
+        return FieldElement(self.field, tuple(
+            _canon(a - b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -333,21 +382,28 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = self.field.degree
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        field = self.field
+        n = field.degree
         if n == 1:
-            return FieldElement(self.field,
-                                (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * n - 1)
+            return FieldElement(field,
+                                (_canon(self.coeffs[0] * other.coeffs[0]),))
+        prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(prod))
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        prod[i + j] += a * b
+        out = prod[:n]
+        for c, row in zip(prod[n:], field._t_powers()):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return FieldElement(field, tuple(map(_canon, out)))
 
     __rmul__ = __mul__
 
@@ -357,9 +413,12 @@ class FieldElement:
             raise ZeroDivisionError("inverting zero field element")
         n = self.field.degree
         if n == 1:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
+            c = self.coeffs[0]
+            return FieldElement(self.field, (_canon(Fraction(c.denominator,
+                                                             c.numerator)),))
         # extended Euclid in Q[t] for gcd(residue, minpoly) = 1
-        r0, r1 = list(self.field.minpoly), _qtrim(list(self.coeffs))
+        r0 = list(self.field.minpoly)
+        r1 = _qtrim([Fraction(c) for c in self.coeffs])
         s0, s1 = [], [Fraction(1)]
         while True:
             quo, rem = _qdivmod(r0, r1)
@@ -538,7 +597,7 @@ class ResidueField:
     def one(self) -> Residue:
         return self._one
 
-    def _reduce(self, q: Fraction) -> Residue:
+    def _reduce(self, q) -> Residue:
         if q.denominator % self.p == 0:
             raise UnluckyPrime("%d divides the denominator of %s" %
                                (self.p, q))
@@ -687,11 +746,13 @@ def poly_interpolate(xs, ys, field):
     xs = [Fraction(x) for x in xs]
     coords = [_qinterpolate(xs, [y.coeffs[j] for y in ys])
               for j in range(field.degree)]
-    return poly_trim(FieldElement(field, column) for column in zip(*coords))
+    return poly_trim(FieldElement(field, tuple(map(_canon, column)))
+                     for column in zip(*coords))
 
 
 def _qinterpolate(xs, ys):
-    """Dense Q-polynomial of degree < len(xs) through the given points."""
+    """Dense Q-polynomial of degree < len(xs) through the given points; the
+    nodes xs are Fractions, so every division is exact."""
     n = len(xs)
     c = list(ys)
     for k in range(1, n):
@@ -830,7 +891,7 @@ def _rational_roots_in_extension(f, field):
     """Rational roots of f in K[t]: common rational roots of the coordinates."""
     coord = None
     for j in range(field.degree):
-        cj = _qtrim([c.coeffs[j] for c in f])
+        cj = _qtrim([Fraction(c.coeffs[j]) for c in f])
         if cj:
             coord = cj if coord is None else _qgcd(coord, cj)
     if coord is None:
@@ -869,7 +930,7 @@ def sqrt_in_field(d: FieldElement):
         return None
     # (x + y*a)^2 = d over the quadratic field with a^2 = -p*a - q
     p, q = field.minpoly[1], field.minpoly[0]
-    d0, d1 = d.coeffs[0], d.coeffs[1]
+    d0, d1 = Fraction(d.coeffs[0]), Fraction(d.coeffs[1])
     candidates = []
     if d1 == 0:
         r = rational_is_square(d0)
@@ -966,7 +1027,7 @@ def _quadratic_field_roots(f, field):
         powers.append(pair_mul(powers[-1], base))
     P, Q = {}, {}
     for k, coeff in enumerate(f):
-        c0, c1 = coeff.coeffs[0], coeff.coeffs[1]
+        c0, c1 = Fraction(coeff.coeffs[0]), Fraction(coeff.coeffs[1])
         p0, p1 = powers[k]
         # (c0 + a c1)(p0 + a p1)
         for key, c in p0.items():
@@ -1054,7 +1115,7 @@ def _resultant_y(P, Q):
     """Res_y of two Q[x, y] dicts, as a Q[x] list; None if degenerate."""
     res = bivariate_resultant({k: QQ.element(c) for k, c in P.items()},
                               {k: QQ.element(c) for k, c in Q.items()}, QQ)
-    return None if res is None else [c.coeffs[0] for c in res]
+    return None if res is None else [Fraction(c.coeffs[0]) for c in res]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ from folint.engine import (
     IndependentSystem, NotAnIndependentSystem, algorithm1, algorithm2,
     algorithm3, classify_conditions, delta_bound, memo_fastpath, pipeline,
 )
-from folint.linsys import basis, h0, same_span, strict_class
+from folint.linsys import basis, h0, strict_class
 from folint.numfield import NumberField
 from folint.polyforms import is_first_integral, is_invariant_curve, parse_form
 from folint.resolve import build_configuration
+
+from helpers import same_span
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -205,6 +207,19 @@ def test_criterion_6_cubic_pencil():
             IndependentSystem(curves + [curves[0]], config)
         with pytest.raises(NotAnIndependentSystem):
             IndependentSystem(curves[:1], config)
+
+
+def test_cubic_pencil_decide_with_default_caps():
+    # no independent system exists, so the cone search alone never ends;
+    # Algorithm 1, run at each of its degrees, finds the cubic pencil
+    with deadline("cubic pencil decide", 30):
+        omega, config, field = load("cubic_pencil")
+        verdict = pipeline(omega, config)
+    assert verdict.is_integral
+    assert is_first_integral(verdict.numerator, verdict.denominator, omega)
+    F = parse_form("-3*X^3+8*X*Z^2+Y^3", field)
+    G = parse_form("-X^3+3*X*Z^2+Y*Z^2", field)
+    assert same_span([verdict.numerator, verdict.denominator], [F, G])
 
 
 def test_criterion_7_property_suites():

@@ -2,9 +2,9 @@ import random
 
 from folint import linalg
 from folint.cones import (
-    RationalCone, cone_equal, contains, dual, exists_negative_square, lorentz,
-    rank_of_classes,
+    RationalCone, contains, dual, exists_negative_square, lorentz,
 )
+from helpers import cone_equal, rank_of_classes
 
 # Picard coordinates (L*, E_W*, E_1*, E_2*, E_3*) for the 4-point family
 # configuration: strict exceptional classes plus one line class

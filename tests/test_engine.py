@@ -11,11 +11,13 @@ from folint.engine import (
     algorithm2, algorithm3, classify_conditions, delta_bound, discard_checks,
     memo_fastpath, pipeline, w_function,
 )
-from folint.linsys import same_span, strict_class
+from folint.linsys import strict_class
 from folint.numfield import QQ
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, parse_form,
 )
+
+from helpers import same_span
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -292,6 +294,16 @@ def test_algorithm3_strict_cone_growth():
     algorithm3(omega, config, trace=trace)
     accepted = [l for l in seen if l.endswith("V+")]
     assert len(accepted) >= 2       # V grows strictly, each was outside
+
+
+def test_algorithm3_runs_algorithm1_once_per_degree():
+    omega, config, _ = load("family_a861")
+    seen = []
+    result = algorithm3(omega, config, trace=seen.append)
+    assert result.verdict.outcome == "no_integral"
+    degrees = sorted({int(line.split()[0]) for line in seen})
+    assert [l for l in seen if "algorithm1" in l] == [
+        "%d algorithm1 | no_integral" % d for d in degrees]
 
 
 # ---------------------------------------------------------------------------

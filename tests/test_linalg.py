@@ -38,11 +38,13 @@ def matvec(rows, vec):
 
 
 def no_float(value):
-    """True when no float hides anywhere in a (nested) result."""
+    """True when no float hides anywhere in a (nested) result.  A field
+    element's coordinates must be exactly int or Fraction: no float, and no
+    bool either."""
     if isinstance(value, float):
         return False
     if isinstance(value, FieldElement):
-        return all(isinstance(c, Fraction) for c in value.coeffs)
+        return all(type(c) in (int, Fraction) for c in value.coeffs)
     if isinstance(value, (list, tuple)):
         return all(no_float(v) for v in value)
     return True

@@ -9,12 +9,12 @@ from folint import linalg
 from folint.cli import load_config_file
 from folint.cluster import Configuration, InfinitelyNearPoint, load_configuration
 from folint.linsys import (
-    basis, condition_rows, effective_multiplicities, h0, same_span,
-    strict_class, total_valuations,
+    basis, condition_rows, effective_multiplicities, h0, strict_class,
 )
 from folint.numfield import QQ, NumberField
 from folint.polyforms import HomogeneousForm, monomials, parse_form
 
+from helpers import same_span, total_valuations
 from test_cluster import fig1_config, fig2_config, pt
 
 

@@ -113,6 +113,18 @@ def test_roots_mixed_cubic_over_gauss():
     assert res.remaining_degree == 2
 
 
+def test_rational_root_in_a_cubic_field_from_integer_coordinates():
+    # (3t - 1)(t^2 - a^2) over Q(2^(1/3)): its coordinate polynomials
+    # 3t^3 - t^2 and 1 - 3t have integer coefficients and the gcd t - 1/3,
+    # which only exact division finds
+    cubic = NumberField((-2, 0, 0, 1))
+    a = cubic.gen()
+    f = [a * a, -3 * a * a, cubic.element(-1), cubic.element(3)]
+    res = find_roots_in_field(f)
+    assert res.roots == [cubic.element(Fraction(1, 3))]
+    assert res.remaining_degree == 2
+
+
 def test_sqrt_in_field():
     assert sqrt_in_field(ROOT5.element(Fraction(9, 4))) == ROOT5.element(Fraction(3, 2))
     # (3 - sqrt5)/2 = ((sqrt5 - 1)/2)^2
