@@ -344,7 +344,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field != self.field:
                 raise FieldMismatchError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
