@@ -16,7 +16,9 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .numfield import QQ, FieldElement, NumberField, format_element
+from .numfield import (
+    QQ, FieldElement, NumberField, format_element, format_minpoly,
+)
 
 
 class ConfigurationError(ValueError):
@@ -60,23 +62,17 @@ def normalize_point(coords):
 
 
 def root_chart_images(origin, field):
-    """Substitutions realizing the canonical local chart at a plane point.
+    """The canonical local chart at a plane point, as (pivot, a, b).
 
-    The point moves to (0:0:1) by a permutation plus shear, pivoting on the
-    smallest nonzero coordinate.  Returns one (cu, cv, c1) triple per
-    variable X, Y, Z, meaning the variable maps to cu*u + cv*v + c1 on the
-    affine chart; children's chart data are declared relative to these
-    coordinates.
+    The point is scaled so that its first nonzero coordinate, the pivot, is
+    1.  The chart sets the pivot variable to 1 and the other two variables,
+    in order, to u + a and v + b, so the point sits at u = v = 0; children's
+    chart data are declared relative to these coordinates.
     """
     origin = normalize_point(tuple(field.element(v) for v in origin))
     pivot = next(i for i, v in enumerate(origin) if not v.is_zero())
-    others = [i for i in range(3) if i != pivot]
-    zero, one = field.zero(), field.one()
-    images = [None, None, None]
-    images[pivot] = (zero, zero, one)
-    images[others[0]] = (one, zero, origin[others[0]])
-    images[others[1]] = (zero, one, origin[others[1]])
-    return images
+    a, b = (origin[i] for i in range(3) if i != pivot)
+    return pivot, a, b
 
 
 class LinsysMemo:
@@ -99,7 +95,7 @@ class Configuration:
     configuration of a foliation, with derived proximity structure."""
 
     def __init__(self, points: Sequence[InfinitelyNearPoint],
-                 field: NumberField = QQ, require_dicritical: bool = True):
+                 field: NumberField = QQ):
         self.field = field
         self.points = list(points)
         self.index = {}
@@ -134,8 +130,7 @@ class Configuration:
         self.proximate_children = [sorted(i for i in range(self.size)
                                           if j in self.prox_to[i])
                                    for j in range(self.size)]
-        if require_dicritical:
-            self._check_dicritical_closure()
+        self._check_dicritical_closure()
         self.linsys_memo = LinsysMemo()
 
     # -- structure ----------------------------------------------------------
@@ -538,7 +533,6 @@ def _parse_point(parts, field):
 
 
 def dump_configuration(config: Configuration) -> str:
-    from .numfield import format_minpoly
     lines = []
     if not config.field.is_rational:
         lines.append("field: %s" % format_minpoly(config.field))

@@ -321,8 +321,7 @@ class Algorithm3Result:
 
 
 def algorithm3(omega: ProjectiveOneForm, config: Configuration,
-               d_max: int = 30, trace=None,
-               debug: bool = False) -> Algorithm3Result:
+               d_max: int = 30, trace=None) -> Algorithm3Result:
     """Search for an independent system of algebraic solutions, growing the
     cone V and the curve set G degree by degree.
 
@@ -376,11 +375,10 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
             V = V.with_generator(D.coordinates())
             emit("%s | V+" % label)
             if is_invariant_curve(Q, omega):
-                if debug:
-                    for prior in g_curves:
-                        if divides(prior, Q) is not None:
-                            raise AssertionError(
-                                "a curve of G reappeared as a component")
+                for prior in g_curves:
+                    if divides(prior, Q) is not None:
+                        raise RuntimeError(
+                            "a curve of G reappeared as a component")
                 rows = [cl.coordinates() for cl in g_classes]
                 rows.append(D.coordinates())
                 rows.extend(nf_rows)

@@ -8,6 +8,12 @@ conditions on the generic coefficients; passing to a child substitutes the
 blow-up chart map, discards the constrained monomials and divides by the
 chart exponent.  Negative virtual multiplicities impose no condition and
 are clamped to zero.
+
+The series engine is the one chart-transform code of the package, and
+``resolve`` runs its blow-ups on it too.  Every local coordinate change is
+built from a binomial shift (``_shift``: u -> u + c or v -> v + c) and the
+chart step: a root series dehomogenises at the pivot and shifts both
+coordinates, and chart 1 relabels the exponents and shifts w by c.
 """
 
 from __future__ import annotations
@@ -28,33 +34,8 @@ Series = Dict[Tuple[int, int], Dict[int, FieldElement]]
 
 
 # ---------------------------------------------------------------------------
-# the series engine: root series and one chart step
+# the series engine: a binomial shift, root series and one chart step
 # ---------------------------------------------------------------------------
-
-def _bi_mul(a, b, field):
-    out = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            key = (i + k, j + l)
-            cur = out.get(key)
-            v = ca * cb
-            if cur is None:
-                out[key] = v
-            else:
-                out[key] = cur + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _bi_pow(base, e, field, cache):
-    if e in cache:
-        return cache[e]
-    if e == 0:
-        result = {(0, 0): field.one()}
-    else:
-        result = _bi_mul(_bi_pow(base, e - 1, field, cache), base, field)
-    cache[e] = result
-    return result
-
 
 def _prune(series: Series) -> Series:
     """Drop entries that cancelled to zero, and monomials left empty."""
@@ -66,59 +47,55 @@ def _prune(series: Series) -> Series:
     return out
 
 
-def root_series(images, columns, field) -> Series:
+def _shift(series: Series, axis: int, c, field) -> Series:
+    """The series after u -> u + c (axis 0) or v -> v + c (axis 1): each
+    power of the shifted coordinate expands by the binomial theorem."""
+    if c.is_zero():
+        return series
+    powers = [field.one()]
+    rows = {}
+    out: Series = {}
+    for key, vec in series.items():
+        j = key[axis]
+        row = rows.get(j)
+        if row is None:
+            while len(powers) <= j:
+                powers.append(powers[-1] * c)
+            row = rows[j] = [(k, powers[j - k] * comb(j, k))
+                             for k in range(j + 1)]
+        for k, scale in row:
+            acc = out.setdefault((k, key[1]) if axis == 0 else (key[0], k), {})
+            for t, v in vec.items():
+                w = v * scale
+                cur = acc.get(t)
+                acc[t] = w if cur is None else cur + w
+    return _prune(out)
+
+
+def root_series(chart, columns, field) -> Series:
     """Local series at a plane point, in its canonical chart coordinates, of
-    the forms whose coefficient dicts {(i, j, k): c} are ``columns``;
-    ``images`` are the point's ``root_chart_images``."""
-    polys = []
-    for cu, cv, c1 in images:
-        polys.append({key: c for key, c in (((1, 0), cu), ((0, 1), cv),
-                                            ((0, 0), c1)) if not c.is_zero()})
-    caches = [{}, {}, {}]
+    the forms of one degree whose coefficient dicts {(i, j, k): c} are
+    ``columns``.  ``chart`` is the point's ``root_chart_images`` (pivot, a,
+    b): the forms are dehomogenised at the pivot, and the other two
+    variables are shifted by a and b."""
+    pivot, a, b = chart
+    x, y = (i for i in range(3) if i != pivot)
     out: Series = {}
     for t, coeffs in enumerate(columns):
-        for (i, j, k), coeff in coeffs.items():
-            term = _bi_mul(_bi_pow(polys[0], i, field, caches[0]),
-                           _bi_pow(polys[1], j, field, caches[1]), field)
-            term = _bi_mul(term, _bi_pow(polys[2], k, field, caches[2]), field)
-            for key, c in term.items():
-                vec = out.setdefault(key, {})
-                v = coeff * c
-                cur = vec.get(t)
-                vec[t] = v if cur is None else cur + v
-    return _prune(out)
+        for expo, coeff in coeffs.items():
+            out.setdefault((expo[x], expo[y]), {})[t] = coeff
+    return _shift(_shift(out, 0, a, field), 1, b, field)
 
 
 def chart_step(series: Series, chart: int, c, e: int, field) -> Series:
     """The series at a child point: drop the monomials of total degree below
     the parent's multiplicity e, substitute the chart map (chart 1:
     v = u*(w + c); chart 2: u = s*v with coordinates (v, s)) and divide by
-    the exceptional's u^e."""
-    out: Series = {}
-    if chart == 2:
-        # (i, j) -> (i + j - e, i) is injective: nothing can cancel
-        for (i, j), vec in series.items():
-            if i + j >= e:
-                out[(i + j - e, i)] = vec
-        return out
-    powers = [field.one()]
-    scales = {}
-    for (i, j), vec in series.items():
-        if i + j < e:
-            continue
-        row = scales.get(j)
-        if row is None:
-            while len(powers) <= j:
-                powers.append(powers[-1] * c)
-            scaled = ((k, powers[j - k] * comb(j, k)) for k in range(j + 1))
-            row = scales[j] = [(k, f) for k, f in scaled if not f.is_zero()]
-        for k, scale in row:
-            acc = out.setdefault((i + j - e, k), {})
-            for t, v in vec.items():
-                w = v * scale
-                cur = acc.get(t)
-                acc[t] = w if cur is None else cur + w
-    return _prune(out)
+    the exceptional's u^e.  Both relabellings of the exponents are
+    injective; chart 1 then shifts w by c."""
+    out = {(i + j - e, j if chart == 1 else i): vec
+           for (i, j), vec in series.items() if i + j >= e}
+    return _shift(out, 1, c, field) if chart == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +139,11 @@ class _ChartData:
     K, and the series of the generic form at each root point, memoised per
     (root index, degree)."""
 
-    __slots__ = ("field", "images", "constants", "series")
+    __slots__ = ("field", "charts", "constants", "series")
 
-    def __init__(self, field, images, constants):
+    def __init__(self, field, charts, constants):
         self.field = field
-        self.images = images            # root index -> root_chart_images
+        self.charts = charts            # root index -> root_chart_images
         self.constants = constants      # point index -> chart-1 constant c
         self.series = {}
 
@@ -178,7 +155,7 @@ class _ChartData:
                 self.series.clear()
             one = self.field.one()
             series = self.series[key] = root_series(
-                self.images[idx], [{m: one} for m in monomials(degree)],
+                self.charts[idx], [{m: one} for m in monomials(degree)],
                 self.field)
         return series
 
@@ -205,9 +182,8 @@ def _residue_data(config: Configuration):
         field = config.field.residue_field()
         try:
             memo.residue = _ChartData(
-                field, {idx: tuple(tuple(field.image(v) for v in triple)
-                                   for triple in images)
-                        for idx, images in exact.images.items()},
+                field, {idx: (pivot, field.image(a), field.image(b))
+                        for idx, (pivot, a, b) in exact.charts.items()},
                 [None if c is None else field.image(c)
                  for c in exact.constants])
         except UnluckyPrime:

@@ -465,8 +465,11 @@ class FieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational element equals its int or Fraction value, so it hashes
+        # like it
         if self._hash is None:
-            self._hash = hash((self.field.minpoly, self.coeffs))
+            self._hash = (hash(self.coeffs[0]) if self.is_rational()
+                          else hash((self.field.minpoly, self.coeffs)))
         return self._hash
 
     def sort_key(self):
@@ -673,6 +676,13 @@ def poly_eval(p, x: FieldElement) -> FieldElement:
     for c in reversed(list(p)):
         acc = acc * x + c
     return acc
+
+
+def poly_sub(p, q, field):
+    out = list(p) + [field.zero()] * max(0, len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] = out[i] - c
+    return poly_trim(out)
 
 
 def poly_mul(p, q, field):

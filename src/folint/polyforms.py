@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .numfield import (
-    QQ, FieldElement, NumberField, _ExprParser, format_element, poly_gcd,
-    tokenize,
+    QQ, FieldElement, NumberField, _ExprParser, format_element, poly_divmod,
+    poly_gcd, poly_mul, poly_sub, poly_trim, tokenize,
 )
 
 VARS = ("X", "Y", "Z")
@@ -241,7 +241,6 @@ def _to_bivariate(f: HomogeneousForm):
     rows = [[field.zero()] * (xdeg + 1) for _ in range(ydeg + 1)]
     for (i, j), c in de.items():
         rows[j][i] = c
-    from .numfield import poly_trim
     return [poly_trim(r) for r in rows]
 
 
@@ -255,20 +254,10 @@ def _bi_content(p, field):
     cont = []
     for row in p:
         if row:
-            cont = poly_gcd(cont, row, field) if cont else _monic(row, field)
+            cont = poly_gcd(cont, row, field)
         if len(cont) == 1:
             break
     return cont or [field.one()]
-
-
-def _monic(p, field):
-    inv = p[-1].inverse()
-    return [c * inv for c in p]
-
-
-def _uni_divmod(num, den, field):
-    from .numfield import poly_divmod
-    return poly_divmod(num, den, field)
 
 
 def _bi_primitive(p, field):
@@ -280,7 +269,7 @@ def _bi_primitive(p, field):
         if not row:
             out.append([])
             continue
-        quo, rem = _uni_divmod(row, cont, field)
+        quo, rem = poly_divmod(row, cont, field)
         if rem:
             raise RuntimeError("the content does not divide a coefficient")
         out.append(quo)
@@ -289,7 +278,6 @@ def _bi_primitive(p, field):
 
 def _bi_pseudo_rem(f, g, field):
     """Pseudo-remainder of f by g, both K[X][Y] dense in Y."""
-    from .numfield import poly_mul as umul, poly_trim
     f = [list(r) for r in f]
     dg = len(g) - 1
     lead = g[-1]
@@ -299,23 +287,15 @@ def _bi_pseudo_rem(f, g, field):
         # f := lead * f - top * g * Y^(df - dg)
         new = []
         for j in range(df):
-            row = umul(f[j], lead, field)
+            row = poly_mul(f[j], lead, field)
             if j - (df - dg) >= 0:
-                sub = umul(g[j - (df - dg)], top, field)
-                row = _uni_sub(row, sub, field)
+                sub = poly_mul(g[j - (df - dg)], top, field)
+                row = poly_sub(row, sub, field)
             new.append(poly_trim(row))
         f = _bi_trim(new)
         if not f:
             break
     return f
-
-
-def _uni_sub(a, b, field):
-    from .numfield import poly_trim
-    out = list(a) + [field.zero()] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return poly_trim(out)
 
 
 def _bi_gcd(f, g, field):
@@ -348,17 +328,7 @@ def _bi_gcd(f, g, field):
             b = [[field.one()]]
             break
     gcd_pp = b
-    return [_bi_trim_row(umul_row(row, cont, field)) for row in gcd_pp]
-
-
-def umul_row(row, cont, field):
-    from .numfield import poly_mul
-    return poly_mul(row, cont, field) if row else []
-
-
-def _bi_trim_row(row):
-    from .numfield import poly_trim
-    return poly_trim(row)
+    return [poly_trim(poly_mul(row, cont, field)) for row in gcd_pp]
 
 
 def _homogenize_bivariate(p, field):

@@ -11,7 +11,6 @@ machine-readable certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .cluster import (
@@ -20,11 +19,11 @@ from .cluster import (
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
     find_roots_in_field, format_poly_in_t, poly_degree, poly_divmod,
-    poly_gcd, poly_interpolate, poly_mul, poly_resultant,
-    poly_squarefree_part, poly_trim, rational_is_square,
+    poly_gcd, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
+    rational_is_square,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
-from .linsys import root_series
+from .linsys import Series, _prune, _shift, chart_step, root_series
 
 
 class ResolutionError(RuntimeError):
@@ -39,87 +38,14 @@ class DepthCapExceeded(ResolutionError):
 # scalar bivariate helpers: dicts (i, j) -> FieldElement, variables (u, v)
 # ---------------------------------------------------------------------------
 
-def _bi_add_term(out, key, val):
-    cur = out.get(key)
-    if cur is None:
-        out[key] = val
-    else:
-        s = cur + val
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s
-
-
 def _bi_partial(poly, index):
-    out = {}
-    for (i, j), c in poly.items():
-        e = (i, j)[index]
-        if e:
-            key = (i - 1, j) if index == 0 else (i, j - 1)
-            _bi_add_term(out, key, c * e)
-    return out
+    return {(i - 1, j) if index == 0 else (i, j - 1): c * (i, j)[index]
+            for (i, j), c in poly.items() if (i, j)[index]}
 
 
-def _bi_eval(poly, x, y, field):
-    acc = field.zero()
-    for (i, j), c in poly.items():
-        acc = acc + c * x ** i * y ** j
-    return acc
-
-
-def _bi_order(poly):
-    return min((i + j for i, j in poly), default=None)
-
-
-def _u_valuation(poly):
-    return min((i for i, _ in poly), default=None)
-
-
-def _shift_v(poly, c, field):
-    """(u, v) -> (u, v + c)."""
-    if c.is_zero():
-        return dict(poly)
-    powers = {0: field.one()}
-
-    def cpow(e):
-        if e not in powers:
-            powers[e] = cpow(e - 1) * c
-        return powers[e]
-
-    from math import comb
-    out = {}
-    for (i, j), coeff in poly.items():
-        for k in range(j + 1):
-            _bi_add_term(out, (i, k), coeff * (cpow(j - k) * comb(j, k)))
-    return out
-
-
-def _subst_chart1(poly):
-    """v = u*w: monomial u^i v^j -> u^(i+j) w^j."""
-    out = {}
-    for (i, j), c in poly.items():
-        _bi_add_term(out, (i + j, j), c)
-    return out
-
-
-def _subst_chart2(poly):
-    """(u, v) = (v'*u', u'): monomial u^i v^j -> u'^(i+j) v'^i."""
-    out = {}
-    for (i, j), c in poly.items():
-        _bi_add_term(out, (i + j, i), c)
-    return out
-
-
-def _divide_u(poly, k):
-    if k == 0:
-        return dict(poly)
-    out = {}
-    for (i, j), c in poly.items():
-        if i < k:
-            raise ResolutionError("u^%d does not divide the local form" % k)
-        out[(i - k, j)] = c
-    return out
+def _column(series: Series, t: int):
+    """Column t of a series, as a dict (i, j) -> coefficient."""
+    return {key: vec[t] for key, vec in series.items() if t in vec}
 
 
 def _coeffs_at_u0(poly, field):
@@ -137,21 +63,19 @@ def _coeffs_at_u0(poly, field):
 # ---------------------------------------------------------------------------
 
 class LocalFoliation:
-    """omega = a du + b dv around the origin, polynomial coefficients."""
+    """omega = a du + b dv around the origin, with polynomial coefficients
+    held as one two-column ``linsys`` series {(i, j): {0: a_ij, 1: b_ij}}."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "series")
 
-    def __init__(self, field: NumberField, a: dict, b: dict):
+    def __init__(self, field: NumberField, series: Series):
         self.field = field
-        self.a = a
-        self.b = b
+        self.series = series
 
     def order(self) -> int:
-        orders = [o for o in (_bi_order(self.a), _bi_order(self.b))
-                  if o is not None]
-        if not orders:
+        if not self.series:
             raise ResolutionError("zero local 1-form")
-        return min(orders)
+        return min(i + j for i, j in self.series)
 
     def is_singular(self) -> bool:
         return self.order() >= 1
@@ -159,35 +83,22 @@ class LocalFoliation:
     def linear_data(self) -> Tuple[FieldElement, FieldElement]:
         """(trace, determinant) of the linear part of the dual vector field."""
         zero = self.field.zero()
-        a_u = self.a.get((1, 0), zero)
-        a_v = self.a.get((0, 1), zero)
-        b_u = self.b.get((1, 0), zero)
-        b_v = self.b.get((0, 1), zero)
+        du = self.series.get((1, 0), {})
+        dv = self.series.get((0, 1), {})
+        a_u, b_u = du.get(0, zero), du.get(1, zero)
+        a_v, b_v = dv.get(0, zero), dv.get(1, zero)
         return (a_v - b_u, a_u * b_v - a_v * b_u)
-
-    def translate(self, c: FieldElement) -> "LocalFoliation":
-        return LocalFoliation(self.field, _shift_v(self.a, c, self.field),
-                              _shift_v(self.b, c, self.field))
 
 
 def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
-    """Pull the projective 1-form back to the canonical chart at the point."""
+    """Pull the projective 1-form back to the canonical chart at the point.
+    The pivot variable is constant there, so a and b are the series of the
+    other two components."""
     field = omega.field
-    origin = normalize_point(tuple(field.element(v) for v in origin))
-    images = root_chart_images(origin, field)
-    a: dict = {}
-    b: dict = {}
-    for comp, (cu, cv, _) in zip(omega.components(), images):
-        if comp.is_zero():
-            continue
-        series = root_series(images, [comp.coeffs], field)
-        if not cu.is_zero():
-            for key, vec in series.items():
-                _bi_add_term(a, key, vec[0] * cu)
-        if not cv.is_zero():
-            for key, vec in series.items():
-                _bi_add_term(b, key, vec[0] * cv)
-    return LocalFoliation(field, a, b)
+    chart = root_chart_images(origin, field)
+    columns = [comp.coeffs for i, comp in enumerate(omega.components())
+               if i != chart[0]]
+    return LocalFoliation(field, root_series(chart, columns, field))
 
 
 def _ratio_is_positive_rational(c: FieldElement) -> bool:
@@ -220,26 +131,44 @@ class BlowUpResult(NamedTuple):
     chart2_singular: bool
 
 
-def blow_up_local(omega: LocalFoliation, debug: bool = False) -> BlowUpResult:
+def _chart_form(series: Series, chart: int, order: int, field):
+    """The 1-form of ``series`` in a blow-up chart, and whether the blow-up
+    is dicritical.
+
+    With a', b' the coefficients pulled back and divided by u^order, the
+    form is (a' + w b') du + u b' dw in chart 1 and (b' + v' a') du' +
+    u' a' dv' in chart 2.  The blow-up is dicritical when the du
+    coefficient vanishes on the exceptional u = 0; the form is then
+    divided by one more u.
+    """
+    pulled = chart_step(series, chart, field.zero(), order, field)
+    a, b = (0, 1) if chart == 1 else (1, 0)
+    out: Series = {}
+    for (i, j), vec in pulled.items():
+        for key, t, col in (((i, j), 0, a), ((i, j + 1), 0, b),
+                            ((i + 1, j), 1, b)):
+            v = vec.get(col)
+            if v is not None:
+                acc = out.setdefault(key, {})
+                acc[t] = acc[t] + v if t in acc else v
+    out = _prune(out)
+    dicritical = all(i for i, _ in out)
+    if dicritical:
+        out = {(i - 1, j): vec for (i, j), vec in out.items()}
+    return out, dicritical
+
+
+def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     """One blow-up at the origin; locates the singular points on the
     exceptional divisor and decides dicriticalness."""
     if not omega.is_singular():
         raise ResolutionError("blow-up at a non-singular point")
     field = omega.field
-    a1 = dict(_subst_chart1(omega.a))
-    wb = {}
-    for (i, j), c in _subst_chart1(omega.b).items():
-        _bi_add_term(wb, (i, j + 1), c)
-    for key, c in wb.items():
-        _bi_add_term(a1, key, c)
-    b1 = {(i + 1, j): c for (i, j), c in _subst_chart1(omega.b).items()}
-    vals = [v for v in (_u_valuation(a1), _u_valuation(b1)) if v is not None]
-    k = min(vals)
-    a1 = _divide_u(a1, k)
-    b1 = _divide_u(b1, k)
-    dicritical = any(i == 0 for i, _ in b1)
+    order = omega.order()
+    form1, dicritical = _chart_form(omega.series, 1, order, field)
 
     # singular points on u = 0 in chart 1
+    a1, b1 = _column(form1, 0), _column(form1, 1)
     a0 = _coeffs_at_u0(a1, field)
     b0 = _coeffs_at_u0(b1, field)
     if not a0 and not b0:
@@ -251,53 +180,34 @@ def blow_up_local(omega: LocalFoliation, debug: bool = False) -> BlowUpResult:
         roots, remaining, cofactor = find_roots_in_field(g, field)
         if remaining > 0:
             _require_orbit_simple(a1, b1, cofactor, field,
-                                  point=lambda t: (field.zero(), t))
+                                  [], [field.zero(), field.one()])
         for c in sorted(roots, key=lambda e: e.sort_key()):
-            child = LocalFoliation(field, a1, b1).translate(c)
+            child = LocalFoliation(field, _shift(form1, 1, c, field))
             children.append((c, child, is_simple(child)))
 
-    # chart 2: (u, v) = (v'u', u')
-    sa = {}
-    for (i, j), c in _subst_chart2(omega.a).items():
-        _bi_add_term(sa, (i, j + 1), c)
-    a2 = dict(_subst_chart2(omega.b))
-    for key, c in sa.items():
-        _bi_add_term(a2, key, c)
-    b2 = {(i + 1, j): c for (i, j), c in _subst_chart2(omega.a).items()}
-    vals2 = [v for v in (_u_valuation(a2), _u_valuation(b2)) if v is not None]
-    k2 = min(vals2)
-    if k2 != k:
-        raise ResolutionError("the two charts disagree on the exceptional "
-                              "valuation")
-    a2 = _divide_u(a2, k2)
-    b2 = _divide_u(b2, k2)
-    if debug and any(i == 0 for i, _ in b2) != dicritical:
+    # chart 2: (u, v) = (v'u', u'), which sees the same exceptional
+    form2, dicritical2 = _chart_form(omega.series, 2, order, field)
+    if dicritical2 != dicritical:
         raise ResolutionError("the two charts disagree on dicriticalness")
-    omega2 = LocalFoliation(field, a2, b2)
-    zero = field.zero()
-    sing2 = (_bi_eval(a2, zero, zero, field).is_zero()
-             and _bi_eval(b2, zero, zero, field).is_zero())
-    return BlowUpResult(dicritical, children, omega2, sing2)
+    return BlowUpResult(dicritical, children, LocalFoliation(field, form2),
+                        (0, 0) not in form2)
 
 
 # ---------------------------------------------------------------------------
 # conjugate orbits outside K: exact simplicity certification
 # ---------------------------------------------------------------------------
 
-def _require_orbit_simple(a, b, modulus, field, point):
+def _require_orbit_simple(a, b, modulus, field, u0, v0):
     """Certify that all conjugate singular points cut out by ``modulus`` are
     simple; raise FieldExtensionNeeded otherwise.
 
-    ``point(t)`` gives the (u, v) coordinates of the orbit as K[t]/(modulus)
-    elements, t being the residue of the variable; a, b are the bivariate
-    coefficients of the ambient local 1-form.
+    (u0, v0) are the coordinates of the orbit as K[t]/(modulus) elements, t
+    being the residue of the variable; a, b are the bivariate coefficients
+    of the ambient local 1-form a du + b dv.
     """
     g = poly_squarefree_part(modulus, field)
-    one = field.one()
-    t_elt = [field.zero(), one]
-    u0, v0 = point(t_elt)
-    u0 = _alg_reduce(u0 if isinstance(u0, list) else [u0], g, field)
-    v0 = _alg_reduce(v0 if isinstance(v0, list) else [v0], g, field)
+    u0 = _alg_reduce(u0, g, field)
+    v0 = _alg_reduce(v0, g, field)
 
     def jac_entry(poly, index):
         part = _bi_partial(poly, index)
@@ -305,8 +215,8 @@ def _require_orbit_simple(a, b, modulus, field, point):
 
     a_u, a_v = jac_entry(a, 0), jac_entry(a, 1)
     b_u, b_v = jac_entry(b, 0), jac_entry(b, 1)
-    trace = _alg_sub(a_v, b_u, field)
-    det = _alg_sub(_alg_mul(a_u, b_v, g, field),
+    trace = poly_sub(a_v, b_u, field)
+    det = poly_sub(_alg_mul(a_u, b_v, g, field),
                    _alg_mul(a_v, b_u, g, field), field)
 
     certificate = format_poly_in_t(g)
@@ -323,22 +233,18 @@ def _require_orbit_simple(a, b, modulus, field, point):
         raise ResolutionError("g0 does not divide the orbit polynomial")
     if poly_degree(g1) < 1:
         return
-    # candidates for a rational eigenvalue-ratio invariant c = (tr^2-2det)/det
-    e_poly = _alg_sub(_alg_mul(trace, trace, g1, field),
-                      _alg_scale(_alg_reduce(det, g1, field), field.element(2), field),
-                      field)
-    deg = poly_degree(g1)
-    nodes, values = [], []
-    c_val = 0
-    while len(nodes) < deg + 1:
-        cq = Fraction(c_val)
-        shifted = _alg_sub(e_poly,
-                           _alg_scale(_alg_reduce(det, g1, field),
-                                      field.element(cq), field), field)
-        values.append(poly_resultant(g1, shifted, field))
-        nodes.append(cq)
-        c_val = -c_val + (1 if c_val <= 0 else 0)
-    res_in_c = poly_interpolate(nodes, values, field)
+    # a rational eigenvalue-ratio invariant c = (tr^2-2det)/det = E/det of a
+    # conjugate is a root of Res_t(g1, E - c*det); when E and det lie in K
+    # the resultant is (E - c*det)^deg(g1), and E/det is the one candidate
+    det = _alg_reduce(det, g1, field)
+    e_poly = poly_sub(_alg_mul(trace, trace, g1, field),
+                      _alg_scale(det, field.element(2), field), field)
+    res_in_c = bivariate_resultant(
+        {(0, j): c for j, c in enumerate(g1)},
+        {**{(0, j): c for j, c in enumerate(e_poly)},
+         **{(1, j): -c for j, c in enumerate(det)}}, field)
+    if res_in_c is None:
+        res_in_c = [(e_poly or [field.zero()])[0], -det[0]]
     roots, _, _ = find_roots_in_field(res_in_c, field) \
         if poly_degree(res_in_c) >= 1 else ([], 0, [])
     for root in roots:
@@ -359,13 +265,6 @@ def _alg_mul(p, q, modulus, field):
     return _alg_reduce(poly_mul(p, q, field), modulus, field)
 
 
-def _alg_sub(p, q, field):
-    out = list(p) + [field.zero()] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return poly_trim(out)
-
-
 def _alg_scale(p, k, field):
     return poly_trim([c * k for c in p])
 
@@ -384,7 +283,7 @@ def _alg_eval_bivariate(poly, u0, v0, modulus, field):
     for (i, j), c in poly.items():
         term = _alg_mul(power(upow, u0, i), power(vpow, v0, j), modulus, field)
         term = _alg_scale(term, c, field)
-        acc = _alg_sub(acc, _alg_scale(term, field.element(-1), field), field)
+        acc = poly_sub(acc, _alg_scale(term, field.element(-1), field), field)
     return _alg_reduce(acc, modulus, field)
 
 
@@ -397,7 +296,7 @@ def _alg_inverse(p, modulus, field):
         quo, rem = poly_divmod(r0, r1, field)
         if not rem:
             break
-        s_new = _alg_sub(s0, poly_mul(quo, s1, field), field)
+        s_new = poly_sub(s0, poly_mul(quo, s1, field), field)
         r0, r1, s0, s1 = r1, rem, s1, s_new
     if poly_degree(r1) != 0:
         raise FieldExtensionNeeded(
@@ -558,8 +457,7 @@ class _Node:
 
 
 def build_configuration(omega: ProjectiveOneForm,
-                        depth_cap: int = 50,
-                        debug: bool = False) -> Configuration:
+                        depth_cap: int = 50) -> Configuration:
     """Blow up the non-simple singularities iteratively and return the
     configuration of dicritical points (B_F with its N_F partition)."""
     field = omega.field
@@ -577,7 +475,7 @@ def build_configuration(omega: ProjectiveOneForm,
         node.local = local
         roots.append(node)
     for node in roots:
-        _expand(node, depth_cap, debug)
+        _expand(node, depth_cap)
     roots.sort(key=lambda nd: tuple(c.sort_key() for c in nd.origin))
     ordered = []
     for node in roots:
@@ -600,10 +498,10 @@ def build_configuration(omega: ProjectiveOneForm,
     return Configuration(named, field)
 
 
-def _expand(node: _Node, depth_left: int, debug: bool):
+def _expand(node: _Node, depth_left: int):
     if depth_left <= 0:
         raise DepthCapExceeded("resolution exceeded the depth cap")
-    result = blow_up_local(node.local, debug=debug)
+    result = blow_up_local(node.local)
     node.dicritical = result.dicritical
     for c, child_local, simple in result.chart1:
         if simple:
@@ -616,7 +514,7 @@ def _expand(node: _Node, depth_left: int, debug: bool):
         child.local = result.chart2
         node.children.append(child)
     for child in node.children:
-        _expand(child, depth_left - 1, debug)
+        _expand(child, depth_left - 1)
 
 
 def _collect_dicritical(node: _Node) -> bool:
@@ -643,30 +541,22 @@ def _emit(node: _Node, out):
 def _analyze_escaped_orbit(omega, orbit: EscapedOrbit, field):
     if orbit.kind == "affine-y":
         x0, (p, q) = orbit.data
-        _require_orbit_simple_ambient(p, q, orbit.modulus, field,
-                                      u0=[x0], v0=[field.zero(), field.one()])
+        _require_orbit_simple(p, q, orbit.modulus, field,
+                              [x0], [field.zero(), field.one()])
     elif orbit.kind == "affine-x":
         p, q = orbit.data
         t_elt = [field.zero(), field.one()]
         y0 = _solve_y_in_algebra(p, q, orbit.modulus, field)
-        _require_orbit_simple_ambient(p, q, orbit.modulus, field,
-                                      u0=t_elt, v0=y0)
+        _require_orbit_simple(p, q, orbit.modulus, field, t_elt, y0)
     elif orbit.kind == "infinity":
         # chart Y = 1: omega = A(x,1,z) dx + C(x,1,z) dz at (t, 0)
         A, _, C = omega.components()
         p = A.dehomogenize(1)
         q = C.dehomogenize(1)
-        _require_orbit_simple_ambient(p, q, orbit.modulus, field,
-                                      u0=[field.zero(), field.one()],
-                                      v0=[field.zero()])
+        _require_orbit_simple(p, q, orbit.modulus, field,
+                              [field.zero(), field.one()], [])
     else:
         raise ResolutionError("unknown escape kind %r" % orbit.kind)
-
-
-def _require_orbit_simple_ambient(p, q, modulus, field, u0, v0):
-    """Simplicity over the orbit algebra for an ambient 1-form p dx + q dy."""
-    _require_orbit_simple(p, q, modulus, field,
-                          point=lambda t: (u0, v0))
 
 
 def _solve_y_in_algebra(p, q, modulus, field):
@@ -724,7 +614,7 @@ def _algebra_poly_gcd(p, q, modulus, field):
             factor = _alg_mul(rem[-1], lead_inv, modulus, field)
             for i, qc in enumerate(q):
                 sub = _alg_mul(factor, qc, modulus, field)
-                rem[shift + i] = _alg_sub(rem[shift + i], sub, field)
+                rem[shift + i] = poly_sub(rem[shift + i], sub, field)
             rem = trim(rem)
             if len(rem) < len(q):
                 break

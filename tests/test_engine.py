@@ -279,7 +279,7 @@ def test_algorithm3_fig3():
 
 def test_algorithm3_debug_mode():
     omega, config, _ = load("family_a59")
-    result = algorithm3(omega, config, debug=True)
+    result = algorithm3(omega, config)
     assert result.verdict.outcome == "no_integral"
 
 

@@ -159,6 +159,14 @@ def test_equal_values_hash_alike(data):
         assert canonical(x) and canonical(y)
 
 
+def test_rational_elements_hash_like_their_value():
+    # a rational element equals its int or Fraction value, so sets and
+    # dicts must not tell them apart
+    assert len({QQ.element(3), 3}) == 1
+    assert hash(GAUSS.element(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {Fraction(-7, 3): "x"}[CUBIC.element(Fraction(-7, 3))] == "x"
+
+
 def test_integral_results_are_ints():
     half = GAUSS.element((Fraction(1, 2), Fraction(-3, 2)))
     two = half * 2

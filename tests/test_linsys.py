@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from folint import linalg
 from folint.cli import load_config_file
-from folint.cluster import Configuration, InfinitelyNearPoint, load_configuration
+from folint.cluster import (
+    Configuration, InfinitelyNearPoint, load_configuration, root_chart_images,
+)
 from folint.linsys import (
-    basis, condition_rows, effective_multiplicities, h0, strict_class,
+    basis, chart_step, condition_rows, effective_multiplicities, h0,
+    root_series, strict_class,
 )
 from folint.numfield import QQ, NumberField
 from folint.polyforms import HomogeneousForm, monomials, parse_form
@@ -56,6 +59,93 @@ def taylor_h0(D, config):
                     row.append(val)
                 rows.append(row)
     return len(order) - linalg.rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# the series engine against direct evaluation of the forms
+# ---------------------------------------------------------------------------
+
+GAUSS = NumberField((1, 0, 1))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def elements(draw, field, zero_weight=False):
+    if zero_weight and draw(st.booleans()):
+        return field.zero()
+    return field.element([draw(small) for _ in range(field.degree)])
+
+
+@st.composite
+def plane_points(draw, field):
+    point = [draw(elements(field, zero_weight=True)) for _ in range(3)]
+    if all(c.is_zero() for c in point):
+        point[draw(st.integers(0, 2))] = field.one()
+    return tuple(point)
+
+
+@st.composite
+def forms(draw, field, degree):
+    return HomogeneousForm(field, degree,
+                           {m: draw(elements(field, zero_weight=True))
+                            for m in monomials(degree)})
+
+
+def evaluate(series, t, u0, v0, field):
+    acc = field.zero()
+    for (i, j), vec in series.items():
+        if t in vec:
+            acc = acc + vec[t] * u0 ** i * v0 ** j
+    return acc
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.data())
+def test_root_series_is_the_form_at_the_chart_point(data):
+    field = data.draw(st.sampled_from([QQ, GAUSS]))
+    degree = data.draw(st.integers(0, 5))
+    columns = [data.draw(forms(field, degree)) for _ in range(2)]
+    origin = data.draw(plane_points(field))
+    u0, v0 = data.draw(elements(field)), data.draw(elements(field))
+    series = root_series(root_chart_images(origin, field),
+                         [f.coeffs for f in columns], field)
+    # the chart point: the first nonzero coordinate scaled to 1, the other
+    # two moved by u0 and v0 in order
+    pivot = next(i for i, c in enumerate(origin) if not c.is_zero())
+    point = [c / origin[pivot] for c in origin]
+    others = [i for i in range(3) if i != pivot]
+    point[others[0]] = point[others[0]] + u0
+    point[others[1]] = point[others[1]] + v0
+    for t, f in enumerate(columns):
+        assert evaluate(series, t, u0, v0, field) == f.evaluate(point)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.data())
+def test_chart_step_is_the_chart_map(data):
+    field = data.draw(st.sampled_from([QQ, GAUSS]))
+    origin = data.draw(plane_points(field))
+    # lines through the point give the form a multiplicity there
+    form = data.draw(forms(field, data.draw(st.integers(0, 3))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        # the line det(origin, r, X) = 0
+        x, y, z = origin
+        r = [data.draw(elements(field)) for _ in range(3)]
+        line = HomogeneousForm(field, 1, {(1, 0, 0): y * r[2] - z * r[1],
+                                          (0, 1, 0): z * r[0] - x * r[2],
+                                          (0, 0, 1): x * r[1] - y * r[0]})
+        form = form * line
+    parent = root_series(root_chart_images(origin, field), [form.coeffs],
+                         field)
+    order = min((i + j for i, j in parent), default=0)
+    e = data.draw(st.integers(0, order))
+    c = data.draw(elements(field, zero_weight=True))
+    u0, w0 = data.draw(elements(field)), data.draw(elements(field))
+    # chart 1: v = u (w + c); chart 2: u = s v, in the coordinates (v, s)
+    for chart, at in ((1, (u0, u0 * (w0 + c))), (2, (u0 * w0, u0))):
+        child = chart_step(parent, chart, c, e, field)
+        assert (evaluate(child, 0, u0, w0, field) * u0 ** e ==
+                evaluate(parent, 0, at[0], at[1], field))
 
 
 def plane_points_config(coords, field=QQ):

@@ -7,15 +7,17 @@ from folint.cluster import dump_configuration, load_configuration
 from folint.numfield import QQ, FieldExtensionNeeded, NumberField
 from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 from folint.resolve import (
-    LocalFoliation, blow_up_local, build_configuration, is_simple,
-    local_at_plane_point, singular_points,
+    LocalFoliation, _require_orbit_simple, blow_up_local,
+    build_configuration, is_simple, local_at_plane_point, singular_points,
 )
 
 
 def local(a_terms, b_terms, field=QQ):
-    a = {k: field.element(v) for k, v in a_terms.items()}
-    b = {k: field.element(v) for k, v in b_terms.items()}
-    return LocalFoliation(field, a, b)
+    series = {}
+    for t, terms in enumerate((a_terms, b_terms)):
+        for key, v in terms.items():
+            series.setdefault(key, {})[t] = field.element(v)
+    return LocalFoliation(field, series)
 
 
 PENCIL = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
@@ -50,7 +52,7 @@ def test_is_simple_complex_ratio():
 
 def test_blow_up_radial_is_dicritical():
     radial = local({(0, 1): 1}, {(1, 0): -1})
-    result = blow_up_local(radial, debug=True)
+    result = blow_up_local(radial)
     assert result.dicritical
     assert result.chart1 == []
     assert not result.chart2_singular
@@ -58,7 +60,7 @@ def test_blow_up_radial_is_dicritical():
 
 def test_blow_up_saddle():
     saddle = local({(0, 1): 1}, {(1, 0): 1})
-    result = blow_up_local(saddle, debug=True)
+    result = blow_up_local(saddle)
     assert not result.dicritical
     assert len(result.chart1) == 1
     c, child, simple = result.chart1[0]
@@ -71,8 +73,21 @@ def test_blow_up_saddle():
 def test_blow_up_cusp_first_step_non_dicritical():
     # omega for the cuspidal foliation d(y^2 - x^3) = -3x^2 dx + 2y dy
     cusp = local({(2, 0): -3}, {(0, 1): 2})
-    result = blow_up_local(cusp, debug=True)
+    result = blow_up_local(cusp)
     assert not result.dicritical
+
+
+def test_orbit_with_constant_linear_part():
+    # a = v^2 - 2, b = k*u*v at the conjugate points (0, +-sqrt 2): det and
+    # tr^2 - 2 det lie in Q, so the eigenvalue-ratio invariant is a constant
+    orbit = [QQ.element(-2), QQ.zero(), QQ.one()]
+    t = [QQ.zero(), QQ.one()]
+    a = {(0, 2): QQ.one(), (0, 0): QQ.element(-2)}
+    # k = 1: eigenvalues 2 sqrt 2 and -sqrt 2, of negative ratio -2
+    _require_orbit_simple(a, {(1, 1): QQ.one()}, orbit, QQ, [], t)
+    # k = -1: eigenvalues 2 sqrt 2 and sqrt 2, of ratio 2
+    with pytest.raises(FieldExtensionNeeded):
+        _require_orbit_simple(a, {(1, 1): QQ.element(-1)}, orbit, QQ, [], t)
 
 
 def test_singular_points_pencil_of_lines():

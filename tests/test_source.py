@@ -99,3 +99,28 @@ def test_caller_check_sees_unused_functions():
     found = _unused_private_functions({"a.py": used, "b.py": caller,
                                        "c.py": other})
     assert found == ["a.py:_recursive", "a.py:_unused"]
+
+
+def _function_imports(tree):
+    """Line numbers of the import statements inside function bodies."""
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_imports_in_functions():
+    # a module declares everything it depends on at its top
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, line)
+                  for line in _function_imports(tree)]
+    assert found == []
+
+
+def test_import_check_sees_function_imports():
+    snippet = ("import os\n\ndef f():\n    import re\n    return re\n\n"
+               "class C:\n    def m(self):\n        from math import comb\n"
+               "        def inner():\n            import sys\n")
+    assert _function_imports(ast.parse(snippet)) == [4, 9, 11]
