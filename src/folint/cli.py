@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 verdict-positive (integral found / property true), 1 negative,
-2 inconclusive (caps, field extension required), 3 input error.
+2 inconclusive (caps, field extension required), 3 input error, 4 internal
+error (a failed internal consistency check, such as a resolution error).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as err:
+        print("error: internal: %s" % err, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -366,8 +366,6 @@ def t_from_system(s_classes: Sequence[DivisorClass],
     rows = [list(c.coordinates()) for c in s_classes]
     rows += [list(config.exceptional_strict_class(q).coordinates())
              for q in nf]
-    if linalg.rank_int(rows) != m:
-        raise ConfigurationError("not an independent system: rank below %d" % m)
     deltas = []
     for j in range(m + 1):
         minor = [row[:j] + row[j + 1:] for row in rows]
@@ -375,6 +373,9 @@ def t_from_system(s_classes: Sequence[DivisorClass],
     g = 0
     for v in deltas:
         g = gcd(g, v)
+    if g == 0:
+        # the m rows have rank m exactly when some maximal minor is nonzero
+        raise ConfigurationError("not an independent system: rank below %d" % m)
     deltas = [v // g for v in deltas]
     return config.divisor(deltas[0], deltas[1:])
 

@@ -2,8 +2,10 @@
 
 ``rref`` is the one elimination loop: it works on exact entries, Fraction,
 FieldElement or Residue, and rank, nullspace and solve are thin wrappers
-over it.  Plain integers go through ``rank_int`` and ``solve``, which make
-them Fractions first so that no division can produce a float.  Bareiss
+over it.  ``rank_int`` takes the rank of an integer matrix mod one prime
+first and makes the entries Fractions only when that rank falls short of
+the row count; ``solve`` makes them Fractions first, so that no division
+can produce a float.  Bareiss
 determinants are a separate algorithm on integer matrices for lattice
 computations, and the simplex is the reference that the tests check cone
 membership against.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numfield import FieldElement
+from .numfield import QQ, FieldElement, Residue
 
 
 def rref(rows):
@@ -57,7 +59,17 @@ def rank(rows) -> int:
 
 
 def rank_int(matrix) -> int:
-    """Rank of an integer/rational matrix."""
+    """Rank of an integer matrix.
+
+    The rank over F_p, p = ``QQ.residue_field().p``, is never larger than
+    the rank over Q: a minor that is nonzero mod p is a nonzero integer.  So
+    when the rank mod p equals the number of rows, it is the rank; only when
+    it falls short do the rows go through an exact elimination over Q.
+    """
+    p = QQ.residue_field().p
+    full = len(matrix)
+    if rank([[Residue(v % p, p) for v in row] for row in matrix]) == full:
+        return full
     return rank(_exact(matrix))
 
 

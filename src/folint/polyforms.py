@@ -2,12 +2,17 @@
 projective differential forms attached to plane foliations.
 
 The 2-form basis is fixed as (dY^dZ, dZ^dX, dX^dY); monomial normalization
-uses graded lexicographic order with X > Y > Z.
+uses graded lexicographic order with X > Y > Z.  The wedge and invariance
+tests compute only the components of their 2-forms that decide the answer:
+the Euler relation of the 1-form makes the others follow (see their
+docstrings).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
 from .numfield import (
     QQ, FieldElement, NumberField, _ExprParser, format_element, poly_divmod,
     poly_gcd, poly_mul, poly_sub, poly_trim, tokenize,
@@ -351,24 +356,23 @@ def _homogenize_bivariate(p, field):
 
 class ProjectiveOneForm:
     """A dX + B dY + C dZ with the Euler relation XA + YB + ZC = 0 and
-    gcd(A, B, C) = 1."""
+    gcd(A, B, C) = 1, both checked on construction: the wedge and invariance
+    tests below rest on the Euler relation."""
 
     def __init__(self, A: HomogeneousForm, B: HomogeneousForm,
-                 C: HomogeneousForm, check: bool = True):
+                 C: HomogeneousForm):
         self.A, self.B, self.C = A, B, C
         self.field = A.field
-        if check:
-            degs = {f.degree for f in (A, B, C) if not f.is_zero()}
-            if len(degs) != 1:
-                raise ValueError("components must share one degree")
-            x, y, z = (HomogeneousForm.variable(self.field, i)
-                       for i in range(3))
-            if not (x * A + y * B + z * C).is_zero():
-                raise ValueError("Euler condition X*A + Y*B + Z*C = 0 fails")
-            g = gcd3(A, B, C)
-            if g.degree != 0:
-                raise ValueError("components share the factor %s" %
-                                 format_form(g))
+        degs = {f.degree for f in (A, B, C) if not f.is_zero()}
+        if len(degs) != 1:
+            raise ValueError("components must share one degree")
+        x, y, z = (HomogeneousForm.variable(self.field, i) for i in range(3))
+        if not (x * A + y * B + z * C).is_zero():
+            raise ValueError("Euler condition X*A + Y*B + Z*C = 0 fails")
+        g = gcd3(A, B, C)
+        if g.degree != 0:
+            raise ValueError("components share the factor %s" %
+                             format_form(g))
 
     @property
     def coefficient_degree(self) -> int:
@@ -386,55 +390,70 @@ class ProjectiveOneForm:
                  format_form(self.C)))
 
 
-class ProjectiveTwoForm:
-    """P dY^dZ + Q dZ^dX + R dX^dY."""
-
-    def __init__(self, P, Q, R):
-        self.P, self.Q, self.R = P, Q, R
-
-    def components(self):
-        return self.P, self.Q, self.R
-
-    def is_zero(self) -> bool:
-        return self.P.is_zero() and self.Q.is_zero() and self.R.is_zero()
-
-
 def foliation_degree(omega: ProjectiveOneForm) -> int:
     """Degree r of the foliation; the coefficients have degree r + 1."""
     return omega.coefficient_degree - 1
 
 
-def wedge_one_forms(p, q, r, omega: ProjectiveOneForm) -> ProjectiveTwoForm:
-    """(p dX + q dY + r dZ) ^ omega on the fixed 2-form basis."""
-    A, B, C = omega.components()
-    return ProjectiveTwoForm(q * C - r * B, r * A - p * C, p * B - q * A)
-
-
-def wedge_d(G: HomogeneousForm, omega: ProjectiveOneForm) -> ProjectiveTwoForm:
-    """dG ^ omega."""
-    return wedge_one_forms(G.partial(0), G.partial(1), G.partial(2), omega)
-
-
 def is_invariant_curve(G: HomogeneousForm, omega: ProjectiveOneForm) -> bool:
-    """True iff G divides every component of dG ^ omega."""
+    """True iff G divides every component (P, Q, R) of dG ^ omega.
+
+    Only G | Q and G | R are tested.  Contract with the radial field
+    X d/dX + Y d/dY + Z d/dZ: on dG it gives k G, k = deg G (Euler's
+    identity), and on omega it gives XA + YB + ZC = 0, which
+    ``ProjectiveOneForm`` checks.  So the contraction of dG ^ omega is
+    k G omega, that is
+
+        Q Z - R Y = k G A,   R X - P Z = k G B,   P Y - Q X = k G C.
+
+    If G divides Q and R, the last two make G divide P Z and P Y.  A prime
+    power dividing G then divides P, since its prime divides at most one of
+    the coprime Y and Z; so G | P.
+    """
     if G.is_zero():
         raise ValueError("invariance test on the zero form")
-    two_form = wedge_d(G, omega)
-    return all(divides(G, comp) is not None
-               for comp in two_form.components())
+    A, B, C = omega.components()
+    gx, gy, gz = G.partial(0), G.partial(1), G.partial(2)
+    return (divides(G, gz * A - gx * C) is not None
+            and divides(G, gx * B - gy * A) is not None)
+
+
+def _cleared(f: HomogeneousForm) -> HomogeneousForm:
+    """f times the lcm of the denominators of its coordinates, a form with
+    int coordinates only."""
+    den = 1
+    for c in f.coeffs.values():
+        for x in c.coeffs:
+            if type(x) is Fraction:
+                den = lcm(den, x.denominator)
+    return f if den == 1 else f * den
 
 
 def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
                       omega: ProjectiveOneForm) -> bool:
-    """True iff d(F/G) ^ omega = 0, with G^2 cleared."""
+    """True iff d(F/G) ^ omega = 0, that is eta ^ omega = 0 for
+    eta = G dF - F dG = p dX + q dY + r dZ.
+
+    Only the dX^dY component p B - q A is computed.  Contract with the
+    radial field X d/dX + Y d/dY + Z d/dZ: on eta it gives
+    deg F * G F - deg G * F G = 0, since the degrees agree, and on omega it
+    gives XA + YB + ZC = 0, which ``ProjectiveOneForm`` checks.  So the
+    2-form eta ^ omega = P dY^dZ + Q dZ^dX + R dX^dY contracts to 0, that
+    is (P, Q, R) x (X, Y, Z) = 0: Q Z = R Y makes Z divide R, say R = H Z,
+    and then Q = H Y and P = H X.  The 2-form is H (X, Y, Z), zero exactly
+    when R = p B - q A is.
+
+    F and G are first scaled by the lcms of their coordinate denominators,
+    which scales eta by a nonzero rational and keeps the arithmetic on ints.
+    """
     if G.is_zero():
         raise ValueError("zero denominator")
     if F.degree != G.degree:
         raise ValueError("numerator and denominator degrees differ")
+    F, G = _cleared(F), _cleared(G)
     p = G * F.partial(0) - F * G.partial(0)
     q = G * F.partial(1) - F * G.partial(1)
-    r = G * F.partial(2) - F * G.partial(2)
-    return wedge_one_forms(p, q, r, omega).is_zero()
+    return (p * omega.B - q * omega.A).is_zero()
 
 
 def one_form_from_pencil(F: HomogeneousForm,

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
-equality, total-transform valuations and spans of forms."""
+equality, total-transform valuations, spans of forms, and the wedge and
+invariance tests on all three components of the 2-form, as references."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Sequence
 from folint import linalg
 from folint.cluster import Configuration
 from folint.cones import RationalCone, contains
-from folint.polyforms import HomogeneousForm, monomials
+from folint.polyforms import HomogeneousForm, divides, monomials
 
 
 def rank_of_classes(vectors) -> int:
@@ -42,3 +43,32 @@ def same_span(forms_a: Sequence[HomogeneousForm],
     rb = linalg.rank(rows_b)
     rab = linalg.rank(rows_a + rows_b)
     return ra == rb == rab
+
+
+def wedge_one_forms(p, q, r, omega):
+    """(p dX + q dY + r dZ) ^ omega as its components on the basis
+    (dY^dZ, dZ^dX, dX^dY)."""
+    A, B, C = omega.components()
+    return q * C - r * B, r * A - p * C, p * B - q * A
+
+
+def wedge_d(G, omega):
+    """dG ^ omega."""
+    return wedge_one_forms(G.partial(0), G.partial(1), G.partial(2), omega)
+
+
+def is_invariant_curve(G, omega) -> bool:
+    """Reference: G divides all three components of dG ^ omega."""
+    if G.is_zero():
+        raise ValueError("invariance test on the zero form")
+    return all(divides(G, comp) is not None for comp in wedge_d(G, omega))
+
+
+def is_first_integral(F, G, omega) -> bool:
+    """Reference: all three components of (G dF - F dG) ^ omega vanish."""
+    if G.is_zero():
+        raise ValueError("zero denominator")
+    if F.degree != G.degree:
+        raise ValueError("numerator and denominator degrees differ")
+    p, q, r = (G * F.partial(i) - F * G.partial(i) for i in range(3))
+    return all(c.is_zero() for c in wedge_one_forms(p, q, r, omega))

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from folint import cli
 from folint.cli import main
+from folint.resolve import ResolutionError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -137,6 +139,24 @@ def test_depth_cap_is_inconclusive_in_both_modes(tmp_path, capsys):
     assert code == 2
     assert out.splitlines() == ["verdict=inconclusive",
                                 "reason=depth cap exceeded"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ResolutionError])
+@pytest.mark.parametrize("mode", [[], ["--machine"]], ids=["text", "machine"])
+@pytest.mark.parametrize("command", ["decide", "resolve"])
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch,
+                                                  error, mode, command):
+    def fail(*args, **kwargs):
+        raise error("planted failure")
+    # decide with a .cfg never resolves, so each command reaches one patch
+    monkeypatch.setattr(cli.engine, "pipeline", fail)
+    monkeypatch.setattr(cli, "build_configuration", fail)
+    files = [fx("fig2.fol")] + ([fx("fig2.cfg")] if command == "decide"
+                                else [])
+    code, out, err = run(capsys, command, *mode, *files)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: planted failure\n"
 
 
 def test_optimized_interpreter_gives_the_same_output(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from folint import linalg
-from folint.numfield import FieldElement, NumberField
+from folint.numfield import QQ, FieldElement, NumberField
 
 QI = NumberField((1, 0, 1))          # Q(i), i^2 = -1
 
@@ -103,6 +103,29 @@ def test_solve_over_qi(matrix):
 @given(int_matrices())
 def test_rank_int_matches_rank_over_q(matrix):
     assert linalg.rank_int(matrix) == linalg.rank(as_exact(matrix))
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.data())
+def test_rank_int_is_the_exact_rank_on_deficient_matrices(data):
+    """A product of an n x k and a k x m integer matrix has rank at most k,
+    so the draws with k < n lose rank over Q as well as mod p."""
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    big = st.integers(-10 ** 12, 10 ** 12)
+    left = [[data.draw(big) for _ in range(k)] for _ in range(n)]
+    right = [[data.draw(small) for _ in range(m)] for _ in range(k)]
+    matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+              for row in left]
+    assert linalg.rank_int(matrix) == linalg.rank(as_exact(matrix))
+
+
+def test_rank_int_falls_back_when_the_rank_drops_mod_p():
+    p = QQ.residue_field().p
+    # mod p the first row vanishes, so the modular rank is 1 of 2
+    assert linalg.rank_int([[p, 0], [0, 1]]) == 2
+    # rows 1 and 2 agree mod p; the determinant is 2p
+    assert linalg.rank_int([[p + 1, 2, 1], [1, 2, 1], [0, 0, 1]]) == 3
+    assert linalg.rank_int([[p, 2 * p], [1, 2]]) == 1
 
 
 def test_consistent_solution_of_a_singular_system():

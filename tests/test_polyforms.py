@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ from folint.numfield import QQ, NumberField
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, format_form,
     gcd3, is_first_integral, is_invariant_curve, monomials, one_form_from_pencil,
-    parse_form, wedge_d,
+    parse_form,
 )
+
+import helpers
+from helpers import wedge_d
 
 X = HomogeneousForm.variable(QQ, 0)
 Y = HomogeneousForm.variable(QQ, 1)
@@ -33,14 +37,14 @@ def test_euler_condition_enforced():
 def test_wedge_d_hand_expansions():
     # dZ ^ (Y dX - X dY) = X dY^dZ + Y dZ^dX
     two = wedge_d(Z, PENCIL_OF_LINES)
-    assert two.components()[0] == X
-    assert two.components()[1] == Y
-    assert two.components()[2].is_zero()
+    assert two[0] == X
+    assert two[1] == Y
+    assert two[2].is_zero()
     # dX ^ (Y dX - X dY) = -X dX^dY
     two = wedge_d(X, PENCIL_OF_LINES)
-    assert two.components()[0].is_zero()
-    assert two.components()[1].is_zero()
-    assert two.components()[2] == -X
+    assert two[0].is_zero()
+    assert two[1].is_zero()
+    assert two[2] == -X
 
 
 def test_wedge_d_linear_in_g():
@@ -49,7 +53,7 @@ def test_wedge_d_linear_in_g():
     lhs = wedge_d(g1 + g2, FIG2)
     rhs = wedge_d(g1, FIG2)
     rhs2 = wedge_d(g2, FIG2)
-    for a, b, c in zip(lhs.components(), rhs.components(), rhs2.components()):
+    for a, b, c in zip(lhs, rhs, rhs2):
         assert a == b + c
 
 
@@ -142,3 +146,55 @@ def test_monomial_order():
     assert monomials(2)[0] == (2, 0, 0)
     assert monomials(2)[-1] == (0, 0, 2)
     assert len(monomials(4)) == 15
+
+
+GAUSS = NumberField((1, 0, 1))
+
+
+def random_form(rng, field, degree):
+    """At most five terms with coordinates in -3..3 over 1..4, possibly
+    the zero form."""
+    def coordinate():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    order = monomials(degree)
+    coeffs = {}
+    for _ in range(rng.randint(0, 5)):
+        coeffs[rng.choice(order)] = field.element(
+            tuple(coordinate() for _ in range(field.degree)))
+    return HomogeneousForm(field, degree, coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSS], ids=["Q", "Q(i)"])
+def test_certificates_agree_with_the_three_component_references(field):
+    """Random pencils G dF - F dG with Fraction coefficients: the
+    one-component wedge test and the two-component invariance test agree
+    with the full 2-form on the pencil itself, on perturbed pairs, on
+    members of the pencil and on random curves."""
+    rng = random.Random(8)
+    for _ in range(50):
+        degree = rng.randint(1, 3)
+        F = random_form(rng, field, degree)
+        G = random_form(rng, field, degree)
+        if all((G * F.partial(i) - F * G.partial(i)).is_zero()
+               for i in range(3)):
+            continue
+        omega = one_form_from_pencil(F, G)
+        assert is_first_integral(F, G, omega)
+        assert helpers.is_first_integral(F, G, omega)
+        other = rng.randint(1, 3)
+        pairs = [(F + random_form(rng, field, degree), G),
+                 (F, G + random_form(rng, field, degree)),
+                 (random_form(rng, field, other),
+                  random_form(rng, field, other))]
+        for num, den in pairs:
+            if not den.is_zero():
+                assert (is_first_integral(num, den, omega)
+                        == helpers.is_first_integral(num, den, omega))
+        lam = field.element((rng.randint(-3, 3), 1) if field.degree == 2
+                            else rng.randint(-3, 3))
+        curves = [F, G, F + G * lam, random_form(rng, field, 1),
+                  random_form(rng, field, rng.randint(1, 3))]
+        for curve in curves:
+            if not curve.is_zero():
+                assert (is_invariant_curve(curve, omega)
+                        == helpers.is_invariant_curve(curve, omega))
