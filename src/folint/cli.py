@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 verdict-positive (integral found / property true), 1 negative,
-2 inconclusive (caps, field extension required), 3 input error, 4 internal
-error (a failed internal consistency check, such as a resolution error).
+2 inconclusive (caps, field extension required), 3 input error (usage errors
+included), 4 internal error (a failed internal consistency check, such as a
+resolution error).
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import engine, linsys
@@ -33,6 +35,24 @@ EXIT_INTERNAL = 4
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the input-error exit code: argparse's
+    own code 2 is the code of an inconclusive verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
+def _forms_may_start_with_minus(parser):
+    """Read an argument such as -X*Z+Y*Z as a form, not as an unknown
+    option: argparse takes an argument that starts with "-" for a
+    positional only when it matches this pattern, which by default is a
+    negative number.  The options themselves all start with "--" or are
+    -h, and argparse matches those first."""
+    parser._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def load_foliation(path: str, field: NumberField = None):
@@ -225,7 +245,7 @@ def cmd_h0(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="folint",
         description="decide whether a plane foliation has a rational first "
                     "integral, and compute one when it exists")
@@ -266,12 +286,14 @@ def build_parser():
     p.add_argument("numerator")
     p.add_argument("denominator")
     p.add_argument("foliation")
+    _forms_may_start_with_minus(p)
     p.set_defaults(func=cmd_check_integral)
 
     p = sub.add_parser("invariant", parents=[common],
                        help="test a curve for invariance")
     p.add_argument("curve")
     p.add_argument("foliation")
+    _forms_may_start_with_minus(p)
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("psufficient", parents=[common],

@@ -7,8 +7,9 @@ exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
 lowest terms (see ``_canon``).  Most coordinates met in practice are
 integers, and int arithmetic skips Fraction's gcd normalisation; every
 division of coordinates goes through a Fraction.  A residue field F_p of K
-receives the elements without p in a denominator.  Everything here is
-exact; no floats anywhere.
+receives the elements without p in a denominator.  Resultants come exactly
+from their images mod word-size primes at which m splits (``modp``).
+Everything here is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
+
+from . import modp
+from .modp import _is_prime
 
 
 class FieldMismatchError(ValueError):
@@ -104,8 +108,8 @@ def _rational_roots(coeffs):
     while modulus <= 2 * bound:
         # one Newton step doubles the p-adic precision of every simple root
         modulus *= modulus
-        lifted = [(r - _ieval(f, r, modulus) *
-                   pow(_ieval(df, r, modulus), -1, modulus)) % modulus
+        lifted = [(r - modp.evaluate(f, r, modulus) *
+                   pow(modp.evaluate(df, r, modulus), -1, modulus)) % modulus
                   for r in lifted]
     for r in lifted:
         c = lead * r % modulus
@@ -126,42 +130,9 @@ def _simple_roots_mod_prime(f, df):
         p += 1
         if f[-1] % p == 0 or not _is_prime(p):
             continue
-        roots = [r for r in range(p) if _ieval(f, r, p) == 0]
-        if all(_ieval(df, r, p) for r in roots):
+        roots = [r for r in range(p) if modp.evaluate(f, r, p) == 0]
+        if all(modp.evaluate(df, r, p) for r in roots):
             return p, roots
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide every
-    n < 3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980)."""
-    if n >= 3215031751:
-        raise ValueError("%d is beyond the proven Miller-Rabin range" % n)
-    if n < 2:
-        return False
-    for a in (2, 3, 5, 7):
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _ieval(coeffs, x, modulus):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
 
 
 def _qeval(coeffs, x):
@@ -217,11 +188,15 @@ class NumberField:
             if _rational_roots(coeffs):
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
+            if len(_qsquarefree(list(coeffs))) <= self.degree:
+                raise ValueError("minimal polynomial has a repeated factor, "
+                                 "so it is reducible over Q")
         self.irreducibility_verified = self.degree <= 3
         self._zero = FieldElement(self, (0,) * self.degree)
         self._one = self.element(1)
         self._residue = None
         self._tpowers = None
+        self._split_primes = []
 
     @classmethod
     def rationals(cls) -> "NumberField":
@@ -287,11 +262,29 @@ class NumberField:
         return self._tpowers
 
     def residue_field(self) -> "ResidueField":
-        """The residue field of K at the largest prime below 2^31 at which
-        the minimal polynomial has a root; found on first use."""
+        """The residue field of K at ``split_prime(0)`` and its first root;
+        built on first use."""
         if self._residue is None:
             self._residue = ResidueField(self)
         return self._residue
+
+    def split_prime(self, i):
+        """(P, roots, inverse Vandermonde matrix of the roots) for the i-th
+        largest prime P < 2^31 that divides no denominator of m and at
+        which m splits into distinct linear factors (``modp.split_roots``);
+        found on first use and kept."""
+        primes = self._split_primes
+        P = primes[-1][0] if primes else 2 ** 31 + 1
+        while len(primes) <= i:
+            P -= 2
+            if _is_prime(P) and all(c.denominator % P for c in self.minpoly):
+                roots = modp.split_roots([c.numerator * pow(c.denominator, -1,
+                                                            P) % P
+                                          for c in self.minpoly], P)
+                if roots is not None:
+                    primes.append((P, roots,
+                                   modp.vandermonde_inverse(roots, P)))
+        return primes[i]
 
     def parse(self, text: str) -> "FieldElement":
         """Parse an element in the ``a`` syntax, e.g. ``-3/2*a+7``."""
@@ -580,19 +573,9 @@ class ResidueField:
     """
 
     def __init__(self, field: NumberField):
-        m = field.minpoly
-        p = 2 ** 31 - 1
-        while True:
-            if _is_prime(p) and all(c.denominator % p for c in m):
-                self.p = p
-                self._zero, self._one = Residue(0, p), Residue(1, p)
-                self.r = self._root([self._reduce(c) for c in m])
-                if self.r is not None:
-                    break
-            p -= 2
-        if _ieval([self._reduce(c).v for c in m], self.r, p) != 0:
-            raise RuntimeError("%d is not a root of the minimal polynomial "
-                               "mod %d" % (self.r, p))
+        self.p, roots, _ = field.split_prime(0)
+        self.r = roots[0]
+        self._zero, self._one = Residue(0, self.p), Residue(1, self.p)
 
     def zero(self) -> Residue:
         return self._zero
@@ -614,45 +597,6 @@ class ResidueField:
         for c in reversed(x.coeffs):
             acc = acc * self.r + self._reduce(c)
         return acc
-
-    def _root(self, m):
-        """A root of the monic m over F_p as an int, or None.
-
-        gcd(x^p - x, m) is the product of the distinct linear factors of m.
-        The gcd with (x + a)^((p-1)/2) - 1 keeps those whose root shifted by
-        a is a nonzero square, so trying a = 0, 1, ... in turn splits it
-        down to one factor.
-        """
-        one, p = self._one, self.p
-        g = poly_gcd(m, _minus_power(_powmod([self._zero, one], p, m, self),
-                                     1, self), self)
-        a = 0
-        while len(g) > 2:
-            shifted = _powmod([Residue(a, p), one], (p - 1) // 2, g, self)
-            h = poly_gcd(g, _minus_power(shifted, 0, self), self)
-            if 2 <= len(h) < len(g):
-                g = h
-            a += 1
-        return (-g[0]).v if len(g) == 2 else None
-
-
-def _powmod(base, e, modulus, field):
-    """base^e mod modulus, over K or F_p, by squaring."""
-    result, base = [field.one()], poly_divmod(base, modulus, field)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul(result, base, field), modulus,
-                                 field)[1]
-        base = poly_divmod(poly_mul(base, base, field), modulus, field)[1]
-        e >>= 1
-    return result
-
-
-def _minus_power(poly, k, field):
-    """poly - x^k."""
-    poly = list(poly) + [field.zero()] * (k + 1 - len(poly))
-    poly[k] = poly[k] - field.one()
-    return poly_trim(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -778,39 +722,104 @@ def _qinterpolate(xs, ys):
 
 
 def bivariate_resultant(p, q, field):
-    """Res_y of two bivariate dicts {(i, j): c} over K, as a K[x] list.
+    """Res_y of two bivariate dicts {(i, j): c} over K, as a K[x] list,
+    from its images mod word-size primes (Collins 1971).
 
-    Evaluation at x = 0, 1, -1, 2, ... and interpolation; None when either
-    polynomial does not involve y or the nodes keep degenerating.
+    Let m, n be the y-degrees of p and q, a, b their total degrees and
+    k = [K:Q].  A p free of y gives p^n (q^m for a q free of y; 1 if both
+    are).  Otherwise:
+
+    - Scale.  With c, d the lcm of the coordinate denominators of p, q, the
+      forms P = c p and Q = d q have int coordinates, and Res(P, Q) =
+      c^n d^m Res(p, q), since c scales the n p-rows of the Sylvester matrix.
+    - Nodes.  In a p-row i the entry of column l is the y^(l-i) coefficient,
+      of x-degree at most a - (l - i), so each permutation product has
+      x-degree at most n a + m b - sum_l l + sum_i i over both row sets,
+      that is n a + m b - m n.  The x-degrees bx of the rows give the
+      bound m bx(q) + n bx(p) too, and N = 1 + the smaller bound nodes
+      determine Res_y.
+    - Bound.  Read t as an indeterminate.  R = Res_y(P, Q) in Z[t, x] has
+      |R|_1 <= |P|_1^n |Q|_1^m: a determinant is bounded by the product of
+      its row sums, and |fg|_1 <= |f|_1 |g|_1.  R has t-degree at most
+      (m + n)(k - 1), so E = max(0, (m + n)(k - 1) - k + 1) steps
+      f -> delta f - lc_t(f) t^(D - k) (delta mu), D the formal t-degree of
+      f and delta the lcm of the denominators of mu, end at delta^E R mod
+      mu.  Each step multiplies the 1-norm by at most delta + |delta mu|_1.
+      So T = delta^E c^n d^m Res(p, q) has int coordinates of absolute
+      value at most B = |P|_1^n |Q|_1^m (delta + |delta mu|_1)^E.
+    - Images.  At a prime P (``NumberField.split_prime``) mu has k distinct
+      roots r_j, and t -> r_j, x -> x0 maps Z_(P)[t, x] onto F_P, taking
+      delta mu, and so delta^E R - T, to 0.  When neither leading
+      y-coefficient vanishes there, the Sylvester matrix keeps its shape
+      and R maps to the resultant of the images.  Interpolation at N such
+      x0 gives delta^E R(r_j, x) = T(r_j, x) mod P, and the inverse
+      Vandermonde matrix of the r_j the coordinates of T mod P.  A prime at which some t -> r_j kills
+      a leading coefficient is skipped.  Once the product M of the primes
+      exceeds 2B, the symmetric residues mod M are T itself.
     """
     p_rows, q_rows = _to_y_rows(p, field), _to_y_rows(q, field)
     m, n = len(p_rows) - 1, len(q_rows) - 1
     if m < 1 or n < 1:
-        return None
-    bound = (m * max(len(r) - 1 for r in q_rows) +
-             n * max(len(r) - 1 for r in p_rows) + 1)
-    nodes, values = [], []
-    x_val = 0
-    while len(nodes) < bound:
-        xe = field.element(x_val)
-        pe = poly_trim([poly_eval(r, xe) for r in p_rows])
-        qe = poly_trim([poly_eval(r, xe) for r in q_rows])
-        if len(pe) == m + 1 and len(qe) == n + 1:
-            nodes.append(x_val)
-            values.append(poly_resultant(pe, qe, field))
-        x_val = -x_val + (1 if x_val <= 0 else 0)
-        if abs(x_val) > 4 * (bound + 4):
-            return None
-    return poly_interpolate(nodes, values, field)
+        base, power = (p_rows[0], n) if m < 1 else (q_rows[0], m)
+        out = [field.one()]
+        for _ in range(power):
+            out = poly_mul(out, base, field)
+        return out
+    (p_int, c, p_norm), (q_int, d, q_norm) = map(_int_rows, (p_rows, q_rows))
+    k = field.degree
+    delta = math.lcm(*(x.denominator for x in field.minpoly))
+    steps = max(0, (m + n) * (k - 1) - k + 1)
+    bound = p_norm ** n * q_norm ** m * (
+        delta + sum(abs(x * delta) for x in field.minpoly)) ** steps
+    count = 1 + min(
+        m * _x_degree(q_rows) + n * _x_degree(p_rows),
+        n * _total_degree(p_rows) + m * _total_degree(q_rows) - m * n)
+    coords, modulus, index = [0] * (count * k), 1, 0
+    while modulus <= 2 * bound:
+        P, roots, inverse = field.split_prime(index)
+        index += 1
+        images = modp.resultant_images(p_int, q_int, roots, inverse, count,
+                                       P)
+        if images is not None:
+            scale = pow(delta, steps, P)
+            coords = modp.crt(coords, modulus, [v * scale for v in images], P)
+            modulus *= P
+    den = delta ** steps * c ** n * d ** m
+    coords = [_canon(Fraction(modp.symmetric(v, modulus), den))
+              for v in coords]
+    return poly_trim(FieldElement(field, tuple(coords[i:i + k]))
+                     for i in range(0, len(coords), k))
 
 
 def _to_y_rows(poly, field):
-    """Bivariate dict -> list over y-degree of K[x] coefficient lists."""
-    rows = [[] for _ in range(max((j for _, j in poly), default=-1) + 1)]
+    """Bivariate dict -> list over y-degree of K[x] coefficient lists, with
+    no zero row on top (one zero row for the zero polynomial)."""
+    rows = [[] for _ in range(max((j for _, j in poly), default=0) + 1)]
     for (i, j), c in poly.items():
         rows[j].extend([field.zero()] * (i + 1 - len(rows[j])))
         rows[j][i] = c
-    return [poly_trim(row) for row in rows]
+    rows = [poly_trim(row) for row in rows]
+    while len(rows) > 1 and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+def _int_rows(rows):
+    """The rows times the lcm c of their coordinate denominators, as int
+    coordinate tuples, with c and their 1-norm."""
+    c = math.lcm(*(x.denominator for row in rows for e in row
+                   for x in e.coeffs))
+    out = [[tuple(x.numerator * (c // x.denominator) for x in e.coeffs)
+            for e in row] for row in rows]
+    return out, c, sum(abs(x) for row in out for e in row for x in e)
+
+
+def _x_degree(rows):
+    return max(len(row) - 1 for row in rows)
+
+
+def _total_degree(rows):
+    return max(len(row) - 1 + j for j, row in enumerate(rows) if row)
 
 
 def poly_squarefree_part(p, field):
@@ -1077,34 +1086,21 @@ def _clean(d):
 
 def _bivariate_rational_solutions(P, Q):
     """Common rational zeros of two coprime polynomials in Q[x, y]."""
-    res = _resultant_y(P, Q)
-    if res is None:
-        res = _resultant_y({(j, i): c for (i, j), c in P.items()},
-                           {(j, i): c for (i, j), c in Q.items()})
-        if res is None:
-            raise NotImplementedError("degenerate bivariate system")
-        xs = [] if not _qtrim(list(res)) else _rational_roots(res)
-        sols = []
-        for y0 in xs:
-            sols.extend((x0, y0) for x0 in
-                        _common_univariate_roots(P, Q, y_value=y0))
-        return sols
-    xs = [] if not _qtrim(list(res)) else _rational_roots(res)
+    res = [Fraction(c.coeffs[0]) for c in bivariate_resultant(
+        {k: QQ.element(c) for k, c in P.items()},
+        {k: QQ.element(c) for k, c in Q.items()}, QQ)]
+    xs = _rational_roots(res) if res else []
     sols = []
     for x0 in xs:
-        sols.extend((x0, y0) for y0 in
-                    _common_univariate_roots(P, Q, x_value=x0))
+        sols.extend((x0, y0) for y0 in _common_univariate_roots(P, Q, x0))
     return sols
 
 
-def _common_univariate_roots(P, Q, x_value=None, y_value=None):
+def _common_univariate_roots(P, Q, x_value):
     def substitute(poly):
         out = {}
         for (i, j), c in poly.items():
-            if x_value is not None:
-                _acc(out, j, c * x_value ** i)
-            else:
-                _acc(out, i, c * y_value ** j)
+            _acc(out, j, c * x_value ** i)
         deg = max(out) if out else 0
         return _qtrim([out.get(k, Fraction(0)) for k in range(deg + 1)])
 
@@ -1119,13 +1115,6 @@ def _common_univariate_roots(P, Q, x_value=None, y_value=None):
     if len(g) <= 1:
         return []
     return _rational_roots(g)
-
-
-def _resultant_y(P, Q):
-    """Res_y of two Q[x, y] dicts, as a Q[x] list; None if degenerate."""
-    res = bivariate_resultant({k: QQ.element(c) for k, c in P.items()},
-                              {k: QQ.element(c) for k, c in Q.items()}, QQ)
-    return None if res is None else [Fraction(c.coeffs[0]) for c in res]
 
 
 # ---------------------------------------------------------------------------

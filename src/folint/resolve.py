@@ -234,8 +234,7 @@ def _require_orbit_simple(a, b, modulus, field, u0, v0):
     if poly_degree(g1) < 1:
         return
     # a rational eigenvalue-ratio invariant c = (tr^2-2det)/det = E/det of a
-    # conjugate is a root of Res_t(g1, E - c*det); when E and det lie in K
-    # the resultant is (E - c*det)^deg(g1), and E/det is the one candidate
+    # conjugate is a root of Res_t(g1, E - c*det)
     det = _alg_reduce(det, g1, field)
     e_poly = poly_sub(_alg_mul(trace, trace, g1, field),
                       _alg_scale(det, field.element(2), field), field)
@@ -243,8 +242,6 @@ def _require_orbit_simple(a, b, modulus, field, u0, v0):
         {(0, j): c for j, c in enumerate(g1)},
         {**{(0, j): c for j, c in enumerate(e_poly)},
          **{(1, j): -c for j, c in enumerate(det)}}, field)
-    if res_in_c is None:
-        res_in_c = [(e_poly or [field.zero()])[0], -det[0]]
     roots, _, _ = find_roots_in_field(res_in_c, field) \
         if poly_degree(res_in_c) >= 1 else ([], 0, [])
     for root in roots:

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
-equality, total-transform valuations, spans of forms, and the wedge and
-invariance tests on all three components of the 2-form, as references."""
+equality, total-transform valuations, spans of forms, the wedge and
+invariance tests on all three components of the 2-form, and the node-wise
+resultant, as references."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ from typing import Sequence
 from folint import linalg
 from folint.cluster import Configuration
 from folint.cones import RationalCone, contains
+from folint.numfield import (
+    poly_eval, poly_interpolate, poly_resultant, poly_trim,
+)
 from folint.polyforms import HomogeneousForm, divides, monomials
 
 
@@ -72,3 +76,34 @@ def is_first_integral(F, G, omega) -> bool:
         raise ValueError("numerator and denominator degrees differ")
     p, q, r = (G * F.partial(i) - F * G.partial(i) for i in range(3))
     return all(c.is_zero() for c in wedge_one_forms(p, q, r, omega))
+
+
+def reference_resultant(p, q, field):
+    """Reference: Res_y of two bivariate dicts {(i, j): c} over K by a
+    Euclidean resultant over K at the nodes x = 0, 1, -1, 2, ... where
+    neither leading y-coefficient vanishes, then Newton interpolation of
+    each coordinate over Q.  The x-degree of Res_y is at most
+    m bx(q) + n bx(p) for the y-degrees m, n and the x-degrees bx."""
+    p_rows, q_rows = _y_rows(p, field), _y_rows(q, field)
+    m, n = len(p_rows) - 1, len(q_rows) - 1
+    count = (m * max(len(r) - 1 for r in q_rows) +
+             n * max(len(r) - 1 for r in p_rows) + 1)
+    nodes, values = [], []
+    x = 0
+    while len(nodes) < count:
+        xe = field.element(x)
+        pe = poly_trim([poly_eval(r, xe) for r in p_rows])
+        qe = poly_trim([poly_eval(r, xe) for r in q_rows])
+        if len(pe) == m + 1 and len(qe) == n + 1:
+            nodes.append(x)
+            values.append(poly_resultant(pe, qe, field))
+        x = -x + (1 if x <= 0 else 0)
+    return poly_interpolate(nodes, values, field)
+
+
+def _y_rows(poly, field):
+    rows = [[] for _ in range(max(j for _, j in poly) + 1)]
+    for (i, j), c in poly.items():
+        rows[j].extend([field.zero()] * (i + 1 - len(rows[j])))
+        rows[j][i] = c
+    return [poly_trim(row) for row in rows]

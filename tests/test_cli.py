@@ -86,6 +86,39 @@ def test_h0_wrong_multiplicity_count(capsys):
     assert "expected 10 multiplicities" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--machine"]], ids=["text", "machine"])
+@pytest.mark.parametrize("argv", [
+    ["decide", fx("fig2.fol"), "--bogus"],
+    ["h0", fx("example1.cfg"), "four"],
+    ["check-integral", "X", fx("fig2.fol")],
+    ["resolve"],
+], ids=["unknown-option", "bad-int", "missing-argument", "no-foliation"])
+def test_usage_errors_are_input_errors(capsys, argv, mode):
+    # argparse's own code 2 would read as an inconclusive verdict
+    with pytest.raises(SystemExit) as stop:
+        main(argv + mode)
+    assert stop.value.code == cli.EXIT_INPUT == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+def test_printed_forms_are_accepted_back(capsys):
+    code, out, _ = run(capsys, "decide", "--machine", fx("family_a0.fol"),
+                       fx("family_a0.cfg"))
+    lines = dict(l.split("=", 1) for l in out.strip().splitlines())
+    assert (code, lines["F"]) == (0, "-X*Z+Y*Z")
+    # a form that starts with "-" needs no "--" in front of it
+    code, out, _ = run(capsys, "check-integral", "--machine", lines["F"],
+                       lines["G"], fx("family_a0.fol"))
+    assert (code, out) == (0, "first_integral=true\n")
+    code, out, _ = run(capsys, "invariant", lines["F"], fx("family_a0.fol"),
+                       "--machine")
+    assert (code, out) == (0, "invariant=true\n")
+    code, out, _ = run(capsys, "invariant", "--machine", "-X", fx("fig2.fol"))
+    assert (code, out) == (1, "invariant=false\n")
+
+
 def test_invariant(capsys):
     code, out, _ = run(capsys, "invariant", "Y", fx("fig2.fol"))
     assert code == 0

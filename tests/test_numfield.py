@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folint.numfield import (
-    QQ, FieldMismatchError, NumberField, find_roots_in_field, format_element,
-    format_minpoly, poly_degree, poly_divmod, poly_eval, poly_gcd,
-    UnluckyPrime, poly_interpolate, poly_mul, poly_trim, sqrt_in_field,
-    _is_prime, _qmul, _rational_roots,
+    QQ, FieldMismatchError, NumberField, bivariate_resultant,
+    find_roots_in_field, format_element, format_minpoly, poly_degree,
+    poly_divmod, poly_eval, poly_gcd, UnluckyPrime, poly_interpolate,
+    poly_mul, poly_trim, sqrt_in_field, _is_prime, _qmul, _rational_roots,
 )
+
+from helpers import reference_resultant
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
 EISEN = NumberField((1, 1, 1))          # t^2 + t + 1
@@ -55,6 +57,8 @@ def test_minimal_polynomial_validation():
         NumberField((-4, 0, 1))          # t^2 - 4 has rational roots
     with pytest.raises(ValueError):
         NumberField((1, -3, 3, -1, 0, 1) if False else (-8, 0, 0, 1))  # t^3 - 8
+    with pytest.raises(ValueError):
+        NumberField((1, 0, 2, 0, 1))     # (t^2 + 1)^2 splits mod no prime
     quartic = NumberField((9, 0, -14, 0, 1))     # t^4 - 14 t^2 + 9
     assert not quartic.irreducibility_verified
     assert EISEN.irreducibility_verified
@@ -317,3 +321,132 @@ def test_residue_map_refuses_the_prime_in_a_denominator():
     assert F.image(GAUSS.element(F.p)).is_zero()
     with pytest.raises(ZeroDivisionError):
         1 / F.image(GAUSS.element(F.p))
+
+
+# ---------------------------------------------------------------------------
+# bivariate resultants from word-size primes
+# ---------------------------------------------------------------------------
+
+QUARTIC = NumberField.from_string("t^4-14*t^2+9")
+HALF_ROOT3 = NumberField.from_string("t^2-3/4")       # non-integral minpoly
+RESULTANT_FIELDS = [QQ, GAUSS, EISEN, QUARTIC, HALF_ROOT3]
+
+
+def _bi_mul(p, q, field):
+    out = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, field.zero()) + a * b
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _element(rng, field, fractions):
+    coords = [rng.randint(-4, 4) for _ in range(field.degree)]
+    if fractions:
+        coords = [Fraction(c, rng.randint(1, 6)) for c in coords]
+    if not any(coords):
+        coords[0] = 1
+    return field.element(coords)
+
+
+def _bivariate(rng, field, ydeg, xdeg, fractions=False):
+    """A random dict {(i, j): c} of y-degree ydeg and x-degree <= xdeg."""
+    p = {(i, j): _element(rng, field, fractions)
+         for j in range(ydeg + 1) for i in range(xdeg + 1)
+         if rng.random() < 0.6}
+    p[(rng.randint(0, xdeg), ydeg)] = _element(rng, field, fractions)
+    return p
+
+
+def _dense(rng, field, total):
+    """Every monomial of total degree <= ``total``, so y^total is in it."""
+    return {(i, j): _element(rng, field, False)
+            for j in range(total + 1) for i in range(total + 1 - j)}
+
+
+def _resultant_pair(kind, rng, field):
+    if kind == "fractions":
+        return (_bivariate(rng, field, rng.randint(1, 3), 2, True),
+                _bivariate(rng, field, rng.randint(1, 3), 2, True))
+    if kind == "vanishing-leads":
+        # both leading y-coefficients vanish at two of x = 0, 1, 2
+        lead = {(0, 0): field.one()}
+        for root in rng.sample([0, 1, 2], 2):
+            lead = _bi_mul(lead, {(1, 0): field.one(),
+                                  (0, 0): field.element(-root)}, field)
+        p, q = _bivariate(rng, field, 1, 1), _bivariate(rng, field, 2, 2)
+        return ({**p, **{(i, 2): c for (i, _), c in lead.items()}},
+                {**q, **{(i, 3): c for (i, _), c in lead.items()}})
+    if kind == "content":
+        # every coordinate divisible by the first primes the field offers,
+        # so those primes are skipped
+        scale = field.split_prime(0)[0] * field.split_prime(1)[0]
+        p, q = _bivariate(rng, field, 2, 2), _bivariate(rng, field, 2, 1)
+        return {key: c * scale for key, c in p.items()}, q
+    if kind == "y-free":
+        p = _bivariate(rng, field, 0, 2, True)
+        q = _bivariate(rng, field, rng.randint(0, 2), 2, True)
+        return (p, q) if rng.random() < 0.5 else (q, p)
+    if kind == "common-factor":
+        f = _bivariate(rng, field, 1, 1)
+        return (_bi_mul(f, _bivariate(rng, field, 1, 1), field),
+                _bi_mul(f, _bivariate(rng, field, 2, 1), field))
+    # "degree-bound": dense forms whose resultant attains n a + m b - m n
+    return _dense(rng, field, 2), _dense(rng, field, rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("field", RESULTANT_FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["fractions", "vanishing-leads", "content",
+                                  "y-free", "common-factor", "degree-bound"])
+def test_bivariate_resultant_matches_the_reference(kind, field):
+    rng = random.Random("%s %s" % (kind, field))
+    for _ in range(3):
+        p, q = _resultant_pair(kind, rng, field)
+        res = bivariate_resultant(p, q, field)
+        assert res == reference_resultant(p, q, field)
+        if kind == "common-factor":
+            assert res == []
+        if kind == "degree-bound":
+            (a, m), (b, n) = (max((i + j, j) for i, j in f) for f in (p, q))
+            assert poly_degree(res) == n * a + m * b - m * n
+
+
+def test_bivariate_resultant_of_y_free_inputs_is_a_power():
+    x_plus_a = {(1, 0): GAUSS.one(), (0, 0): GAUSS.gen()}
+    q = {(0, 3): GAUSS.one(), (2, 0): GAUSS.element(5)}
+    cube = poly_mul(poly_mul([GAUSS.gen(), GAUSS.one()],
+                             [GAUSS.gen(), GAUSS.one()], GAUSS),
+                    [GAUSS.gen(), GAUSS.one()], GAUSS)
+    assert bivariate_resultant(x_plus_a, q, GAUSS) == cube
+    square = {(0, 2): GAUSS.one(), (0, 0): GAUSS.element(-2)}
+    assert bivariate_resultant(square, x_plus_a, GAUSS) == poly_mul(
+        [GAUSS.gen(), GAUSS.one()], [GAUSS.gen(), GAUSS.one()], GAUSS)
+    assert bivariate_resultant(x_plus_a, {(0, 0): GAUSS.element(7)},
+                               GAUSS) == [GAUSS.one()]
+
+
+@pytest.mark.parametrize("primes", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bivariate_resultant_is_exact_at_the_edge_of_its_bound(primes, sign):
+    # Res_y(y, y + c) = c, and the bound is 1 * (|c| + 1); with |c| = M - 2
+    # for the product M of the first primes, M <= 2B, so one more prime
+    # is needed before the symmetric lift is c and not c -/+ M
+    modulus = math.prod(QQ.split_prime(i)[0] for i in range(primes))
+    c = sign * (modulus - 2)
+    res = bivariate_resultant({(0, 1): QQ.one()},
+                              {(0, 1): QQ.one(), (0, 0): QQ.element(c)}, QQ)
+    assert res == [QQ.element(c)]
+
+
+def test_split_primes_keep_the_residue_field():
+    # the residue fields of the earlier root finder: largest prime first,
+    # the root its splitting reaches first
+    assert [(F.p, F.r) for F in (f.residue_field() for f in
+                                 (QQ, GAUSS, EISEN, QUARTIC))] == [
+        (2147483647, 0), (2147483629, 1518275076),
+        (2147483647, 1513477735), (2147483489, 2058650624)]
+    primes = [QUARTIC.split_prime(i)[0] for i in range(4)]
+    assert primes == sorted(primes, reverse=True)
+    assert all(_is_prime(P) and len(QUARTIC.split_prime(i)[1]) == 4
+               for i, P in enumerate(primes))

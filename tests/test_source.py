@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import folint
 
 SOURCES = sorted(Path(folint.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_sources_found():
@@ -124,3 +126,35 @@ def test_import_check_sees_function_imports():
                "class C:\n    def m(self):\n        from math import comb\n"
                "        def inner():\n            import sys\n")
     assert _function_imports(ast.parse(snippet)) == [4, 9, 11]
+
+
+def _traced_names(tree):
+    """The dotted names that ``LAYERS`` and ``VPLUS`` of the benchmark's
+    tracer give, read from its source without importing it."""
+    names = []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        if node.targets[0].id == "LAYERS":
+            names += ["%s.%s" % (entry.elts[0].value, entry.elts[1].value)
+                      for entry in node.value.elts]
+        elif node.targets[0].id == "VPLUS":
+            names.append(node.value.value)
+    return names
+
+
+def test_traced_layers_exist():
+    # the tracer wraps each layer by module and attribute name, so a layer
+    # renamed or deleted in folint would make traced benchmark runs raise
+    names = _traced_names(ast.parse(TRACING.read_text(), str(TRACING)))
+    assert len(names) >= 20 and "numfield.poly_resultant" in names
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module("folint." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == []
