@@ -148,22 +148,23 @@ def symmetric(x, modulus):
 
 
 def split_roots(m, P):
-    """All roots of the monic m mod the odd prime P, or None unless m splits
-    into distinct linear factors.
+    """The distinct roots of the monic m mod the odd prime P; m splits into
+    distinct linear factors when there are deg m of them.
 
-    m splits so iff it divides x^P - x = x (h^2 - 1), h = x^((P-1)/2).
-    The gcd with (x + a)^((P-1)/2) - 1 keeps the linear factors whose root
-    shifted by a is a nonzero square; for a = 0, 1, ... in turn each proper
-    gcd is split further, then its cofactor.  The first root is the one
-    that descending into every proper gcd reaches.
+    gcd(m, x^P - x), where x^P - x = x (h^2 - 1) for h = x^((P-1)/2), is
+    the product of the distinct linear factors of m.  Its gcd with
+    (x + a)^((P-1)/2) - 1 keeps the factors whose root shifted by a is a
+    nonzero square; for a = 0, 1, ... in turn each proper gcd is split
+    further, then its cofactor.  The first root is the one that descending
+    into every proper gcd reaches.
     """
     half = powmod([0, 1], (P - 1) // 2, m, P)
     power = divmod_([0] + mul(half, half, P), m, P)[1] + [0, 0]
     power[1] = (power[1] - 1) % P
-    if gcd(m, trim(power), P) != m:
-        return None
+    g = gcd(m, trim(power), P)
     roots = []
-    _split(m, 0, half, P, roots)
+    if len(g) > 1:
+        _split(g, 0, divmod_(half, g, P)[1], P, roots)
     return roots
 
 

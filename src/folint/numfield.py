@@ -262,28 +262,33 @@ class NumberField:
         return self._tpowers
 
     def residue_field(self) -> "ResidueField":
-        """The residue field of K at ``split_prime(0)`` and its first root;
-        built on first use."""
+        """The residue field of K at the largest prime below 2^31 at which
+        the minimal polynomial has a root; found on first use."""
         if self._residue is None:
             self._residue = ResidueField(self)
         return self._residue
 
+    def roots_mod_primes(self, below=2 ** 31):
+        """(P, the distinct roots of m mod P) for each prime P < below that
+        divides no denominator of m, largest first."""
+        P = below - 1 - below % 2
+        while True:
+            if _is_prime(P) and all(c.denominator % P for c in self.minpoly):
+                m = [c.numerator * pow(c.denominator, -1, P) % P
+                     for c in self.minpoly]
+                yield P, modp.split_roots(m, P)
+            P -= 2
+
     def split_prime(self, i):
         """(P, roots, inverse Vandermonde matrix of the roots) for the i-th
-        largest prime P < 2^31 that divides no denominator of m and at
-        which m splits into distinct linear factors (``modp.split_roots``);
-        found on first use and kept."""
+        largest prime P < 2^31 at which m splits into distinct linear
+        factors; found on first use and kept."""
         primes = self._split_primes
-        P = primes[-1][0] if primes else 2 ** 31 + 1
+        walk = self.roots_mod_primes(primes[-1][0] if primes else 2 ** 31)
         while len(primes) <= i:
-            P -= 2
-            if _is_prime(P) and all(c.denominator % P for c in self.minpoly):
-                roots = modp.split_roots([c.numerator * pow(c.denominator, -1,
-                                                            P) % P
-                                          for c in self.minpoly], P)
-                if roots is not None:
-                    primes.append((P, roots,
-                                   modp.vandermonde_inverse(roots, P)))
+            P, roots = next(walk)
+            if len(roots) == self.degree:
+                primes.append((P, roots, modp.vandermonde_inverse(roots, P)))
         return primes[i]
 
     def parse(self, text: str) -> "FieldElement":
@@ -573,7 +578,8 @@ class ResidueField:
     """
 
     def __init__(self, field: NumberField):
-        self.p, roots, _ = field.split_prime(0)
+        self.p, roots = next(pair for pair in field.roots_mod_primes()
+                             if pair[1])
         self.r = roots[0]
         self._zero, self._one = Residue(0, self.p), Residue(1, self.p)
 

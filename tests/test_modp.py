@@ -18,11 +18,7 @@ def test_split_roots_against_brute_force(P):
         degree = rng.randint(1, 5)
         m = [rng.randrange(P) for _ in range(degree)] + [1]
         roots = [r for r in range(P) if _eval(m, r, P) == 0]
-        found = modp.split_roots(m, P)
-        if len(roots) == degree:
-            assert sorted(found) == roots
-        else:
-            assert found is None
+        assert sorted(modp.split_roots(m, P)) == roots
 
 
 def test_split_roots_of_products_of_distinct_linear_factors():
@@ -34,8 +30,11 @@ def test_split_roots_of_products_of_distinct_linear_factors():
         for r in roots:
             m = modp.mul(m, [-r % P, 1], P)
         assert sorted(modp.split_roots(m, P)) == sorted(roots)
-        # a repeated root: m does not split into distinct factors
-        assert modp.split_roots(modp.mul(m, [-roots[0] % P, 1], P), P) is None
+        # a repeated root is found once, and a factor without roots adds none
+        m = modp.mul(m, [-roots[0] % P, 1], P)
+        assert sorted(modp.split_roots(m, P)) == sorted(roots)
+        m = modp.mul(m, [1, 0, 1], P)           # x^2 + 1, P = 3 mod 4
+        assert sorted(modp.split_roots(m, P)) == sorted(roots)
 
 
 def test_vandermonde_inverse_recovers_coordinates():

@@ -439,14 +439,21 @@ def test_bivariate_resultant_is_exact_at_the_edge_of_its_bound(primes, sign):
     assert res == [QQ.element(c)]
 
 
-def test_split_primes_keep_the_residue_field():
-    # the residue fields of the earlier root finder: largest prime first,
-    # the root its splitting reaches first
-    assert [(F.p, F.r) for F in (f.residue_field() for f in
-                                 (QQ, GAUSS, EISEN, QUARTIC))] == [
+def test_residue_fields_and_split_primes():
+    # the residue fields of the earlier root finder: the largest prime with
+    # a root, and the root its splitting reaches first; t^3 - t - 1 and
+    # t^4 + t + 1 split completely mod neither prime
+    fields = [QQ, GAUSS, EISEN, QUARTIC, NumberField.from_string("t^3-t-1"),
+              NumberField.from_string("t^4+t+1")]
+    assert [(F.p, F.r) for F in (f.residue_field() for f in fields)] == [
         (2147483647, 0), (2147483629, 1518275076),
-        (2147483647, 1513477735), (2147483489, 2058650624)]
-    primes = [QUARTIC.split_prime(i)[0] for i in range(4)]
-    assert primes == sorted(primes, reverse=True)
-    assert all(_is_prime(P) and len(QUARTIC.split_prime(i)[1]) == 4
-               for i, P in enumerate(primes))
+        (2147483647, 1513477735), (2147483489, 2058650624),
+        (2147483647, 2045307031), (2147483629, 291366985)]
+    for field in fields:
+        primes = [field.split_prime(i)[0] for i in range(3)]
+        assert primes == sorted(set(primes), reverse=True)
+        for i, P in enumerate(primes):
+            roots = field.split_prime(i)[1]
+            assert _is_prime(P) and len(set(roots)) == field.degree
+            assert all(sum(_mod(c, P) * pow(r, e, P) for e, c in
+                           enumerate(field.minpoly)) % P == 0 for r in roots)
