@@ -302,10 +302,6 @@ class DivisorClass:
         """Coordinates in the basis (L*, E_1*, ..., E_m*)."""
         return (self.d,) + tuple(-v for v in self.e)
 
-    @classmethod
-    def from_coordinates(cls, config, coords):
-        return cls(config, int(coords[0]), tuple(-int(v) for v in coords[1:]))
-
     def __add__(self, other):
         return DivisorClass(self.config, self.d + other.d,
                             tuple(a + b for a, b in zip(self.e, other.e)))

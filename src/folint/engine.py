@@ -392,16 +392,7 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
                 return Algorithm3Result(None, system, g_curves, history)
             dual = cones.dual(V)
             history.append(list(dual.extremal_rays))
-            rays = dual.extremal_rays + [r for pair in
-                                         ((l, tuple(-x for x in l))
-                                          for l in dual.lineality)
-                                         for r in pair]
-            if not rays:
-                negative = False
-            else:
-                negative = cones.exists_negative_square(
-                    cones.RationalCone(rays, dim=config.size + 1))
-            if not negative:
+            if not cones.exists_negative_square(dual):
                 return Algorithm3Result(
                     Verdict.no_integral(
                         "the dual cone left the negative-square region with "

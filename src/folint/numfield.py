@@ -1,4 +1,5 @@
-"""Exact arithmetic in Q and in a simple number field K = Q(a).
+"""Exact arithmetic in Q and in a simple number field K = Q(a), and the one
+polynomial kernel of the package.
 
 A field is described by a monic minimal polynomial over Q in the variable
 ``t``; degree 1 means K = Q.  Elements are stored as canonical residues,
@@ -7,9 +8,15 @@ exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
 lowest terms (see ``_canon``).  Most coordinates met in practice are
 integers, and int arithmetic skips Fraction's gcd normalisation; every
 division of coordinates goes through a Fraction.  A residue field F_p of K
-receives the elements without p in a denominator.  Resultants come exactly
-from their images mod word-size primes at which m splits (``modp``).
-Everything here is exact; no floats anywhere.
+receives the elements without p in a denominator.
+
+The univariate routines ``poly_*`` work on coefficient lists of int,
+Fraction or FieldElement alike: the field inverts its elements with
+``poly_inverse_mod`` on Fraction coordinates, and the resolution takes its
+gcds, squarefree parts and quotient-algebra inverses over K from the same
+code.  ``to_y_rows`` is the one bivariate form, rows over y of K[x] lists.
+Resultants come exactly from their images mod word-size primes at which m
+splits (``modp``).  Everything here is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class FieldExtensionNeeded(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (lists of Fractions, low degree first)
+# exact coordinates
 # ---------------------------------------------------------------------------
 
 def _canon(c):
@@ -60,25 +67,125 @@ def _exact(value):
     return _canon(Fraction(value))
 
 
-def _qtrim(p):
-    while p and p[-1] == 0:
+# ---------------------------------------------------------------------------
+# univariate polynomials: lists of coefficients, low degree first
+# ---------------------------------------------------------------------------
+#
+# One kernel for every exact coefficient type: int, Fraction and
+# FieldElement.  A zero comes from the inputs (c * 0) and a coefficient is
+# tested for zero by its truth value.  A division multiplies by 1 / lead,
+# so the divisor's leading coefficient must be a Fraction or a
+# FieldElement: an int one would give a float (``linalg.rref`` asks the
+# same of its pivots).
+
+def poly_trim(p):
+    """p as a new list without zero coefficients on top."""
+    p = list(p)
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _qdivmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(0, len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        if c:
-            quo[k - dd] = c
-            for j, dj in enumerate(den):
-                num[k - dd + j] -= c * dj
-    return quo, _qtrim(num[:dd])
+def poly_degree(p) -> int:
+    """The degree of p; -1 for the zero polynomial."""
+    return len(poly_trim(p)) - 1
 
+
+def poly_eval(p, x):
+    acc = x * 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_sub(p, q):
+    out = list(p)
+    for i, c in enumerate(q):
+        if i < len(out):
+            out[i] = out[i] - c
+        else:
+            out.append(-c)
+    return poly_trim(out)
+
+
+def poly_mul(p, q):
+    p, q = poly_trim(p), poly_trim(q)
+    if not p or not q:
+        return []
+    out = [p[-1] * 0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def poly_divmod(num, den):
+    """(quotient, remainder) of num by den, the remainder trimmed."""
+    rem, den = poly_trim(num), poly_trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    dd = len(den) - 1
+    inv = 1 / den[-1]
+    quo = []
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k] * inv
+        quo.append(c)
+        if c:
+            for j, dj in enumerate(den):
+                rem[k - dd + j] = rem[k - dd + j] - c * dj
+    quo.reverse()
+    return quo, poly_trim(rem[:dd])
+
+
+def poly_gcd(p, q):
+    """Monic gcd; [] when p and q are both zero."""
+    p, q = poly_trim(p), poly_trim(q)
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return _monic(p)
+
+
+def _monic(p):
+    if not p:
+        return p
+    inv = 1 / p[-1]
+    return [c * inv for c in p]
+
+
+def poly_inverse_mod(p, m):
+    """The inverse of p modulo m (deg m >= 1), of degree < deg m, by the
+    extended Euclidean algorithm; None when gcd(p, m) != 1.  Each step
+    keeps r1 = s1 * p mod m."""
+    r0, r1 = poly_trim(m), poly_trim(p)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, poly_sub(s0, poly_mul(quo, s1))
+    if not r1:
+        return None
+    inv = 1 / r1[0]
+    return [c * inv for c in s1]
+
+
+def poly_derivative(p):
+    return poly_trim([c * i for i, c in enumerate(p)][1:])
+
+
+def poly_squarefree_part(p):
+    """p divided by gcd(p, p'), monic, for a nonzero p."""
+    p = poly_trim(p)
+    g = poly_gcd(p, poly_derivative(p))
+    if len(g) > 1:
+        p, rem = poly_divmod(p, g)
+        if rem:
+            raise RuntimeError("gcd(p, p') does not divide p")
+    return _monic(p)
+
+
+# ---------------------------------------------------------------------------
+# rational roots
+# ---------------------------------------------------------------------------
 
 def _rational_roots(coeffs):
     """All rational roots of a Q-polynomial, sorted, by p-adic lifting.
@@ -89,7 +196,7 @@ def _rational_roots(coeffs):
     for the Hensel lift r of u/v mod p, once p^k > 2B.  The primes only
     propose candidates; each one is kept only if it is an exact root.
     """
-    p = _qtrim([Fraction(c) for c in coeffs])
+    p = poly_trim([Fraction(c) for c in coeffs])
     if not p:
         raise ValueError("zero polynomial has every root")
     low = next(i for i, c in enumerate(p) if c)
@@ -97,7 +204,7 @@ def _rational_roots(coeffs):
     p = p[low:]
     if len(p) <= 1:
         return roots
-    p = _qsquarefree(p)
+    p = poly_squarefree_part(p)
     den = math.lcm(*(c.denominator for c in p))
     f = [int(c * den) for c in p]
     content = math.gcd(*f)
@@ -116,7 +223,7 @@ def _rational_roots(coeffs):
         if 2 * c > modulus:
             c -= modulus
         cand = Fraction(c, lead)
-        if _qeval(f, cand) == 0:
+        if poly_eval(f, cand) == 0:
             roots.append(cand)
     return sorted(roots)
 
@@ -133,19 +240,6 @@ def _simple_roots_mod_prime(f, df):
         roots = [r for r in range(p) if modp.evaluate(f, r, p) == 0]
         if all(modp.evaluate(df, r, p) for r in roots):
             return p, roots
-
-
-def _qeval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _qsquarefree(p):
-    """p / gcd(p, p') for a nonconstant Q-polynomial p."""
-    g = _qgcd(p, _qtrim([c * i for i, c in enumerate(p)][1:]))
-    return _qdivmod(p, g)[0] if len(g) > 1 else p
 
 
 def rational_is_square(q):
@@ -188,7 +282,7 @@ class NumberField:
             if _rational_roots(coeffs):
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
-            if len(_qsquarefree(list(coeffs))) <= self.degree:
+            if len(poly_squarefree_part(coeffs)) <= self.degree:
                 raise ValueError("minimal polynomial has a repeated factor, "
                                  "so it is reducible over Q")
         self.irreducibility_verified = self.degree <= 3
@@ -205,10 +299,7 @@ class NumberField:
     @classmethod
     def from_string(cls, text: str) -> "NumberField":
         """Parse a minimal polynomial such as ``t^2+t+1`` or ``t^2-5``."""
-        terms = _parse_univariate(text, "t")
-        deg = max(terms) if terms else 0
-        coeffs = [terms.get(i, Fraction(0)) for i in range(deg + 1)]
-        return cls(coeffs)
+        return cls(_parse_univariate(text, "t"))
 
     @property
     def is_rational(self) -> bool:
@@ -240,8 +331,7 @@ class NumberField:
     def _reduce(self, coeffs):
         """Canonical coordinates of a Q-polynomial in t modulo m."""
         if len(coeffs) > self.degree:
-            _, rem = _qdivmod(coeffs, list(self.minpoly))
-            coeffs = rem
+            coeffs = poly_divmod(coeffs, self.minpoly)[1]
         coeffs = [_canon(c) for c in coeffs]
         return tuple(coeffs + [0] * (self.degree - len(coeffs)))
 
@@ -293,10 +383,7 @@ class NumberField:
 
     def parse(self, text: str) -> "FieldElement":
         """Parse an element in the ``a`` syntax, e.g. ``-3/2*a+7``."""
-        terms = _parse_univariate(text, "a")
-        deg = max(terms) if terms else 0
-        coeffs = [terms.get(i, Fraction(0)) for i in range(deg + 1)]
-        return self.element(coeffs)
+        return self.element(_parse_univariate(text, "a"))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, NumberField)
@@ -329,6 +416,9 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -380,6 +470,9 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return FieldElement(self.field,
+                                tuple([_canon(a * other) for a in self.coeffs]))
         if type(other) is not FieldElement or other.field is not self.field:
             other = self._coerce(other)
             if other is NotImplemented:
@@ -409,27 +502,18 @@ class FieldElement:
         """Multiplicative inverse via extended gcd with the minimal polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
-        n = self.field.degree
-        if n == 1:
+        field = self.field
+        if field.degree == 1:
             c = self.coeffs[0]
-            return FieldElement(self.field, (_canon(Fraction(c.denominator,
-                                                             c.numerator)),))
-        # extended Euclid in Q[t] for gcd(residue, minpoly) = 1
-        r0 = list(self.field.minpoly)
-        r1 = _qtrim([Fraction(c) for c in self.coeffs])
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            quo, rem = _qdivmod(r0, r1)
-            if not rem:
-                break
-            s_new = _qsub(s0, _qmul(quo, s1))
-            r0, r1, s0, s1 = r1, rem, s1, s_new
-        if len(r1) != 1:
+            return FieldElement(field, (_canon(Fraction(c.denominator,
+                                                        c.numerator)),))
+        inv = poly_inverse_mod([Fraction(c) for c in self.coeffs],
+                               field.minpoly)
+        if inv is None:
             # the residue shares a factor with an unverified minimal polynomial
             raise ZeroDivisionError("element is a zero divisor; the declared "
                                     "minimal polynomial is reducible")
-        inv = [c / r1[0] for c in s1]
-        return FieldElement(self.field, self.field._reduce(inv))
+        return FieldElement(field, field._reduce(inv))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -438,7 +522,8 @@ class FieldElement:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        inv = self.inverse()
+        return inv if other == 1 else inv * other
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -479,27 +564,6 @@ class FieldElement:
 
 
 QQ = NumberField.rationals()
-
-
-def _qsub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _qtrim(out)
-
-
-def _qmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _qtrim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -606,80 +670,8 @@ class ResidueField:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over K (lists of FieldElement, low degree first)
+# resultants over K
 # ---------------------------------------------------------------------------
-
-def poly_trim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def poly_degree(p) -> int:
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
-
-
-def poly_eval(p, x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_sub(p, q, field):
-    out = list(p) + [field.zero()] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return poly_trim(out)
-
-
-def poly_mul(p, q, field):
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly_divmod(num, den, field):
-    num, den = poly_trim(num), poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [field.zero()] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    lead_inv = den[-1].inverse()
-    for k in range(len(rem) - 1, len(den) - 2, -1):
-        c = rem[k] * lead_inv
-        if c.is_zero():
-            continue
-        quo[k - len(den) + 1] = c
-        for j, dj in enumerate(den):
-            rem[k - len(den) + 1 + j] = rem[k - len(den) + 1 + j] - c * dj
-    return quo, poly_trim(rem[:len(den) - 1])
-
-
-def poly_gcd(p, q, field):
-    """Monic gcd in K[t]."""
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        _, r = poly_divmod(p, q, field)
-        p, q = q, r
-    if p:
-        inv = p[-1].inverse()
-        p = [c * inv for c in p]
-    return p
-
-
-def poly_derivative(p, field):
-    return poly_trim([c * i for i, c in enumerate(p)][1:])
-
 
 def poly_resultant(p, q, field) -> FieldElement:
     """Resultant of two K[t] polynomials by the Euclidean algorithm."""
@@ -690,7 +682,7 @@ def poly_resultant(p, q, field) -> FieldElement:
             return field.zero() if len(p) > 1 else res
         if len(q) == 1:
             return res * q[0] ** (len(p) - 1)
-        _, r = poly_divmod(p, q, field)
+        _, r = poly_divmod(p, q)
         dp, dq, dr = len(p) - 1, len(q) - 1, len(r) - 1
         sign = field.element((-1) ** (dp * dq))
         res = res * sign * q[-1] ** (dp - dr)
@@ -763,13 +755,13 @@ def bivariate_resultant(p, q, field):
       a leading coefficient is skipped.  Once the product M of the primes
       exceeds 2B, the symmetric residues mod M are T itself.
     """
-    p_rows, q_rows = _to_y_rows(p, field), _to_y_rows(q, field)
+    p_rows, q_rows = to_y_rows(p, field), to_y_rows(q, field)
     m, n = len(p_rows) - 1, len(q_rows) - 1
     if m < 1 or n < 1:
         base, power = (p_rows[0], n) if m < 1 else (q_rows[0], m)
         out = [field.one()]
         for _ in range(power):
-            out = poly_mul(out, base, field)
+            out = poly_mul(out, base)
         return out
     (p_int, c, p_norm), (q_int, d, q_norm) = map(_int_rows, (p_rows, q_rows))
     k = field.degree
@@ -797,13 +789,16 @@ def bivariate_resultant(p, q, field):
                      for i in range(0, len(coords), k))
 
 
-def _to_y_rows(poly, field):
+def to_y_rows(poly, field):
     """Bivariate dict -> list over y-degree of K[x] coefficient lists, with
     no zero row on top (one zero row for the zero polynomial)."""
+    zero = field.zero()
     rows = [[] for _ in range(max((j for _, j in poly), default=0) + 1)]
     for (i, j), c in poly.items():
-        rows[j].extend([field.zero()] * (i + 1 - len(rows[j])))
-        rows[j][i] = c
+        row = rows[j]
+        if i >= len(row):
+            row.extend([zero] * (i + 1 - len(row)))
+        row[i] = c
     rows = [poly_trim(row) for row in rows]
     while len(rows) > 1 and not rows[-1]:
         rows.pop()
@@ -826,21 +821,6 @@ def _x_degree(rows):
 
 def _total_degree(rows):
     return max(len(row) - 1 + j for j, row in enumerate(rows) if row)
-
-
-def poly_squarefree_part(p, field):
-    """p divided by gcd(p, p'), monic."""
-    p = poly_trim(p)
-    d = poly_derivative(p, field)
-    g = poly_gcd(p, d, field)
-    if len(g) <= 1:
-        inv = p[-1].inverse()
-        return [c * inv for c in p]
-    quo, rem = poly_divmod(p, g, field)
-    if rem:
-        raise RuntimeError("gcd(p, p') does not divide p")
-    inv = quo[-1].inverse()
-    return [c * inv for c in quo]
 
 
 class RootsResult(NamedTuple):
@@ -868,7 +848,7 @@ def find_roots_in_field(f: Sequence[FieldElement], field: NumberField = None) ->
     def divide_out(r):
         nonlocal work
         while True:
-            quo, rem = poly_divmod(work, [field.zero() - r, field.one()], field)
+            quo, rem = poly_divmod(work, [-r, field.one()])
             if rem:
                 break
             work = quo
@@ -914,29 +894,13 @@ def _roots_once(f, field):
 
 def _rational_roots_in_extension(f, field):
     """Rational roots of f in K[t]: common rational roots of the coordinates."""
-    coord = None
+    coord = []
     for j in range(field.degree):
-        cj = _qtrim([Fraction(c.coeffs[j]) for c in f])
-        if cj:
-            coord = cj if coord is None else _qgcd(coord, cj)
-    if coord is None:
-        return
+        coord = poly_gcd(coord, [Fraction(c.coeffs[j]) for c in f])
     for r in _rational_roots(coord):
         cand = field.element(r)
         if poly_eval(f, cand).is_zero():
             yield cand
-
-
-def _qgcd(p, q):
-    p, q = list(p), list(q)
-    while _qtrim(q):
-        _, r = _qdivmod(p, q)
-        p, q = q, r
-    p = _qtrim(p)
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
 
 
 def sqrt_in_field(d: FieldElement):
@@ -1108,19 +1072,10 @@ def _common_univariate_roots(P, Q, x_value):
         for (i, j), c in poly.items():
             _acc(out, j, c * x_value ** i)
         deg = max(out) if out else 0
-        return _qtrim([out.get(k, Fraction(0)) for k in range(deg + 1)])
+        return [out.get(k, Fraction(0)) for k in range(deg + 1)]
 
-    p1, p2 = substitute(P), substitute(Q)
-    if not p1 and not p2:
-        return []
-    if not p1:
-        return _rational_roots(p2)
-    if not p2:
-        return _rational_roots(p1)
-    g = _qgcd(p1, p2)
-    if len(g) <= 1:
-        return []
-    return _rational_roots(g)
+    g = poly_gcd(substitute(P), substitute(Q))
+    return _rational_roots(g) if g else []
 
 
 # ---------------------------------------------------------------------------
@@ -1225,7 +1180,8 @@ class _ExprParser:
 
 
 def _parse_univariate(text, letter):
-    """Parse into {power: Fraction} for a single variable polynomial."""
+    """Parse a polynomial in one variable into its Fraction coefficients,
+    low degree first."""
 
     class Poly(dict):
         def __add__(self, other):
@@ -1263,86 +1219,56 @@ def _parse_univariate(text, letter):
         return Poly({1: Fraction(1)})
 
     parser = _ExprParser(tokenize(text), atom, lambda q: Poly({0: q}))
-    result = parser.parse()
-    return {k: v for k, v in result.items() if v != 0}
+    terms = {k: v for k, v in parser.parse().items() if v != 0}
+    return [terms.get(i, Fraction(0)) for i in range(max(terms, default=0) + 1)]
 
 
 def format_element(e: FieldElement) -> str:
     """Render in the field syntax: rationals as p/q, the generator as ``a``."""
-    parts = []
-    for i, c in enumerate(e.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(_fmt_q(c))
-            continue
-        var = "a" if i == 1 else "a^%d" % i
-        if c == 1:
-            term = var
-        elif c == -1:
-            term = "-" + var
-        else:
-            term = "%s*%s" % (_fmt_q(c), var)
-        parts.append(term)
-    if not parts:
-        return "0"
-    text = parts[0]
-    for term in parts[1:]:
-        text += term if term.startswith("-") else "+" + term
-    return text
+    return join_terms(scaled_term(_fmt_q(c), _power("a", i))
+                      for i, c in enumerate(e.coeffs) if c != 0)
 
 
 def format_minpoly(field: NumberField) -> str:
-    parts = []
-    for i in range(field.degree, -1, -1):
-        c = field.minpoly[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = _fmt_q(c)
-        else:
-            var = "t" if i == 1 else "t^%d" % i
-            if c == 1:
-                term = var
-            elif c == -1:
-                term = "-" + var
-            else:
-                term = "%s*%s" % (_fmt_q(c), var)
-        parts.append(term)
-    text = parts[0]
-    for term in parts[1:]:
-        text += term if term.startswith("-") else "+" + term
-    return text
+    return join_terms(scaled_term(_fmt_q(c), _power("t", i))
+                      for i, c in reversed(list(enumerate(field.minpoly)))
+                      if c != 0)
+
+
+def format_poly_in_t(coeffs: Iterable[FieldElement]) -> str:
+    """Render a K[t] polynomial (certificates use this form)."""
+    return join_terms(scaled_term(format_element(c), _power("t", i))
+                      for i, c in reversed(list(enumerate(coeffs))) if c)
+
+
+def _power(var, i):
+    return "" if i == 0 else var if i == 1 else "%s^%d" % (var, i)
+
+
+def scaled_term(body: str, mono: str) -> str:
+    """The text of a coefficient, rendered as ``body``, times a monomial;
+    an empty monomial stands for 1.  A coefficient with an inner sign is
+    bracketed."""
+    if not mono:
+        return body
+    if body == "1":
+        return mono
+    if body == "-1":
+        return "-" + mono
+    if "+" in body or "-" in body[1:]:
+        return "(%s)*%s" % (body, mono)
+    return "%s*%s" % (body, mono)
+
+
+def join_terms(terms) -> str:
+    """The text of a sum of nonzero terms; "0" for no terms."""
+    text = ""
+    for term in terms:
+        text += term if not text or term.startswith("-") else "+" + term
+    return text or "0"
 
 
 def _fmt_q(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def format_poly_in_t(coeffs: Iterable[FieldElement]) -> str:
-    """Render a K[t] polynomial (certificates use this form)."""
-    parts = []
-    for i, c in reversed(list(enumerate(coeffs))):
-        if c.is_zero():
-            continue
-        body = format_element(c)
-        if i == 0:
-            parts.append(body)
-            continue
-        var = "t" if i == 1 else "t^%d" % i
-        if body == "1":
-            parts.append(var)
-        elif body == "-1":
-            parts.append("-" + var)
-        elif "+" in body or ("-" in body[1:]):
-            parts.append("(%s)*%s" % (body, var))
-        else:
-            parts.append("%s*%s" % (body, var))
-    if not parts:
-        return "0"
-    text = parts[0]
-    for term in parts[1:]:
-        text += term if term.startswith("-") else "+" + term
-    return text

@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import lcm
 
 from .numfield import (
-    QQ, FieldElement, NumberField, _ExprParser, format_element, poly_divmod,
-    poly_gcd, poly_mul, poly_sub, poly_trim, tokenize,
+    QQ, FieldElement, NumberField, _ExprParser, format_element, join_terms,
+    poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim, scaled_term,
+    to_y_rows, tokenize,
 )
 
 VARS = ("X", "Y", "Z")
@@ -229,37 +230,18 @@ def _gcd_pair(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
     field = f.field
     fz = min(e[2] for e in f.coeffs)
     gz = min(e[2] for e in g.coeffs)
-    fb = _to_bivariate(f)
-    gb = _to_bivariate(g)
-    gcd_b = _bi_gcd(fb, gb, field)
+    gcd_b = _bi_gcd(to_y_rows(f.dehomogenize(2), field),
+                    to_y_rows(g.dehomogenize(2), field), field)
     result = _homogenize_bivariate(gcd_b, field)
     z = HomogeneousForm.variable(field, 2)
     return result * z ** min(fz, gz)
-
-
-def _to_bivariate(f: HomogeneousForm):
-    """Dense K[X][Y] coefficients of f(X, Y, 1), as lists over Y-degree."""
-    de = f.dehomogenize(2)
-    ydeg = max(j for _, j in de)
-    xdeg = max(i for i, _ in de)
-    field = f.field
-    rows = [[field.zero()] * (xdeg + 1) for _ in range(ydeg + 1)]
-    for (i, j), c in de.items():
-        rows[j][i] = c
-    return [poly_trim(r) for r in rows]
-
-
-def _bi_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
 
 
 def _bi_content(p, field):
     cont = []
     for row in p:
         if row:
-            cont = poly_gcd(cont, row, field)
+            cont = poly_gcd(cont, row)
         if len(cont) == 1:
             break
     return cont or [field.one()]
@@ -274,57 +256,54 @@ def _bi_primitive(p, field):
         if not row:
             out.append([])
             continue
-        quo, rem = poly_divmod(row, cont, field)
+        quo, rem = poly_divmod(row, cont)
         if rem:
             raise RuntimeError("the content does not divide a coefficient")
         out.append(quo)
     return out, cont
 
 
-def _bi_pseudo_rem(f, g, field):
+def _bi_pseudo_rem(f, g):
     """Pseudo-remainder of f by g, both K[X][Y] dense in Y."""
-    f = [list(r) for r in f]
+    f = poly_trim(f)
     dg = len(g) - 1
     lead = g[-1]
-    while len(f) - 1 >= dg and _bi_trim(f):
+    while f and len(f) - 1 >= dg:
         df = len(f) - 1
         top = f[-1]
         # f := lead * f - top * g * Y^(df - dg)
         new = []
         for j in range(df):
-            row = poly_mul(f[j], lead, field)
+            row = poly_mul(f[j], lead)
             if j - (df - dg) >= 0:
-                sub = poly_mul(g[j - (df - dg)], top, field)
-                row = poly_sub(row, sub, field)
-            new.append(poly_trim(row))
-        f = _bi_trim(new)
-        if not f:
-            break
+                row = poly_sub(row, poly_mul(g[j - (df - dg)], top))
+            new.append(row)
+        f = poly_trim(new)
     return f
 
 
 def _bi_gcd(f, g, field):
-    f, g = _bi_trim([list(r) for r in f]), _bi_trim([list(r) for r in g])
+    f, g = poly_trim(f), poly_trim(g)
     if not f:
         return g
     if not g:
         return f
     if len(f) == 1 and len(g) == 1:
-        return [poly_gcd(f[0], g[0], field)]
+        return [poly_gcd(f[0], g[0])]
     if len(f) == 1:
         cont_g = _bi_content(g, field)
-        return [poly_gcd(f[0], cont_g, field)]
+        return [poly_gcd(f[0], cont_g)]
     if len(g) == 1:
         cont_f = _bi_content(f, field)
-        return [poly_gcd(g[0], cont_f, field)]
+        return [poly_gcd(g[0], cont_f)]
     fp, fc = _bi_primitive(f, field)
     gp, gc = _bi_primitive(g, field)
-    cont = poly_gcd(fc, gc, field)
+    cont = poly_gcd(fc, gc)
     a, b = fp, gp
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _bi_pseudo_rem(a, b, field)
+        r = _bi_pseudo_rem(a, b)
         if not r:
             break
         r, _ = _bi_primitive(r, field)
@@ -333,7 +312,7 @@ def _bi_gcd(f, g, field):
             b = [[field.one()]]
             break
     gcd_pp = b
-    return [poly_trim(poly_mul(row, cont, field)) for row in gcd_pp]
+    return [poly_mul(row, cont) for row in gcd_pp]
 
 
 def _homogenize_bivariate(p, field):
@@ -537,26 +516,8 @@ def parse_form(text: str, field: NumberField = None) -> HomogeneousForm:
 
 
 def format_form(f: HomogeneousForm) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for expo in sorted(f.coeffs, reverse=True):
-        c = f.coeffs[expo]
-        mono = "*".join(
-            (v if e == 1 else "%s^%d" % (v, e))
-            for v, e in zip(VARS, expo) if e > 0)
-        body = format_element(c)
-        if not mono:
-            parts.append(body)
-        elif body == "1":
-            parts.append(mono)
-        elif body == "-1":
-            parts.append("-" + mono)
-        elif "+" in body or "-" in body[1:]:
-            parts.append("(%s)*%s" % (body, mono))
-        else:
-            parts.append("%s*%s" % (body, mono))
-    text = parts[0]
-    for term in parts[1:]:
-        text += term if term.startswith("-") else "+" + term
-    return text
+    return join_terms(
+        scaled_term(format_element(f.coeffs[expo]),
+                    "*".join((v if e == 1 else "%s^%d" % (v, e))
+                             for v, e in zip(VARS, expo) if e > 0))
+        for expo in sorted(f.coeffs, reverse=True))

@@ -19,8 +19,8 @@ from .cluster import (
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
     find_roots_in_field, format_poly_in_t, poly_degree, poly_divmod,
-    poly_gcd, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
-    rational_is_square,
+    poly_eval, poly_gcd, poly_inverse_mod, poly_mul, poly_squarefree_part,
+    poly_sub, poly_trim, rational_is_square, to_y_rows,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
 from .linsys import Series, _prune, _shift, chart_step, root_series
@@ -50,12 +50,8 @@ def _column(series: Series, t: int):
 
 def _coeffs_at_u0(poly, field):
     """The restriction to the exceptional u = 0, as a K[w] list."""
-    deg = max((j for i, j in poly if i == 0), default=-1)
-    out = [field.zero()] * (deg + 1)
-    for (i, j), c in poly.items():
-        if i == 0:
-            out[j] = c
-    return poly_trim(out)
+    return poly_trim(row[0] if row else field.zero()
+                     for row in to_y_rows(poly, field))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +169,10 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     b0 = _coeffs_at_u0(b1, field)
     if not a0 and not b0:
         raise ResolutionError("exceptional divisor inside the singular locus")
-    g = poly_gcd(a0, b0, field) if (a0 and b0) else (a0 or b0)
+    g = poly_gcd(a0, b0)
     children = []
     if poly_degree(g) >= 1:
-        g = poly_squarefree_part(g, field)
+        g = poly_squarefree_part(g)
         roots, remaining, cofactor = find_roots_in_field(g, field)
         if remaining > 0:
             _require_orbit_simple(a1, b1, cofactor, field,
@@ -205,9 +201,9 @@ def _require_orbit_simple(a, b, modulus, field, u0, v0):
     being the residue of the variable; a, b are the bivariate coefficients
     of the ambient local 1-form a du + b dv.
     """
-    g = poly_squarefree_part(modulus, field)
-    u0 = _alg_reduce(u0, g, field)
-    v0 = _alg_reduce(v0, g, field)
+    g = poly_squarefree_part(modulus)
+    u0 = _alg_reduce(u0, g)
+    v0 = _alg_reduce(v0, g)
 
     def jac_entry(poly, index):
         part = _bi_partial(poly, index)
@@ -215,29 +211,26 @@ def _require_orbit_simple(a, b, modulus, field, u0, v0):
 
     a_u, a_v = jac_entry(a, 0), jac_entry(a, 1)
     b_u, b_v = jac_entry(b, 0), jac_entry(b, 1)
-    trace = poly_sub(a_v, b_u, field)
-    det = poly_sub(_alg_mul(a_u, b_v, g, field),
-                   _alg_mul(a_v, b_u, g, field), field)
+    trace = poly_sub(a_v, b_u)
+    det = poly_sub(_alg_mul(a_u, b_v, g), _alg_mul(a_v, b_u, g))
 
+    # g is monic, so g0 = g when det = 0, and g00 = g0 when trace = 0
     certificate = format_poly_in_t(g)
-    g0 = poly_gcd(g, det, field) if poly_trim(det) else list(g)
-    if poly_degree(g0) >= 1:
-        g00 = poly_gcd(g0, trace, field) if poly_trim(trace) else list(g0)
-        if poly_degree(g00) >= 1:
-            raise FieldExtensionNeeded(
-                "a conjugate singular point with nilpotent linear part lies "
-                "outside the base field (certificate %s)" % certificate,
-                certificate=g)
-    g1, rem = poly_divmod(g, g0, field) if poly_degree(g0) >= 1 else (list(g), [])
+    g0 = poly_gcd(g, det)
+    if poly_degree(poly_gcd(g0, trace)) >= 1:
+        raise FieldExtensionNeeded(
+            "a conjugate singular point with nilpotent linear part lies "
+            "outside the base field (certificate %s)" % certificate,
+            certificate=g)
+    g1, rem = poly_divmod(g, g0)
     if rem:
         raise ResolutionError("g0 does not divide the orbit polynomial")
     if poly_degree(g1) < 1:
         return
     # a rational eigenvalue-ratio invariant c = (tr^2-2det)/det = E/det of a
     # conjugate is a root of Res_t(g1, E - c*det)
-    det = _alg_reduce(det, g1, field)
-    e_poly = poly_sub(_alg_mul(trace, trace, g1, field),
-                      _alg_scale(det, field.element(2), field), field)
+    det = _alg_reduce(det, g1)
+    e_poly = poly_sub(_alg_mul(trace, trace, g1), _alg_scale(det, 2))
     res_in_c = bivariate_resultant(
         {(0, j): c for j, c in enumerate(g1)},
         {**{(0, j): c for j, c in enumerate(e_poly)},
@@ -251,18 +244,18 @@ def _require_orbit_simple(a, b, modulus, field, u0, v0):
                 "simple (certificate %s)" % certificate, certificate=g)
 
 
-def _alg_reduce(p, modulus, field):
-    p = poly_trim(list(p))
-    if poly_degree(p) >= poly_degree(modulus):
-        p = poly_divmod(p, modulus, field)[1]
+def _alg_reduce(p, modulus):
+    p = poly_trim(p)
+    if len(p) >= len(modulus):
+        p = poly_divmod(p, modulus)[1]
     return p
 
 
-def _alg_mul(p, q, modulus, field):
-    return _alg_reduce(poly_mul(p, q, field), modulus, field)
+def _alg_mul(p, q, modulus):
+    return _alg_reduce(poly_mul(p, q), modulus)
 
 
-def _alg_scale(p, k, field):
+def _alg_scale(p, k):
     return poly_trim([c * k for c in p])
 
 
@@ -274,33 +267,24 @@ def _alg_eval_bivariate(poly, u0, v0, modulus, field):
 
     def power(cache, base, e):
         if e not in cache:
-            cache[e] = _alg_mul(power(cache, base, e - 1), base, modulus, field)
+            cache[e] = _alg_mul(power(cache, base, e - 1), base, modulus)
         return cache[e]
 
     for (i, j), c in poly.items():
-        term = _alg_mul(power(upow, u0, i), power(vpow, v0, j), modulus, field)
-        term = _alg_scale(term, c, field)
-        acc = poly_sub(acc, _alg_scale(term, field.element(-1), field), field)
-    return _alg_reduce(acc, modulus, field)
+        term = _alg_mul(power(upow, u0, i), power(vpow, v0, j), modulus)
+        acc = poly_sub(acc, _alg_scale(term, -c))
+    return _alg_reduce(acc, modulus)
 
 
-def _alg_inverse(p, modulus, field):
+def _alg_inverse(p, modulus):
     """Inverse in K[t]/(modulus); raises FieldExtensionNeeded on a zero
     divisor (the modulus then splits and the orbit needs case analysis)."""
-    r0, r1 = list(modulus), poly_trim(list(p))
-    s0, s1 = [], [field.one()]
-    while True:
-        quo, rem = poly_divmod(r0, r1, field)
-        if not rem:
-            break
-        s_new = poly_sub(s0, poly_mul(quo, s1, field), field)
-        r0, r1, s0, s1 = r1, rem, s1, s_new
-    if poly_degree(r1) != 0:
+    inv = poly_inverse_mod(p, modulus)
+    if inv is None:
         raise FieldExtensionNeeded(
             "zero divisor in the escape algebra (certificate %s)" %
             format_poly_in_t(modulus), certificate=modulus)
-    inv_lead = r1[0].inverse()
-    return _alg_reduce([c * inv_lead for c in s1], modulus, field)
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +322,17 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     # the line Z = 0: points (x:1:0) and (1:0:0)
     univs = []
     for f in (A, B, C):
-        coeffs = _restrict_to_infinity(f, field)
+        # f(x, 1, 0), row z^0 of f(x, 1, z)
+        coeffs = to_y_rows(f.dehomogenize(1), field)[0]
         if coeffs:
             univs.append(coeffs)
     g = univs[0]
     for other in univs[1:]:
-        g = poly_gcd(g, other, field)
+        g = poly_gcd(g, other)
         if poly_degree(g) < 1:
             break
     if poly_degree(g) >= 1:
-        g = poly_squarefree_part(g, field)
+        g = poly_squarefree_part(g)
         roots, remaining, cofactor = find_roots_in_field(g, field)
         for r in roots:
             points.append((r, field.one(), field.zero()))
@@ -360,79 +345,39 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     return SingularLocus(points, not escaped, escaped)
 
 
-def _restrict_to_infinity(form: HomogeneousForm, field):
-    """Coefficients of f(x, 1, 0) as a K[x] list."""
-    out = [field.zero()] * (form.degree + 1)
-    for (i, j, k), c in form.coeffs.items():
-        if k == 0:
-            out[i] = out[i] + c
-    return poly_trim(out)
-
-
 def _solve_affine(p, q, field):
     """Common zeros in K^2 of two coprime bivariate polynomials, plus the
-    conjugate orbits that escape K."""
+    conjugate orbits that escape K.  A side free of y needs no case of its
+    own: Res_y is then a power of it, or 1 when both sides are free of y."""
     points = []
     escaped = []
-    p_y = max((j for _, j in p), default=0)
-    q_y = max((j for _, j in q), default=0)
-    if p_y == 0 or q_y == 0:
-        uni, other = (p, q) if p_y == 0 else (q, p)
-        ux = _bi_to_x_poly(uni, field)
-        roots, remaining, cofactor = find_roots_in_field(
-            poly_squarefree_part(ux, field), field)
-        if remaining > 0:
-            escaped.append(EscapedOrbit("affine-x", cofactor, (p, q)))
-        for x0 in roots:
-            for y0 in _y_roots_at(other, x0, None, field, escaped, (p, q)):
-                points.append((x0, y0))
-        return points, escaped
     rx = bivariate_resultant(p, q, field)
     if not rx:
         raise ResolutionError("degenerate affine singular system")
     roots, remaining, cofactor = find_roots_in_field(
-        poly_squarefree_part(rx, field), field)
+        poly_squarefree_part(rx), field)
     if remaining > 0:
         escaped.append(EscapedOrbit("affine-x", cofactor, (p, q)))
     for x0 in roots:
-        for y0 in _y_roots_at(p, x0, q, field, escaped, (p, q)):
+        for y0 in _y_roots_at(p, q, x0, field, escaped):
             points.append((x0, y0))
     return points, escaped
 
 
-def _y_roots_at(p, x0, q, field, escaped, pair):
-    py = _bi_eval_x(p, x0, field)
-    if q is not None:
-        qy = _bi_eval_x(q, x0, field)
-        g = poly_gcd(py, qy, field) if (py and qy) else (py or qy)
-    else:
-        g = py
+def _y_roots_at(p, q, x0, field, escaped):
+    g = poly_gcd(_bi_eval_x(p, x0, field), _bi_eval_x(q, x0, field))
     if poly_degree(g) < 1:
         return []
-    g = poly_squarefree_part(g, field)
+    g = poly_squarefree_part(g)
     roots, remaining, cofactor = find_roots_in_field(g, field)
     if remaining > 0:
-        escaped.append(EscapedOrbit("affine-y", cofactor, (x0, pair)))
+        escaped.append(EscapedOrbit("affine-y", cofactor, (x0, (p, q))))
     return sorted(roots, key=lambda e: e.sort_key())
-
-
-def _bi_to_x_poly(poly, field):
-    deg = max((i for i, _ in poly), default=-1)
-    out = [field.zero()] * (deg + 1)
-    for (i, j), c in poly.items():
-        if j != 0:
-            raise ResolutionError("the polynomial still involves y")
-        out[i] = out[i] + c
-    return poly_trim(out)
 
 
 def _bi_eval_x(poly, x0, field):
     """Substitute x = x0, leaving a K[y] list."""
-    deg = max((j for _, j in poly), default=-1)
-    out = [field.zero()] * (deg + 1)
-    for (i, j), c in poly.items():
-        out[j] = out[j] + c * x0 ** i
-    return poly_trim(out)
+    return poly_trim(poly_eval(row, x0) for row in to_y_rows(poly, field))
 
 
 # ---------------------------------------------------------------------------
@@ -559,62 +504,39 @@ def _analyze_escaped_orbit(omega, orbit: EscapedOrbit, field):
 def _solve_y_in_algebra(p, q, modulus, field):
     """The y-coordinate over K[t]/(modulus) via a gcd in the algebra; the
     orbit must have exactly one y per conjugate."""
-    g = poly_squarefree_part(modulus, field)
+    g = poly_squarefree_part(modulus)
     py = _rows_mod(p, g, field)
     qy = _rows_mod(q, g, field)
-    gy = _algebra_poly_gcd(py, qy, g, field)
+    gy = _algebra_poly_gcd(py, qy, g)
     if len(gy) != 2:
         raise FieldExtensionNeeded(
             "conjugate singular points need a further extension "
             "(certificate %s)" % format_poly_in_t(g), certificate=g)
-    lead_inv = _alg_inverse(gy[1], g, field)
-    neg = _alg_scale(_alg_mul(gy[0], lead_inv, g, field),
-                     field.element(-1), field)
-    return neg
+    lead_inv = _alg_inverse(gy[1], g)
+    return _alg_scale(_alg_mul(gy[0], lead_inv, g), -1)
 
 
 def _rows_mod(p, modulus, field):
-    """Bivariate dict -> list over y-degree of K[t]/(modulus) elements."""
-    ydeg = max(j for _, j in p)
-    rows = [[] for _ in range(ydeg + 1)]
-    acc = [dict() for _ in range(ydeg + 1)]
-    for (i, j), c in p.items():
-        acc[j][i] = acc[j].get(i, field.zero()) + c
-    out = []
-    for row in acc:
-        if not row:
-            out.append([])
-            continue
-        deg = max(row)
-        lst = poly_trim([row.get(i, field.zero()) for i in range(deg + 1)])
-        out.append(_alg_reduce(lst, modulus, field))
-    while out and not out[-1]:
-        out.pop()
-    return out
+    """Bivariate dict -> list over y-degree of K[t]/(modulus) elements,
+    with no zero row on top."""
+    return poly_trim(_alg_reduce(row, modulus)
+                     for row in to_y_rows(p, field))
 
 
-def _algebra_poly_gcd(p, q, modulus, field):
-    """Monic gcd in (K[t]/(modulus))[y] by Euclid; raises on zero divisors."""
-    p, q = [list(r) for r in p], [list(r) for r in q]
-
-    def trim(f):
-        while f and not poly_trim(f[-1]):
-            f.pop()
-        return f
-
-    p, q = trim(p), trim(q)
+def _algebra_poly_gcd(p, q, modulus):
+    """Monic gcd in (K[t]/(modulus))[y] by Euclid; raises on zero divisors.
+    The rows of p and q are reduced mod modulus, so a zero row is []."""
+    p, q = poly_trim(p), poly_trim(q)
     while q:
-        lead_inv = _alg_inverse(q[-1], modulus, field)
-        rem = [list(r) for r in p]
-        while len(rem) >= len(q) and trim(rem):
+        lead_inv = _alg_inverse(q[-1], modulus)
+        rem = list(p)
+        while len(rem) >= len(q):
             shift = len(rem) - len(q)
-            factor = _alg_mul(rem[-1], lead_inv, modulus, field)
+            factor = _alg_mul(rem[-1], lead_inv, modulus)
             for i, qc in enumerate(q):
-                sub = _alg_mul(factor, qc, modulus, field)
-                rem[shift + i] = poly_sub(rem[shift + i], sub, field)
-            rem = trim(rem)
-            if len(rem) < len(q):
-                break
+                sub = _alg_mul(factor, qc, modulus)
+                rem[shift + i] = poly_sub(rem[shift + i], sub)
+            rem = poly_trim(rem)
         p, q = q, rem
-    lead_inv = _alg_inverse(p[-1], modulus, field)
-    return [_alg_mul(r, lead_inv, modulus, field) for r in p]
+    lead_inv = _alg_inverse(p[-1], modulus)
+    return [_alg_mul(r, lead_inv, modulus) for r in p]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from folint import modp
-from folint.numfield import QQ, _qmul, poly_resultant
+from folint.numfield import QQ, poly_mul, poly_resultant
 
 
 def _eval(a, x, P):
@@ -71,7 +71,7 @@ def test_resultant_agrees_with_the_rational_one():
             rng.choice([-2, 1, 5])]
         if rng.random() < 0.2:
             common = [rng.randint(-3, 3), 1]
-            a, b = ([int(c) for c in _qmul(f, common)] for f in (a, b))
+            a, b = ([int(c) for c in poly_mul(f, common)] for f in (a, b))
         exact = poly_resultant([QQ.element(c) for c in a],
                                [QQ.element(c) for c in b], QQ)
         assert modp.resultant([c % P for c in a], [c % P for c in b], P) == \

@@ -4,13 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, bivariate_resultant,
     find_roots_in_field, format_element, format_minpoly, poly_degree,
     poly_divmod, poly_eval, poly_gcd, UnluckyPrime, poly_interpolate,
-    poly_mul, poly_trim, sqrt_in_field, _is_prime, _qmul, _rational_roots,
+    poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
+    sqrt_in_field, _is_prime, _rational_roots,
 )
 
 from helpers import reference_resultant
@@ -111,7 +112,7 @@ def test_roots_mixed_cubic_over_gauss():
     # (t - a)(t^2 + t + 3): the only K-root is a, quadratic part stays
     a = GAUSS.gen()
     quad = [GAUSS.element(3), GAUSS.one(), GAUSS.one()]
-    f = poly_mul([-a, GAUSS.one()], quad, GAUSS)
+    f = poly_mul([-a, GAUSS.one()], quad)
     res = find_roots_in_field(f)
     assert res.roots == [a]
     assert res.remaining_degree == 2
@@ -148,7 +149,7 @@ def test_divides_after_roots():
         rebuilt = res.cofactor
         for r in res.roots:
             while True:
-                quo, rem = poly_divmod(coeffs, [-r, EISEN.one()], EISEN)
+                quo, rem = poly_divmod(coeffs, [-r, EISEN.one()])
                 if rem:
                     break
                 coeffs = quo
@@ -190,9 +191,9 @@ def test_canonical_form_idempotent(p0, p1, q0, q1):
 
 def test_poly_gcd_monic():
     one = QQ.one()
-    f = poly_mul([QQ.element(-1), one], [QQ.element(-2), one], QQ)
-    g = poly_mul([QQ.element(-1), one], [QQ.element(3), one], QQ)
-    d = poly_gcd(f, g, QQ)
+    f = poly_mul([QQ.element(-1), one], [QQ.element(-2), one])
+    g = poly_mul([QQ.element(-1), one], [QQ.element(3), one])
+    d = poly_gcd(f, g)
     assert d == [QQ.element(-1), one]
 
 
@@ -233,14 +234,14 @@ def test_rational_roots_match_divisor_enumeration(factors, cofactor):
     f = cofactor
     for root, mult in factors:
         for _ in range(mult):
-            f = _qmul(f, [-root, Fraction(1)])
+            f = poly_mul(f, [-root, Fraction(1)])
     assert _rational_roots(f) == _rational_roots_by_divisors(f)
 
 
 def test_rational_roots_with_a_huge_constant_term():
     # constant term of 42 digits: divisor enumeration would never finish
     big = 10 ** 20 + 39
-    f = _qmul(_qmul([-3, 7], [big, 5]), [10 ** 21 + 1, 0, 1])
+    f = poly_mul(poly_mul([-3, 7], [big, 5]), [10 ** 21 + 1, 0, 1])
     assert len(str(abs(f[0]))) >= 40 and f[-1] == 35
     start = time.perf_counter()
     roots = _rational_roots(f)
@@ -416,12 +417,12 @@ def test_bivariate_resultant_of_y_free_inputs_is_a_power():
     x_plus_a = {(1, 0): GAUSS.one(), (0, 0): GAUSS.gen()}
     q = {(0, 3): GAUSS.one(), (2, 0): GAUSS.element(5)}
     cube = poly_mul(poly_mul([GAUSS.gen(), GAUSS.one()],
-                             [GAUSS.gen(), GAUSS.one()], GAUSS),
-                    [GAUSS.gen(), GAUSS.one()], GAUSS)
+                             [GAUSS.gen(), GAUSS.one()]),
+                    [GAUSS.gen(), GAUSS.one()])
     assert bivariate_resultant(x_plus_a, q, GAUSS) == cube
     square = {(0, 2): GAUSS.one(), (0, 0): GAUSS.element(-2)}
     assert bivariate_resultant(square, x_plus_a, GAUSS) == poly_mul(
-        [GAUSS.gen(), GAUSS.one()], [GAUSS.gen(), GAUSS.one()], GAUSS)
+        [GAUSS.gen(), GAUSS.one()], [GAUSS.gen(), GAUSS.one()])
     assert bivariate_resultant(x_plus_a, {(0, 0): GAUSS.element(7)},
                                GAUSS) == [GAUSS.one()]
 
@@ -457,3 +458,61 @@ def test_residue_fields_and_split_primes():
             assert _is_prime(P) and len(set(roots)) == field.degree
             assert all(sum(_mod(c, P) * pow(r, e, P) for e, c in
                            enumerate(field.minpoly)) % P == 0 for r in roots)
+
+
+# ---------------------------------------------------------------------------
+# the univariate kernel over Fraction lists, Q(i) and a quartic field
+# ---------------------------------------------------------------------------
+
+KERNEL_DOMAINS = [None, GAUSS, QUARTIC]      # None: plain Fraction lists
+
+
+def _kernel_poly(domain, rows):
+    if domain is None:
+        return poly_trim(row[0] for row in rows)
+    return poly_trim(domain.element(row[:domain.degree]) for row in rows)
+
+
+def _monic(p):
+    return [c / p[-1] for c in p]
+
+
+kernel_rows = st.lists(st.lists(st.builds(Fraction, st.integers(-4, 4),
+                                          st.integers(1, 3)),
+                                min_size=4, max_size=4), max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(KERNEL_DOMAINS), kernel_rows, kernel_rows,
+       kernel_rows, st.booleans())
+def test_poly_kernel_division_gcd_and_inverse(domain, a, b, c, shared):
+    p, m = _kernel_poly(domain, a), _kernel_poly(domain, b)
+    if shared:
+        # a common factor makes gcd(p, m) nontrivial more often
+        common = _kernel_poly(domain, c)
+        p, m = poly_mul(p, common), poly_mul(m, common)
+    assume(poly_degree(m) >= 1)
+    quo, rem = poly_divmod(p, m)
+    assert poly_sub(p, poly_mul(quo, m)) == rem
+    assert len(rem) < len(m)
+    g = poly_gcd(p, m)
+    assert g[-1] == 1
+    assert poly_divmod(p, g)[1] == [] and poly_divmod(m, g)[1] == []
+    inv = poly_inverse_mod(p, m)
+    if len(g) > 1:
+        assert inv is None
+    else:
+        assert len(inv) < len(m)
+        assert poly_divmod(poly_sub(poly_mul(inv, p), [1]), m)[1] == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(KERNEL_DOMAINS), kernel_rows, kernel_rows)
+def test_poly_squarefree_part_of_f_g_squared(domain, a, b):
+    f = _kernel_poly(domain, a)
+    g = _kernel_poly(domain, b)
+    assume(f and g)
+    f, g = poly_squarefree_part(f), poly_squarefree_part(g)
+    assume(len(poly_gcd(f, g)) == 1)
+    fg = poly_mul(f, g)
+    assert poly_squarefree_part(poly_mul(fg, g)) == _monic(fg)

@@ -171,3 +171,18 @@ def test_resolve_cubic_pencil_needs_a_field_extension(capsys):
     # the squarefree part of a resultant, so it pins bivariate_resultant
     assert out[2:] == ["certificate=t^14-15*t^12+81*t^10-640/3*t^8"
                        "+24380/81*t^6-18544/81*t^4+7040/81*t^2-1024/81"]
+
+
+def test_resolve_y_free_pair_without_common_zeros(tmp_path, capsys):
+    # in the chart Z = 1, A and B are free of y and cut out x^2 = 2 and
+    # x^2 = 3: no affine common zero, so no orbit escapes to Q(sqrt 2)
+    fol = tmp_path / "y_free.fol"
+    fol.write_text("A = Z*X^2-2*Z^3\nB = Z*X^2-3*Z^3\n"
+                   "C = -X^3+2*X*Z^2-Y*X^2+3*Y*Z^2\n")
+    assert main(["resolve", "--machine", str(fol)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "point q1 origin=(1:-1:0)", "dicritical q1"]
+    # the leaves y = -x - ln((x - r)/(x + r))/(2r) + c, r^2 = 3, are
+    # transcendental
+    assert main(["decide", "--machine", str(fol)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "verdict=no_integral"

@@ -57,50 +57,71 @@ def test_float_check_sees_floats():
     assert kinds == ["float literal", "float()", "math.sqrt", "math.sqrt"]
 
 
-def _unused_private_functions(trees):
-    """Module-level ``_private`` functions of {module: tree} that no code
-    outside their own body names."""
-    defined = {}
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function and method in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _definitions(node, name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def _functions_without_callers(trees, callers=()):
+    """The functions and methods of {module: tree}, public or not, that no
+    code outside their own body names, in these trees or in ``callers``.
+    Dunders are called by the language, so they are left out."""
+    named = {}
+    for tree in list(trees.values()) + list(callers):
+        for ref, node in _references(tree):
+            named.setdefault(ref, set()).add(node)
+    found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
-                defined[node.name] = module
-    used = set()
-    for tree in trees.values():
-        for top in tree.body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    ref = node.id
-                elif isinstance(node, ast.Attribute):
-                    ref = node.attr
-                else:
-                    continue
-                if ref != own:
-                    used.add(ref)
-    return sorted("%s:%s" % (module, name)
-                  for name, module in defined.items() if name not in used)
+        for qualname, node in _definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = {ref_node for ref, ref_node in _references(node)
+                   if ref == node.name}
+            if not named.get(node.name, set()) - own:
+                found.append("%s:%s" % (module, qualname))
+    return sorted(found)
 
 
 def test_no_functions_without_callers():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES}
-    assert _unused_private_functions(trees) == []
+    tests = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert _functions_without_callers(trees, tests) == []
 
 
 def test_caller_check_sees_unused_functions():
     used = ast.parse("def _used():\n    return 1\n\n"
                      "def _recursive(n):\n    return _recursive(n - 1)\n\n"
-                     "def _unused():\n    return _used()\n")
+                     "def unused():\n    return _used()\n")
     caller = ast.parse("import m\nx = m._named_by_attribute\n")
     other = ast.parse("def _named_by_attribute():\n    pass\n\n"
                       "def _kept():\n    pass\n\nclass C:\n"
-                      "    def _method(self):\n        return _kept()\n")
-    found = _unused_private_functions({"a.py": used, "b.py": caller,
-                                       "c.py": other})
-    assert found == ["a.py:_recursive", "a.py:_unused"]
+                      "    def method(self):\n        return _kept()\n\n"
+                      "    def __repr__(self):\n        return 'C'\n\n"
+                      "    def called(self):\n"
+                      "        def inner():\n            pass\n"
+                      "        return inner\n")
+    test = ast.parse("def test_c():\n    return C().called()\n")
+    found = _functions_without_callers({"a.py": used, "b.py": caller,
+                                        "c.py": other}, [test])
+    assert found == ["a.py:_recursive", "a.py:unused", "c.py:C.method"]
 
 
 def _function_imports(tree):
