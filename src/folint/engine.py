@@ -421,30 +421,6 @@ def memo_fastpath(omega: ProjectiveOneForm, config: Configuration,
                             "K.T < 0 and the T-pencil is not invariant")
 
 
-def discard_checks(omega: ProjectiveOneForm, config: Configuration,
-                   invariant_curves: Sequence[HomogeneousForm]
-                   ) -> Optional[Verdict]:
-    """The two strict-transform sign tests that rule out a first integral."""
-    classes = []
-    for curve in invariant_curves:
-        if not is_invariant_curve(curve, omega):
-            raise ValueError("discard checks expect invariant curves")
-        classes.append(linsys.strict_class(curve, config))
-    for cl in classes:
-        if cl.square() > 0:
-            return Verdict.no_integral(
-                "an invariant curve has positive strict self-intersection")
-    for i, a in enumerate(classes):
-        if a.square() != 0:
-            continue
-        for j, b in enumerate(classes):
-            if i != j and a.intersect(b) != 0:
-                return Verdict.no_integral(
-                    "an invariant curve with null strict square meets "
-                    "another invariant curve")
-    return None
-
-
 def _lines_through(config: Configuration):
     point = config.points[0].origin
     field = config.field

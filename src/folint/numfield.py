@@ -187,24 +187,20 @@ def poly_squarefree_part(p):
 # rational roots
 # ---------------------------------------------------------------------------
 
-def _rational_roots(coeffs):
-    """All rational roots of a Q-polynomial, sorted, by p-adic lifting.
+def _squarefree_rational_roots(p):
+    """All rational roots of a squarefree Fraction list, sorted, by p-adic
+    lifting.
 
-    Let f be the squarefree integer part, a_n its leading coefficient and B
-    the sum of its |coefficients|.  A root u/v of f has v | a_n and
+    Let f be the integer part of p, a_n its leading coefficient and B the
+    sum of its |coefficients|.  A root u/v of f has v | a_n and
     |a_n u/v| <= B, so a_n u/v is the symmetric residue of a_n r mod p^k
     for the Hensel lift r of u/v mod p, once p^k > 2B.  The primes only
     propose candidates; each one is kept only if it is an exact root.
     """
-    p = poly_trim([Fraction(c) for c in coeffs])
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    low = next(i for i, c in enumerate(p) if c)
-    roots = [Fraction(0)] if low else []
-    p = p[low:]
+    roots = [Fraction(0)] if not p[0] else []
+    p = p[1:] if roots else p
     if len(p) <= 1:
         return roots
-    p = poly_squarefree_part(p)
     den = math.lcm(*(c.denominator for c in p))
     f = [int(c * den) for c in p]
     content = math.gcd(*f)
@@ -279,10 +275,11 @@ class NumberField:
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         if 2 <= self.degree:
-            if _rational_roots(coeffs):
+            squarefree = poly_squarefree_part(coeffs)
+            if _squarefree_rational_roots(squarefree):
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
-            if len(poly_squarefree_part(coeffs)) <= self.degree:
+            if len(squarefree) <= self.degree:
                 raise ValueError("minimal polynomial has a repeated factor, "
                                  "so it is reducible over Q")
         self.irreducibility_verified = self.degree <= 3
@@ -829,253 +826,156 @@ class RootsResult(NamedTuple):
     cofactor: list
 
 
-def find_roots_in_field(f: Sequence[FieldElement], field: NumberField = None) -> RootsResult:
-    """All roots of f that lie in K, plus the degree of the unsplit cofactor.
+def find_roots_in_field(f: Sequence[FieldElement],
+                        field: NumberField = None) -> RootsResult:
+    """The roots of f in K, sorted, the degree of the cofactor they leave,
+    and that cofactor.
 
-    Complete for K = Q (any degree, by p-adic lifting) and for
-    quadratic K (by reduction to a rational bivariate system).  For fields of
-    degree >= 3 only rational roots and roots of low-degree cofactors are
-    found; any possibly-unsplit part is reported through remaining_degree.
+    The squarefree part of f is taken here, once, after the power of x
+    that gives the root 0 is stripped; each root divides it once, and the
+    cofactor, that part over the product of the (x - r), is squarefree
+    and monic.  Over Q the work is on Fraction coordinates.  The roots are
+    complete for K = Q (p-adic lifting) and for quadratic K
+    (``_quadratic_field_roots``).  For deg K >= 3 they are the rational
+    roots, then the root of a linear cofactor, or the roots of a quadratic
+    one whose discriminant is a rational square; the rest is reported
+    through remaining_degree.
     """
     f = poly_trim(f)
     if not f:
         raise ValueError("root-finding on the zero polynomial")
     if field is None:
         field = f[0].field
-    roots = []
-    work = list(f)
-
-    def divide_out(r):
-        nonlocal work
-        while True:
-            quo, rem = poly_divmod(work, [-r, field.one()])
-            if rem:
-                break
-            work = quo
-            if poly_degree(work) < 1:
-                break
-
-    for r in _roots_once(work, field):
-        if r not in roots:
-            roots.append(r)
-    for r in roots:
-        divide_out(r)
-    # the division can reveal nothing new for complete strategies, but keep
-    # looping for the generic fallback until no further roots appear
-    progressed = True
-    while progressed and poly_degree(work) >= 1:
-        progressed = False
-        for r in _roots_once(work, field):
-            if r not in roots:
-                roots.append(r)
-                divide_out(r)
-                progressed = True
-    roots.sort(key=lambda e: e.sort_key())
-    return RootsResult(roots, max(poly_degree(work), 0), work)
-
-
-def _roots_once(f, field):
-    deg = poly_degree(f)
-    if deg < 1:
-        return []
-    if deg == 1:
-        return [(-f[0]) / f[1]]
-    if field.is_rational:
-        coeffs = [c.as_fraction() for c in f]
-        return [field.element(r) for r in _rational_roots(coeffs)]
-    found = list(_rational_roots_in_extension(f, field))
-    if deg == 2:
-        found.extend(r for r in _quadratic_roots(f, field) if r not in found)
+    rational = field.is_rational
+    low = next(i for i, c in enumerate(f) if c)
+    work = poly_squarefree_part(
+        [Fraction(c.coeffs[0]) for c in f[low:]] if rational else f[low:])
+    if len(work) <= 2:
+        roots = [-work[0]] if len(work) == 2 else []
+    elif rational:
+        roots = _squarefree_rational_roots(work)
     elif field.degree == 2:
-        found.extend(r for r in _quadratic_field_roots(f, field)
-                     if r not in found)
-    return found
+        roots = _quadratic_field_roots(work, field)
+    else:
+        roots = list(_rational_roots_in_extension(work, field))
+    work = _divide_roots(work, roots)
+    if field.degree >= 3 and len(work) in (2, 3):
+        more = _small_cofactor_roots(work)
+        roots += more
+        work = _divide_roots(work, more)
+    if rational:
+        roots, work = ([field.element(c) for c in p] for p in (roots, work))
+    if low:
+        roots.append(field.zero())
+    roots.sort(key=FieldElement.sort_key)
+    return RootsResult(roots, len(work) - 1, work)
+
+
+def _divide_roots(p, roots):
+    """The monic squarefree p over the product of the (x - r): one division
+    by each root."""
+    for r in roots:
+        p = poly_divmod(p, [-r, p[-1]])[0]
+    return p
 
 
 def _rational_roots_in_extension(f, field):
-    """Rational roots of f in K[t]: common rational roots of the coordinates."""
+    """Rational roots of a squarefree f in K[t]: the rational roots of the
+    gcd of its coordinate polynomials, which divides f and so is
+    squarefree too."""
     coord = []
     for j in range(field.degree):
         coord = poly_gcd(coord, [Fraction(c.coeffs[j]) for c in f])
-    for r in _rational_roots(coord):
+    for r in _squarefree_rational_roots(coord):
         cand = field.element(r)
         if poly_eval(f, cand).is_zero():
             yield cand
 
 
-def sqrt_in_field(d: FieldElement):
-    """A square root of d in K, or None.  Complete for deg K <= 2."""
-    field = d.field
-    if d.is_zero():
-        return field.zero()
-    if field.is_rational:
-        r = rational_is_square(d.as_fraction())
-        return None if r is None else field.element(r)
-    if field.degree != 2:
-        if d.is_rational():
-            r = rational_is_square(d.coeffs[0])
-            if r is not None:
-                return field.element(r)
-        return None
-    # (x + y*a)^2 = d over the quadratic field with a^2 = -p*a - q
-    p, q = field.minpoly[1], field.minpoly[0]
-    d0, d1 = Fraction(d.coeffs[0]), Fraction(d.coeffs[1])
-    candidates = []
-    if d1 == 0:
-        r = rational_is_square(d0)
-        if r is not None:
-            candidates.append((r, Fraction(0)))
-        denom = Fraction(p) ** 2 / 4 - q
-        if denom != 0:
-            y2 = d0 / denom
-            ry = rational_is_square(y2)
-            if ry is not None and ry != 0:
-                candidates.append((p * ry / 2, ry))
-    else:
-        # y(2x - p y) = d1 and x^2 - q y^2 = d0 reduce to a biquadratic in y
-        a4 = Fraction(p) ** 2 - 4 * q
-        a2 = 2 * p * d1 - 4 * d0
-        a0 = d1 ** 2
-        for y2 in _quadratic_rational_roots(a4, a2, a0):
-            ry = rational_is_square(y2)
-            if ry is None or ry == 0:
-                continue
-            for y in (ry, -ry):
-                x = (d1 + p * y * y) / (2 * y)
-                candidates.append((x, y))
-    for x, y in candidates:
-        cand = field.element((x, y))
-        if cand * cand == d:
-            return cand
-    return None
-
-
-def _quadratic_rational_roots(a, b, c):
-    """Rational roots of a*y^2 + b*y + c (a may be zero)."""
-    if a == 0:
-        if b == 0:
-            return []
-        return [Fraction(-c, 1) / b]
-    disc = b * b - 4 * a * c
-    r = rational_is_square(disc)
-    if r is None:
-        return []
-    return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
-
-
-def _quadratic_roots(f, field):
-    """Roots in K of a quadratic with K coefficients."""
-    c, b, a = f[0], f[1], f[2]
-    disc = b * b - field.element(4) * a * c
-    s = sqrt_in_field(disc)
+def _small_cofactor_roots(g):
+    """The root of a monic linear g, or the roots of a squarefree monic
+    quadratic g whose discriminant is a rational square."""
+    if len(g) == 2:
+        return [-g[0]]
+    disc = g[1] * g[1] - 4 * g[0]
+    s = rational_is_square(disc.coeffs[0]) if disc.is_rational() else None
     if s is None:
         return []
-    two_a = field.element(2) * a
-    r1 = (-b + s) / two_a
-    r2 = (-b - s) / two_a
-    return [r1] if r1 == r2 else [r1, r2]
+    return [(s - g[1]) / 2, (-s - g[1]) / 2]
 
 
 def _quadratic_field_roots(f, field):
-    """Roots in a quadratic K of arbitrary-degree f, by rational coordinates.
+    """The roots in a quadratic K = Q(a) of a squarefree f of degree >= 2.
 
-    Writing a candidate root as x + y*a turns f(x + y*a) = 0 into two
-    polynomial equations over Q, solved exactly with a resultant.
+    A root x + a y, x and y rational, is a common rational zero of the
+    coordinates P, Q of f(x + a y) = P + a Q (``_taylor_coordinates``).
+    Over the algebraic closure f(x + a y) is a product of lines
+    x + a y = r and its conjugate P + a' Q one of lines x + a' y = r', so
+    P and Q have no common factor, and ``common_zeros`` over Q finds every
+    such zero.
     """
-    gen = field.gen()
-    n = poly_degree(f)
-    # powers (x + y a)^k expanded as pairs of Q[x, y] dicts {(i, j): coeff}
-    one = {(0, 0): Fraction(1)}
-    p_m, q_m = field.minpoly[1], field.minpoly[0]
+    P, Q = _taylor_coordinates(f, field)
+    roots = []
+    for x0, y0 in common_zeros(P, Q, QQ)[0]:
+        cand = field.element((x0.coeffs[0], y0.coeffs[0]))
+        if poly_eval(f, cand):
+            raise RuntimeError("a common zero of the coordinates of "
+                               "f(x + a y) is not a root of f")
+        roots.append(cand)
+    return roots
 
-    def pair_mul(u, v):
-        # (u0 + a u1)(v0 + a v1) with a^2 = -p a - q
-        u0, u1 = u
-        v0, v1 = v
-        w0, w1, w2 = {}, {}, {}
-        for (i, j), cu in u0.items():
-            for (k, l), cv in v0.items():
-                _acc(w0, (i + k, j + l), cu * cv)
-        for (i, j), cu in u0.items():
-            for (k, l), cv in v1.items():
-                _acc(w1, (i + k, j + l), cu * cv)
-        for (i, j), cu in u1.items():
-            for (k, l), cv in v0.items():
-                _acc(w1, (i + k, j + l), cu * cv)
-        for (i, j), cu in u1.items():
-            for (k, l), cv in v1.items():
-                _acc(w2, (i + k, j + l), cu * cv)
-        for key, c in w2.items():
-            _acc(w0, key, -q_m * c)
-            _acc(w1, key, -p_m * c)
-        return (_clean(w0), _clean(w1))
 
-    base = ({(1, 0): Fraction(1)}, {(0, 1): Fraction(1)})  # x + y a
-    powers = [(one, {})]
-    for _ in range(n):
-        powers.append(pair_mul(powers[-1], base))
+def _taylor_coordinates(f, field):
+    """P, Q in Q[x, y], as dicts over QQ, with f(x + a y) = P + a Q for a
+    quadratic K = Q(a).
+
+    By Taylor's formula at x, f(x + a y) = sum_k a^k y^k f_k(x), where
+    f_k = f^(k) / k! = sum_i C(i + k, k) f_(i+k) x^i, so the two
+    coordinates of a^k C(i + k, k) f_(i+k) are the (i, k) coefficients of
+    P and Q.
+    """
     P, Q = {}, {}
-    for k, coeff in enumerate(f):
-        c0, c1 = Fraction(coeff.coeffs[0]), Fraction(coeff.coeffs[1])
-        p0, p1 = powers[k]
-        # (c0 + a c1)(p0 + a p1)
-        for key, c in p0.items():
-            _acc(P, key, c0 * c)
-            _acc(Q, key, c1 * c)
-        for key, c in p1.items():
-            _acc(Q, key, c0 * c)
-            _acc(P, key, -q_m * c1 * c)
-            _acc(Q, key, -p_m * c1 * c)
-    P, Q = _clean(P), _clean(Q)
-    ys = _bivariate_rational_solutions(P, Q)
-    out = []
-    for x0, y0 in ys:
-        cand = field.element((x0, y0))
-        if poly_eval(f, cand).is_zero() and cand not in out:
-            out.append(cand)
-    return out
+    gen, power = field.gen(), field.one()
+    for k in range(len(f)):
+        for i in range(len(f) - k):
+            c0, c1 = (f[i + k] * power * math.comb(i + k, k)).coeffs
+            if c0:
+                P[(i, k)] = QQ.element(c0)
+            if c1:
+                Q[(i, k)] = QQ.element(c1)
+        power = power * gen
+    return P, Q
 
 
-def _acc(d, key, val):
-    if val == 0:
-        return
-    cur = d.get(key)
-    if cur is None:
-        d[key] = val
-    else:
-        cur += val
-        if cur == 0:
-            del d[key]
-        else:
-            d[key] = cur
+def common_zeros(p, q, field):
+    """The common zeros in K^2 of two bivariate dicts {(i, j): c} over K
+    without a common factor, and the cofactors that escape K.
 
-
-def _clean(d):
-    return {k: v for k, v in d.items() if v != 0}
-
-
-def _bivariate_rational_solutions(P, Q):
-    """Common rational zeros of two coprime polynomials in Q[x, y]."""
-    res = [Fraction(c.coeffs[0]) for c in bivariate_resultant(
-        {k: QQ.element(c) for k, c in P.items()},
-        {k: QQ.element(c) for k, c in Q.items()}, QQ)]
-    xs = _rational_roots(res) if res else []
-    sols = []
-    for x0 in xs:
-        sols.extend((x0, y0) for y0 in _common_univariate_roots(P, Q, x0))
-    return sols
-
-
-def _common_univariate_roots(P, Q, x_value):
-    def substitute(poly):
-        out = {}
-        for (i, j), c in poly.items():
-            _acc(out, j, c * x_value ** i)
-        deg = max(out) if out else 0
-        return [out.get(k, Fraction(0)) for k in range(deg + 1)]
-
-    g = poly_gcd(substitute(P), substitute(Q))
-    return _rational_roots(g) if g else []
+    The x-coordinates are the roots in K of Res_y(p, q); a side free of y
+    needs no case of its own, since its resultant is a power of it, or 1
+    when both sides are.  Over each such x0 the y-coordinates are the roots
+    of gcd(p(x0, y), q(x0, y)).  Returns the points (x0, y0), ordered by x0
+    then y0, and the escapes (x0, cofactor): for x0 None the cofactor of
+    Res_y cuts out x-coordinates outside K, else the cofactor cuts out the
+    y-coordinates over x0 outside K.  A zero resultant, a common factor,
+    raises RuntimeError.
+    """
+    rx = bivariate_resultant(p, q, field)
+    if not rx:
+        raise RuntimeError("degenerate affine singular system")
+    xs = find_roots_in_field(rx, field)
+    escapes = [(None, xs.cofactor)] if xs.remaining_degree else []
+    points = []
+    rows = to_y_rows(p, field), to_y_rows(q, field)
+    for x0 in xs.roots:
+        g = poly_gcd(*([poly_eval(row, x0) for row in r] for r in rows))
+        if len(g) < 2:
+            continue
+        ys = find_roots_in_field(g, field)
+        if ys.remaining_degree:
+            escapes.append((x0, ys.cofactor))
+        points.extend((x0, y0) for y0 in ys.roots)
+    return points, escapes
 
 
 # ---------------------------------------------------------------------------
@@ -1100,9 +1000,9 @@ def tokenize(text: str):
 class _ExprParser:
     """Tiny recursive-descent parser shared by the element and form syntax.
 
-    ``atom(name)`` must produce a value for a single-letter variable; the
-    value type needs +, -, * and ** with int exponents, and scalar
-    multiplication with Fraction.
+    ``atom(name)`` produces the value of a single-letter variable and
+    ``const(q)`` that of a Fraction; both parsers make ``_SparsePoly``
+    values.
     """
 
     def __init__(self, tokens, atom, const):
@@ -1179,47 +1079,61 @@ class _ExprParser:
         raise ValueError("unexpected token %r" % tok)
 
 
+class _SparsePoly:
+    """A polynomial {exponent tuple: coefficient}, the value type of the
+    parsers: +, -, * and ** with int exponents.  ``one`` is the constant 1
+    as an (exponent tuple, coefficient) pair."""
+
+    __slots__ = ("terms", "one")
+
+    def __init__(self, terms, one):
+        self.terms = terms
+        self.one = one
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        return _SparsePoly(out, self.one)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] - c if e in out else -c
+        return _SparsePoly(out, self.one)
+
+    def __neg__(self):
+        return _SparsePoly({e: -c for e, c in self.terms.items()}, self.one)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return _SparsePoly(out, self.one)
+
+    def __pow__(self, n):
+        out = _SparsePoly(dict([self.one]), self.one)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
 def _parse_univariate(text, letter):
     """Parse a polynomial in one variable into its Fraction coefficients,
     low degree first."""
-
-    class Poly(dict):
-        def __add__(self, other):
-            out = Poly(self)
-            for k, v in other.items():
-                out[k] = out.get(k, Fraction(0)) + v
-            return out
-
-        def __sub__(self, other):
-            out = Poly(self)
-            for k, v in other.items():
-                out[k] = out.get(k, Fraction(0)) - v
-            return out
-
-        def __neg__(self):
-            return Poly({k: -v for k, v in self.items()})
-
-        def __mul__(self, other):
-            out = Poly()
-            for i, a in self.items():
-                for j, b in other.items():
-                    out[i + j] = out.get(i + j, Fraction(0)) + a * b
-            return out
-
-        def __pow__(self, e):
-            out = Poly({0: Fraction(1)})
-            for _ in range(e):
-                out = out * self
-            return out
+    one = ((0,), Fraction(1))
 
     def atom(name):
         if name != letter:
             raise ValueError("unknown variable %r (expected %r)" %
                              (name, letter))
-        return Poly({1: Fraction(1)})
+        return _SparsePoly({(1,): Fraction(1)}, one)
 
-    parser = _ExprParser(tokenize(text), atom, lambda q: Poly({0: q}))
-    terms = {k: v for k, v in parser.parse().items() if v != 0}
+    parser = _ExprParser(tokenize(text), atom,
+                         lambda q: _SparsePoly({(0,): q}, one))
+    terms = {e: c for (e,), c in parser.parse().terms.items() if c != 0}
     return [terms.get(i, Fraction(0)) for i in range(max(terms, default=0) + 1)]
 
 

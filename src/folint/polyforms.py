@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import lcm
 
 from .numfield import (
-    QQ, FieldElement, NumberField, _ExprParser, format_element, join_terms,
-    poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim, scaled_term,
-    to_y_rows, tokenize,
+    QQ, FieldElement, NumberField, _ExprParser, _SparsePoly, format_element,
+    join_terms, poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim,
+    scaled_term, to_y_rows, tokenize,
 )
 
 VARS = ("X", "Y", "Z")
@@ -458,54 +458,22 @@ def parse_form(text: str, field: NumberField = None) -> HomogeneousForm:
     if field is None:
         field = QQ
 
-    class Node:
-        __slots__ = ("terms",)
-
-        def __init__(self, terms):
-            self.terms = terms      # {(i, j, k): FieldElement}
-
-        def __add__(self, other):
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                out[e] = out.get(e, field.zero()) + c
-            return Node(out)
-
-        def __sub__(self, other):
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                out[e] = out.get(e, field.zero()) - c
-            return Node(out)
-
-        def __neg__(self):
-            return Node({e: -c for e, c in self.terms.items()})
-
-        def __mul__(self, other):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, field.zero()) + c1 * c2
-            return Node(out)
-
-        def __pow__(self, e):
-            out = Node({(0, 0, 0): field.one()})
-            for _ in range(e):
-                out = out * self
-            return out
+    one = ((0, 0, 0), field.one())
 
     def atom(name):
         if name in VARS:
             expo = [0, 0, 0]
             expo[VARS.index(name)] = 1
-            return Node({tuple(expo): field.one()})
+            return _SparsePoly({tuple(expo): field.one()}, one)
         if name == "a":
             if field.is_rational:
                 raise ValueError("generator 'a' used without a field: line")
-            return Node({(0, 0, 0): field.gen()})
+            return _SparsePoly({(0, 0, 0): field.gen()}, one)
         raise ValueError("unknown variable %r" % name)
 
-    node = _ExprParser(tokenize(text), atom,
-                       lambda q: Node({(0, 0, 0): field.element(q)})).parse()
+    node = _ExprParser(
+        tokenize(text), atom,
+        lambda q: _SparsePoly({(0, 0, 0): field.element(q)}, one)).parse()
     terms = {e: c for e, c in node.terms.items() if not c.is_zero()}
     if not terms:
         return HomogeneousForm(field, 0, {})

@@ -18,9 +18,9 @@ from .cluster import (
 )
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
-    find_roots_in_field, format_poly_in_t, poly_degree, poly_divmod,
-    poly_eval, poly_gcd, poly_inverse_mod, poly_mul, poly_squarefree_part,
-    poly_sub, poly_trim, rational_is_square, to_y_rows,
+    common_zeros, find_roots_in_field, format_poly_in_t, poly_degree,
+    poly_divmod, poly_gcd, poly_inverse_mod, poly_mul, poly_sub, poly_trim,
+    rational_is_square, to_y_rows,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
 from .linsys import Series, _prune, _shift, chart_step, root_series
@@ -50,8 +50,9 @@ def _column(series: Series, t: int):
 
 def _coeffs_at_u0(poly, field):
     """The restriction to the exceptional u = 0, as a K[w] list."""
-    return poly_trim(row[0] if row else field.zero()
-                     for row in to_y_rows(poly, field))
+    row = {j: c for (i, j), c in poly.items() if not i}
+    return poly_trim(row.get(j, field.zero())
+                     for j in range(max(row, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +173,11 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     g = poly_gcd(a0, b0)
     children = []
     if poly_degree(g) >= 1:
-        g = poly_squarefree_part(g)
         roots, remaining, cofactor = find_roots_in_field(g, field)
         if remaining > 0:
             _require_orbit_simple(a1, b1, cofactor, field,
                                   [], [field.zero(), field.one()])
-        for c in sorted(roots, key=lambda e: e.sort_key()):
+        for c in roots:
             child = LocalFoliation(field, _shift(form1, 1, c, field))
             children.append((c, child, is_simple(child)))
 
@@ -193,15 +193,15 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
 # conjugate orbits outside K: exact simplicity certification
 # ---------------------------------------------------------------------------
 
-def _require_orbit_simple(a, b, modulus, field, u0, v0):
-    """Certify that all conjugate singular points cut out by ``modulus`` are
+def _require_orbit_simple(a, b, g, field, u0, v0):
+    """Certify that all conjugate singular points cut out by ``g`` are
     simple; raise FieldExtensionNeeded otherwise.
 
-    (u0, v0) are the coordinates of the orbit as K[t]/(modulus) elements, t
-    being the residue of the variable; a, b are the bivariate coefficients
-    of the ambient local 1-form a du + b dv.
+    g is squarefree and monic, a cofactor of ``find_roots_in_field``.
+    (u0, v0) are the coordinates of the orbit as K[t]/(g) elements, t being
+    the residue of the variable; a, b are the bivariate coefficients of the
+    ambient local 1-form a du + b dv.
     """
-    g = poly_squarefree_part(modulus)
     u0 = _alg_reduce(u0, g)
     v0 = _alg_reduce(v0, g)
 
@@ -315,9 +315,11 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     if len(pair) < 2:
         pair = [f.dehomogenize(2) for f in (A, B, C) if not f.is_zero()][:2]
     p, q = pair
-    affine_pts, affine_escaped = _solve_affine(p, q, field)
+    affine_pts, affine_escaped = common_zeros(p, q, field)
     points.extend((x, y, field.one()) for x, y in affine_pts)
-    escaped.extend(affine_escaped)
+    escaped.extend(EscapedOrbit("affine-x", cofactor, (p, q)) if x0 is None
+                   else EscapedOrbit("affine-y", cofactor, (x0, (p, q)))
+                   for x0, cofactor in affine_escaped)
 
     # the line Z = 0: points (x:1:0) and (1:0:0)
     univs = []
@@ -332,7 +334,6 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
         if poly_degree(g) < 1:
             break
     if poly_degree(g) >= 1:
-        g = poly_squarefree_part(g)
         roots, remaining, cofactor = find_roots_in_field(g, field)
         for r in roots:
             points.append((r, field.one(), field.zero()))
@@ -343,41 +344,6 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
         points.append((one, zero, zero))
     points = [normalize_point(pt) for pt in points]
     return SingularLocus(points, not escaped, escaped)
-
-
-def _solve_affine(p, q, field):
-    """Common zeros in K^2 of two coprime bivariate polynomials, plus the
-    conjugate orbits that escape K.  A side free of y needs no case of its
-    own: Res_y is then a power of it, or 1 when both sides are free of y."""
-    points = []
-    escaped = []
-    rx = bivariate_resultant(p, q, field)
-    if not rx:
-        raise ResolutionError("degenerate affine singular system")
-    roots, remaining, cofactor = find_roots_in_field(
-        poly_squarefree_part(rx), field)
-    if remaining > 0:
-        escaped.append(EscapedOrbit("affine-x", cofactor, (p, q)))
-    for x0 in roots:
-        for y0 in _y_roots_at(p, q, x0, field, escaped):
-            points.append((x0, y0))
-    return points, escaped
-
-
-def _y_roots_at(p, q, x0, field, escaped):
-    g = poly_gcd(_bi_eval_x(p, x0, field), _bi_eval_x(q, x0, field))
-    if poly_degree(g) < 1:
-        return []
-    g = poly_squarefree_part(g)
-    roots, remaining, cofactor = find_roots_in_field(g, field)
-    if remaining > 0:
-        escaped.append(EscapedOrbit("affine-y", cofactor, (x0, (p, q))))
-    return sorted(roots, key=lambda e: e.sort_key())
-
-
-def _bi_eval_x(poly, x0, field):
-    """Substitute x = x0, leaving a K[y] list."""
-    return poly_trim(poly_eval(row, x0) for row in to_y_rows(poly, field))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +467,10 @@ def _analyze_escaped_orbit(omega, orbit: EscapedOrbit, field):
         raise ResolutionError("unknown escape kind %r" % orbit.kind)
 
 
-def _solve_y_in_algebra(p, q, modulus, field):
-    """The y-coordinate over K[t]/(modulus) via a gcd in the algebra; the
-    orbit must have exactly one y per conjugate."""
-    g = poly_squarefree_part(modulus)
+def _solve_y_in_algebra(p, q, g, field):
+    """The y-coordinate over K[t]/(g) via a gcd in the algebra; the orbit
+    must have exactly one y per conjugate.  g is squarefree and monic, a
+    cofactor of ``find_roots_in_field``."""
     py = _rows_mod(p, g, field)
     qy = _rows_mod(q, g, field)
     gy = _algebra_poly_gcd(py, qy, g)

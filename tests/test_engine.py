@@ -8,8 +8,8 @@ from folint.cli import load_foliation, load_config_file
 from folint.cluster import ConfigurationError, load_configuration
 from folint.engine import (
     Caps, IndependentSystem, NotAnIndependentSystem, Verdict, algorithm1,
-    algorithm2, algorithm3, classify_conditions, delta_bound, discard_checks,
-    memo_fastpath, pipeline, w_function,
+    algorithm2, algorithm3, classify_conditions, delta_bound, memo_fastpath,
+    pipeline, w_function,
 )
 from folint.linsys import strict_class
 from folint.numfield import QQ
@@ -321,28 +321,6 @@ def test_memo_fastpath_not_applicable():
     omega, config, _ = load("penultimate")
     system = IndependentSystem([parse_form("Y-Z")], config)
     assert memo_fastpath(omega, config, system) is None
-
-
-def test_discard_checks():
-    omega, config, _ = load("fig2")
-    # Y and Z are invariant; neither triggers a discard here
-    assert discard_checks(omega, config, [parse_form("Y"),
-                                          parse_form("Z")]) is None
-    with pytest.raises(ValueError):
-        discard_checks(omega, config, [parse_form("X")])
-
-
-def test_discard_checks_positive_square():
-    # one plane point; a generic conic misses it so its strict square is 4
-    text = "point p origin=(0:0:1)\ndicritical p\n"
-    config = load_configuration(text)
-    omega = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
-                              -HomogeneousForm.variable(QQ, 0),
-                              HomogeneousForm(QQ, 1, {}))
-    conic = parse_form("X^2+Y*Z")
-    from folint.polyforms import is_invariant_curve
-    if is_invariant_curve(conic, omega):
-        assert discard_checks(omega, config, [conic]).outcome == "no_integral"
 
 
 # ---------------------------------------------------------------------------

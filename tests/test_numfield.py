@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, bivariate_resultant,
     find_roots_in_field, format_element, format_minpoly, poly_degree,
-    poly_divmod, poly_eval, poly_gcd, UnluckyPrime, poly_interpolate,
-    poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
-    sqrt_in_field, _is_prime, _rational_roots,
+    poly_derivative, poly_divmod, poly_eval, poly_gcd, UnluckyPrime,
+    poly_interpolate, poly_inverse_mod, poly_mul, poly_squarefree_part,
+    poly_sub, poly_trim, rational_is_square, _is_prime,
+    _taylor_coordinates,
 )
 
 from helpers import reference_resultant
@@ -130,13 +131,117 @@ def test_rational_root_in_a_cubic_field_from_integer_coordinates():
     assert res.remaining_degree == 2
 
 
-def test_sqrt_in_field():
-    assert sqrt_in_field(ROOT5.element(Fraction(9, 4))) == ROOT5.element(Fraction(3, 2))
+def test_square_roots_in_a_quadratic_field():
+    def square_roots(d):
+        return find_roots_in_field([-d, ROOT5.zero(), ROOT5.one()]).roots
+
+    assert square_roots(ROOT5.element(Fraction(9, 4))) == [
+        ROOT5.element(Fraction(-3, 2)), ROOT5.element(Fraction(3, 2))]
     # (3 - sqrt5)/2 = ((sqrt5 - 1)/2)^2
     val = ROOT5.element((Fraction(3, 2), Fraction(-1, 2)))
-    root = sqrt_in_field(val)
-    assert root is not None and root * root == val
-    assert sqrt_in_field(ROOT5.element(2)) is None
+    roots = square_roots(val)
+    assert len(roots) == 2 and all(r * r == val for r in roots)
+    assert square_roots(ROOT5.element(2)) == []
+
+
+CUBIC = NumberField((-2, 0, 0, 1))      # t^3 - 2
+ORACLE_FIELDS = [QQ, GAUSS, EISEN, ROOT5, CUBIC]
+
+
+def _linear(r):
+    return [-r, r.field.one()]
+
+
+def _expected_roots(field, drawn, irreducible):
+    """The roots find_roots_in_field promises: all of them over Q and
+    quadratic K; over deg K >= 3 the rational ones, then those of a linear
+    cofactor or of a quadratic one with a rational square discriminant."""
+    if field.degree <= 2:
+        return drawn
+    found = [r for r in drawn if r.is_rational()]
+    rest = [r for r in drawn if not r.is_rational()]
+    if not irreducible and len(rest) == 1:
+        found += rest
+    if not irreducible and len(rest) == 2:
+        disc = (rest[0] - rest[1]) ** 2
+        if (disc.is_rational()
+                and rational_is_square(disc.coeffs[0]) is not None):
+            found += rest
+    return found
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_find_roots_in_field_against_planted_roots(field):
+    rng = random.Random("roots %s" % field)
+    one = field.one()
+    # irreducible over each of the fields: sqrt 3 and the cube root of 5
+    # lie in none of them
+    irreducibles = [[field.element(-3), field.zero(), one],
+                    [field.element(-5), field.zero(), field.zero(), one]]
+
+    def element():
+        return field.element(tuple(Fraction(rng.randint(-3, 3),
+                                            rng.randint(1, 2))
+                                   for _ in range(field.degree)))
+
+    for _ in range(12):
+        drawn = []
+        for _ in range(rng.randint(0, 3)):
+            r = element()
+            if field is CUBIC:
+                # rational roots, and irrational ones a rational apart,
+                # reach the rational and the quadratic-cofactor steps
+                kind = rng.randrange(3)
+                if kind == 0:
+                    r = field.element(r.coeffs[0])
+                elif kind == 1 and drawn:
+                    r = drawn[-1] + r.coeffs[0]
+            if r not in drawn:
+                drawn.append(r)
+        f = [element() or one]
+        for r in drawn:
+            for _ in range(rng.randint(1, 3)):
+                f = poly_mul(f, _linear(r))
+        irreducible = None
+        if rng.random() < 0.6:
+            # shifted by an element of K, so still without roots in K
+            shift = element()
+            irreducible = []
+            for c in reversed(rng.choice(irreducibles)):
+                irreducible = poly_sub(poly_mul(irreducible, _linear(shift)),
+                                       [-c])
+            f = poly_mul(f, irreducible)
+        if len(f) < 2:
+            continue
+        expected = _expected_roots(field, drawn, irreducible)
+        res = find_roots_in_field(f)
+        assert res.roots == sorted(expected, key=lambda e: e.sort_key())
+        squarefree = poly_squarefree_part(f)
+        assert res.remaining_degree == len(squarefree) - 1 - len(expected)
+        cofactor = res.cofactor
+        assert cofactor[-1] == one
+        assert poly_gcd(cofactor, poly_derivative(cofactor)) == [one]
+        rebuilt = cofactor
+        for r in res.roots:
+            rebuilt = poly_mul(rebuilt, _linear(r))
+        assert rebuilt == squarefree
+
+
+def test_cubic_field_roots_after_the_rational_ones():
+    a, one = CUBIC.gen(), CUBIC.one()
+    half = CUBIC.element(Fraction(1, 2))
+    # a linear cofactor is split
+    res = find_roots_in_field(poly_mul(poly_mul(_linear(half), _linear(a)),
+                                       _linear(a)))
+    assert res.roots == [a, half] and res.cofactor == [one]
+    # a quadratic one is split when its discriminant is a rational square
+    pair = poly_mul(_linear(a), _linear(a + 1))
+    res = find_roots_in_field(poly_mul(pair, _linear(half)))
+    assert res.roots == [a, half, a + 1] and res.remaining_degree == 0
+    # (a - a^2)^2 is not rational, so a and a^2 stay in the cofactor
+    pair = poly_mul(_linear(a), _linear(a * a))
+    res = find_roots_in_field(poly_mul(pair, _linear(half)))
+    assert res.roots == [half] and res.cofactor == pair
 
 
 def test_divides_after_roots():
@@ -226,6 +331,12 @@ def _rational_roots_by_divisors(coeffs):
 small_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 
+def _rational_roots(coeffs):
+    """The rational roots of a Q-polynomial, from find_roots_in_field."""
+    res = find_roots_in_field([QQ.element(c) for c in coeffs])
+    return [r.as_fraction() for r in res.roots]
+
+
 @settings(deadline=None)
 @given(st.lists(st.tuples(small_fraction, st.integers(1, 2)), max_size=3),
        st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
@@ -247,6 +358,23 @@ def test_rational_roots_with_a_huge_constant_term():
     roots = _rational_roots(f)
     assert time.perf_counter() - start < 1
     assert roots == [Fraction(-big, 5), Fraction(3, 7)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from([GAUSS, EISEN, ROOT5,
+                        NumberField.from_string("t^2-3/4")]),
+       st.lists(st.tuples(small_fraction, small_fraction), min_size=1,
+                max_size=6),
+       small_fraction, small_fraction)
+def test_taylor_coordinates_are_f_at_x_plus_a_y(field, coeffs, x, y):
+    f = [field.element(pair) for pair in coeffs]
+    P, Q = _taylor_coordinates(f, field)
+
+    def value(poly):
+        return sum(c.coeffs[0] * x ** i * y ** j for (i, j), c in poly.items())
+
+    point = field.element((x, 0)) + field.gen() * y
+    assert value(P) + field.gen() * value(Q) == poly_eval(f, point)
 
 
 @settings(deadline=None)
