@@ -77,17 +77,22 @@ def root_chart_images(origin, field):
 
 class LinsysMemo:
     """What ``linsys`` keeps per configuration, so that it lives as long as
-    the configuration: its chart data over K and over the residue field of
-    K (False when it has no image there), each with the generic root series
-    per (root index, degree); and the last exact elimination that ``h0``
-    made, as (class, reduced rows, pivots), for ``basis``."""
+    the configuration: its chart data over K, and their images mod each
+    split prime tried, one per root of the minimal polynomial (None when a
+    datum has the prime in a denominator), each with the series of the
+    generic form at the points, kept for one degree at a time and up to
+    ``linsys._KEPT`` of them; and the last
+    kernel that ``h0`` returned, as (class, vectors), for ``basis``.  That
+    kernel is certified one of two ways: a rank of n mod a prime proves it
+    empty, and otherwise its vectors, lifted from primes, passed an exact
+    check in K and are zero at every pivot after their free column."""
 
-    __slots__ = ("exact", "residue", "elimination")
+    __slots__ = ("exact", "images", "kernel")
 
     def __init__(self):
         self.exact = None
-        self.residue = None
-        self.elimination = None
+        self.images = {}
+        self.kernel = None
 
 
 class Configuration:

@@ -1,11 +1,11 @@
 """Small exact linear algebra kernel used across the package.
 
-``rref`` is the one elimination loop: it works on exact entries, Fraction,
-FieldElement or Residue, and rank, nullspace and solve are thin wrappers
-over it.  ``rank_int`` takes the rank of an integer matrix mod one prime
-first and makes the entries Fractions only when that rank falls short of
-the row count; ``solve`` makes them Fractions first, so that no division
-can produce a float.  Bareiss
+``rref`` is the one elimination loop over exact entries, Fraction or
+FieldElement (``modp.rref`` is its twin on ints mod a prime), and rank,
+nullspace and solve are thin wrappers over it.  ``rank_int`` takes the rank
+of an integer matrix mod one prime first and makes the entries Fractions
+only when that rank falls short of the row count; ``solve`` makes them
+Fractions first, so that no division can produce a float.  Bareiss
 determinants are a separate algorithm on integer matrices for lattice
 computations, and the simplex is the reference that the tests check cone
 membership against.
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numfield import QQ, FieldElement, Residue
+from . import modp
+from .numfield import QQ, FieldElement
 
 
 def rref(rows):
@@ -61,14 +62,14 @@ def rank(rows) -> int:
 def rank_int(matrix) -> int:
     """Rank of an integer matrix.
 
-    The rank over F_p, p = ``QQ.residue_field().p``, is never larger than
-    the rank over Q: a minor that is nonzero mod p is a nonzero integer.  So
-    when the rank mod p equals the number of rows, it is the rank; only when
-    it falls short do the rows go through an exact elimination over Q.
+    The rank over F_P, P = ``QQ.split_prime(0)``'s prime, is never larger
+    than the rank over Q: a minor that is nonzero mod P is a nonzero
+    integer.  So when the rank mod P equals the number of rows, it is the
+    rank; only when it falls short do the rows go through an exact
+    elimination over Q.
     """
-    p = QQ.residue_field().p
     full = len(matrix)
-    if rank([[Residue(v % p, p) for v in row] for row in matrix]) == full:
+    if len(modp.rref(matrix, QQ.split_prime(0)[0])[1]) == full:
         return full
     return rank(_exact(matrix))
 

@@ -13,23 +13,37 @@ The series engine is the one chart-transform code of the package, and
 ``resolve`` runs its blow-ups on it too.  Every local coordinate change is
 built from a binomial shift (``_shift``: u -> u + c or v -> v + c) and the
 chart step: a root series dehomogenises at the pivot and shifts both
-coordinates, and chart 1 relabels the exponents and shifts w by c.
+coordinates, and chart 1 relabels the exponents and shifts w by c.  The
+engine runs over K, or on ints mod a prime P through t -> r for a root r of
+the minimal polynomial mod P (``numfield.residue``).
+
+``h0`` and ``basis`` eliminate the conditions mod word-size primes and
+return only what one of two certificates proves:
+
+- a rank of n, the number of degree-d monomials, mod P proves h0 = 0, since
+  the rank mod P is at most the rank in K;
+- otherwise the kernel mod P, lifted to K, must pass an exact check in K
+  (``_lifted_kernel``): k = n - rank_P kernel vectors in echelon form prove
+  rank_K = rank_P, and their support makes them the reduced echelon kernel
+  of the exact elimination, vector for vector.
+
+When neither holds the conditions are eliminated exactly in K.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 from typing import Dict, List, Tuple
 
-from . import linalg
+from . import linalg, modp
 from .cluster import Configuration, DivisorClass, root_chart_images
-from .numfield import FieldElement, UnluckyPrime
+from .numfield import FieldElement, _canon, residue
 from .polyforms import HomogeneousForm, monomials
 
 # A series maps a monomial (i, j) in the local coordinates (u, v) to its
 # coefficients, one per column, stored sparsely as {column: coefficient}.
 # A concrete form is the one-column case; the generic degree-d form has one
-# column per monomial.
+# column per monomial.  The coefficients are FieldElements, or ints mod P.
 Series = Dict[Tuple[int, int], Dict[int, FieldElement]]
 
 
@@ -37,22 +51,32 @@ Series = Dict[Tuple[int, int], Dict[int, FieldElement]]
 # the series engine: a binomial shift, root series and one chart step
 # ---------------------------------------------------------------------------
 
-def _prune(series: Series) -> Series:
-    """Drop entries that cancelled to zero, and monomials left empty."""
+def _prune(series: Series, P: int = 0) -> Series:
+    """Drop entries that cancelled to zero, and monomials left empty; with
+    a prime P, reduce the entries mod P first."""
     out = {}
     for key, vec in series.items():
-        vec = {t: v for t, v in vec.items() if not v.is_zero()}
+        if P:
+            vec = {t: r for t, v in vec.items() if (r := v % P)}
+        else:
+            vec = {t: v for t, v in vec.items() if not v.is_zero()}
         if vec:
             out[key] = vec
     return out
 
 
-def _shift(series: Series, axis: int, c, field) -> Series:
+def _shift(series: Series, axis: int, c, field, below=None) -> Series:
     """The series after u -> u + c (axis 0) or v -> v + c (axis 1): each
-    power of the shifted coordinate expands by the binomial theorem."""
-    if c.is_zero():
+    power of the shifted coordinate expands by the binomial theorem.
+    ``field`` is K, or a prime P for a series of ints mod P.  With
+    ``below``, only the monomials that can still reach an order below it
+    are formed: on axis 0 those with a u-exponent below it, since a later
+    shift of v can lower the v-exponent, and on axis 1 those of order below
+    it."""
+    if not c:
         return series
-    powers = [field.one()]
+    P = field if type(field) is int else 0
+    powers = [1 if P else field.one()]
     rows = {}
     out: Series = {}
     for key, vec in series.items():
@@ -60,31 +84,34 @@ def _shift(series: Series, axis: int, c, field) -> Series:
         row = rows.get(j)
         if row is None:
             while len(powers) <= j:
-                powers.append(powers[-1] * c)
+                powers.append(powers[-1] * c % P if P else powers[-1] * c)
             row = rows[j] = [(k, powers[j - k] * comb(j, k))
                              for k in range(j + 1)]
+        if below is not None:
+            row = row[:below - (key[0] if axis else 0)]
         for k, scale in row:
             acc = out.setdefault((k, key[1]) if axis == 0 else (key[0], k), {})
             for t, v in vec.items():
                 w = v * scale
                 cur = acc.get(t)
                 acc[t] = w if cur is None else cur + w
-    return _prune(out)
+    return _prune(out, P)
 
 
-def root_series(chart, columns, field) -> Series:
+def root_series(chart, columns, field, below=None) -> Series:
     """Local series at a plane point, in its canonical chart coordinates, of
     the forms of one degree whose coefficient dicts {(i, j, k): c} are
     ``columns``.  ``chart`` is the point's ``root_chart_images`` (pivot, a,
     b): the forms are dehomogenised at the pivot, and the other two
-    variables are shifted by a and b."""
+    variables are shifted by a and b (only as far as ``below`` asks, see
+    ``_shift``)."""
     pivot, a, b = chart
     x, y = (i for i in range(3) if i != pivot)
     out: Series = {}
     for t, coeffs in enumerate(columns):
         for expo, coeff in coeffs.items():
             out.setdefault((expo[x], expo[y]), {})[t] = coeff
-    return _shift(_shift(out, 0, a, field), 1, b, field)
+    return _shift(_shift(out, 0, a, field, below), 1, b, field, below)
 
 
 def chart_step(series: Series, chart: int, c, e: int, field) -> Series:
@@ -134,30 +161,27 @@ def strict_class(form: HomogeneousForm, config: Configuration) -> DivisorClass:
 # the linear system of a divisor class
 # ---------------------------------------------------------------------------
 
-class _ChartData:
-    """A configuration's chart data over one field, K or a residue field of
-    K, and the series of the generic form at each root point, memoised per
-    (root index, degree)."""
+# the most generic series a chart data keeps before it starts afresh; the
+# fixtures need at most one per point, 19
+_KEPT = 256
 
-    __slots__ = ("field", "charts", "constants", "series")
+
+class _ChartData:
+    """A configuration's chart data over one ring, K or F_P, and the series
+    of the generic form of one degree at its points.  A point's series
+    depends on the degree and on the clamped multiplicities of its
+    ancestors, which fix the monomials that each chart step drops, so it is
+    memoised under (point, those multiplicities) until the degree changes,
+    or more than ``_KEPT`` are kept."""
+
+    __slots__ = ("field", "charts", "constants", "degree", "series")
 
     def __init__(self, field, charts, constants):
-        self.field = field
-        self.charts = charts            # root index -> root_chart_images
+        self.field = field              # K, or the prime P
+        self.charts = charts            # root index -> (pivot, a, b)
         self.constants = constants      # point index -> chart-1 constant c
+        self.degree = None
         self.series = {}
-
-    def root_series(self, idx: int, degree: int) -> Series:
-        key = (idx, degree)
-        series = self.series.get(key)
-        if series is None:
-            if len(self.series) > 64:
-                self.series.clear()
-            one = self.field.one()
-            series = self.series[key] = root_series(
-                self.charts[idx], [{m: one} for m in monomials(degree)],
-                self.field)
-        return series
 
 
 def _exact_data(config: Configuration) -> _ChartData:
@@ -172,90 +196,216 @@ def _exact_data(config: Configuration) -> _ChartData:
     return memo.exact
 
 
-def _residue_data(config: Configuration):
-    """The chart data mapped once into the residue field of K, or None when
-    a datum has the prime in a denominator.  The data are normalised in K
-    first: a coordinate can be nonzero in K and zero mod p."""
+def _modular_data(config: Configuration, index: int):
+    """The chart data mapped into F_P through t -> r, one per root r of the
+    minimal polynomial mod the index-th split prime P, or None when a datum
+    has P in a denominator.  The data are normalised in K first: a
+    coordinate can be nonzero in K and zero mod P."""
     memo = config.linsys_memo
-    if memo.residue is None:
+    if index not in memo.images:
         exact = _exact_data(config)
-        field = config.field.residue_field()
-        try:
-            memo.residue = _ChartData(
-                field, {idx: (pivot, field.image(a), field.image(b))
-                        for idx, (pivot, a, b) in exact.charts.items()},
-                [None if c is None else field.image(c)
-                 for c in exact.constants])
-        except UnluckyPrime:
-            memo.residue = False
-    return memo.residue or None
+        P, roots, _ = config.field.split_prime(index)
+        data = []
+        for r in roots:
+            images = {}
+            for x in [c for c in exact.constants if c is not None] + [
+                    v for _, a, b in exact.charts.values() for v in (a, b)]:
+                images[x] = residue(x, P, r)
+            if None in images.values():
+                data = None
+                break
+            data.append(_ChartData(
+                P, {idx: (pivot, images[a], images[b])
+                    for idx, (pivot, a, b) in exact.charts.items()},
+                [None if c is None else images[c] for c in exact.constants]))
+        memo.images[index] = data
+    return memo.images[index]
 
 
-def _condition_rows(D: DivisorClass, config: Configuration,
-                    data: _ChartData):
+def _conditions(D: DivisorClass, config: Configuration, data: _ChartData,
+                columns=None):
+    """The conditions of D, point by point: the coefficient vectors of the
+    monomials of local order below the clamped multiplicity e_q, for the
+    generic degree-d form, whose series are memoised on ``data``, or for the
+    forms whose coefficient dicts are ``columns``.  A point is visited only
+    when it or a point above it has e_q > 0, and the forms' series at a
+    root with no point above it visited is formed only below e_q."""
     if D.d < 0:
         raise ValueError("negative degree %d" % D.d)
     field = data.field
-    zero = field.zero()
-    n = len(monomials(D.d))
+    generic = columns is None
+    if generic:
+        if data.degree != D.d or len(data.series) > _KEPT:
+            data.series.clear()
+            data.degree = D.d
+        one = 1 if type(field) is int else field.one()
+        columns = [{m: one} for m in monomials(D.d)]
     clamped = [max(v, 0) for v in D.e]
-    rows = []
+    parents = config.parent_idx
+    needed = [e > 0 for e in clamped]
+    branch = [False] * config.size
+    for idx in range(config.size - 1, -1, -1):
+        if needed[idx] and parents[idx] is not None:
+            needed[parents[idx]] = branch[parents[idx]] = True
+    above = {}
     local = {}
     for idx, point in enumerate(config.points):
-        if point.is_root():
-            series = data.root_series(idx, D.d)
-        else:
-            parent = config.parent_idx[idx]
-            series = chart_step(local[parent], point.chart,
-                                data.constants[idx], clamped[parent], field)
-        local[idx] = series
+        if not needed[idx]:
+            continue
+        parent = parents[idx]
+        key = () if parent is None else above[parent] + (clamped[parent],)
+        above[idx] = key
         e_q = clamped[idx]
+        series = data.series.get((idx, key)) if generic else None
+        if series is None:
+            if parent is None:
+                series = root_series(data.charts[idx], columns, field,
+                                     None if generic or branch[idx] else e_q)
+            else:
+                series = chart_step(local[parent], point.chart,
+                                    data.constants[idx], clamped[parent],
+                                    field)
+            if generic:
+                data.series[idx, key] = series
+        local[idx] = series
         for (i, j), vec in series.items():
             if i + j < e_q:
-                row = [zero] * n
-                for t, v in vec.items():
-                    row[t] = v
-                rows.append(row)
+                yield vec
+
+
+def _dense(vectors, n, zero):
+    rows = []
+    for vec in vectors:
+        row = [zero] * n
+        for t, v in vec.items():
+            row[t] = v
+        rows.append(row)
     return rows
 
 
 def condition_rows(D: DivisorClass, config: Configuration):
     """Linear conditions on the generic degree-d coefficients cut out by the
     virtual transform of D; negative multiplicities are clamped to zero."""
-    return _condition_rows(D, config, _exact_data(config))
+    return _dense(_conditions(D, config, _exact_data(config)),
+                  len(monomials(D.d)), config.field.zero())
+
+
+# split primes tried for a kernel before the exact elimination takes over
+_PRIMES = 6
+# the fractions reconstructed from a modulus M have |n|, d <= sqrt(M / 2^
+# _MARGIN): a residue of a larger fraction then passes for a smaller one
+# with a chance of about 2^-10, where the bound sqrt(M / 2) lets most pass
+_MARGIN = 11
+
+
+def _lifted_kernel(D: DivisorClass, config: Configuration):
+    """The reduced echelon kernel of D's conditions in K, from their
+    eliminations mod split primes, or None when it is not certified.
+
+    At the i-th split prime P the minimal polynomial has k distinct roots
+    r_j, and each t -> r_j maps the conditions into F_P (``numfield.residue``),
+    where they are eliminated on ints.  A rank of n at the first root proves
+    h0 = 0.  Otherwise every root must give the same pivots; the kernel
+    vector v_f of a free column f is 1 at f, 0 at the other free columns,
+    and minus the reduced entries at the pivots, which are 0 at the pivots
+    after f.  The images at the r_j give each K-coordinate mod P through
+    the inverse Vandermonde matrix of the roots, and Garner's CRT combines
+    the primes until every coordinate has a rational reconstruction.  The
+    vectors so found are accepted only after an exact check in K: the
+    chart steps are linear in the columns, so v is in the kernel iff the
+    forms sum_t v_t m_t leave no monomial of order below e_q at any point.
+
+    Then the f of the vectors, which number k = n - rank_P >= n - rank_K,
+    are free columns of the exact elimination as well: v_f is a kernel
+    vector whose last nonzero entry is at f, and a column is free iff some
+    kernel vector ends there.  So rank_K = rank_P, the free columns are the
+    same, and v_f is the unique kernel vector that is 1 at f and 0 at the
+    other free columns: what ``linalg.kernel`` reads off the exact
+    ``rref``.  Pivots that differ between roots or primes, a prime in a
+    chart denominator, no reconstruction within ``_PRIMES`` primes or a
+    failed check give None.
+    """
+    n = len(monomials(D.d))
+    pivots = None
+    coords, modulus = [], 1
+    for index in range(_PRIMES):
+        data = _modular_data(config, index)
+        if data is None:
+            return None
+        P, _, inverse = config.field.split_prime(index)
+        images = []
+        for root in data:
+            reduced, found = modp.rref(_dense(_conditions(D, config, root),
+                                              n, 0), P)
+            if pivots is None:
+                if len(found) == n:
+                    return []
+                pivots = found
+                free = [c for c in range(n) if c not in pivots]
+                # the entries that the reconstruction finds: (f, row)
+                entries = [(f, r) for f in free
+                           for r, pc in enumerate(pivots) if pc < f]
+            elif found != pivots:
+                return None
+            images.append([-reduced[r][f] for f, r in entries])
+        coords = modp.crt(coords or [0] * (len(entries) * len(inverse)),
+                          modulus, [sum(w * v[e] for w, v in zip(row, images))
+                                    for e in range(len(entries))
+                                    for row in inverse], P)
+        modulus *= P
+        bound = isqrt(modulus >> _MARGIN)
+        values = [modp.rational(x, modulus, bound) for x in coords]
+        if None not in values:
+            break
+    else:
+        return None
+    field = config.field
+    k = field.degree
+    zero, one = field.zero(), field.one()
+    vectors = {f: [zero] * n for f in free}
+    for f in free:
+        vectors[f][f] = one
+    for e, (f, r) in enumerate(entries):
+        vectors[f][pivots[r]] = FieldElement(
+            field, tuple(_canon(x) for x in values[e * k:(e + 1) * k]))
+    vectors = [vectors[f] for f in free]
+    order = monomials(D.d)
+    forms = [{order[t]: v for t, v in enumerate(vec) if not v.is_zero()}
+             for vec in vectors]
+    for _ in _conditions(D, config, _exact_data(config), forms):
+        return None
+    return vectors
+
+
+def _kernel(D: DivisorClass, config: Configuration):
+    """The reduced echelon kernel of D's conditions in K, certified from
+    primes or else eliminated exactly; the last one is kept for ``basis``."""
+    memo = config.linsys_memo
+    if memo.kernel is not None and memo.kernel[0] == D:
+        return memo.kernel[1]
+    vectors = _lifted_kernel(D, config)
+    if vectors is None:
+        reduced, pivots = linalg.rref(condition_rows(D, config))
+        vectors = linalg.kernel(reduced, pivots, len(monomials(D.d)),
+                                config.field.zero())
+    memo.kernel = (D, vectors)
+    return vectors
 
 
 def h0(D: DivisorClass, config: Configuration) -> int:
-    """dim H^0 of the direct image on the plane of O(D).
-
-    When the conditions can number as many as the n degree-d monomials,
-    their rank is first taken in the residue field of K: it is at most the
-    rank in K (see ``numfield.ResidueField``), so a rank of n there proves
-    h0 = 0.  Otherwise the rows are eliminated in K, and the elimination is
-    kept for ``basis``.
-    """
-    n = len(monomials(D.d))
-    if sum(e * (e + 1) // 2 for e in D.e if e > 0) >= n:
-        residue = _residue_data(config)
-        if (residue is not None and
-                linalg.rank(_condition_rows(D, config, residue)) == n):
-            return 0
-    reduced, pivots = linalg.rref(condition_rows(D, config))
-    config.linsys_memo.elimination = (D, reduced, pivots)
-    return n - len(pivots)
+    """dim H^0 of the direct image on the plane of O(D): the dimension of
+    the kernel of D's conditions, certified from word-size primes (see
+    ``_lifted_kernel``) or eliminated exactly in K."""
+    return len(_kernel(D, config))
 
 
 def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:
-    """A basis of the linear system, as degree-d forms."""
+    """A basis of the linear system, as degree-d forms: the reduced echelon
+    kernel of the conditions, one form per free monomial."""
     order = monomials(D.d)
-    last = config.linsys_memo.elimination
-    if last is not None and last[0] == D:
-        _, reduced, pivots = last
-    else:
-        reduced, pivots = linalg.rref(condition_rows(D, config))
     field = config.field
     out = []
-    for vec in linalg.kernel(reduced, pivots, len(order), field.zero()):
+    for vec in _kernel(D, config):
         coeffs = {order[t]: v for t, v in enumerate(vec) if not v.is_zero()}
         out.append(HomogeneousForm(field, D.d, coeffs))
     return out

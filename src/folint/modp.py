@@ -5,13 +5,17 @@ trailing zeros (``[]`` is zero).  The primes in use lie below 2^31, so each
 product of two residues is a machine-size int.  Besides the ring operations
 this holds what a modular algorithm needs: a Euclidean resultant, Newton
 interpolation on non-negative integer nodes, the Chinese remainder step with
-a symmetric lift, the roots of a polynomial that splits into distinct linear
-factors, the inverse of their Vandermonde matrix, and from these the image
-of a bivariate resultant over a number field.  Nothing here depends on the
-rest of the package.
+a symmetric lift, rational reconstruction, the roots of a polynomial that
+splits into distinct linear factors, the inverse of their Vandermonde
+matrix, and from these the image of a bivariate resultant over a number
+field.  Matrices mod P have their reduced row echelon form.  Nothing here
+depends on the rest of the package.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd as igcd
 
 
 def _is_prime(n: int) -> bool:
@@ -141,6 +145,25 @@ def crt(residues, modulus, images, P):
             for x, y in zip(residues, images)]
 
 
+def rational(x, modulus, bound):
+    """The fraction n/d with n = d x mod modulus and |n|, d <= bound, or
+    None when there is none (Wang 1981), for 2 bound^2 < modulus.  There is
+    at most one: two such fractions n/d and n'/d' give n d' = n' d mod
+    modulus with both sides below modulus / 2 in absolute value, so
+    n d' = n' d.  The extended Euclidean algorithm on (modulus, x) keeps
+    r_i = s_i x mod modulus, and its first remainder r_i <= bound gives
+    the candidate."""
+    r0, r1 = modulus, x % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or igcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
 def symmetric(x, modulus):
     """The representative of x mod modulus in (-modulus/2, modulus/2]."""
     x %= modulus
@@ -239,3 +262,32 @@ def evaluate(a, x, modulus):
     for c in reversed(a):
         acc = (acc * x + c) % modulus
     return acc
+
+
+def rref(rows, P):
+    """The reduced row echelon form mod P of a matrix of ints, as
+    ``linalg.rref`` returns it: (the nonzero reduced rows, with entries in
+    [0, P), and their pivot columns)."""
+    m = [[v % P for v in row] for row in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        # the pivot row is zero left of c, so only columns c.. change
+        inv = pow(m[r][c], -1, P)
+        tail = [v * inv % P for v in m[r][c:]]
+        m[r][c:] = tail
+        for i in range(len(m)):
+            f = m[i][c]
+            if f and i != r:
+                m[i][c:] = [(a - f * b) % P for a, b in zip(m[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots

@@ -7,8 +7,9 @@ i.e. polynomials in the generator of degree < deg(K) whose coordinates are
 exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
 lowest terms (see ``_canon``).  Most coordinates met in practice are
 integers, and int arithmetic skips Fraction's gcd normalisation; every
-division of coordinates goes through a Fraction.  A residue field F_p of K
-receives the elements without p in a denominator.
+division of coordinates goes through a Fraction.  An element without P in
+a denominator has an int image mod P at each root of m mod P
+(``residue``).
 
 The univariate routines ``poly_*`` work on coefficient lists of int,
 Fraction or FieldElement alike: the field inverts its elements with
@@ -285,7 +286,6 @@ class NumberField:
         self.irreducibility_verified = self.degree <= 3
         self._zero = FieldElement(self, (0,) * self.degree)
         self._one = self.element(1)
-        self._residue = None
         self._tpowers = None
         self._split_primes = []
 
@@ -348,34 +348,22 @@ class NumberField:
             self._tpowers = rows
         return self._tpowers
 
-    def residue_field(self) -> "ResidueField":
-        """The residue field of K at the largest prime below 2^31 at which
-        the minimal polynomial has a root; found on first use."""
-        if self._residue is None:
-            self._residue = ResidueField(self)
-        return self._residue
-
-    def roots_mod_primes(self, below=2 ** 31):
-        """(P, the distinct roots of m mod P) for each prime P < below that
-        divides no denominator of m, largest first."""
-        P = below - 1 - below % 2
-        while True:
+    def split_prime(self, i):
+        """(P, roots, inverse Vandermonde matrix of the roots) for the i-th
+        largest prime P < 2^31 that divides no denominator of m and at
+        which m splits into distinct linear factors; found on first use and
+        kept."""
+        primes = self._split_primes
+        P = primes[-1][0] - 2 if primes else 2 ** 31 - 1
+        while len(primes) <= i:
             if _is_prime(P) and all(c.denominator % P for c in self.minpoly):
                 m = [c.numerator * pow(c.denominator, -1, P) % P
                      for c in self.minpoly]
-                yield P, modp.split_roots(m, P)
+                roots = modp.split_roots(m, P)
+                if len(roots) == self.degree:
+                    primes.append((P, roots,
+                                   modp.vandermonde_inverse(roots, P)))
             P -= 2
-
-    def split_prime(self, i):
-        """(P, roots, inverse Vandermonde matrix of the roots) for the i-th
-        largest prime P < 2^31 at which m splits into distinct linear
-        factors; found on first use and kept."""
-        primes = self._split_primes
-        walk = self.roots_mod_primes(primes[-1][0] if primes else 2 ** 31)
-        while len(primes) <= i:
-            P, roots = next(walk)
-            if len(roots) == self.degree:
-                primes.append((P, roots, modp.vandermonde_inverse(roots, P)))
         return primes[i]
 
     def parse(self, text: str) -> "FieldElement":
@@ -564,106 +552,29 @@ QQ = NumberField.rationals()
 
 
 # ---------------------------------------------------------------------------
-# a residue field of K
+# images mod a prime
 # ---------------------------------------------------------------------------
 
-class UnluckyPrime(ArithmeticError):
-    """An element of K has the residue prime in a denominator, so it has no
-    image in the residue field."""
+def residue(x: FieldElement, P: int, r: int):
+    """The image of x under t -> r mod P, for a root r of the minimal
+    polynomial mod a prime P that divides none of its denominators; None
+    when a coordinate of x has P in its denominator.
 
-
-class Residue:
-    """An element of the prime field F_p.  Immutable; ints multiply and
-    divide in as their residues."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v          # the canonical residue, 0 <= v < p
-        self.p = p
-
-    def is_zero(self) -> bool:
-        return self.v == 0
-
-    def __add__(self, other):
-        return Residue((self.v + other.v) % self.p, self.p)
-
-    def __sub__(self, other):
-        return Residue((self.v - other.v) % self.p, self.p)
-
-    def __neg__(self):
-        return Residue(-self.v % self.p, self.p)
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return Residue(self.v * other % self.p, self.p)
-        return Residue(self.v * other.v % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Residue":
-        if self.v == 0:
-            raise ZeroDivisionError("inverting zero in F_%d" % self.p)
-        return Residue(pow(self.v, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if type(other) is int:
-            return (self.v - other) % self.p == 0
-        return (isinstance(other, Residue) and self.v == other.v
-                and self.p == other.p)
-
-    def __ne__(self, other):
-        if type(other) is int:
-            return (self.v - other) % self.p != 0
-        return not self == other
-
-    def __repr__(self):
-        return "%d (mod %d)" % (self.v, self.p)
-
-
-class ResidueField:
-    """F_p as the image of K = Q[t]/(m) under t -> r, where m(r) = 0 mod p.
-
-    The elements of K whose coordinates have no p in a denominator form the
-    ring Z_(p)[t]/(m), and reducing it mod p with t -> r is a ring
-    homomorphism phi onto F_p.  A polynomial expression in such elements
+    The elements of K whose coordinates have no P in a denominator form the
+    ring Z_(P)[t]/(m), and reducing it mod P with t -> r is a ring
+    homomorphism onto F_P.  A polynomial expression in such elements
     therefore maps to the same expression in their images: the rank of a
-    matrix mod p is at most its rank in K, since a minor that is nonzero
-    mod p is the image of a nonzero minor.
+    matrix mod P is at most its rank in K, since a minor that is nonzero
+    mod P is the image of a nonzero minor.
     """
-
-    def __init__(self, field: NumberField):
-        self.p, roots = next(pair for pair in field.roots_mod_primes()
-                             if pair[1])
-        self.r = roots[0]
-        self._zero, self._one = Residue(0, self.p), Residue(1, self.p)
-
-    def zero(self) -> Residue:
-        return self._zero
-
-    def one(self) -> Residue:
-        return self._one
-
-    def _reduce(self, q) -> Residue:
-        if q.denominator % self.p == 0:
-            raise UnluckyPrime("%d divides the denominator of %s" %
-                               (self.p, q))
-        return Residue(q.numerator * pow(q.denominator, -1, self.p) % self.p,
-                       self.p)
-
-    def image(self, x: FieldElement) -> Residue:
-        """phi(x); raises UnluckyPrime when a coordinate of x has p in its
-        denominator."""
-        acc = self._zero
-        for c in reversed(x.coeffs):
-            acc = acc * self.r + self._reduce(c)
-        return acc
+    acc = 0
+    for c in reversed(x.coeffs):
+        if type(c) is not int:
+            if c.denominator % P == 0:
+                return None
+            c = c.numerator * pow(c.denominator, -1, P)
+        acc = (acc * r + c) % P
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +653,18 @@ def bivariate_resultant(p, q, field):
       mu.  Each step multiplies the 1-norm by at most delta + |delta mu|_1.
       So T = delta^E c^n d^m Res(p, q) has int coordinates of absolute
       value at most B = |P|_1^n |Q|_1^m (delta + |delta mu|_1)^E.
+    - Hadamard bound.  On the torus |t| = |x| = 1 an entry of the Sylvester
+      matrix has modulus at most the 1-norm of the y-coefficient it holds,
+      so Hadamard's inequality bounds |R| there by H, the product over the
+      rows of the 2-norms of those 1-norms:
+      H^2 = (sum_j |P_j|_1^2)^n (sum_j |Q_j|_1^2)^m, P_j the y^j
+      coefficient.  A coefficient of a polynomial is at most its maximum
+      on the torus (Cauchy), so every coefficient r_e,i of t^e x^i in R is
+      at most H.  The rows delta^E (t^e mod mu), e <= (m + n)(k - 1), have
+      int coordinates, since each step above multiplies by delta, and
+      T = sum_e r_e (delta^E t^e mod mu) in the coordinates of x^i.  So its
+      coordinate l is at most H times the sum over e of the absolute
+      coordinates l of those rows, and B is the smaller of the two bounds.
     - Images.  At a prime P (``NumberField.split_prime``) mu has k distinct
       roots r_j, and t -> r_j, x -> x0 maps Z_(P)[t, x] onto F_P, taking
       delta mu, and so delta^E R - T, to 0.  When neither leading
@@ -764,8 +687,15 @@ def bivariate_resultant(p, q, field):
     k = field.degree
     delta = math.lcm(*(x.denominator for x in field.minpoly))
     steps = max(0, (m + n) * (k - 1) - k + 1)
-    bound = p_norm ** n * q_norm ** m * (
-        delta + sum(abs(x * delta) for x in field.minpoly)) ** steps
+    hadamard = math.isqrt(_square_sum(p_int) ** n * _square_sum(q_int) ** m)
+    power, sums = [delta ** steps] + [0] * (k - 1), [0] * k
+    for _ in range((m + n) * (k - 1) + 1):
+        sums = [s + abs(x) for s, x in zip(sums, power)]
+        power = [(power[i - 1] if i else 0) - power[-1] * field.minpoly[i]
+                 for i in range(k)]
+    bound = min(p_norm ** n * q_norm ** m * (
+        delta + sum(abs(x * delta) for x in field.minpoly)) ** steps,
+        (hadamard + 1) * max(sums))
     count = 1 + min(
         m * _x_degree(q_rows) + n * _x_degree(p_rows),
         n * _total_degree(p_rows) + m * _total_degree(q_rows) - m * n)
@@ -810,6 +740,11 @@ def _int_rows(rows):
     out = [[tuple(x.numerator * (c // x.denominator) for x in e.coeffs)
             for e in row] for row in rows]
     return out, c, sum(abs(x) for row in out for e in row for x in e)
+
+
+def _square_sum(rows):
+    """The sum over the rows of the square of their 1-norms."""
+    return sum(sum(abs(x) for e in row for x in e) ** 2 for row in rows)
 
 
 def _x_degree(rows):

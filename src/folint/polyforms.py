@@ -13,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from . import modp
 from .numfield import (
     QQ, FieldElement, NumberField, _ExprParser, _SparsePoly, format_element,
     join_terms, poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim,
-    scaled_term, to_y_rows, tokenize,
+    residue, scaled_term, to_y_rows, tokenize,
 )
 
 VARS = ("X", "Y", "Z")
@@ -227,6 +228,68 @@ def gcd3(*forms: HomogeneousForm) -> HomogeneousForm:
 
 
 def _gcd_pair(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
+    if _coprime(f, g):
+        return HomogeneousForm.constant(f.field, 1)
+    return _prs_gcd(f, g)
+
+
+# specialisations tried per variable before the primitive PRS takes over
+_TRIES = 4
+
+
+def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
+    """True when f and g are proven coprime from their images mod the first
+    split prime P of K, at the first root r of the minimal polynomial.
+
+    Let h = gcd(f, g), and let Z not divide both forms.  Then Z does not
+    divide h, so h(x, y, 1) has the degree of h and divides f(x, y, 1) and
+    g(x, y, 1).  If h is not constant, h(x, y, 1) has positive degree in x
+    or in y, say in x.  Then f(x, y, 1) and g(x, y, 1) have positive
+    x-degrees, and their resultant in x, taken at those degrees, is zero in
+    K[y].  Sending t -> r, y -> c for an int c is a ring homomorphism from
+    the forms with no P in a denominator onto F_P, and when neither
+    x-leading coefficient vanishes there, the Sylvester matrix keeps its
+    shape: the resultant maps to the resultant of the images, which would
+    then be zero.  So one c with surviving leading coefficients and a
+    nonzero resultant of the images rules out a common factor of positive
+    x-degree; a form of x-degree 0 rules it out by itself.  The same with y
+    and x = c rules out positive y-degree, and then h is constant.  False
+    means only that no such certificate was found.
+    """
+    if f.degree == 0 or g.degree == 0:
+        return True
+    if min(e[2] for e in f.coeffs) and min(e[2] for e in g.coeffs):
+        return False
+    P, roots, _ = f.field.split_prime(0)
+    images = []
+    for form in (f, g):
+        image = {}
+        for (i, j, _), c in form.coeffs.items():
+            image[i, j] = residue(c, P, roots[0])
+            if image[i, j] is None:
+                return False
+        images.append(image)
+    for axis in (0, 1):
+        tops = [max(key[axis] for key in image) for image in images]
+        if not all(tops):
+            continue
+        for c in range(_TRIES):
+            pair = []
+            for image, top in zip(images, tops):
+                coeffs = [0] * (top + 1)
+                for key, v in image.items():
+                    coeffs[key[axis]] += v * pow(c, key[1 - axis], P)
+                pair.append([v % P for v in coeffs])
+            if pair[0][-1] and pair[1][-1] and modp.resultant(*pair, P):
+                break
+        else:
+            return False
+    return True
+
+
+def _prs_gcd(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
+    """A gcd by the primitive PRS over K[x][y], times the common power of
+    Z."""
     field = f.field
     fz = min(e[2] for e in f.coeffs)
     gz = min(e[2] for e in g.coeffs)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folint import linalg
+from folint import linalg, linsys, modp
 from folint.cli import load_config_file
 from folint.cluster import (
     Configuration, InfinitelyNearPoint, load_configuration, root_chart_images,
@@ -14,7 +14,7 @@ from folint.linsys import (
     basis, chart_step, condition_rows, effective_multiplicities, h0,
     root_series, strict_class,
 )
-from folint.numfield import QQ, NumberField
+from folint.numfield import QQ, NumberField, residue
 from folint.polyforms import HomogeneousForm, monomials, parse_form
 
 from helpers import same_span, total_valuations
@@ -269,7 +269,7 @@ def test_basis_dimension_agrees():
 
 
 # ---------------------------------------------------------------------------
-# h0 = 0 certified by the rank in the residue field of K
+# h0 and its basis certified from word-size primes
 # ---------------------------------------------------------------------------
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -293,7 +293,7 @@ def test_h0_equals_the_exact_rank(data):
 
 
 def test_prime_in_a_chart_constant_falls_back():
-    p = QQ.residue_field().p
+    p = QQ.split_prime(0)[0]
     points = [pt("q1", origin=(0, 0, 1)),
               pt("q2", parent="q1", chart=1, c=QQ.element(Fraction(1, p))),
               pt("q3", parent="q2", chart=1, c=QQ.element(0),
@@ -303,7 +303,7 @@ def test_prime_in_a_chart_constant_falls_back():
     config = Configuration(points, QQ)
     D = config.divisor(2, [2, 1, 1, 1, 1])
     assert h0(D, config) == 0
-    assert config.linsys_memo.residue is False
+    assert config.linsys_memo.images[0] is None
     assert h0(D, config) == 6 - linalg.rank(condition_rows(D, config))
     # the line pair at q1 through q4 and along q2
     D = config.divisor(2, [2, 1, 0, 1, 0])
@@ -313,12 +313,12 @@ def test_prime_in_a_chart_constant_falls_back():
 def test_rank_drop_mod_p_gets_the_exact_rank():
     # (1:0:0), (0:1:0) and (1:1:p) are not collinear, but their
     # determinant p vanishes mod p
-    p = QQ.residue_field().p
+    p = QQ.split_prime(0)[0]
     config = plane_points_config([(1, 0, 0), (0, 1, 0), (1, 1, p)])
     D = config.divisor(1, [1, 1, 1])
     rows = condition_rows(D, config)
-    F = QQ.residue_field()
-    assert linalg.rank([[F.image(v) for v in row] for row in rows]) == 2
+    image = [[residue(v, p, 0) for v in row] for row in rows]
+    assert len(modp.rref(image, p)[1]) == 2
     assert linalg.rank(rows) == 3
     assert h0(D, config) == 0
     assert basis(D, config) == []
@@ -328,3 +328,116 @@ def test_rank_drop_mod_p_gets_the_exact_rank():
     (line,) = basis(D, config)
     assert line.coefficient_vector(monomials(1)) == \
         [QQ.zero(), QQ.element(-p), QQ.one()]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The classes whose conditions h0 and basis eliminate exactly in K."""
+    calls = []
+
+    def counting(D, config):
+        calls.append(D)
+        return condition_rows(D, config)
+
+    monkeypatch.setattr(linsys, "condition_rows", counting)
+    return calls
+
+
+def exact_kernel_forms(D, config):
+    rows = condition_rows(D, config)
+    zero = config.field.zero()
+    reduced, pivots = linalg.rref(rows)
+    order = monomials(D.d)
+    return [HomogeneousForm(config.field, D.d,
+                            {order[t]: v for t, v in enumerate(vec)})
+            for vec in linalg.kernel(reduced, pivots, len(order), zero)]
+
+
+def test_modular_kernel_is_the_exact_kernel(exact_calls):
+    # seeded classes on configurations over Q, Q(i) and Q(j); the fixtures'
+    # own classes alternate with random ones, so the memoised series meet
+    # changes of degree and of the multiplicities above a point
+    rng = random.Random(11)
+    dims = {}
+    for name in ("family_a861", "example1", "fig3"):
+        config = load_config_file(os.path.join(FIXTURES, name + ".cfg"))
+        for _ in range(40):
+            d = rng.randint(1, 5)
+            e = [min(rng.choice((-1, 0, 1, 1, 2, 3)), d)
+                 for _ in range(config.size)]
+            D = config.divisor(d, e)
+            expected = exact_kernel_forms(D, config)
+            assert h0(D, config) == len(expected)
+            assert basis(D, config) == expected
+            dims[len(expected)] = dims.get(len(expected), 0) + 1
+    assert exact_calls == []
+    assert all(dims.get(k, 0) >= 3 for k in (0, 1, 2, 3))
+
+
+def test_modular_kernel_with_denominators_over_q_i():
+    # plane points with Fraction coordinates over Q(i), degrees up to 3
+    field = GAUSS
+    rng = random.Random(5)
+    for _ in range(25):
+        coords = [tuple(field.element((Fraction(rng.randint(-4, 4),
+                                                rng.randint(1, 3)),
+                                       rng.randint(-2, 2)))
+                        for _ in range(3)) for _ in range(5)]
+        if any(all(v.is_zero() for v in c) for c in coords):
+            continue
+        config = plane_points_config(coords, field)
+        d = rng.randint(1, 3)
+        D = config.divisor(d, [rng.randint(0, 2) for _ in coords])
+        expected = exact_kernel_forms(D, config)
+        assert h0(D, config) == len(expected)
+        assert basis(D, config) == expected
+
+
+def test_pivots_that_differ_mod_p_fall_back(exact_calls):
+    # the lines through (1:0:0) and (1:p:1): the conditions are the rows
+    # (1, 0, 0) and (1, p, 1), whose pivots are columns 0, 1 in Q and 0, 2
+    # mod p; the kernel mod p, the line Y, misses (1:p:1)
+    p = QQ.split_prime(0)[0]
+    config = plane_points_config([(1, 0, 0), (1, p, 1)])
+    D = config.divisor(1, [1, 1])
+    assert modp.rref([[1, 0, 0], [1, p, 1]], p)[1] == [0, 2]
+    assert h0(D, config) == 1
+    assert basis(D, config) == exact_kernel_forms(D, config)
+    assert exact_calls == [D]
+
+
+def test_pivots_that_differ_between_roots_fall_back(exact_calls):
+    # over Q(i) the point (1 : i - r : 1), r the first root of t^2 + 1 mod
+    # the first split prime, has Y-coordinate 0 at t -> r only
+    P, (r, _), _ = GAUSS.split_prime(0)
+    y = GAUSS.gen() - r
+    config = plane_points_config([(1, 0, 0), (1, y, 1)], GAUSS)
+    D = config.divisor(1, [1, 1])
+    assert h0(D, config) == 1
+    assert basis(D, config) == exact_kernel_forms(D, config)
+    assert exact_calls == [D]
+
+
+def test_no_reconstruction_within_the_prime_budget_falls_back(exact_calls):
+    # the line through (1:0:0) and (1:a:b) is bY - aZ, and a 300-bit a/b
+    # has no reconstruction from the product of the primes tried
+    a, b = 3 ** 190, 2 ** 300 + 1
+    config = plane_points_config([(1, 0, 0), (1, a, b)])
+    D = config.divisor(1, [1, 1])
+    assert h0(D, config) == 1
+    assert basis(D, config) == exact_kernel_forms(D, config)
+    assert exact_calls == [D]
+
+
+def test_forced_failures_reach_the_exact_elimination(exact_calls):
+    # a prime in a chart denominator and a rank drop mod p
+    p = QQ.split_prime(0)[0]
+    config = plane_points_config([(p, 1, 0), (0, 0, 1)])
+    D = config.divisor(1, [1, 1])
+    assert config.linsys_memo.images == {}
+    assert basis(D, config) == exact_kernel_forms(D, config)
+    assert config.linsys_memo.images[0] is None
+    config = plane_points_config([(1, 0, 0), (0, 1, 0), (1, 1, p)])
+    E = config.divisor(1, [1, 1, 1])
+    assert h0(E, config) == 0
+    assert exact_calls == [D, E]

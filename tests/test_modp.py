@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from folint import modp
+from folint import linalg, modp
 from folint.numfield import QQ, poly_mul, poly_resultant
 
 
@@ -76,3 +77,68 @@ def test_resultant_agrees_with_the_rational_one():
                                [QQ.element(c) for c in b], QQ)
         assert modp.resultant([c % P for c in a], [c % P for c in b], P) == \
             Fraction(exact.coeffs[0]) % P
+
+
+def _image(q, P):
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+def test_rref_is_the_image_of_the_rational_one():
+    # random int matrices, some of them products that lose rank over Q;
+    # mod a large prime the reduced echelon form is the rational one's image
+    rng = random.Random(4)
+    P = 2 ** 31 - 1
+    for _ in range(200):
+        rows, cols, inner = (rng.randint(1, 6) for _ in range(3))
+        left = [[rng.randint(-9, 9) for _ in range(inner)]
+                for _ in range(rows)]
+        right = [[rng.randint(-9, 9) for _ in range(cols)]
+                 for _ in range(inner)]
+        matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                  for row in left]
+        reduced, pivots = linalg.rref([[Fraction(v) for v in row]
+                                       for row in matrix])
+        assert modp.rref(matrix, P) == (
+            [[_image(v, P) for v in row] for row in reduced], pivots)
+
+
+def test_rref_mod_a_small_prime():
+    # mod 5 the rank drops: the kernel read off the reduced rows still
+    # annihilates every row mod 5, and has n - rank vectors
+    rng = random.Random(5)
+    P = 5
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        matrix = [[rng.randint(-20, 20) for _ in range(n)]
+                  for _ in range(rng.randint(1, 6))]
+        reduced, pivots = modp.rref(matrix, P)
+        assert len(reduced) == len(pivots) <= min(len(matrix), n)
+        for r, pc in enumerate(pivots):
+            assert reduced[r][pc] == 1 and not any(reduced[r][:pc])
+            assert all(row[pc] == 0 for i, row in enumerate(reduced)
+                       if i != r)
+        kernel = linalg.kernel(reduced, pivots, n, 0)
+        assert len(kernel) == n - len(pivots)
+        assert all(sum(a * b for a, b in zip(row, vec)) % P == 0
+                   for row in matrix for vec in kernel)
+    assert modp.rref([], P) == ([], [])
+    assert modp.rref([[5, 10], [0, 0]], P) == ([], [])
+
+
+def test_rational_reconstruction():
+    rng = random.Random(6)
+    modulus = (2 ** 31 - 1) * (2 ** 31 - 19)
+    bound = math.isqrt(modulus // 2 - 1)
+    for _ in range(300):
+        q = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        x = _image(q, modulus)
+        assert modp.rational(x, modulus, bound) == q
+        # a smaller bound never returns a fraction beyond it
+        small = max(abs(q.numerator), q.denominator) - 1
+        other = modp.rational(x, modulus, small)
+        assert other is None or (max(abs(other.numerator),
+                                     other.denominator) <= small
+                                 and _image(other, modulus) == x)
+    assert modp.rational(0, modulus, bound) == 0
+    assert modp.rational(modulus - 1, modulus, 1) == -1

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, bivariate_resultant,
     find_roots_in_field, format_element, format_minpoly, poly_degree,
-    poly_derivative, poly_divmod, poly_eval, poly_gcd, UnluckyPrime,
-    poly_interpolate, poly_inverse_mod, poly_mul, poly_squarefree_part,
-    poly_sub, poly_trim, rational_is_square, _is_prime,
+    poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_interpolate,
+    poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
+    rational_is_square, residue, _is_prime,
     _taylor_coordinates,
 )
 
@@ -405,13 +405,16 @@ def _mod(q, p):
     NumberField.from_string("t^3-2"), NumberField.from_string("t^2-1/2"),
 ], ids=repr)
 def test_residue_field_prime_and_root(field):
-    F = field.residue_field()
-    assert field.residue_field() is F
-    assert F.p < 2 ** 31 and _trial_division_prime(F.p)
-    assert all(c.denominator % F.p for c in field.minpoly)
-    value = sum(_mod(c, F.p) * pow(F.r, i, F.p)
-                for i, c in enumerate(field.minpoly))
-    assert value % F.p == 0
+    # the residue fields F_P of K at the roots of m mod its first split prime
+    P, roots, _ = field.split_prime(0)
+    assert field.split_prime(0)[1] is roots
+    assert P < 2 ** 31 and _trial_division_prime(P)
+    assert all(c.denominator % P for c in field.minpoly)
+    assert len(set(roots)) == field.degree
+    for r in roots:
+        value = sum(_mod(c, P) * pow(r, i, P)
+                    for i, c in enumerate(field.minpoly))
+        assert value % P == 0
 
 
 def test_miller_rabin_agrees_with_trial_division():
@@ -433,23 +436,24 @@ def _elements(field):
 def test_residue_map_is_a_ring_homomorphism(data):
     field = data.draw(st.sampled_from([QQ, EISEN, ROOT5]))
     a, b = data.draw(_elements(field)), data.draw(_elements(field))
-    F = field.residue_field()
-    assert F.image(a + b) == F.image(a) + F.image(b)
-    assert F.image(a - b) == F.image(a) - F.image(b)
-    assert F.image(a * b) == F.image(a) * F.image(b)
-    assert F.image(a * 3) == F.image(a) * 3
-    if not F.image(b).is_zero():
-        assert F.image(a) / F.image(b) * F.image(b) == F.image(a)
+    P, roots, _ = field.split_prime(data.draw(st.integers(0, 2)))
+    for r in roots:
+        x, y = residue(a, P, r), residue(b, P, r)
+        assert residue(a + b, P, r) == (x + y) % P
+        assert residue(a - b, P, r) == (x - y) % P
+        assert residue(a * b, P, r) == x * y % P
+        assert residue(a * 3, P, r) == x * 3 % P
+        if y:
+            assert residue(a / b, P, r) == x * pow(y, -1, P) % P
 
 
 def test_residue_map_refuses_the_prime_in_a_denominator():
-    F = GAUSS.residue_field()
-    with pytest.raises(UnluckyPrime):
-        F.image(GAUSS.element((Fraction(1, F.p), 1)))
-    # p in a numerator maps to zero instead
-    assert F.image(GAUSS.element(F.p)).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        1 / F.image(GAUSS.element(F.p))
+    P, roots, _ = GAUSS.split_prime(0)
+    for r in roots:
+        assert residue(GAUSS.element((Fraction(1, P), 1)), P, r) is None
+        # P in a numerator maps to zero instead
+        assert residue(GAUSS.element(P), P, r) == 0
+        assert residue(GAUSS.element((Fraction(P, 3), 1)), P, r) == r
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +572,46 @@ def test_bivariate_resultant_is_exact_at_the_edge_of_its_bound(primes, sign):
     assert res == [QQ.element(c)]
 
 
+@pytest.mark.parametrize("field", [QQ, GAUSS, EISEN], ids=repr)
+def test_hadamard_bound_takes_fewer_primes(field, monkeypatch):
+    # dense pairs of y-degree 10: the row-sum bound of the Sylvester matrix
+    # exceeds the Hadamard bound by about 11^10, and the result stays exact
+    rng = random.Random(field.degree)
+    p, q = ({(i, j): field.element([rng.randint(-9, 9)
+                                     for _ in range(field.degree)])
+             for i in range(2) for j in range(11)} for _ in "pq")
+    used = []
+    split_prime = type(field).split_prime
+
+    def counting(self, i):
+        used.append(i)
+        return split_prime(self, i)
+
+    monkeypatch.setattr(type(field), "split_prime", counting)
+    assert bivariate_resultant(p, q, field) == reference_resultant(p, q,
+                                                                   field)
+    norm = [sum(abs(x) for c in poly.values() for x in c.coeffs)
+            for poly in (p, q)]
+    delta_mu = int(sum(abs(x) for x in field.minpoly))
+    steps = max(0, 20 * (field.degree - 1) - field.degree + 1)
+    row_sum = norm[0] ** 10 * norm[1] ** 10 * (1 + delta_mu) ** steps
+    modulus = math.prod(split_prime(field, i)[0] for i in used)
+    assert modulus < 2 * row_sum
+
+
 def test_residue_fields_and_split_primes():
-    # the residue fields of the earlier root finder: the largest prime with
-    # a root, and the root its splitting reaches first; t^3 - t - 1 and
-    # t^4 + t + 1 split completely mod neither prime
+    # the first split prime and the first root of m mod it: on Q, Q(i),
+    # Q(j) and the quartic, the largest prime with a root and the root the
+    # splitting reaches first, as in the residue field of the earlier h0;
+    # t^3 - t - 1 and t^4 + t + 1 split completely only at smaller primes
     fields = [QQ, GAUSS, EISEN, QUARTIC, NumberField.from_string("t^3-t-1"),
               NumberField.from_string("t^4+t+1")]
-    assert [(F.p, F.r) for F in (f.residue_field() for f in fields)] == [
-        (2147483647, 0), (2147483629, 1518275076),
-        (2147483647, 1513477735), (2147483489, 2058650624),
-        (2147483647, 2045307031), (2147483629, 291366985)]
+    assert [f.split_prime(0)[:2] for f in fields[:4]] == [
+        (2147483647, [0]), (2147483629, [1518275076, 629208553]),
+        (2147483647, [1513477735, 634005911]),
+        (2147483489, [2058650624, 88832865, 1086314271, 1061169218])]
+    assert [f.split_prime(0)[0] for f in fields[4:]] == [2147483563,
+                                                          2147480623]
     for field in fields:
         primes = [field.split_prime(i)[0] for i in range(3)]
         assert primes == sorted(set(primes), reverse=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from folint import polyforms
 from folint.numfield import QQ, NumberField
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, format_form,
@@ -104,6 +105,40 @@ def test_gcd3_with_extension_field():
     f = (x + y * i) * (x - y * i)
     g = (x + y * i) * x
     assert gcd3(f, g) == x + y * i
+
+
+def _random_form(rng, field, degree):
+    return HomogeneousForm(field, degree, {
+        m: field.element(tuple(rng.randint(-3, 3)
+                               for _ in range(field.degree)))
+        for m in monomials(degree) if rng.random() < 0.7})
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField((1, 0, 1)),
+                                   NumberField((1, 1, 1))], ids=repr)
+def test_gcd3_certificate_against_the_prs(field):
+    # seeded pairs with forced common factors, among them powers of Z and
+    # the X-free Y - 2Z, whose resultant in x does not vanish
+    rng = random.Random(field.degree)
+    x, y, z = (HomogeneousForm.variable(field, i) for i in range(3))
+    factors = [z, z ** 2, y - z * 2, (y - z * 2) * z, x + y * 3 - z,
+               x * x - y * z]
+    certified = 0
+    for _ in range(60):
+        f, g = (_random_form(rng, field, rng.randint(1, 4)) for _ in "fg")
+        h = rng.choice(factors) if rng.random() < 0.5 else None
+        if f.is_zero() or g.is_zero():
+            continue
+        if h is not None:
+            f, g = f * h, g * h
+        expected = polyforms._prs_gcd(f, g).monic()
+        coprime = polyforms._coprime(f, g)
+        assert not (coprime and expected.degree > 0)
+        certified += coprime
+        assert gcd3(f, g) == expected
+        if h is not None:
+            assert divides(h, expected) is not None
+    assert certified >= 20
 
 
 def test_foliation_degree():
