@@ -77,11 +77,11 @@ def root_chart_images(origin, field):
 
 class LinsysMemo:
     """What ``linsys`` keeps per configuration, so that it lives as long as
-    the configuration: its chart data over K, and their images mod each
-    split prime tried, one per root of the minimal polynomial (None when a
-    datum has the prime in a denominator), each with the series of the
-    generic form at the points, kept for one degree at a time and up to
-    ``linsys._KEPT`` of them; and the last
+    the configuration: its integral model's plan (ints over Q) and its true
+    chart data mod each split prime tried, one per root of the minimal
+    polynomial (None when a datum has the prime in a denominator), each with
+    the series of the generic form at the points, kept for one degree at a
+    time and up to ``linsys._KEPT`` of them; and the last
     kernel that ``h0`` returned, as (class, vectors), for ``basis``.  That
     kernel is certified one of two ways: a rank of n mod a prime proves it
     empty, and otherwise its vectors, lifted from primes, passed an exact

@@ -14,8 +14,16 @@ The series engine is the one chart-transform code of the package, and
 built from a binomial shift (``_shift``: u -> u + c or v -> v + c) and the
 chart step: a root series dehomogenises at the pivot and shifts both
 coordinates, and chart 1 relabels the exponents and shifts w by c.  The
-engine runs over K, or on ints mod a prime P through t -> r for a root r of
-the minimal polynomial mod P (``numfield.residue``).
+engine runs over K, on plain ints, or on ints mod a prime P through t -> r
+for a root r of the minimal polynomial mod P (``numfield.residue``).
+
+Exact traversals run fraction-free, as in Bareiss, on an integral model: a
+series is stored in (U, V) = (u/lambda, v/mu), times a constant.  A plane
+point (A/q, B/q) pulls a form back as F(A + U, B + V, q), so lambda = mu =
+1/q; a chart-1 constant c becomes n/m = (lambda/mu) c, and the step puts
+V = U (W + n)/m, times m^J (``child_scales``).  Such rescalings keep every
+support, order, dicriticalness, eigenvalue ratio and kernel of the
+conditions, and over Q every entry is an int.
 
 ``h0`` and ``basis`` eliminate the conditions mod word-size primes and
 return only what one of two certificates proves:
@@ -32,7 +40,8 @@ When neither holds the conditions are eliminated exactly in K.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from fractions import Fraction
+from math import comb, isqrt, lcm
 from typing import Dict, List, Tuple
 
 from . import linalg, modp
@@ -43,7 +52,7 @@ from .polyforms import HomogeneousForm, monomials
 # A series maps a monomial (i, j) in the local coordinates (u, v) to its
 # coefficients, one per column, stored sparsely as {column: coefficient}.
 # A concrete form is the one-column case; the generic degree-d form has one
-# column per monomial.  The coefficients are FieldElements, or ints mod P.
+# column per monomial.  The coefficients are FieldElements, or ints.
 Series = Dict[Tuple[int, int], Dict[int, FieldElement]]
 
 
@@ -56,27 +65,24 @@ def _prune(series: Series, P: int = 0) -> Series:
     a prime P, reduce the entries mod P first."""
     out = {}
     for key, vec in series.items():
-        if P:
-            vec = {t: r for t, v in vec.items() if (r := v % P)}
-        else:
-            vec = {t: v for t, v in vec.items() if not v.is_zero()}
+        vec = {t: r for t, v in vec.items() if (r := v % P if P else v)}
         if vec:
             out[key] = vec
     return out
 
 
-def _shift(series: Series, axis: int, c, field, below=None) -> Series:
-    """The series after u -> u + c (axis 0) or v -> v + c (axis 1): each
-    power of the shifted coordinate expands by the binomial theorem.
-    ``field`` is K, or a prime P for a series of ints mod P.  With
-    ``below``, only the monomials that can still reach an order below it
-    are formed: on axis 0 those with a u-exponent below it, since a later
-    shift of v can lower the v-exponent, and on axis 1 those of order below
-    it."""
+def _shift(series: Series, axis: int, c, ring, below=None, m=1) -> Series:
+    """The series after u -> (u + c)/m (axis 0) or v -> (v + c)/m (axis 1),
+    times m^J, J the top power of that coordinate, by the binomial theorem,
+    over ``ring``: K, or an int P for ints mod a prime P or, for P = 0,
+    plain ints.  With ``below``, only the monomials that can still reach an
+    order below it are formed: on axis 0 those of u-exponent below it (a
+    later v-shift lowers v-exponents), on axis 1 those of order below it."""
     if not c:
         return series
-    P = field if type(field) is int else 0
-    powers = [1 if P else field.one()]
+    P = ring if type(ring) is int else 0
+    powers = [1 if type(ring) is int else ring.one()]
+    top = max((key[axis] for key in series), default=0) if m != 1 else 0
     rows = {}
     out: Series = {}
     for key, vec in series.items():
@@ -85,7 +91,8 @@ def _shift(series: Series, axis: int, c, field, below=None) -> Series:
         if row is None:
             while len(powers) <= j:
                 powers.append(powers[-1] * c % P if P else powers[-1] * c)
-            row = rows[j] = [(k, powers[j - k] * comb(j, k))
+            factor = m ** (top - j) if m != 1 else 1
+            row = rows[j] = [(k, powers[j - k] * (comb(j, k) * factor))
                              for k in range(j + 1)]
         if below is not None:
             row = row[:below - (key[0] if axis else 0)]
@@ -98,31 +105,73 @@ def _shift(series: Series, axis: int, c, field, below=None) -> Series:
     return _prune(out, P)
 
 
-def root_series(chart, columns, field, below=None) -> Series:
-    """Local series at a plane point, in its canonical chart coordinates, of
-    the forms of one degree whose coefficient dicts {(i, j, k): c} are
-    ``columns``.  ``chart`` is the point's ``root_chart_images`` (pivot, a,
-    b): the forms are dehomogenised at the pivot, and the other two
-    variables are shifted by a and b (only as far as ``below`` asks, see
-    ``_shift``)."""
-    pivot, a, b = chart
+def denominator(*elements) -> int:
+    """The lcm of the coordinate denominators of the elements."""
+    return lcm(*(c.denominator for x in elements for c in x.coeffs))
+
+
+def exact_ring(field):
+    """The integral model's ring: 0, for ints, over Q, else K itself."""
+    return 0 if field.is_rational else field
+
+
+def lift(x: FieldElement, ring):
+    """An element with int coordinates as an entry of ``ring``."""
+    return x.coeffs[0] if type(ring) is int else x
+
+
+def integral(columns, ring):
+    """Coefficient dicts times the lcm of all their denominators, in ring."""
+    m = denominator(*(c for coeffs in columns for c in coeffs.values()))
+    if m == 1 and type(ring) is not int:
+        return columns
+    return [{key: lift(c * m if m != 1 else c, ring)
+             for key, c in coeffs.items()} for coeffs in columns]
+
+
+def integral_chart(origin, field):
+    """(pivot, q, q a, q b) for a plane point's canonical chart (pivot, a,
+    b) (``cluster.root_chart_images``), q = ``denominator(a, b)``."""
+    pivot, a, b = root_chart_images(origin, field)
+    q = denominator(a, b)
+    return (pivot, q, *(lift(x * q, exact_ring(field)) for x in (a, b)))
+
+
+def child_scales(scales, chart: int, m: int = 1):
+    """The scalings (lambda, mu) of a child, from its parent's and, in
+    chart 1, the denominator m that its step cleared."""
+    lam, mu = scales
+    if lam == mu == m == 1:
+        return scales
+    return (lam, Fraction(mu, m * lam)) if chart == 1 else (
+        mu, Fraction(lam, mu))
+
+
+def root_series(chart, columns, ring, below=None) -> Series:
+    """Local series at a plane point of the forms of one degree whose
+    coefficient dicts {(i, j, k): c} are ``columns``.  ``chart`` is (pivot,
+    q, a, b): the forms are evaluated at q on the pivot and at u + a and
+    v + b on the other two variables, in order (only as far as ``below``
+    asks, see ``_shift``)."""
+    pivot, q, a, b = chart
     x, y = (i for i in range(3) if i != pivot)
     out: Series = {}
     for t, coeffs in enumerate(columns):
         for expo, coeff in coeffs.items():
-            out.setdefault((expo[x], expo[y]), {})[t] = coeff
-    return _shift(_shift(out, 0, a, field, below), 1, b, field, below)
+            out.setdefault((expo[x], expo[y]), {})[t] = (
+                coeff * q ** expo[pivot] if q != 1 else coeff)
+    return _shift(_shift(out, 0, a, ring, below), 1, b, ring, below)
 
 
-def chart_step(series: Series, chart: int, c, e: int, field) -> Series:
+def chart_step(series: Series, chart: int, e: int, ring, c=0, m=1) -> Series:
     """The series at a child point: drop the monomials of total degree below
     the parent's multiplicity e, substitute the chart map (chart 1:
-    v = u*(w + c); chart 2: u = s*v with coordinates (v, s)) and divide by
-    the exceptional's u^e.  Both relabellings of the exponents are
-    injective; chart 1 then shifts w by c."""
+    v = u*(w + c)/m, times m^J as in ``_shift``; chart 2: u = s*v with
+    coordinates (v, s)) and divide by the exceptional's u^e.  Both
+    relabellings of the exponents are injective; chart 1 then shifts w."""
     out = {(i + j - e, j if chart == 1 else i): vec
            for (i, j), vec in series.items() if i + j >= e}
-    return _shift(out, 1, c, field) if chart == 1 else out
+    return _shift(out, 1, c, ring, m=m) if chart == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +181,22 @@ def chart_step(series: Series, chart: int, c, e: int, field) -> Series:
 def effective_multiplicities(form: HomogeneousForm,
                              config: Configuration) -> List[int]:
     """Multiplicity at every configuration point of the successive strict
-    transforms of the curve."""
+    transforms of the curve, read off its integral model."""
     if form.is_zero():
         raise ValueError("multiplicities of the zero form")
-    field = config.field
-    if form.field != field:
+    if form.field != config.field:
         raise ValueError("form and configuration over different fields")
+    data = _exact_data(config)
+    ring, columns = data.field, integral([form.coeffs], data.field)
     mults = [0] * config.size
     local = {}
     for idx, point in enumerate(config.points):
         if point.is_root():
-            series = root_series(root_chart_images(point.origin, field),
-                                 [form.coeffs], field)
+            series = root_series(data.charts[idx], columns, ring)
         else:
             parent = config.parent_idx[idx]
-            series = chart_step(local[parent], point.chart, point.c,
-                                mults[parent], field)
+            series = chart_step(local[parent], point.chart, mults[parent],
+                                ring, *data.constants[idx])
         mults[idx] = min((i + j for i, j in series), default=0)
         local[idx] = series
     return mults
@@ -167,9 +216,9 @@ _KEPT = 256
 
 
 class _ChartData:
-    """A configuration's chart data over one ring, K or F_P, and the series
-    of the generic form of one degree at its points.  A point's series
-    depends on the degree and on the clamped multiplicities of its
+    """A configuration's chart data over one ring, K, Z or F_P, and the
+    series of the generic form of one degree at its points.  A point's
+    series depends on the degree and on the clamped multiplicities of its
     ancestors, which fix the monomials that each chart step drops, so it is
     memoised under (point, those multiplicities) until the degree changes,
     or more than ``_KEPT`` are kept."""
@@ -177,47 +226,56 @@ class _ChartData:
     __slots__ = ("field", "charts", "constants", "degree", "series")
 
     def __init__(self, field, charts, constants):
-        self.field = field              # K, or the prime P
-        self.charts = charts            # root index -> (pivot, a, b)
-        self.constants = constants      # point index -> chart-1 constant c
+        self.field = field              # K, 0 for Z, or the prime P
+        self.charts = charts            # root index -> (pivot, q, a, b)
+        self.constants = constants      # point index -> chart-1 (c, m)
         self.degree = None
         self.series = {}
 
 
 def _exact_data(config: Configuration) -> _ChartData:
+    """The chart data of the integral model (see the module docstring)."""
     memo = config.linsys_memo
     if memo.exact is None:
         field = config.field
-        memo.exact = _ChartData(
-            field, {idx: root_chart_images(point.origin, field)
-                    for idx, point in enumerate(config.points)
-                    if point.is_root()},
-            [point.c for point in config.points])
+        charts, constants, scales = {}, [], []
+        for idx, point in enumerate(config.points):
+            if point.is_root():
+                charts[idx] = integral_chart(point.origin, field)
+                scales.append((Fraction(1, charts[idx][1]),) * 2)
+                constants.append((0, 1))
+                continue
+            lam, mu = scales[config.parent_idx[idx]]
+            c = point.c * Fraction(lam, mu) if point.chart == 1 else 0
+            m = denominator(c) if c else 1
+            constants.append((lift(c * m, exact_ring(field)) if c else 0, m))
+            scales.append(child_scales((lam, mu), point.chart, m))
+        memo.exact = _ChartData(exact_ring(field), charts, constants)
     return memo.exact
 
 
 def _modular_data(config: Configuration, index: int):
-    """The chart data mapped into F_P through t -> r, one per root r of the
-    minimal polynomial mod the index-th split prime P, or None when a datum
-    has P in a denominator.  The data are normalised in K first: a
+    """The true chart data mapped into F_P through t -> r, one per root r
+    of the minimal polynomial mod the index-th split prime P, or None when
+    a datum has P in a denominator.  The data are normalised in K first: a
     coordinate can be nonzero in K and zero mod P."""
     memo = config.linsys_memo
     if index not in memo.images:
-        exact = _exact_data(config)
-        P, roots, _ = config.field.split_prime(index)
+        field = config.field
+        P, roots, _ = field.split_prime(index)
+        charts = {idx: root_chart_images(point.origin, field)
+                  for idx, point in enumerate(config.points)
+                  if point.is_root()}
         data = []
         for r in roots:
-            images = {}
-            for x in [c for c in exact.constants if c is not None] + [
-                    v for _, a, b in exact.charts.values() for v in (a, b)]:
-                images[x] = residue(x, P, r)
-            if None in images.values():
+            images = {idx: (pivot, 1, residue(a, P, r), residue(b, P, r))
+                      for idx, (pivot, a, b) in charts.items()}
+            constants = [(residue(point.c, P, r) if point.chart == 1 else 0,
+                          1) for point in config.points]
+            if None in {x for c in [*images.values(), *constants] for x in c}:
                 data = None
                 break
-            data.append(_ChartData(
-                P, {idx: (pivot, images[a], images[b])
-                    for idx, (pivot, a, b) in exact.charts.items()},
-                [None if c is None else images[c] for c in exact.constants]))
+            data.append(_ChartData(P, images, constants))
         memo.images[index] = data
     return memo.images[index]
 
@@ -263,8 +321,8 @@ def _conditions(D: DivisorClass, config: Configuration, data: _ChartData,
                                      None if generic or branch[idx] else e_q)
             else:
                 series = chart_step(local[parent], point.chart,
-                                    data.constants[idx], clamped[parent],
-                                    field)
+                                    clamped[parent], field,
+                                    *data.constants[idx])
             if generic:
                 data.series[idx, key] = series
         local[idx] = series
@@ -274,18 +332,20 @@ def _conditions(D: DivisorClass, config: Configuration, data: _ChartData,
 
 
 def _dense(vectors, n, zero):
+    """Sparse vectors as rows; zero + v makes an int entry an element."""
     rows = []
     for vec in vectors:
         row = [zero] * n
         for t, v in vec.items():
-            row[t] = v
+            row[t] = zero + v
         rows.append(row)
     return rows
 
 
 def condition_rows(D: DivisorClass, config: Configuration):
     """Linear conditions on the generic degree-d coefficients cut out by the
-    virtual transform of D; negative multiplicities are clamped to zero."""
+    virtual transform of D, in K, each up to a nonzero factor (the integral
+    model); negative multiplicities are clamped to zero."""
     return _dense(_conditions(D, config, _exact_data(config)),
                   len(monomials(D.d)), config.field.zero())
 
@@ -370,8 +430,8 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
             field, tuple(_canon(x) for x in values[e * k:(e + 1) * k]))
     vectors = [vectors[f] for f in free]
     order = monomials(D.d)
-    forms = [{order[t]: v for t, v in enumerate(vec) if not v.is_zero()}
-             for vec in vectors]
+    forms = integral([{order[t]: v for t, v in enumerate(vec) if v}
+                      for vec in vectors], exact_ring(field))
     for _ in _conditions(D, config, _exact_data(config), forms):
         return None
     return vectors

@@ -7,14 +7,18 @@ escapes the field, its whole conjugate orbit is analyzed symbolically in the
 quotient algebra K[t]/(cofactor); orbits certified simple are ignored (they
 are never blown up), anything else aborts with the irreducible cofactor as a
 machine-readable certificate.
+
+Local foliations live in the integral model of ``linsys``; only chart-1
+constants, c = (mu/lambda) c_stored, and certificates map back to true ones.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .cluster import (
-    Configuration, InfinitelyNearPoint, normalize_point, root_chart_images,
+    Configuration, InfinitelyNearPoint, normalize_point,
 )
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
@@ -23,7 +27,10 @@ from .numfield import (
     rational_is_square, to_y_rows,
 )
 from .polyforms import HomogeneousForm, ProjectiveOneForm
-from .linsys import Series, _prune, _shift, chart_step, root_series
+from .linsys import (
+    Series, _prune, _shift, chart_step, child_scales, denominator,
+    exact_ring, integral, integral_chart, lift, root_series,
+)
 
 
 class ResolutionError(RuntimeError):
@@ -51,7 +58,7 @@ def _column(series: Series, t: int):
 def _coeffs_at_u0(poly, field):
     """The restriction to the exceptional u = 0, as a K[w] list."""
     row = {j: c for (i, j), c in poly.items() if not i}
-    return poly_trim(row.get(j, field.zero())
+    return poly_trim(field.element(row.get(j, 0))
                      for j in range(max(row, default=-1) + 1))
 
 
@@ -60,14 +67,15 @@ def _coeffs_at_u0(poly, field):
 # ---------------------------------------------------------------------------
 
 class LocalFoliation:
-    """omega = a du + b dv around the origin, with polynomial coefficients
-    held as one two-column ``linsys`` series {(i, j): {0: a_ij, 1: b_ij}}."""
+    """omega = a du + b dv around the origin: one two-column ``linsys``
+    series {(i, j): {0: a_ij, 1: b_ij}} in coordinates scaled by ``scales``."""
 
-    __slots__ = ("field", "series")
+    __slots__ = ("field", "series", "scales")
 
-    def __init__(self, field: NumberField, series: Series):
+    def __init__(self, field: NumberField, series: Series, scales):
         self.field = field
         self.series = series
+        self.scales = scales
 
     def order(self) -> int:
         if not self.series:
@@ -79,23 +87,24 @@ class LocalFoliation:
 
     def linear_data(self) -> Tuple[FieldElement, FieldElement]:
         """(trace, determinant) of the linear part of the dual vector field."""
-        zero = self.field.zero()
         du = self.series.get((1, 0), {})
         dv = self.series.get((0, 1), {})
-        a_u, b_u = du.get(0, zero), du.get(1, zero)
-        a_v, b_v = dv.get(0, zero), dv.get(1, zero)
-        return (a_v - b_u, a_u * b_v - a_v * b_u)
+        a_u, b_u = du.get(0, 0), du.get(1, 0)
+        a_v, b_v = dv.get(0, 0), dv.get(1, 0)
+        return tuple(map(self.field.element, (a_v - b_u,
+                                              a_u * b_v - a_v * b_u)))
 
 
 def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
-    """Pull the projective 1-form back to the canonical chart at the point.
+    """Pull the projective 1-form back to the integral chart at the point.
     The pivot variable is constant there, so a and b are the series of the
     other two components."""
-    field = omega.field
-    chart = root_chart_images(origin, field)
-    columns = [comp.coeffs for i, comp in enumerate(omega.components())
-               if i != chart[0]]
-    return LocalFoliation(field, root_series(chart, columns, field))
+    field, ring = omega.field, exact_ring(omega.field)
+    chart = integral_chart(origin, field)
+    columns = integral([comp.coeffs for i, comp in
+                        enumerate(omega.components()) if i != chart[0]], ring)
+    return LocalFoliation(field, root_series(chart, columns, ring),
+                          (Fraction(1, chart[1]),) * 2)
 
 
 def _ratio_is_positive_rational(c: FieldElement) -> bool:
@@ -128,7 +137,7 @@ class BlowUpResult(NamedTuple):
     chart2_singular: bool
 
 
-def _chart_form(series: Series, chart: int, order: int, field):
+def _chart_form(series: Series, chart: int, order: int, ring):
     """The 1-form of ``series`` in a blow-up chart, and whether the blow-up
     is dicritical.
 
@@ -138,7 +147,7 @@ def _chart_form(series: Series, chart: int, order: int, field):
     coefficient vanishes on the exceptional u = 0; the form is then
     divided by one more u.
     """
-    pulled = chart_step(series, chart, field.zero(), order, field)
+    pulled = chart_step(series, chart, order, ring)
     a, b = (0, 1) if chart == 1 else (1, 0)
     out: Series = {}
     for (i, j), vec in pulled.items():
@@ -161,8 +170,10 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     if not omega.is_singular():
         raise ResolutionError("blow-up at a non-singular point")
     field = omega.field
+    ring, (lam, mu) = exact_ring(field), omega.scales
+    rho = Fraction(mu, lam) if lam != mu else 1     # c = rho c_stored
     order = omega.order()
-    form1, dicritical = _chart_form(omega.series, 1, order, field)
+    form1, dicritical = _chart_form(omega.series, 1, order, ring)
 
     # singular points on u = 0 in chart 1
     a1, b1 = _column(form1, 0), _column(form1, 1)
@@ -175,32 +186,40 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     if poly_degree(g) >= 1:
         roots, remaining, cofactor = find_roots_in_field(g, field)
         if remaining > 0:
-            _require_orbit_simple(a1, b1, cofactor, field,
-                                  [], [field.zero(), field.one()])
+            _require_orbit_simple(a1, b1, cofactor, field, [],
+                                  [field.zero(), field.one()], rho)
         for c in roots:
-            child = LocalFoliation(field, _shift(form1, 1, c, field))
-            children.append((c, child, is_simple(child)))
+            # W = m (w - c): dw = dW/m puts one more m on du
+            m = denominator(c)
+            form = form1 if m == 1 else {
+                key: {t: v * m if t == 0 else v for t, v in vec.items()}
+                for key, vec in form1.items()}
+            child = LocalFoliation(
+                field, _shift(form, 1, lift(c * m, ring), ring, m=m),
+                child_scales(omega.scales, 1, m))
+            children.append((c * rho, child, is_simple(child)))
 
     # chart 2: (u, v) = (v'u', u'), which sees the same exceptional
-    form2, dicritical2 = _chart_form(omega.series, 2, order, field)
+    form2, dicritical2 = _chart_form(omega.series, 2, order, ring)
     if dicritical2 != dicritical:
         raise ResolutionError("the two charts disagree on dicriticalness")
-    return BlowUpResult(dicritical, children, LocalFoliation(field, form2),
-                        (0, 0) not in form2)
+    chart2 = LocalFoliation(field, form2, child_scales(omega.scales, 2))
+    return BlowUpResult(dicritical, children, chart2, (0, 0) not in form2)
 
 
 # ---------------------------------------------------------------------------
 # conjugate orbits outside K: exact simplicity certification
 # ---------------------------------------------------------------------------
 
-def _require_orbit_simple(a, b, g, field, u0, v0):
+def _require_orbit_simple(a, b, g, field, u0, v0, scale=1):
     """Certify that all conjugate singular points cut out by ``g`` are
     simple; raise FieldExtensionNeeded otherwise.
 
     g is squarefree and monic, a cofactor of ``find_roots_in_field``.
     (u0, v0) are the coordinates of the orbit as K[t]/(g) elements, t being
     the residue of the variable; a, b are the bivariate coefficients of the
-    ambient local 1-form a du + b dv.
+    ambient local 1-form a du + b dv.  The certificate has the roots of g
+    times ``scale``, their true coordinates.
     """
     u0 = _alg_reduce(u0, g)
     v0 = _alg_reduce(v0, g)
@@ -215,13 +234,14 @@ def _require_orbit_simple(a, b, g, field, u0, v0):
     det = poly_sub(_alg_mul(a_u, b_v, g), _alg_mul(a_v, b_u, g))
 
     # g is monic, so g0 = g when det = 0, and g00 = g0 when trace = 0
-    certificate = format_poly_in_t(g)
+    scaled = [c * scale ** (len(g) - 1 - k) for k, c in enumerate(g)]
+    certificate = format_poly_in_t(scaled)
     g0 = poly_gcd(g, det)
     if poly_degree(poly_gcd(g0, trace)) >= 1:
         raise FieldExtensionNeeded(
             "a conjugate singular point with nilpotent linear part lies "
             "outside the base field (certificate %s)" % certificate,
-            certificate=g)
+            certificate=scaled)
     g1, rem = poly_divmod(g, g0)
     if rem:
         raise ResolutionError("g0 does not divide the orbit polynomial")
@@ -241,7 +261,7 @@ def _require_orbit_simple(a, b, g, field, u0, v0):
         if root.is_rational() and _ratio_is_positive_rational(root):
             raise FieldExtensionNeeded(
                 "a conjugate singular point outside the base field is not "
-                "simple (certificate %s)" % certificate, certificate=g)
+                "simple (certificate %s)" % certificate, certificate=scaled)
 
 
 def _alg_reduce(p, modulus):

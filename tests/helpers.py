@@ -1,14 +1,14 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
 equality, total-transform valuations, spans of forms, the wedge and
-invariance tests on all three components of the 2-form, and the node-wise
-resultant, as references."""
+invariance tests on all three components of the 2-form, the node-wise
+resultant, and the chart maps substituted in K, as references."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from folint import linalg
-from folint.cluster import Configuration
+from folint.cluster import Configuration, root_chart_images
 from folint.cones import RationalCone, contains
 from folint.numfield import (
     poly_eval, poly_interpolate, poly_resultant, poly_trim,
@@ -107,3 +107,88 @@ def _y_rows(poly, field):
         rows[j].extend([field.zero()] * (i + 1 - len(rows[j])))
         rows[j][i] = c
     return [poly_trim(row) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# local series in the true chart coordinates, by substitution in K
+# ---------------------------------------------------------------------------
+
+def _bi_mul(p, q):
+    out = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
+    return {key: v for key, v in out.items() if v}
+
+
+def _compose(poly, x, y):
+    """poly(x, y) for bivariate dicts {(i, j): c} over K."""
+    out = {}
+    for (i, j), c in poly.items():
+        term = {(0, 0): c}
+        for factor in [x] * i + [y] * j:
+            term = _bi_mul(term, factor)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def reference_series(coeffs, config: Configuration, multiplicity):
+    """The local series of a form, one dict {(i, j): c} per point, in the
+    true chart coordinates: at a plane point f(a + u, b + v) with the pivot
+    set to 1, and at a child the chart map (chart 1: v = u (w + c); chart
+    2: u = s v, in the coordinates (v, s)) substituted into the parent's
+    monomials of order at least e, then divided by u^e.  e is
+    ``multiplicity(index, parent series)``."""
+    field = config.field
+    one = field.one()
+    local = []
+    for idx, point in enumerate(config.points):
+        parent = config.parent_idx[idx]
+        if parent is None:
+            pivot, a, b = root_chart_images(point.origin, field)
+            x, y = (i for i in range(3) if i != pivot)
+            poly = {(expo[x], expo[y]): c for expo, c in coeffs.items()}
+            series = _compose(poly, {(0, 0): a, (1, 0): one},
+                              {(0, 0): b, (0, 1): one})
+        else:
+            e = multiplicity(parent, local[parent])
+            kept = {k: c for k, c in local[parent].items() if sum(k) >= e}
+            if point.chart == 1:
+                maps = {(1, 0): one}, {(1, 0): point.c, (1, 1): one}
+            else:
+                maps = {(1, 1): one}, {(1, 0): one}
+            series = {(i - e, j): c
+                      for (i, j), c in _compose(kept, *maps).items()}
+        local.append(series)
+    return local
+
+
+def reference_multiplicities(form, config: Configuration):
+    """Multiplicities of the successive strict transforms."""
+    def order(idx, series):
+        return min(map(sum, series), default=0)
+    return [order(i, s) for i, s in enumerate(
+        reference_series(form.coeffs, config, order))]
+
+
+def reference_kernel(D, config: Configuration):
+    """The reduced echelon kernel of D's conditions in K, as forms: at
+    each point, the monomials of order below the clamped e_q of the generic
+    form's series, with the clamped e of the parent at each chart step."""
+    field = config.field
+    order = monomials(D.d)
+    clamped = [max(v, 0) for v in D.e]
+    columns = [reference_series({m: field.one()}, config,
+                                lambda idx, _: clamped[idx])
+               for m in order]
+    rows = []
+    for idx in range(config.size):
+        keys = {k for col in columns for k in col[idx]
+                if sum(k) < clamped[idx]}
+        rows += [[col[idx].get(k, field.zero()) for col in columns]
+                 for k in sorted(keys)]
+    vectors = linalg.kernel(*linalg.rref(rows), len(order), field.zero())
+    return [HomogeneousForm(field, D.d, {order[t]: v for t, v in
+                                         enumerate(vec) if v})
+            for vec in vectors]

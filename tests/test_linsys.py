@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 from folint import linalg, linsys, modp
 from folint.cli import load_config_file
 from folint.cluster import (
-    Configuration, InfinitelyNearPoint, load_configuration, root_chart_images,
+    Configuration, InfinitelyNearPoint, load_configuration,
 )
 from folint.linsys import (
     basis, chart_step, condition_rows, effective_multiplicities, h0,
-    root_series, strict_class,
+    integral_chart, root_series, strict_class,
 )
 from folint.numfield import QQ, NumberField, residue
 from folint.polyforms import HomogeneousForm, monomials, parse_form
 
-from helpers import same_span, total_valuations
+from helpers import (
+    reference_kernel, reference_multiplicities, same_span, total_valuations,
+)
 from test_cluster import fig1_config, fig2_config, pt
 
 
@@ -102,32 +104,40 @@ def evaluate(series, t, u0, v0, field):
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.data())
 def test_root_series_is_the_form_at_the_chart_point(data):
+    # the stored series at (U, V) is q^d times the form at the point of
+    # true chart coordinates (U/q, V/q)
     field = data.draw(st.sampled_from([QQ, GAUSS]))
     degree = data.draw(st.integers(0, 5))
     columns = [data.draw(forms(field, degree)) for _ in range(2)]
     origin = data.draw(plane_points(field))
     u0, v0 = data.draw(elements(field)), data.draw(elements(field))
-    series = root_series(root_chart_images(origin, field),
-                         [f.coeffs for f in columns], field)
+    chart = integral_chart(origin, field)
+    q = chart[1]
+    series = root_series(chart, [f.coeffs for f in columns], field)
     # the chart point: the first nonzero coordinate scaled to 1, the other
-    # two moved by u0 and v0 in order
+    # two moved by u0/q and v0/q in order
     pivot = next(i for i, c in enumerate(origin) if not c.is_zero())
     point = [c / origin[pivot] for c in origin]
     others = [i for i in range(3) if i != pivot]
-    point[others[0]] = point[others[0]] + u0
-    point[others[1]] = point[others[1]] + v0
+    point[others[0]] = point[others[0]] + u0 / q
+    point[others[1]] = point[others[1]] + v0 / q
     for t, f in enumerate(columns):
-        assert evaluate(series, t, u0, v0, field) == f.evaluate(point)
+        assert (evaluate(series, t, u0, v0, field) ==
+                f.evaluate(point) * q ** degree)
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.data())
 def test_chart_step_is_the_chart_map(data):
+    # two chart steps from a plane point: each child at (U0, W0), times
+    # U0^e, is m^J times its parent at the stored chart point, and the
+    # recorded scalings take that point to the true chart map of the true
+    # constant c at (lambda' U0, mu' W0)
     field = data.draw(st.sampled_from([QQ, GAUSS]))
     origin = data.draw(plane_points(field))
     # lines through the point give the form a multiplicity there
     form = data.draw(forms(field, data.draw(st.integers(0, 3))))
-    for _ in range(data.draw(st.integers(0, 2))):
+    for _ in range(data.draw(st.integers(0, 3))):
         # the line det(origin, r, X) = 0
         x, y, z = origin
         r = [data.draw(elements(field)) for _ in range(3)]
@@ -135,17 +145,96 @@ def test_chart_step_is_the_chart_map(data):
                                           (0, 1, 0): z * r[0] - x * r[2],
                                           (0, 0, 1): x * r[1] - y * r[0]})
         form = form * line
-    parent = root_series(root_chart_images(origin, field), [form.coeffs],
-                         field)
-    order = min((i + j for i, j in parent), default=0)
-    e = data.draw(st.integers(0, order))
-    c = data.draw(elements(field, zero_weight=True))
-    u0, w0 = data.draw(elements(field)), data.draw(elements(field))
-    # chart 1: v = u (w + c); chart 2: u = s v, in the coordinates (v, s)
-    for chart, at in ((1, (u0, u0 * (w0 + c))), (2, (u0 * w0, u0))):
-        child = chart_step(parent, chart, c, e, field)
+    chart = integral_chart(origin, field)
+    parent = root_series(chart, [form.coeffs], field)
+    scales = (Fraction(1, chart[1]),) * 2
+    for _ in range(2):
+        lam, mu = scales
+        order = min((i + j for i, j in parent), default=0)
+        e = data.draw(st.integers(0, order))
+        step = data.draw(st.sampled_from([1, 2]))
+        u0, w0 = data.draw(elements(field)), data.draw(elements(field))
+        if step == 1:
+            c = data.draw(elements(field, zero_weight=True))
+            stored = c * (lam / mu)
+            m = linsys.denominator(stored)
+            n = stored * m
+            at = (u0, u0 * (w0 + n) / m)
+            top = max((j for i, j in parent if i + j >= e), default=0)
+        else:
+            n, m, top = field.zero(), 1, 0
+            at = (u0 * w0, u0)
+        child = chart_step(parent, step, e, field, n, m)
         assert (evaluate(child, 0, u0, w0, field) * u0 ** e ==
-                evaluate(parent, 0, at[0], at[1], field))
+                evaluate(parent, 0, at[0], at[1], field) * m ** top)
+        scales = linsys.child_scales(scales, step, m)
+        u, w = u0 * scales[0], w0 * scales[1]
+        true = (u, u * (w + c)) if step == 1 else (u * w, u)
+        assert (at[0] * lam, at[1] * mu) == true
+        parent = child
+
+
+# Q(j) with j^2 = 1/2: int coordinates are not closed under products
+HALF = NumberField((Fraction(-1, 2), 0, 1))
+
+
+def random_configuration(rng, field):
+    """Up to three plane points with denominators up to 7, each the root of
+    a chain of up to three chart steps; chart-1 constants have denominators
+    up to 7 too."""
+    def element():
+        return field.element([Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+                              if rng.random() < 0.7 else 0
+                              for _ in range(field.degree)])
+    points, origins = [], set()
+    for r in range(rng.randint(1, 3)):
+        origin = (element(), element(), field.one())
+        if tuple(c.coeffs for c in origin[:2]) in origins:
+            continue
+        origins.add(tuple(c.coeffs for c in origin[:2]))
+        name = "r%d" % r
+        points.append(InfinitelyNearPoint(name, origin=origin,
+                                          dicritical=True))
+        for depth in range(rng.randint(0, 3)):
+            chart = rng.choice((1, 1, 2))
+            points.append(InfinitelyNearPoint(
+                "%s_%d" % (name, depth), parent=points[-1].name, chart=chart,
+                c=element() if chart == 1 else None, dicritical=True))
+    return Configuration(points, field)
+
+
+def test_integral_model_against_the_substituted_chart_maps():
+    # h0, basis and effective multiplicities of the integral model against
+    # a reference that substitutes the chart maps in K with Fraction
+    # coordinates, on seeded configurations over Q, Q(i) and Q(j), j^2 = 1/2
+    rng = random.Random(13)
+    seen = {"denominator": 0, "deep fraction": 0, "chart 2": 0, "mult": 0}
+    for field in (QQ, GAUSS, HALF):
+        for _ in range(10):
+            config = random_configuration(rng, field)
+            for idx, point in enumerate(config.points):
+                depth = len(config.ancestors_or_self(idx)) - 1
+                if point.is_root():
+                    seen["denominator"] += any(
+                        linsys.denominator(c) > 1 for c in point.origin)
+                elif point.chart == 2:
+                    seen["chart 2"] += 1
+                elif depth >= 2 and linsys.denominator(point.c) > 1:
+                    seen["deep fraction"] += 1
+            for _ in range(3):
+                d = rng.randint(1, 4)
+                D = config.divisor(d, [min(rng.choice((0, 1, 1, 2)), d)
+                                       for _ in config.points])
+                expected = reference_kernel(D, config)
+                assert h0(D, config) == len(expected)
+                assert basis(D, config) == expected
+                assert linalg.rank(condition_rows(D, config)) == \
+                    len(monomials(d)) - len(expected)
+                for form in expected[:3]:
+                    mults = reference_multiplicities(form, config)
+                    assert effective_multiplicities(form, config) == mults
+                    seen["mult"] += any(mults)
+    assert min(seen.values()) >= 5, seen
 
 
 def plane_points_config(coords, field=QQ):

@@ -572,6 +572,27 @@ def test_bivariate_resultant_is_exact_at_the_edge_of_its_bound(primes, sign):
     assert res == [QQ.element(c)]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bivariate_resultant_is_exact_at_the_edge_of_its_field_factor(sign):
+    # over K = Q(t), t^2 = 5t + 1: Res_y(y + s t, sign s t y^2) = sign s^3
+    # t^3, which has t-degree (m + n)(k - 1) = 3 and is sign s^3 (5 + 26 t)
+    # in K.  The rows t^e mod mu, e <= 3, are (1, 0), (0, 1), (1, 5) and
+    # (5, 26); their absolute coordinates sum to 7 and 32, and the bound
+    # is (H + 1) 32 with H = s (1 + s^2).  With 14 (s^3 + s + 1) < P <
+    # 52 s^3 for the first split prime P, coordinate 1 exceeds P / 2, and
+    # a bound that took the field factor 7 of coordinate 0 would stop
+    # after P
+    field = NumberField.from_string("t^2-5*t-1")
+    P = field.split_prime(0)[0]
+    s = round((P / 30) ** (1 / 3))
+    assert 14 * (s ** 3 + s + 1) < P < 52 * s ** 3
+    p = {(0, 1): field.one(), (0, 0): field.element((0, s))}
+    q = {(0, 2): field.element((0, sign * s))}
+    expected = [field.element((sign * 5 * s ** 3, sign * 26 * s ** 3))]
+    assert bivariate_resultant(p, q, field) == expected
+    assert reference_resultant(p, q, field) == expected
+
+
 @pytest.mark.parametrize("field", [QQ, GAUSS, EISEN], ids=repr)
 def test_hadamard_bound_takes_fewer_primes(field, monkeypatch):
     # dense pairs of y-degree 10: the row-sum bound of the Sylvester matrix

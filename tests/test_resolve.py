@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ def local(a_terms, b_terms, field=QQ):
     for t, terms in enumerate((a_terms, b_terms)):
         for key, v in terms.items():
             series.setdefault(key, {})[t] = field.element(v)
-    return LocalFoliation(field, series)
+    return LocalFoliation(field, series, (1, 1))
 
 
 PENCIL = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
@@ -75,6 +76,62 @@ def test_blow_up_cusp_first_step_non_dicritical():
     cusp = local({(2, 0): -3}, {(0, 1): 2})
     result = blow_up_local(cusp)
     assert not result.dicritical
+
+
+def scaled(omega, lam, mu):
+    """omega in the coordinates (U, V) with (u, v) = (lam U, mu V): a(lam U,
+    mu V) lam dU + b(lam U, mu V) mu dV, with those scalings recorded."""
+    series = {(i, j): {t: v * lam ** i * mu ** j * (lam, mu)[t]
+                       for t, v in vec.items()}
+              for (i, j), vec in omega.series.items()}
+    return LocalFoliation(omega.field, series, (lam, mu))
+
+
+def blow_up_outcome(omega):
+    try:
+        result = blow_up_local(omega)
+    except FieldExtensionNeeded as err:
+        return (str(err), err.certificate), []
+    children = [child for _, child, _ in result.chart1] + [result.chart2]
+    return (result.dicritical, [(c, simple) for c, _, simple in
+                                result.chart1], result.chart2_singular), \
+        children
+
+
+def proportional(a, b):
+    """Are the series a and b, over Q, proportional?"""
+    pairs = [(QQ.element(a[key][t]), QQ.element(b[key].get(t, 0)))
+             for key in a for t in a[key]]
+    if a.keys() != b.keys() or not pairs:
+        return a == b
+    x, y = pairs[0]
+    return all(u * y == v * x for u, v in pairs)
+
+
+@pytest.mark.parametrize("scales", [(Fraction(1, 2), Fraction(3)),
+                                    (Fraction(2, 3), Fraction(5, 7))])
+def test_blow_up_through_axis_scalings(scales):
+    # (2 v^2 - 2k u^2) du - u v dv has, on the exceptional, the points
+    # w^2 = 2k with eigenvalue ratio 2: children at w = +-2 for k = 2, and
+    # a conjugate pair that is not simple for k = 1.  In scaled coordinates
+    # the stored roots and cofactors are scaled: the constants and the
+    # certificate t^2 - 2 must come back unchanged, and every child must be
+    # the true child in its recorded scalings, up to a constant factor
+    cases = [local({(0, 2): 2, (2, 0): -2 * k}, {(1, 1): -1})
+             for k in (2, 1)]
+    cases += [local({(0, 1): 1}, {(1, 0): -1}),
+              local({(0, 1): 1}, {(1, 0): 1}),
+              local({(2, 0): -3}, {(0, 1): 2})]
+    outcomes = [blow_up_outcome(omega) for omega in cases]
+    assert outcomes[0][0][1] == [(QQ.element(-2), False),
+                                 (QQ.element(2), False)]
+    assert outcomes[1][0][1] == [QQ.element(-2), QQ.zero(), QQ.one()]
+    for omega, (outcome, children) in zip(cases, outcomes):
+        stored, stored_children = blow_up_outcome(scaled(omega, *scales))
+        assert stored == outcome
+        for child, stored_child in zip(children, stored_children):
+            assert proportional(scaled(child, *stored_child.scales).series,
+                                stored_child.series)
 
 
 def test_orbit_with_constant_linear_part():

@@ -149,6 +149,68 @@ def test_import_check_sees_function_imports():
     assert _function_imports(ast.parse(snippet)) == [4, 9, 11]
 
 
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter"}
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _called_name(node):
+    """The name a call or a decorator calls: f for f(...), f and m.f."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_caches(tree):
+    """(line, what) of the module-level mutable containers (``__all__``
+    aside) and of the memoising decorators anywhere in a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+                continue
+            value = node.value
+            if isinstance(value, _CONTAINERS):
+                yield node.lineno, "container literal"
+            elif (isinstance(value, ast.Call)
+                  and _called_name(value) in _CONTAINER_CALLS):
+                yield node.lineno, "container call"
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                if _called_name(deco) in _CACHE_DECORATORS:
+                    yield deco.lineno, "cache decorator"
+
+
+def test_no_module_level_caches():
+    # what a run keeps lives on the objects it belongs to, such as a
+    # configuration's LinsysMemo, and goes with them
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, what)
+                  for line, what in _module_caches(tree)]
+    assert found == []
+
+
+def test_cache_check_sees_caches():
+    snippet = ("__all__ = ['f']\nA = {}\nB: list = []\nC = set()\n"
+               "D = collections.defaultdict(list)\nE = {k: 1 for k in 'ab'}\n"
+               "F = (1, 2)\nG = frozenset()\n"
+               "@functools.lru_cache(maxsize=None)\ndef f():\n    x = {}\n"
+               "    return x\n\nclass C:\n    @cache\n    def m(self):\n"
+               "        pass\n")
+    assert sorted(_module_caches(ast.parse(snippet))) == [
+        (2, "container literal"), (3, "container literal"),
+        (4, "container call"), (5, "container call"),
+        (6, "container literal"), (9, "cache decorator"),
+        (15, "cache decorator")]
+
+
 def _traced_names(tree):
     """The dotted names that ``LAYERS`` and ``VPLUS`` of the benchmark's
     tracer give, read from its source without importing it."""
