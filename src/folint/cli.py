@@ -81,7 +81,8 @@ def load_foliation(path: str, field: NumberField = None):
     if declared is not None and field is not None and declared != field:
         raise InputError("%s: field declaration disagrees with the "
                          "configuration's field" % path)
-    use = declared or field or QQ
+    # one field object per run: the caller's, when the declaration agrees
+    use = field or declared or QQ
     missing = [k for k in "ABC" if k not in comps]
     if missing:
         raise InputError("%s: missing component(s) %s" %

@@ -12,7 +12,7 @@ Proximity is derived from the chart data, never declared.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -61,16 +61,18 @@ def normalize_point(coords):
     raise ConfigurationError("(0:0:0) is not a projective point")
 
 
-def root_chart_images(origin, field):
+def root_chart_images(origin):
     """The canonical local chart at a plane point, as (pivot, a, b).
 
-    The point is scaled so that its first nonzero coordinate, the pivot, is
-    1.  The chart sets the pivot variable to 1 and the other two variables,
-    in order, to u + a and v + b, so the point sits at u = v = 0; children's
-    chart data are declared relative to these coordinates.
+    The point is normalized (``normalize_point``), so its first nonzero
+    coordinate, the pivot, is 1.  The chart sets the pivot variable to 1
+    and the other two variables, in order, to u + a and v + b, so the point
+    sits at u = v = 0; children's chart data are declared relative to these
+    coordinates.
     """
-    origin = normalize_point(tuple(field.element(v) for v in origin))
-    pivot = next(i for i, v in enumerate(origin) if not v.is_zero())
+    pivot = next(i for i, v in enumerate(origin) if v)
+    if origin[pivot] != 1:
+        raise ValueError("plane point %r is not normalized" % (origin,))
     a, b = (origin[i] for i in range(3) if i != pivot)
     return pivot, a, b
 
@@ -356,29 +358,27 @@ class Decomposition(NamedTuple):
 
 def t_from_system(s_classes: Sequence[DivisorClass],
                   config: Configuration) -> DivisorClass:
-    """The primitive divisor orthogonal to an independent system, by maximal
-    minors of the stacked coordinate matrix."""
+    """The primitive divisor orthogonal to an independent system: the one
+    kernel vector of the stacked coordinate matrix, made a primitive integer
+    vector.  Its entries are, up to sign, the maximal minors over their
+    gcd."""
     nf = config.non_dicritical_indices()
     m = config.size
     if len(s_classes) + len(nf) != m:
         raise ConfigurationError(
             "system size %d + %d non-dicritical points != %d" %
             (len(s_classes), len(nf), m))
-    rows = [list(c.coordinates()) for c in s_classes]
-    rows += [list(config.exceptional_strict_class(q).coordinates())
-             for q in nf]
-    deltas = []
-    for j in range(m + 1):
-        minor = [row[:j] + row[j + 1:] for row in rows]
-        deltas.append(abs(linalg.det_bareiss(minor)))
-    g = 0
-    for v in deltas:
-        g = gcd(g, v)
-    if g == 0:
-        # the m rows have rank m exactly when some maximal minor is nonzero
+    classes = list(s_classes) + [config.exceptional_strict_class(q)
+                                 for q in nf]
+    kernel = linalg.nullspace([[Fraction(v) for v in c.coordinates()]
+                               for c in classes])
+    if len(kernel) != 1:
+        # m rows of m + 1 columns have rank m exactly when the kernel is a line
         raise ConfigurationError("not an independent system: rank below %d" % m)
-    deltas = [v // g for v in deltas]
-    return config.divisor(deltas[0], deltas[1:])
+    den = lcm(*(v.denominator for v in kernel[0]))
+    deltas = [abs(v.numerator) * (den // v.denominator) for v in kernel[0]]
+    g = gcd(*deltas)
+    return config.divisor(deltas[0] // g, [v // g for v in deltas[1:]])
 
 
 def decompose_in_AS(T: DivisorClass, s_classes: Sequence[DivisorClass],
@@ -481,10 +481,11 @@ def load_configuration(text: str, field: NumberField = None) -> Configuration:
             continue
         if line.startswith("field:"):
             declared = NumberField.from_string(line.split(":", 1)[1].strip())
-            if field is not None and field != declared:
+            if field is None:
+                field = declared
+            elif field != declared:
                 raise ConfigurationError("field declaration disagrees with "
                                          "the caller's field")
-            field = declared
             continue
         parts = line.split()
         if parts[0] == "point":

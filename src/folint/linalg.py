@@ -5,10 +5,8 @@ FieldElement (``modp.rref`` is its twin on ints mod a prime), and rank,
 nullspace and solve are thin wrappers over it.  ``rank_int`` takes the rank
 of an integer matrix mod one prime first and makes the entries Fractions
 only when that rank falls short of the row count; ``solve`` makes them
-Fractions first, so that no division can produce a float.  Bareiss
-determinants are a separate algorithm on integer matrices for lattice
-computations, and the simplex is the reference that the tests check cone
-membership against.
+Fractions first, so that no division can produce a float.  The simplex
+is the reference that the tests check cone membership against.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ def rref(rows):
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], tail)]
+                m[i][c:] = [a - f * b if b else a
+                             for a, b in zip(m[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -112,33 +111,6 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][-1]
     return x
-
-
-# ---------------------------------------------------------------------------
-# integer layer
-# ---------------------------------------------------------------------------
-
-def det_bareiss(matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def lp_feasible(A, b) -> bool:

@@ -132,7 +132,7 @@ def integral(columns, ring):
 def integral_chart(origin, field):
     """(pivot, q, q a, q b) for a plane point's canonical chart (pivot, a,
     b) (``cluster.root_chart_images``), q = ``denominator(a, b)``."""
-    pivot, a, b = root_chart_images(origin, field)
+    pivot, a, b = root_chart_images(origin)
     q = denominator(a, b)
     return (pivot, q, *(lift(x * q, exact_ring(field)) for x in (a, b)))
 
@@ -263,7 +263,7 @@ def _modular_data(config: Configuration, index: int):
     if index not in memo.images:
         field = config.field
         P, roots, _ = field.split_prime(index)
-        charts = {idx: root_chart_images(point.origin, field)
+        charts = {idx: root_chart_images(point.origin)
                   for idx, point in enumerate(config.points)
                   if point.is_root()}
         data = []

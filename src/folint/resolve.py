@@ -3,10 +3,12 @@ blow-ups, simplicity and dicriticalness tests, and assembly of the dicritical
 configuration.
 
 Everything is restricted to points expressible over K.  When a singular point
-escapes the field, its whole conjugate orbit is analyzed symbolically in the
-quotient algebra K[t]/(cofactor); orbits certified simple are ignored (they
-are never blown up), anything else aborts with the irreducible cofactor as a
-machine-readable certificate.
+escapes the field, its whole conjugate orbit is one point over the escape
+algebra K[t]/(cofactor): its coordinates are ``_Quotient`` elements, which
+the ``numfield`` polynomial kernel takes as coefficients, so the orbit is
+evaluated, and its y-coordinate found by a gcd, like a point over K.  Orbits
+certified simple are ignored (they are never blown up); anything else aborts
+with the cofactor as a machine-readable certificate.
 
 Local foliations live in the integral model of ``linsys``; only chart-1
 constants, c = (mu/lambda) c_stored, and certificates map back to true ones.
@@ -23,10 +25,10 @@ from .cluster import (
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
     common_zeros, find_roots_in_field, format_poly_in_t, poly_degree,
-    poly_divmod, poly_gcd, poly_inverse_mod, poly_mul, poly_sub, poly_trim,
-    rational_is_square, to_y_rows,
+    poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_inverse_mod,
+    poly_mul, poly_sub, poly_trim, rational_is_square, to_y_rows,
 )
-from .polyforms import HomogeneousForm, ProjectiveOneForm
+from .polyforms import ProjectiveOneForm
 from .linsys import (
     Series, _prune, _shift, chart_step, child_scales, denominator,
     exact_ring, integral, integral_chart, lift, root_series,
@@ -44,11 +46,6 @@ class DepthCapExceeded(ResolutionError):
 # ---------------------------------------------------------------------------
 # scalar bivariate helpers: dicts (i, j) -> FieldElement, variables (u, v)
 # ---------------------------------------------------------------------------
-
-def _bi_partial(poly, index):
-    return {(i - 1, j) if index == 0 else (i, j - 1): c * (i, j)[index]
-            for (i, j), c in poly.items() if (i, j)[index]}
-
 
 def _column(series: Series, t: int):
     """Column t of a series, as a dict (i, j) -> coefficient."""
@@ -186,8 +183,9 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     if poly_degree(g) >= 1:
         roots, remaining, cofactor = find_roots_in_field(g, field)
         if remaining > 0:
-            _require_orbit_simple(a1, b1, cofactor, field, [],
-                                  [field.zero(), field.one()], rho)
+            # the orbit (0, t) on the exceptional u = 0
+            w = _generator(cofactor, field)
+            _require_orbit_simple(a1, b1, w * 0, w, field, rho)
         for c in roots:
             # W = m (w - c): dw = dW/m puts one more m on du
             m = denominator(c)
@@ -211,33 +209,84 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
 # conjugate orbits outside K: exact simplicity certification
 # ---------------------------------------------------------------------------
 
-def _require_orbit_simple(a, b, g, field, u0, v0, scale=1):
-    """Certify that all conjugate singular points cut out by ``g`` are
-    simple; raise FieldExtensionNeeded otherwise.
+class _Quotient:
+    """An element of the escape algebra K[t]/(g), for a squarefree monic g
+    of degree >= 1: its residue p, a trimmed K[t] list of degree < deg g.
+    The ``poly_*`` kernel takes these as coefficients, so a polynomial
+    evaluated at t runs over a whole conjugate orbit at once."""
 
-    g is squarefree and monic, a cofactor of ``find_roots_in_field``.
-    (u0, v0) are the coordinates of the orbit as K[t]/(g) elements, t being
-    the residue of the variable; a, b are the bivariate coefficients of the
-    ambient local 1-form a du + b dv.  The certificate has the roots of g
-    times ``scale``, their true coordinates.
+    __slots__ = ("p", "g")
+
+    def __init__(self, p, g):
+        self.p = poly_divmod(p, g)[1] if len(p) >= len(g) else poly_trim(p)
+        self.g = g
+
+    def __bool__(self):
+        return bool(self.p)
+
+    def __add__(self, other):
+        return self - (-other)
+
+    def __sub__(self, other):
+        q = other.p if type(other) is _Quotient else poly_trim([other])
+        return _Quotient(poly_sub(self.p, q), self.g) if q else self
+
+    def __neg__(self):
+        return _Quotient([-c for c in self.p], self.g)
+
+    def __mul__(self, other):
+        if type(other) is _Quotient:
+            if len(other.p) != 1:
+                return _Quotient(poly_mul(self.p, other.p), self.g)
+            other = other.p[0]      # a constant: no product to reduce
+        return _Quotient([c * other for c in self.p], self.g)
+
+    def __rtruediv__(self, one):
+        """1 / self; a zero divisor splits g, and the orbit with it."""
+        inv = poly_inverse_mod(self.p, self.g)
+        if inv is None:
+            raise FieldExtensionNeeded(
+                "zero divisor in the escape algebra (certificate %s)" %
+                format_poly_in_t(self.g), certificate=self.g)
+        return _Quotient(inv, self.g) * one
+
+
+def _generator(g, field):
+    """t in K[t]/(g): the coordinate that runs over the orbit's conjugates."""
+    return _Quotient([field.zero(), field.one()], g)
+
+
+def _partial_at_orbit(rows, index, u0, v0):
+    """The partial derivative in u (index 0) or v (index 1) of a bivariate
+    polynomial over K, given by its ``to_y_rows``, at the orbit point."""
+    if index == 0:
+        rows = poly_trim(poly_derivative(row) for row in rows)
+    else:
+        rows = [[c * j for c in row] for j, row in enumerate(rows) if j]
+    return poly_eval([poly_eval(row, u0) for row in rows], v0)
+
+
+def _require_orbit_simple(a, b, u0, v0, field, scale=1):
+    """Certify that all conjugate singular points (u0, v0) are simple;
+    raise FieldExtensionNeeded otherwise.
+
+    a, b are the bivariate coefficients of the local 1-form a du + b dv
+    and u0, v0 the orbit's coordinates in K[t]/(g), g squarefree and
+    monic, a cofactor of ``find_roots_in_field``.  The certificate has the
+    roots of g times ``scale``, their true coordinates.
     """
-    u0 = _alg_reduce(u0, g)
-    v0 = _alg_reduce(v0, g)
-
-    def jac_entry(poly, index):
-        part = _bi_partial(poly, index)
-        return _alg_eval_bivariate(part, u0, v0, g, field)
-
-    a_u, a_v = jac_entry(a, 0), jac_entry(a, 1)
-    b_u, b_v = jac_entry(b, 0), jac_entry(b, 1)
-    trace = poly_sub(a_v, b_u)
-    det = poly_sub(_alg_mul(a_u, b_v, g), _alg_mul(a_v, b_u, g))
+    g = u0.g
+    a_u, a_v, b_u, b_v = (_partial_at_orbit(rows, k, u0, v0)
+                          for rows in (to_y_rows(a, field),
+                                       to_y_rows(b, field)) for k in (0, 1))
+    trace = a_v - b_u
+    det = a_u * b_v - a_v * b_u
 
     # g is monic, so g0 = g when det = 0, and g00 = g0 when trace = 0
     scaled = [c * scale ** (len(g) - 1 - k) for k, c in enumerate(g)]
     certificate = format_poly_in_t(scaled)
-    g0 = poly_gcd(g, det)
-    if poly_degree(poly_gcd(g0, trace)) >= 1:
+    g0 = poly_gcd(g, det.p)
+    if poly_degree(poly_gcd(g0, trace.p)) >= 1:
         raise FieldExtensionNeeded(
             "a conjugate singular point with nilpotent linear part lies "
             "outside the base field (certificate %s)" % certificate,
@@ -249,12 +298,12 @@ def _require_orbit_simple(a, b, g, field, u0, v0, scale=1):
         return
     # a rational eigenvalue-ratio invariant c = (tr^2-2det)/det = E/det of a
     # conjugate is a root of Res_t(g1, E - c*det)
-    det = _alg_reduce(det, g1)
-    e_poly = poly_sub(_alg_mul(trace, trace, g1), _alg_scale(det, 2))
+    trace, det = _Quotient(trace.p, g1), _Quotient(det.p, g1)
+    e_poly = (trace * trace - det * 2).p
     res_in_c = bivariate_resultant(
         {(0, j): c for j, c in enumerate(g1)},
         {**{(0, j): c for j, c in enumerate(e_poly)},
-         **{(1, j): -c for j, c in enumerate(det)}}, field)
+         **{(1, j): -c for j, c in enumerate(det.p)}}, field)
     roots, _, _ = find_roots_in_field(res_in_c, field) \
         if poly_degree(res_in_c) >= 1 else ([], 0, [])
     for root in roots:
@@ -264,57 +313,17 @@ def _require_orbit_simple(a, b, g, field, u0, v0, scale=1):
                 "simple (certificate %s)" % certificate, certificate=scaled)
 
 
-def _alg_reduce(p, modulus):
-    p = poly_trim(p)
-    if len(p) >= len(modulus):
-        p = poly_divmod(p, modulus)[1]
-    return p
-
-
-def _alg_mul(p, q, modulus):
-    return _alg_reduce(poly_mul(p, q), modulus)
-
-
-def _alg_scale(p, k):
-    return poly_trim([c * k for c in p])
-
-
-def _alg_eval_bivariate(poly, u0, v0, modulus, field):
-    """Evaluate a K-bivariate polynomial at algebra-valued coordinates."""
-    acc = []
-    upow = {0: [field.one()]}
-    vpow = {0: [field.one()]}
-
-    def power(cache, base, e):
-        if e not in cache:
-            cache[e] = _alg_mul(power(cache, base, e - 1), base, modulus)
-        return cache[e]
-
-    for (i, j), c in poly.items():
-        term = _alg_mul(power(upow, u0, i), power(vpow, v0, j), modulus)
-        acc = poly_sub(acc, _alg_scale(term, -c))
-    return _alg_reduce(acc, modulus)
-
-
-def _alg_inverse(p, modulus):
-    """Inverse in K[t]/(modulus); raises FieldExtensionNeeded on a zero
-    divisor (the modulus then splits and the orbit needs case analysis)."""
-    inv = poly_inverse_mod(p, modulus)
-    if inv is None:
-        raise FieldExtensionNeeded(
-            "zero divisor in the escape algebra (certificate %s)" %
-            format_poly_in_t(modulus), certificate=modulus)
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # global singular locus
 # ---------------------------------------------------------------------------
 
 class EscapedOrbit(NamedTuple):
-    kind: str               # "affine-y" | "affine-x" | "infinity"
-    modulus: list           # K[t] polynomial cutting out the orbit
-    data: tuple
+    """A conjugate orbit of singular points outside K, in a chart where
+    omega is a du + b dv: the orbit is (u0, v0), in K[t]/(g)."""
+    a: dict
+    b: dict
+    u0: _Quotient
+    v0: _Quotient
 
 
 class SingularLocus(NamedTuple):
@@ -324,7 +333,11 @@ class SingularLocus(NamedTuple):
 
 
 def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
-    """Common zeros of A, B, C over K, chart by chart, with completeness."""
+    """Common zeros of A, B, C over K, chart by chart, with completeness.
+
+    An orbit of conjugate x-coordinates needs one y per conjugate, the
+    root of a linear gcd over K[t]/(g); anything else raises
+    FieldExtensionNeeded."""
     field = omega.field
     A, B, C = omega.components()
     points = []
@@ -337,9 +350,21 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     p, q = pair
     affine_pts, affine_escaped = common_zeros(p, q, field)
     points.extend((x, y, field.one()) for x, y in affine_pts)
-    escaped.extend(EscapedOrbit("affine-x", cofactor, (p, q)) if x0 is None
-                   else EscapedOrbit("affine-y", cofactor, (x0, (p, q)))
-                   for x0, cofactor in affine_escaped)
+    for x0, cofactor in affine_escaped:
+        t = _generator(cofactor, field)
+        if x0 is not None:
+            escaped.append(EscapedOrbit(p, q, t * 0 + x0, t))
+            continue
+        # the line common_zeros runs at x-coordinates in K; a row's value
+        # at x = t is its residue
+        gy = poly_gcd(*([_Quotient(row, cofactor) for row in
+                         to_y_rows(f, field)] for f in (p, q)))
+        if len(gy) != 2:
+            raise FieldExtensionNeeded(
+                "conjugate singular points need a further extension "
+                "(certificate %s)" % format_poly_in_t(cofactor),
+                certificate=cofactor)
+        escaped.append(EscapedOrbit(p, q, t, -gy[0]))
 
     # the line Z = 0: points (x:1:0) and (1:0:0)
     univs = []
@@ -358,7 +383,10 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
         for r in roots:
             points.append((r, field.one(), field.zero()))
         if remaining > 0:
-            escaped.append(EscapedOrbit("infinity", cofactor, ()))
+            # chart Y = 1: omega = A(x,1,z) dx + C(x,1,z) dz at (t, 0)
+            t = _generator(cofactor, field)
+            escaped.append(EscapedOrbit(A.dehomogenize(1), C.dehomogenize(1),
+                                        t, t * 0))
     one, zero = field.one(), field.zero()
     if all(f.evaluate((one, zero, zero)).is_zero() for f in (A, B, C)):
         points.append((one, zero, zero))
@@ -391,7 +419,7 @@ def build_configuration(omega: ProjectiveOneForm,
     field = omega.field
     locus = singular_points(omega)
     for orbit in locus.escaped:
-        _analyze_escaped_orbit(omega, orbit, field)
+        _require_orbit_simple(*orbit, field)
     roots = []
     for pt in locus.points:
         local = local_at_plane_point(omega, pt)
@@ -464,65 +492,3 @@ def _emit(node: _Node, out):
     chart2 = [ch for ch in node.children if ch.chart == 2]
     for ch in chart1 + chart2:
         _emit(ch, out)
-
-
-def _analyze_escaped_orbit(omega, orbit: EscapedOrbit, field):
-    if orbit.kind == "affine-y":
-        x0, (p, q) = orbit.data
-        _require_orbit_simple(p, q, orbit.modulus, field,
-                              [x0], [field.zero(), field.one()])
-    elif orbit.kind == "affine-x":
-        p, q = orbit.data
-        t_elt = [field.zero(), field.one()]
-        y0 = _solve_y_in_algebra(p, q, orbit.modulus, field)
-        _require_orbit_simple(p, q, orbit.modulus, field, t_elt, y0)
-    elif orbit.kind == "infinity":
-        # chart Y = 1: omega = A(x,1,z) dx + C(x,1,z) dz at (t, 0)
-        A, _, C = omega.components()
-        p = A.dehomogenize(1)
-        q = C.dehomogenize(1)
-        _require_orbit_simple(p, q, orbit.modulus, field,
-                              [field.zero(), field.one()], [])
-    else:
-        raise ResolutionError("unknown escape kind %r" % orbit.kind)
-
-
-def _solve_y_in_algebra(p, q, g, field):
-    """The y-coordinate over K[t]/(g) via a gcd in the algebra; the orbit
-    must have exactly one y per conjugate.  g is squarefree and monic, a
-    cofactor of ``find_roots_in_field``."""
-    py = _rows_mod(p, g, field)
-    qy = _rows_mod(q, g, field)
-    gy = _algebra_poly_gcd(py, qy, g)
-    if len(gy) != 2:
-        raise FieldExtensionNeeded(
-            "conjugate singular points need a further extension "
-            "(certificate %s)" % format_poly_in_t(g), certificate=g)
-    lead_inv = _alg_inverse(gy[1], g)
-    return _alg_scale(_alg_mul(gy[0], lead_inv, g), -1)
-
-
-def _rows_mod(p, modulus, field):
-    """Bivariate dict -> list over y-degree of K[t]/(modulus) elements,
-    with no zero row on top."""
-    return poly_trim(_alg_reduce(row, modulus)
-                     for row in to_y_rows(p, field))
-
-
-def _algebra_poly_gcd(p, q, modulus):
-    """Monic gcd in (K[t]/(modulus))[y] by Euclid; raises on zero divisors.
-    The rows of p and q are reduced mod modulus, so a zero row is []."""
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        lead_inv = _alg_inverse(q[-1], modulus)
-        rem = list(p)
-        while len(rem) >= len(q):
-            shift = len(rem) - len(q)
-            factor = _alg_mul(rem[-1], lead_inv, modulus)
-            for i, qc in enumerate(q):
-                sub = _alg_mul(factor, qc, modulus)
-                rem[shift + i] = poly_sub(rem[shift + i], sub)
-            rem = poly_trim(rem)
-        p, q = q, rem
-    lead_inv = _alg_inverse(p[-1], modulus)
-    return [_alg_mul(r, lead_inv, modulus) for r in p]

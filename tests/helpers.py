@@ -146,7 +146,7 @@ def reference_series(coeffs, config: Configuration, multiplicity):
     for idx, point in enumerate(config.points):
         parent = config.parent_idx[idx]
         if parent is None:
-            pivot, a, b = root_chart_images(point.origin, field)
+            pivot, a, b = root_chart_images(point.origin)
             x, y = (i for i in range(3) if i != pivot)
             poly = {(expo[x], expo[y]): c for expo, c in coeffs.items()}
             series = _compose(poly, {(0, 0): a, (1, 0): one},

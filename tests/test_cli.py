@@ -21,6 +21,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_one_field_object_per_run():
+    # example1 declares Q(i) in both files: the loaders keep the caller's
+    # field, so no element crosses between two equal fields
+    omega, field = cli.load_foliation(fx("example1.fol"))
+    assert omega.field is field
+    assert cli.load_config_file(fx("example1.cfg"), field).field is field
+    cfg_field = cli._peek_field(fx("example1.cfg"))
+    omega, field = cli.load_foliation(fx("example1.fol"), cfg_field)
+    assert omega.field is field is cfg_field
+
+
 def test_decide_fig2(capsys):
     code, out, _ = run(capsys, "decide", "--machine",
                        fx("fig2.fol"), fx("fig2.cfg"))

@@ -5,7 +5,7 @@ import pytest
 from folint.cluster import (
     Configuration, ConfigurationError, InfinitelyNearPoint, chain_criterion,
     decompose_in_AS, dump_configuration, is_p_sufficient, load_configuration,
-    proximity_gram_matrix, t_from_system,
+    proximity_gram_matrix, root_chart_images, t_from_system,
 )
 from folint.numfield import QQ
 
@@ -129,6 +129,13 @@ def test_canonical_class():
     K = config.canonical_class()
     assert K.intersect(config.line_class()) == -3
     assert K.square() == 9 - config.size
+
+
+def test_root_chart_images_reads_a_normalized_point():
+    half, two = QQ.element(Fraction(1, 2)), QQ.element(2)
+    assert root_chart_images((QQ.zero(), QQ.one(), half)) == (1, 0, half)
+    with pytest.raises(ValueError):
+        root_chart_images((QQ.zero(), two, QQ.one()))
 
 
 def test_t_from_system_example1():

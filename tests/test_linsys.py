@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from folint import linalg, linsys, modp
 from folint.cli import load_config_file
 from folint.cluster import (
-    Configuration, InfinitelyNearPoint, load_configuration,
+    Configuration, InfinitelyNearPoint, load_configuration, normalize_point,
 )
 from folint.linsys import (
     basis, chart_step, condition_rows, effective_multiplicities, h0,
@@ -83,7 +83,8 @@ def plane_points(draw, field):
     point = [draw(elements(field, zero_weight=True)) for _ in range(3)]
     if all(c.is_zero() for c in point):
         point[draw(st.integers(0, 2))] = field.one()
-    return tuple(point)
+    # normalized, as Configuration and singular_points pass points on
+    return normalize_point(tuple(point))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from folint.cluster import dump_configuration, load_configuration
 from folint.numfield import QQ, FieldExtensionNeeded, NumberField
 from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 from folint.resolve import (
-    LocalFoliation, _require_orbit_simple, blow_up_local,
+    LocalFoliation, _generator, _require_orbit_simple, blow_up_local,
     build_configuration, is_simple, local_at_plane_point, singular_points,
 )
 
@@ -137,14 +137,13 @@ def test_blow_up_through_axis_scalings(scales):
 def test_orbit_with_constant_linear_part():
     # a = v^2 - 2, b = k*u*v at the conjugate points (0, +-sqrt 2): det and
     # tr^2 - 2 det lie in Q, so the eigenvalue-ratio invariant is a constant
-    orbit = [QQ.element(-2), QQ.zero(), QQ.one()]
-    t = [QQ.zero(), QQ.one()]
+    v0 = _generator([QQ.element(-2), QQ.zero(), QQ.one()], QQ)
     a = {(0, 2): QQ.one(), (0, 0): QQ.element(-2)}
     # k = 1: eigenvalues 2 sqrt 2 and -sqrt 2, of negative ratio -2
-    _require_orbit_simple(a, {(1, 1): QQ.one()}, orbit, QQ, [], t)
+    _require_orbit_simple(a, {(1, 1): QQ.one()}, v0 * 0, v0, QQ)
     # k = -1: eigenvalues 2 sqrt 2 and sqrt 2, of ratio 2
     with pytest.raises(FieldExtensionNeeded):
-        _require_orbit_simple(a, {(1, 1): QQ.element(-1)}, orbit, QQ, [], t)
+        _require_orbit_simple(a, {(1, 1): QQ.element(-1)}, v0 * 0, v0, QQ)
 
 
 def test_singular_points_pencil_of_lines():
@@ -228,6 +227,43 @@ def test_resolve_cubic_pencil_needs_a_field_extension(capsys):
     # the squarefree part of a resultant, so it pins bivariate_resultant
     assert out[2:] == ["certificate=t^14-15*t^12+81*t^10-640/3*t^8"
                        "+24380/81*t^6-18544/81*t^4+7040/81*t^2-1024/81"]
+
+
+@pytest.mark.parametrize("fol, certificate, message", [
+    # the pair (t : 1 : 0), t^2 = 2, on the line at infinity
+    pytest.param(
+        "A = 2*X*Z+Z^2\nB = -4*Y*Z\nC = -2*X^2-X*Z+4*Y^2\n", "t^2-2",
+        "a conjugate singular point outside the base field is not simple",
+        id="infinity"),
+    pytest.param(
+        "A = X^3*Z-2*X*Z^3+4*Y*Z^3\n"
+        "B = X^3*Z-2*X*Z^3+4*Y^2*Z^2+4*Y*Z^3\n"
+        "C = -X^4-X^3*Y+2*X^2*Z^2-2*X*Y*Z^2-4*Y^3*Z-4*Y^2*Z^2\n", "t^2-2",
+        "a conjugate singular point with nilpotent linear part lies outside "
+        "the base field", id="nilpotent"),
+    # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3): the y-gcd's leading coefficient
+    # vanishes over one factor only
+    pytest.param(
+        "A = X^4*Z-5*X^2*Z^3+6*Z^5\nB = X^2*Y^2*Z-3*Y^2*Z^3+Y*Z^4\n"
+        "C = -X^5+5*X^3*Z^2-X^2*Y^3-6*X*Z^4+3*Y^3*Z^2-Y^2*Z^3\n",
+        "t^4-5*t^2+6", "zero divisor in the escape algebra", id="zero-divisor"),
+    # x^2 = 2 and y^2 = 3: two y-coordinates over each conjugate x
+    pytest.param(
+        "A = Z*X^2-2*Z^3\nB = Z*Y^2-3*Z^3\nC = -X^3+2*X*Z^2-Y^3+3*Y*Z^2\n",
+        "t^2-2", "conjugate singular points need a further extension",
+        id="further-extension"),
+])
+def test_escaped_orbit_verdicts(tmp_path, capsys, fol, certificate, message):
+    path = tmp_path / "escape.fol"
+    path.write_text(fol)
+    assert main(["resolve", "--machine", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict=inconclusive", "reason=field extension required",
+        "certificate=" + certificate]
+    omega, _ = load_foliation(str(path))
+    with pytest.raises(FieldExtensionNeeded) as err:
+        build_configuration(omega)
+    assert str(err.value) == "%s (certificate %s)" % (message, certificate)
 
 
 def test_resolve_y_free_pair_without_common_zeros(tmp_path, capsys):
