@@ -250,39 +250,40 @@ def build_parser():
         prog="folint",
         description="decide whether a plane foliation has a rational first "
                     "integral, and compute one when it exists")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dmax", type=int, default=30,
-                        help="degree cap for the cone search (default 30)")
-    common.add_argument("--lmax", type=int, default=60,
-                        help="multiplier cap for the pencil search "
-                             "(default 60)")
-    common.add_argument("--depth", type=int, default=50,
-                        help="blow-up depth cap for resolution (default 50)")
-    common.add_argument("--trace", action="store_true",
-                        help="log every candidate divisor to stderr")
-    common.add_argument("--machine", action="store_true",
-                        help="stable line-oriented output")
+    # each subcommand accepts only the options it reads
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--machine", action="store_true",
+                         help="stable line-oriented output")
+    depth = argparse.ArgumentParser(add_help=False, parents=[machine])
+    depth.add_argument("--depth", type=int, default=50,
+                       help="blow-up depth cap for resolution (default 50)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resolve", parents=[common],
+    p = sub.add_parser("resolve", parents=[depth],
                        help="compute the dicritical configuration")
     p.add_argument("foliation")
     p.set_defaults(func=cmd_resolve)
 
-    p = sub.add_parser("decide", parents=[common],
+    p = sub.add_parser("decide", parents=[depth],
                        help="full decision pipeline")
+    p.add_argument("--dmax", type=int, default=30,
+                   help="degree cap for the cone search (default 30)")
+    p.add_argument("--lmax", type=int, default=60,
+                   help="multiplier cap for the pencil search (default 60)")
+    p.add_argument("--trace", action="store_true",
+                   help="log every candidate divisor to stderr")
     p.add_argument("foliation")
     p.add_argument("config", nargs="?")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("decide-degree", parents=[common],
+    p = sub.add_parser("decide-degree", parents=[depth],
                        help="decide a first integral of a fixed degree")
     p.add_argument("degree", type=int)
     p.add_argument("foliation")
     p.add_argument("config", nargs="?")
     p.set_defaults(func=cmd_decide_degree)
 
-    p = sub.add_parser("check-integral", parents=[common],
+    p = sub.add_parser("check-integral", parents=[machine],
                        help="verify d(F/G) ^ omega = 0")
     p.add_argument("numerator")
     p.add_argument("denominator")
@@ -290,20 +291,20 @@ def build_parser():
     _forms_may_start_with_minus(p)
     p.set_defaults(func=cmd_check_integral)
 
-    p = sub.add_parser("invariant", parents=[common],
+    p = sub.add_parser("invariant", parents=[machine],
                        help="test a curve for invariance")
     p.add_argument("curve")
     p.add_argument("foliation")
     _forms_may_start_with_minus(p)
     p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("psufficient", parents=[common],
+    p = sub.add_parser("psufficient", parents=[machine],
                        help="exact strict-copositivity test of the "
                             "configuration")
     p.add_argument("config")
     p.set_defaults(func=cmd_psufficient)
 
-    p = sub.add_parser("h0", parents=[common],
+    p = sub.add_parser("h0", parents=[machine],
                        help="dimension and basis of a linear system")
     p.add_argument("config")
     p.add_argument("degree", type=int)

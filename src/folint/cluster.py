@@ -11,7 +11,6 @@ Proximity is derived from the chart data, never declared.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -370,8 +369,7 @@ def t_from_system(s_classes: Sequence[DivisorClass],
             (len(s_classes), len(nf), m))
     classes = list(s_classes) + [config.exceptional_strict_class(q)
                                  for q in nf]
-    kernel = linalg.nullspace([[Fraction(v) for v in c.coordinates()]
-                               for c in classes])
+    kernel = linalg.nullspace([c.coordinates() for c in classes])
     if len(kernel) != 1:
         # m rows of m + 1 columns have rank m exactly when the kernel is a line
         raise ConfigurationError("not an independent system: rank below %d" % m)
@@ -383,20 +381,26 @@ def t_from_system(s_classes: Sequence[DivisorClass],
 
 def decompose_in_AS(T: DivisorClass, s_classes: Sequence[DivisorClass],
                     config: Configuration) -> Decomposition:
-    """Exact rational coefficients of [T] on A_S; raises if inconsistent."""
+    """Exact rational coefficients of [T] on A_S; raises if inconsistent.
+
+    A x = T exactly when (-x, 1) is in the kernel of [A | T], so the
+    coefficients are read off the kernel vector whose one is in the last
+    column; there is none when that column holds a pivot.  The other free
+    columns are zero in that vector, so free unknowns are zero.
+    """
     nf = config.non_dicritical_indices()
     cols = [c.coordinates() for c in s_classes]
     cols += [config.exceptional_strict_class(q).coordinates() for q in nf]
-    matrix = [list(row) for row in zip(*cols)]
     rhs = T.coordinates()
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
+    kernel = linalg.nullspace(list(zip(*cols, rhs)))
+    if not kernel or not kernel[-1][-1]:
         raise ConfigurationError("class does not decompose in A_S")
+    sol = [-v for v in kernel[-1][:-1]]
     alpha = tuple(sol[:len(s_classes)])
     beta = {config.points[q].name: sol[len(s_classes) + k]
             for k, q in enumerate(nf)}
     # reconstruction identity, exactly
-    acc = [Fraction(0)] * (config.size + 1)
+    acc = [0] * (config.size + 1)
     for coeff, col in zip(sol, cols):
         for r in range(len(acc)):
             acc[r] += coeff * col[r]
@@ -436,15 +440,13 @@ def is_p_sufficient(config: Configuration) -> bool:
     n = config.size
     if any(G[i][i] <= 0 for i in range(n)):
         return False
-    G = [[Fraction(v) for v in row] for row in G]
-    zero, one = Fraction(0), Fraction(1)
     for mask in range(1, 1 << n):
         support = [i for i in range(n) if mask >> i & 1]
         if len(support) == 1:
             continue            # singletons are the diagonal check
         k = len(support)
-        aug = [[G[i][j] for j in support] + [-one, zero] for i in support]
-        aug.append([one] * k + [zero, one])
+        aug = [[G[i][j] for j in support] + [-1, 0] for i in support]
+        aug.append([1] * k + [0, 1])
         reduced, pivots = linalg.rref(aug)
         if pivots != list(range(k + 1)):
             continue
@@ -453,17 +455,6 @@ def is_p_sufficient(config: Configuration) -> bool:
         if mu <= 0 and all(v >= 0 for v in x):
             return False
     return True
-
-
-def chain_criterion(config: Configuration) -> bool:
-    """P-sufficiency shortcut for chains: last diagonal entry of G_C > 0."""
-    for i in range(1, config.size):
-        if config.parent_idx[i] != i - 1:
-            raise ConfigurationError("configuration is not a chain")
-    K = config.canonical_class()
-    D = config.simple_ideal_divisor(config.size - 1)
-    kd = K.intersect(D)
-    return -9 * D.square() - kd * kd > 0
 
 
 # ---------------------------------------------------------------------------

@@ -81,18 +81,12 @@ class IndependentSystem:
             if cl.square() > 0:
                 raise NotAnIndependentSystem(
                     "strict transform of a system curve has positive square")
-        rows = [cl.coordinates() for cl in self.classes]
-        rows += [config.exceptional_strict_class(q).coordinates()
-                 for q in config.non_dicritical_indices()]
-        if linalg.rank_int(rows) != config.size:
-            raise NotAnIndependentSystem("classes are linearly dependent")
-        self._t = None
-
-    @property
-    def T(self) -> DivisorClass:
-        if self._t is None:
-            self._t = t_from_system(self.classes, self.config)
-        return self._t
+        try:
+            # the one rank proof: the m rows' kernel is a line
+            self.T = t_from_system(self.classes, config)
+        except ConfigurationError:
+            raise NotAnIndependentSystem(
+                "classes are linearly dependent") from None
 
     def decomposition(self) -> Decomposition:
         return decompose_in_AS(self.T, self.classes, self.config)

@@ -1,12 +1,12 @@
 """Small exact linear algebra kernel used across the package.
 
-``rref`` is the one elimination loop over exact entries, Fraction or
-FieldElement (``modp.rref`` is its twin on ints mod a prime), and rank,
-nullspace and solve are thin wrappers over it.  ``rank_int`` takes the rank
-of an integer matrix mod one prime first and makes the entries Fractions
-only when that rank falls short of the row count; ``solve`` makes them
-Fractions first, so that no division can produce a float.  The simplex
-is the reference that the tests check cone membership against.
+``rref`` is the one elimination loop over exact entries, int, Fraction or
+FieldElement (``modp.rref`` is its twin on ints mod a prime), and rank and
+nullspace are thin wrappers over it.  It inverts a pivot with
+``numfield.reciprocal``, so int matrices go in as they are.  ``rank_int``
+takes the rank of an integer matrix mod one prime first and eliminates
+over Q only when that rank falls short of the row count.  The simplex is
+the reference that the tests check cone membership against.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import modp
-from .numfield import QQ, FieldElement
+from .numfield import QQ, reciprocal
 
 
 def rref(rows):
@@ -32,7 +32,7 @@ def rref(rows):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         # the pivot row is zero left of c, so only columns c.. change
-        inv = 1 / m[r][c]
+        inv = reciprocal(m[r][c])
         tail = [v * inv for v in m[r][c:]]
         m[r][c:] = tail
         for i in range(len(m)):
@@ -47,14 +47,8 @@ def rref(rows):
     return m[:r], pivots
 
 
-def _exact(rows):
-    """Integers become Fractions; Fraction and FieldElement entries stay."""
-    return [[v if isinstance(v, FieldElement) else Fraction(v) for v in row]
-            for row in rows]
-
-
 def rank(rows) -> int:
-    """Rank of a matrix of Fraction or FieldElement entries."""
+    """Rank of a matrix of int, Fraction or FieldElement entries."""
     return len(rref(rows)[0])
 
 
@@ -70,12 +64,12 @@ def rank_int(matrix) -> int:
     full = len(matrix)
     if len(modp.rref(matrix, QQ.split_prime(0)[0])[1]) == full:
         return full
-    return rank(_exact(matrix))
+    return rank(matrix)
 
 
 def nullspace(rows):
-    """Basis of the right kernel of a matrix of Fraction or FieldElement
-    entries."""
+    """Basis of the right kernel of a matrix of int, Fraction or
+    FieldElement entries."""
     if not rows or not rows[0]:
         return []
     return kernel(*rref(rows), len(rows[0]), rows[0][0] * 0)
@@ -94,23 +88,6 @@ def kernel(reduced, pivots, ncols, zero):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve(rows, rhs):
-    """One exact solution of A x = b (free unknowns zero), or None when the
-    system is inconsistent."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    aug = _exact([list(r) + [b] for r, b in zip(rows, rhs)])
-    reduced, pivots = rref(aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    zero = aug[0][-1] * 0
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][-1]
-    return x
 
 
 def lp_feasible(A, b) -> bool:

@@ -6,18 +6,19 @@ A field is described by a monic minimal polynomial over Q in the variable
 i.e. polynomials in the generator of degree < deg(K) whose coordinates are
 exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
 lowest terms (see ``_canon``).  Most coordinates met in practice are
-integers, and int arithmetic skips Fraction's gcd normalisation; every
-division of coordinates goes through a Fraction.  An element without P in
-a denominator has an int image mod P at each root of m mod P
-(``residue``).
+integers, and int arithmetic skips Fraction's gcd normalisation.  An
+element without P in a denominator has an int image mod P at each root of
+m mod P (``residue``).
 
 The univariate routines ``poly_*`` work on coefficient lists of int,
-Fraction or FieldElement alike: the field inverts its elements with
-``poly_inverse_mod`` on Fraction coordinates, and the resolution takes its
-gcds, squarefree parts and quotient-algebra inverses over K from the same
-code.  ``to_y_rows`` is the one bivariate form, rows over y of K[x] lists.
-Resultants come exactly from their images mod word-size primes at which m
-splits (``modp``).  Everything here is exact; no floats anywhere.
+Fraction or FieldElement alike, and take int lists as they are: they
+divide by ``reciprocal``, the one exact 1 / x, which is a Fraction for an
+int x.  The field inverts its elements with ``poly_inverse_mod`` on their
+own coordinates, and the resolution takes its gcds, squarefree parts and
+quotient-algebra inverses over K from the same code.  ``to_y_rows`` is the
+one bivariate form, rows over y of K[x] lists.  Resultants come exactly
+from their images mod word-size primes at which m splits (``modp``).
+Everything here is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -74,10 +75,17 @@ def _exact(value):
 #
 # One kernel for every exact coefficient type: int, Fraction and
 # FieldElement.  A zero comes from the inputs (c * 0) and a coefficient is
-# tested for zero by its truth value.  A division multiplies by 1 / lead,
-# so the divisor's leading coefficient must be a Fraction or a
-# FieldElement: an int one would give a float (``linalg.rref`` asks the
-# same of its pivots).
+# tested for zero by its truth value.  A division multiplies by
+# ``reciprocal(lead)``, which is exact for an int lead too, so int lists go
+# in as they are (``linalg.rref`` inverts its pivots the same way).
+
+def reciprocal(x):
+    """1 / x, exactly: a Fraction for an int x, where ``1 / x`` would be a
+    float, and ``1 / x`` for every other exact type."""
+    if type(x) is int:
+        return Fraction(1, x)
+    return 1 / x
+
 
 def poly_trim(p):
     """p as a new list without zero coefficients on top."""
@@ -127,7 +135,7 @@ def poly_divmod(num, den):
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
-    inv = 1 / den[-1]
+    inv = reciprocal(den[-1])
     quo = []
     for k in range(len(rem) - 1, dd - 1, -1):
         c = rem[k] * inv
@@ -150,7 +158,7 @@ def poly_gcd(p, q):
 def _monic(p):
     if not p:
         return p
-    inv = 1 / p[-1]
+    inv = reciprocal(p[-1])
     return [c * inv for c in p]
 
 
@@ -165,7 +173,7 @@ def poly_inverse_mod(p, m):
         r0, r1, s0, s1 = r1, rem, s1, poly_sub(s0, poly_mul(quo, s1))
     if not r1:
         return None
-    inv = 1 / r1[0]
+    inv = reciprocal(r1[0])
     return [c * inv for c in s1]
 
 
@@ -489,11 +497,8 @@ class FieldElement:
             raise ZeroDivisionError("inverting zero field element")
         field = self.field
         if field.degree == 1:
-            c = self.coeffs[0]
-            return FieldElement(field, (_canon(Fraction(c.denominator,
-                                                        c.numerator)),))
-        inv = poly_inverse_mod([Fraction(c) for c in self.coeffs],
-                               field.minpoly)
+            return FieldElement(field, (_canon(reciprocal(self.coeffs[0])),))
+        inv = poly_inverse_mod(list(self.coeffs), field.minpoly)
         if inv is None:
             # the residue shares a factor with an unverified minimal polynomial
             raise ZeroDivisionError("element is a zero divisor; the declared "
@@ -769,12 +774,12 @@ def find_roots_in_field(f: Sequence[FieldElement],
     The squarefree part of f is taken here, once, after the power of x
     that gives the root 0 is stripped; each root divides it once, and the
     cofactor, that part over the product of the (x - r), is squarefree
-    and monic.  Over Q the work is on Fraction coordinates.  The roots are
-    complete for K = Q (p-adic lifting) and for quadratic K
-    (``_quadratic_field_roots``).  For deg K >= 3 they are the rational
-    roots, then the root of a linear cofactor, or the roots of a quadratic
-    one whose discriminant is a rational square; the rest is reported
-    through remaining_degree.
+    and monic.  Over Q the work is on the int and Fraction coordinates
+    themselves.  The roots are complete for K = Q (p-adic lifting) and for
+    quadratic K (``_quadratic_field_roots``).  For deg K >= 3 they are the
+    rational roots, then the root of a linear cofactor, or the roots of a
+    quadratic one whose discriminant is a rational square; the rest is
+    reported through remaining_degree.
     """
     f = poly_trim(f)
     if not f:
@@ -784,7 +789,7 @@ def find_roots_in_field(f: Sequence[FieldElement],
     rational = field.is_rational
     low = next(i for i, c in enumerate(f) if c)
     work = poly_squarefree_part(
-        [Fraction(c.coeffs[0]) for c in f[low:]] if rational else f[low:])
+        [c.coeffs[0] for c in f[low:]] if rational else f[low:])
     if len(work) <= 2:
         roots = [-work[0]] if len(work) == 2 else []
     elif rational:
@@ -820,7 +825,7 @@ def _rational_roots_in_extension(f, field):
     squarefree too."""
     coord = []
     for j in range(field.degree):
-        coord = poly_gcd(coord, [Fraction(c.coeffs[j]) for c in f])
+        coord = poly_gcd(coord, [c.coeffs[j] for c in f])
     for r in _squarefree_rational_roots(coord):
         cand = field.element(r)
         if poly_eval(f, cand).is_zero():

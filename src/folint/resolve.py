@@ -242,12 +242,14 @@ class _Quotient:
         return _Quotient([c * other for c in self.p], self.g)
 
     def __rtruediv__(self, one):
-        """1 / self; a zero divisor splits g, and the orbit with it."""
+        """1 / self; a zero divisor splits g, and the orbit with it.  The
+        certificate is gcd(p, g), the factor of g on which self vanishes."""
         inv = poly_inverse_mod(self.p, self.g)
         if inv is None:
+            factor = poly_gcd(self.p, self.g)
             raise FieldExtensionNeeded(
                 "zero divisor in the escape algebra (certificate %s)" %
-                format_poly_in_t(self.g), certificate=self.g)
+                format_poly_in_t(factor), certificate=factor)
         return _Quotient(inv, self.g) * one
 
 

@@ -114,6 +114,25 @@ def test_usage_errors_are_input_errors(capsys, argv, mode):
     assert "error: " in captured.err
 
 
+@pytest.mark.parametrize("mode", [[], ["--machine"]], ids=["text", "machine"])
+@pytest.mark.parametrize("argv", [
+    ["h0", "--dmax=5", fx("example1.cfg"), "4"],
+    ["psufficient", "--depth=5", fx("fig2.cfg")],
+    ["resolve", "--trace", fx("fig2.fol")],
+    ["decide-degree", "--lmax=5", "2", fx("fig2.fol")],
+    ["invariant", "--trace", "X", fx("fig2.fol")],
+], ids=["h0-dmax", "psufficient-depth", "resolve-trace", "degree-lmax",
+        "invariant-trace"])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv,
+                                                              mode):
+    with pytest.raises(SystemExit) as stop:
+        main(argv + mode)
+    assert stop.value.code == cli.EXIT_INPUT == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --" in captured.err
+
+
 def test_printed_forms_are_accepted_back(capsys):
     code, out, _ = run(capsys, "decide", "--machine", fx("family_a0.fol"),
                        fx("family_a0.cfg"))

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from folint import linalg
 from folint.cluster import (
-    Configuration, ConfigurationError, InfinitelyNearPoint, chain_criterion,
-    decompose_in_AS, dump_configuration, is_p_sufficient, load_configuration,
+    Configuration, ConfigurationError, InfinitelyNearPoint, decompose_in_AS,
+    dump_configuration, is_p_sufficient, load_configuration,
     proximity_gram_matrix, root_chart_images, t_from_system,
 )
 from folint.numfield import QQ
@@ -208,6 +210,70 @@ def test_trivial_decomposition():
     assert dec.beta == {}
 
 
+def plane_points(n):
+    """n dicritical points of the plane: A_S is then just the classes."""
+    return Configuration([pt("p%d" % i, origin=(i, 1, 1), dicritical=True)
+                          for i in range(n)], QQ)
+
+
+@st.composite
+def class_systems(draw):
+    """A configuration, 1..4 classes with entries in -3..3, and a class T
+    that is, or (when drawn so) need not be, an integer combination of the
+    classes and the strict non-dicritical exceptionals."""
+    config = draw(st.sampled_from([plane_points(1), plane_points(3),
+                                   chain(2), chain(3)]))
+    small = st.integers(-3, 3)
+
+    def some_class():
+        return config.divisor(draw(small),
+                              [draw(small) for _ in range(config.size)])
+
+    classes = [some_class() for _ in range(draw(st.integers(1, 4)))]
+    strict = [config.exceptional_strict_class(q)
+              for q in config.non_dicritical_indices()]
+    if draw(st.booleans()):
+        T = some_class()
+    else:
+        T = config.divisor(0, [0] * config.size)
+        for c in classes + strict:
+            T = T + draw(small) * c
+    return config, classes, strict, T
+
+
+@settings(deadline=None)
+@given(class_systems())
+def test_decompose_in_AS_rebuilds_or_raises(system):
+    config, classes, strict, T = system
+    cols = [c.coordinates() for c in classes + strict]
+    rows = [list(row) for row in zip(*cols)]
+    aug = [row + [t] for row, t in zip(rows, T.coordinates())]
+    if linalg.rank(aug) > linalg.rank(rows):
+        with pytest.raises(ConfigurationError):
+            decompose_in_AS(T, classes, config)
+        return
+    dec = decompose_in_AS(T, classes, config)
+    coeffs = list(dec.alpha) + list(dec.beta.values())
+    assert len(dec.alpha) == len(classes) and len(dec.beta) == len(strict)
+    assert all(type(c) in (int, Fraction) for c in coeffs)
+    rebuilt = [sum(c * col[r] for c, col in zip(coeffs, cols))
+               for r in range(config.size + 1)]
+    assert rebuilt == list(T.coordinates())
+    # free unknowns are zero
+    pivots = linalg.rref(rows)[1]
+    assert all(c == 0 for j, c in enumerate(coeffs) if j not in pivots)
+
+
+def test_decompose_in_AS_of_a_singular_system():
+    # columns (1, 2) and (2, 4): rank 1, and the free unknown is zero
+    config = plane_points(1)
+    classes = [config.divisor(1, [-2]), config.divisor(2, [-4])]
+    dec = decompose_in_AS(config.divisor(3, [-6]), classes, config)
+    assert dec.alpha == (3, 0) and dec.beta == {}
+    with pytest.raises(ConfigurationError):
+        decompose_in_AS(config.divisor(3, [-7]), classes, config)
+
+
 def test_simple_ideal_divisor():
     config = fig1_config()
     assert config.simple_ideal_divisor("q1").coordinates() == \
@@ -220,15 +286,6 @@ def test_simple_ideal_divisor():
     assert d3.coordinates()[:4] == (0, 2, 1, 1)
 
 
-def test_chain_criterion():
-    assert chain_criterion(chain(1)) is True
-    assert chain_criterion(chain(2)) is True
-    assert chain_criterion(chain(8)) is True
-    assert chain_criterion(chain(9)) is False
-    with pytest.raises(ConfigurationError):
-        chain_criterion(fig1_config())
-
-
 def test_chain_gram_entries():
     config = chain(2)
     G = proximity_gram_matrix(config)
@@ -237,17 +294,10 @@ def test_chain_gram_entries():
 
 
 def test_p_sufficiency_small_configurations():
-    # every configuration of fewer than 9 points is P-sufficient
-    for n in (1, 2, 5, 8):
-        assert is_p_sufficient(chain(n))
-    assert not is_p_sufficient(chain(9))
-
-
-def test_p_sufficiency_matches_chain_criterion():
-    for n in range(1, 9):
-        config = chain(n)
-        if chain_criterion(config):
-            assert is_p_sufficient(config)
+    # every configuration of fewer than 9 points is P-sufficient; the free
+    # chain of 9 is not (the last diagonal entry of its G_C is not positive)
+    for n in range(1, 10):
+        assert is_p_sufficient(chain(n)) == (n <= 8)
 
 
 def test_p_sufficiency_family_a59():

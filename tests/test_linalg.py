@@ -1,11 +1,15 @@
-"""Properties of the exact elimination kernel over Q and Q(i)."""
+"""Properties of the exact elimination kernel over Q and Q(i), and of the
+polynomial kernel on int lists."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from folint import linalg
-from folint.numfield import QQ, FieldElement, NumberField
+from folint.numfield import (
+    QQ, FieldElement, NumberField, poly_degree, poly_divmod, poly_gcd,
+    poly_inverse_mod, poly_squarefree_part, poly_trim,
+)
 
 QI = NumberField((1, 0, 1))          # Q(i), i^2 = -1
 
@@ -61,21 +65,13 @@ def check_kernel(rows):
     assert no_float(reduced) and no_float(kernel)
 
 
-def check_solve(rows, rhs):
-    x = linalg.solve(rows, rhs)
-    aug = as_exact([list(row) + [b] for row, b in zip(rows, rhs)])
-    if linalg.rank(aug) > linalg.rank(as_exact(rows)):
-        assert x is None
-    else:
-        assert x is not None and len(x) == len(rows[0])
-        assert matvec(rows, x) == list(rhs)
-        assert no_float(x)
-
-
 @settings(deadline=None)
 @given(int_matrices())
 def test_kernel_over_q(matrix):
+    # a pivot is inverted exactly, so ints go in as they are
+    check_kernel(matrix)
     check_kernel(as_exact(matrix))
+    assert linalg.rref(matrix) == linalg.rref(as_exact(matrix))
 
 
 @settings(deadline=None)
@@ -84,19 +80,25 @@ def test_kernel_over_qi(rows):
     check_kernel(rows)
 
 
-@settings(deadline=None)
-@given(int_matrices(extra_cols=1))
-def test_solve_over_q(matrix):
-    # integers go in as they are: solve makes them Fractions itself
-    rows, rhs = [row[:-1] for row in matrix], [row[-1] for row in matrix]
-    check_solve(rows, rhs)
-    check_solve(as_exact(rows), as_exact([rhs])[0])
+int_polys = st.lists(small, min_size=1, max_size=5)
 
 
 @settings(deadline=None)
-@given(qi_matrices(extra_cols=1))
-def test_solve_over_qi(matrix):
-    check_solve([row[:-1] for row in matrix], [row[-1] for row in matrix])
+@given(int_polys, int_polys)
+def test_int_polynomials_go_in_as_they_are(p, q):
+    # the same results as on Fraction lists, and no float among them
+    exact_p, exact_q = as_exact([p, q])
+    results = [(poly_gcd(p, q), poly_gcd(exact_p, exact_q))]
+    if poly_trim(q):
+        results.append((poly_divmod(p, q), poly_divmod(exact_p, exact_q)))
+    if poly_degree(q) >= 1:
+        results.append((poly_inverse_mod(p, q),
+                        poly_inverse_mod(exact_p, exact_q)))
+    if poly_trim(p):
+        results.append((poly_squarefree_part(p),
+                        poly_squarefree_part(exact_p)))
+    for from_ints, from_fractions in results:
+        assert no_float(from_ints) and from_ints == from_fractions
 
 
 @settings(deadline=None)
@@ -126,12 +128,6 @@ def test_rank_int_falls_back_when_the_rank_drops_mod_p():
     # rows 1 and 2 agree mod p; the determinant is 2p
     assert linalg.rank_int([[p + 1, 2, 1], [1, 2, 1], [0, 0, 1]]) == 3
     assert linalg.rank_int([[p, 2 * p], [1, 2]]) == 1
-
-
-def test_consistent_solution_of_a_singular_system():
-    # rank 1, consistent: free unknowns are zero
-    assert linalg.solve([[1, 2], [2, 4]], [3, 6]) == [Fraction(3), 0]
-    assert linalg.solve([[1, 2], [2, 4]], [3, 7]) is None
 
 
 def test_rank_int_is_exact_where_floats_are_not():

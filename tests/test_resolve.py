@@ -242,11 +242,11 @@ def test_resolve_cubic_pencil_needs_a_field_extension(capsys):
         "a conjugate singular point with nilpotent linear part lies outside "
         "the base field", id="nilpotent"),
     # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3): the y-gcd's leading coefficient
-    # vanishes over one factor only
+    # vanishes over one factor only, and that factor is the certificate
     pytest.param(
         "A = X^4*Z-5*X^2*Z^3+6*Z^5\nB = X^2*Y^2*Z-3*Y^2*Z^3+Y*Z^4\n"
         "C = -X^5+5*X^3*Z^2-X^2*Y^3-6*X*Z^4+3*Y^3*Z^2-Y^2*Z^3\n",
-        "t^4-5*t^2+6", "zero divisor in the escape algebra", id="zero-divisor"),
+        "t^2-3", "zero divisor in the escape algebra", id="zero-divisor"),
     # x^2 = 2 and y^2 = 3: two y-coordinates over each conjugate x
     pytest.param(
         "A = Z*X^2-2*Z^3\nB = Z*Y^2-3*Z^3\nC = -X^3+2*X*Z^2-Y^3+3*Y*Z^2\n",

@@ -57,6 +57,39 @@ def test_float_check_sees_floats():
     assert kinds == ["float literal", "float()", "math.sqrt", "math.sqrt"]
 
 
+def _reciprocals(tree, allowed=None):
+    """Line numbers of the ``1 / <expr>`` in tree, outside the body of the
+    function named ``allowed``.  For an int expr the quotient is a float."""
+    inside = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              for inner in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Div)
+                  and isinstance(node.left, ast.Constant)
+                  and node.left.value == 1 and id(node) not in inside)
+
+
+def test_one_reciprocal():
+    # numfield.reciprocal is the one exact 1 / x: a Fraction for an int x
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = "reciprocal" if path.name == "numfield.py" else None
+        found += ["%s:%d" % (path.name, line)
+                  for line in _reciprocals(tree, allowed)]
+    assert found == []
+
+
+def test_reciprocal_check_sees_reciprocals():
+    snippet = ("a = 1 / x\nb = 2 / x\nc = x / 1\n"
+               "def reciprocal(x):\n    return 1 / x\n"
+               "d = [1 / (x + 1)]\ne = one / x\n")
+    tree = ast.parse(snippet)
+    assert _reciprocals(tree) == [1, 5, 6]
+    assert _reciprocals(tree, "reciprocal") == [1, 6]
+
+
 def _definitions(tree, prefix=""):
     """(qualified name, node) of every function and method in tree."""
     for node in ast.iter_child_nodes(tree):
