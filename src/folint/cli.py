@@ -77,6 +77,9 @@ def load_foliation(path: str, field: NumberField = None):
         if key not in ("A", "B", "C"):
             raise InputError("%s:%d: unknown component %r" %
                              (path, lineno, key))
+        if key in comps:
+            raise InputError("%s:%d: %s is already given on line %d" %
+                             (path, lineno, key, comps[key][1]))
         comps[key] = (value, lineno)
     if declared is not None and field is not None and declared != field:
         raise InputError("%s: field declaration disagrees with the "

@@ -39,6 +39,8 @@ class InfinitelyNearPoint:
         if (parent is None) == (origin is None):
             raise ConfigurationError(
                 "point %s needs exactly one of origin/parent" % name)
+        if parent is None and (chart is not None or c is not None):
+            raise ConfigurationError("plane point %s has no chart or c" % name)
         if parent is not None:
             if chart not in (1, 2):
                 raise ConfigurationError("point %s: chart must be 1 or 2" % name)
@@ -508,22 +510,25 @@ def _parse_point(parts, field):
     name = parts[1]
     kv = {}
     for item in parts[2:]:
-        if "=" not in item:
+        k, eq, v = item.partition("=")
+        if not eq or k not in ("origin", "parent", "chart", "c"):
             raise ConfigurationError("bad point attribute %r" % item)
-        k, v = item.split("=", 1)
+        if k in kv:
+            raise ConfigurationError("point %s: %s given twice" % (name, k))
         kv[k] = v
+    origin = None
     if "origin" in kv:
-        body = kv["origin"].strip()
+        body = kv["origin"]
         if not (body.startswith("(") and body.endswith(")")):
             raise ConfigurationError("origin must look like (x:y:z)")
         coords = body[1:-1].split(":")
         if len(coords) != 3:
             raise ConfigurationError("origin needs three coordinates")
-        return InfinitelyNearPoint(
-            name, origin=tuple(field.parse(c) for c in coords))
-    chart = int(kv.get("chart", "0"))
+        origin = tuple(field.parse(c) for c in coords)
+    chart = int(kv["chart"]) if "chart" in kv else None
     c = field.parse(kv["c"]) if "c" in kv else None
-    return InfinitelyNearPoint(name, parent=kv.get("parent"), chart=chart, c=c)
+    return InfinitelyNearPoint(name, parent=kv.get("parent"), origin=origin,
+                               chart=chart, c=c)
 
 
 def dump_configuration(config: Configuration) -> str:

@@ -74,9 +74,10 @@ class IndependentSystem:
             classes = [linsys.strict_class(c, config) for c in curves]
         self.classes = list(classes)
         s = config.dicritical_count
-        if len(self.curves) != s:
+        if not len(self.curves) == len(self.classes) == s:
             raise NotAnIndependentSystem(
-                "%d curves for %d dicritical divisors" % (len(self.curves), s))
+                "%d curves and %d classes for %d dicritical divisors"
+                % (len(self.curves), len(self.classes), s))
         for c, cl in zip(self.curves, self.classes):
             if cl.square() > 0:
                 raise NotAnIndependentSystem(
@@ -239,42 +240,38 @@ def algorithm2(omega: ProjectiveOneForm, config: Configuration,
 # Algorithm 1: fixed-degree decision
 # ---------------------------------------------------------------------------
 
-def _candidate_multiplicities(config: Configuration, d: int, mode: str):
-    """All e-vectors with the proximity relations of one enumeration mode.
+def _pencil_multiplicities(config: Configuration, d: int):
+    """Algorithm 1's candidates, sorted: the e of D = d L* - sum e_q E_q*
+    with D^2 = 0, D.E~_q > 0 at each dicritical q and D.E~_q = 0 elsewhere.
 
-    Mode "zero-sum": the fixed-degree search; non-dicritical points carry the
-    proximity equality, dicritical values roam [-d, d].  Mode "effective":
-    the cone search; every point obeys the proximity inequality within
-    [0, d].  Both prune on sum e^2 <= d^2.
-    """
-    m = config.size
-    prox_children = config.proximate_children
-    dicritical = [p.dicritical for p in config.points]
-    zero_sum = mode == "zero-sum"
-    out = []
-    e = [0] * m
-
-    def descend(idx, acc):
-        if idx < 0:
-            out.append(tuple(e))
-            return
-        forced = sum(e[p] for p in prox_children[idx])
-        if zero_sum:
-            choices = range(-d, d + 1) if dicritical[idx] else (forced,)
-        else:
-            choices = range(max(forced, 0), d + 1)
-        for v in choices:
-            extra = v * v
-            if zero_sum and acc + extra > d * d:
-                if v >= 0:
+    The tails grow from the last point to the first, so the points p
+    proximate to q are fixed when q is reached, and D.E~_q = e_q - forced
+    with forced the sum of their e_p.  By induction from the leaves, where
+    forced = 0, every entry is >= forced >= 0: the sum acc of e^2 grows with
+    v, so the first v past d^2 ends its loop, and D^2 = d^2 - acc."""
+    prox, tails = config.proximate_children, [(0, ())]
+    for q in reversed(range(config.size)):
+        dicritical, grown = config.points[q].dicritical, []
+        for acc, t in tails:            # t = (e_{q+1}, ..., e_{m-1})
+            forced = sum(t[p - q - 1] for p in prox[q])
+            for v in range(forced + 1, d + 1) if dicritical else (forced,):
+                if acc + v * v > d * d:
                     break
-                continue
-            e[idx] = v
-            descend(idx - 1, acc + extra)
-        e[idx] = 0
+                grown.append((acc + v * v, (v,) + t))
+        tails = grown
+    return sorted(t for acc, t in tails if acc == d * d)
 
-    descend(m - 1, 0)
-    return sorted(out)
+
+def _effective_multiplicities(config: Configuration, d: int):
+    """The cone search's candidates, sorted: every e with D.E~_q >= 0 at
+    each point and e_q <= d.  The induction of _pencil_multiplicities makes
+    forced >= 0, so no entry is negative.  Nothing is pruned here:
+    algorithm3 filters on C^2 and K.C."""
+    prox, tails = config.proximate_children, [()]
+    for q in reversed(range(config.size)):
+        tails = [(v,) + t for t in tails
+                 for v in range(sum(t[p - q - 1] for p in prox[q]), d + 1)]
+    return sorted(tails)
 
 
 def algorithm1(omega: ProjectiveOneForm, config: Configuration,
@@ -284,15 +281,9 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration,
         raise ValueError("degree must be positive")
     if config.size < 2:
         raise ValueError("the fixed-degree search needs >= 2 points")
-    dic_strict = [(q, config.exceptional_strict_class(q))
-                  for q in config.dicritical_indices()]
     failure = "no degree-%d pencil is invariant" % d
-    for e in _candidate_multiplicities(config, d, "zero-sum"):
+    for e in _pencil_multiplicities(config, d):
         D = config.divisor(d, e)
-        if D.square() != 0:
-            continue
-        if any(D.intersect(cl) <= 0 for _, cl in dic_strict):
-            continue
         if linsys.h0(D, config) != 2:
             continue
         F, G = linsys.basis(D, config)
@@ -349,7 +340,7 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
         emit("%d algorithm1 | %s" % (d, found.outcome))
         if found.is_integral:
             return Algorithm3Result(found, None, g_curves, history)
-        for e in _candidate_multiplicities(config, d, "effective"):
+        for e in _effective_multiplicities(config, d):
             C2 = d * d - sum(v * v for v in e)
             KC = -3 * d + sum(e)
             if not (C2 == KC == -1 or (C2 < 0 and KC >= 0)):

@@ -1,14 +1,18 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
 equality, total-transform valuations, spans of forms, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
-resultant, and the chart maps substituted in K, as references."""
+resultant, the chart maps substituted in K and the filtered [-d, d] sweep
+of Algorithm 1, as references, and seeded random configurations."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from folint import linalg
-from folint.cluster import Configuration, root_chart_images
+from folint.cluster import (
+    Configuration, InfinitelyNearPoint, root_chart_images,
+)
 from folint.cones import RationalCone, contains
 from folint.numfield import (
     poly_eval, poly_interpolate, poly_resultant, poly_trim,
@@ -192,3 +196,75 @@ def reference_kernel(D, config: Configuration):
     return [HomogeneousForm(field, D.d, {order[t]: v for t, v in
                                          enumerate(vec) if v})
             for vec in vectors]
+
+
+# ---------------------------------------------------------------------------
+# configurations and Algorithm 1's candidates
+# ---------------------------------------------------------------------------
+
+def random_configuration(rng, field, mixed=False):
+    """Up to three plane points with denominators up to 7, each the root of
+    a chain of up to three chart steps; chart-1 constants have denominators
+    up to 7 too.  Every point is dicritical, or with ``mixed`` each point
+    with a child is with probability 1/2 (a leaf always is: the dicritical
+    closure needs it)."""
+    def element():
+        return field.element([Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+                              if rng.random() < 0.7 else 0
+                              for _ in range(field.degree)])
+    points, origins = [], set()
+    for r in range(rng.randint(1, 3)):
+        origin = (element(), element(), field.one())
+        if tuple(c.coeffs for c in origin[:2]) in origins:
+            continue
+        origins.add(tuple(c.coeffs for c in origin[:2]))
+        name = "r%d" % r
+        points.append(InfinitelyNearPoint(name, origin=origin,
+                                          dicritical=True))
+        for depth in range(rng.randint(0, 3)):
+            chart = rng.choice((1, 1, 2))
+            points.append(InfinitelyNearPoint(
+                "%s_%d" % (name, depth), parent=points[-1].name, chart=chart,
+                c=element() if chart == 1 else None, dicritical=True))
+    if mixed:
+        for p, child in zip(points, points[1:]):
+            if child.parent == p.name:
+                p.dicritical = rng.random() < 0.5
+    return Configuration(points, field)
+
+
+def zero_sum_candidates(config: Configuration, d: int):
+    """Reference for Algorithm 1's candidates: the dicritical e_q roam
+    [-d, d] and the others carry the proximity equality, pruned on
+    sum e^2 <= d^2; the sorted tuples are then filtered on D^2 = 0 and
+    D.E~_q > 0 at every dicritical q."""
+    prox_children = config.proximate_children
+    dicritical = [p.dicritical for p in config.points]
+    out = []
+    e = [0] * config.size
+
+    def descend(idx, acc):
+        if idx < 0:
+            out.append(tuple(e))
+            return
+        forced = sum(e[p] for p in prox_children[idx])
+        choices = range(-d, d + 1) if dicritical[idx] else (forced,)
+        for v in choices:
+            extra = v * v
+            if acc + extra > d * d:
+                if v >= 0:
+                    break
+                continue
+            e[idx] = v
+            descend(idx - 1, acc + extra)
+        e[idx] = 0
+
+    descend(config.size - 1, 0)
+    dic_strict = [config.exceptional_strict_class(q)
+                  for q in config.dicritical_indices()]
+    kept = []
+    for e in sorted(out):
+        D = config.divisor(d, e)
+        if D.square() == 0 and all(D.intersect(cl) > 0 for cl in dic_strict):
+            kept.append(e)
+    return kept

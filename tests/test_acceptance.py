@@ -222,6 +222,15 @@ def test_cubic_pencil_decide_with_default_caps():
     assert same_span([verdict.numerator, verdict.denominator], [F, G])
 
 
+def test_cubic_pencil_has_no_quartic_pencil_quickly():
+    # the degree-4 candidates come from D^2 = 0 and D.E~_q > 0 directly;
+    # the [-d, d] sweep built 995,241 tuples here and kept none
+    omega, config, field = load("cubic_pencil")
+    with deadline("cubic pencil algorithm1 d=4", 3):
+        verdict = algorithm1(omega, config, 4)
+    assert verdict.outcome == "no_integral"
+
+
 def test_criterion_7_property_suites():
     with deadline("7 property suites", 290):
         import test_cluster

@@ -164,6 +164,28 @@ def test_bad_foliation_file(tmp_path, capsys):
     assert "missing component" in err
 
 
+def test_repeated_component_is_an_input_error(tmp_path, capsys):
+    # the last A used to win silently
+    with open(fx("fig2.fol")) as fh:
+        text = fh.read()
+    bad = tmp_path / "twice.fol"
+    bad.write_text(text + "A = 2*Y*Z^5\n")
+    code, out, err = run(capsys, "decide", "--machine", str(bad),
+                         fx("fig2.cfg"))
+    assert (code, out) == (3, "")
+    assert "twice.fol:5: A is already given on line 2" in err
+
+
+def test_ambiguous_point_line_is_an_input_error(tmp_path, capsys):
+    with open(fx("family_a0.cfg")) as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("origin=(1:1:1)", "origin=(1:1:1) parent=q1"))
+    code, out, err = run(capsys, "decide", fx("family_a0.fol"), str(bad))
+    assert (code, out) == (3, "")
+    assert "q4 needs exactly one of origin/parent" in err
+
+
 def test_euler_violation_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.fol"
     bad.write_text("A = Y\nB = X\nC = 0\n")

@@ -342,3 +342,24 @@ proximate q2 q1
     bad = text + "proximate q1 q2\n"
     with pytest.raises(ConfigurationError):
         load_configuration(bad)
+
+
+def test_point_with_origin_and_parent_rejected():
+    # the parent used to be dropped, leaving a plane point
+    text = "point q1 origin=(0:0:1)\npoint q2 origin=(1:0:1) parent=q1\n"
+    with pytest.raises(ConfigurationError, match="exactly one of"):
+        load_configuration(text)
+    with pytest.raises(ConfigurationError, match="has no chart or c"):
+        load_configuration("point q1 origin=(0:0:1) chart=1 c=0\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("point q2 parent=q1 chart=1 c=1 colour=red", "bad point attribute"),
+    ("point q2 parent=q1 chart=1 c=1 c=2", "q2: c given twice"),
+    ("point q2 parent=q1 chart=2 parent=q1", "q2: parent given twice"),
+])
+def test_unknown_or_repeated_point_attribute_rejected(line, message):
+    # the unknown attribute used to be ignored and the last c to win
+    text = "point q1 origin=(0:0:1)\n%s\ndicritical q2\n" % line
+    with pytest.raises(ConfigurationError, match=message):
+        load_configuration(text)

@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, parse_form,
 )
 
-from helpers import same_span
+from helpers import random_configuration, same_span, zero_sum_candidates
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -81,6 +82,9 @@ def test_independent_system_validation():
         IndependentSystem([line], config)
     with pytest.raises(NotAnIndependentSystem):
         IndependentSystem([line, line], config)
+    # a short class list used to be reported as linearly dependent
+    with pytest.raises(NotAnIndependentSystem, match="2 curves and 1 classes"):
+        IndependentSystem([line, conic], config, classes=system.classes[:1])
 
 
 def test_classify_conditions_example1():
@@ -226,6 +230,31 @@ def test_algorithm1_fig2():
     F2 = parse_form("Y^3*Z^7")
     assert verdict.is_integral
     assert same_span([verdict.numerator, verdict.denominator], [F1, F2])
+
+
+FIXTURE_NAMES = ["cubic_pencil", "example1", "family_a0", "family_a59",
+                 "family_a861", "fig2", "fig3", "penultimate"]
+
+
+def test_pencil_candidates_are_the_filtered_sweep():
+    # Algorithm 1's candidates against the [-d, d] sweep filtered on D^2 = 0
+    # and D.E~_q > 0: on the fixtures for d <= 3, and on seeded random
+    # configurations of at most 8 points for d <= 4
+    configs = [load(name)[1] for name in FIXTURE_NAMES]
+    rng = random.Random(16)
+    seen = {"satellite": 0, "non-dicritical": 0, "candidate": 0}
+    while len(configs) < 8 + 40:
+        config = random_configuration(rng, QQ, mixed=True)
+        if 2 <= config.size <= 8:
+            configs.append(config)
+            seen["satellite"] += sum(len(t) == 2 for t in config.prox_to)
+            seen["non-dicritical"] += len(config.non_dicritical_indices())
+    for i, config in enumerate(configs):
+        for d in range(1, 4 if i < 8 else 5):
+            expected = zero_sum_candidates(config, d)
+            assert engine._pencil_multiplicities(config, d) == expected
+            seen["candidate"] += len(expected)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_algorithm2_example1():

@@ -18,7 +18,8 @@ from folint.numfield import QQ, NumberField, residue
 from folint.polyforms import HomogeneousForm, monomials, parse_form
 
 from helpers import (
-    reference_kernel, reference_multiplicities, same_span, total_valuations,
+    random_configuration, reference_kernel, reference_multiplicities,
+    same_span, total_valuations,
 )
 from test_cluster import fig1_config, fig2_config, pt
 
@@ -177,31 +178,6 @@ def test_chart_step_is_the_chart_map(data):
 
 # Q(j) with j^2 = 1/2: int coordinates are not closed under products
 HALF = NumberField((Fraction(-1, 2), 0, 1))
-
-
-def random_configuration(rng, field):
-    """Up to three plane points with denominators up to 7, each the root of
-    a chain of up to three chart steps; chart-1 constants have denominators
-    up to 7 too."""
-    def element():
-        return field.element([Fraction(rng.randint(-7, 7), rng.randint(1, 7))
-                              if rng.random() < 0.7 else 0
-                              for _ in range(field.degree)])
-    points, origins = [], set()
-    for r in range(rng.randint(1, 3)):
-        origin = (element(), element(), field.one())
-        if tuple(c.coeffs for c in origin[:2]) in origins:
-            continue
-        origins.add(tuple(c.coeffs for c in origin[:2]))
-        name = "r%d" % r
-        points.append(InfinitelyNearPoint(name, origin=origin,
-                                          dicritical=True))
-        for depth in range(rng.randint(0, 3)):
-            chart = rng.choice((1, 1, 2))
-            points.append(InfinitelyNearPoint(
-                "%s_%d" % (name, depth), parent=points[-1].name, chart=chart,
-                c=element() if chart == 1 else None, dicritical=True))
-    return Configuration(points, field)
 
 
 def test_integral_model_against_the_substituted_chart_maps():
