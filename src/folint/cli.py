@@ -58,7 +58,7 @@ def _forms_may_start_with_minus(parser):
 def load_foliation(path: str, field: NumberField = None):
     """Read a foliation file: an optional ``field:`` line, then A, B, C."""
     comps = {}
-    declared = None
+    declared = field_line = None
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -69,7 +69,11 @@ def load_foliation(path: str, field: NumberField = None):
         if not line:
             continue
         if line.startswith("field:"):
+            if field_line is not None:
+                raise InputError("%s:%d: field is already given on line %d"
+                                 % (path, lineno, field_line))
             declared = NumberField.from_string(line.split(":", 1)[1].strip())
+            field_line = lineno
             continue
         if "=" not in line:
             raise InputError("%s:%d: expected 'A = ...'" % (path, lineno))

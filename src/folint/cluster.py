@@ -80,15 +80,15 @@ def root_chart_images(origin):
 
 class LinsysMemo:
     """What ``linsys`` keeps per configuration, so that it lives as long as
-    the configuration: its integral model's plan (ints over Q) and its true
-    chart data mod each split prime tried, one per root of the minimal
-    polynomial (None when a datum has the prime in a denominator), each with
-    the series of the generic form at the points, kept for one degree at a
-    time and up to ``linsys._KEPT`` of them; and the last
-    kernel that ``h0`` returned, as (class, vectors), for ``basis``.  That
-    kernel is certified one of two ways: a rank of n mod a prime proves it
-    empty, and otherwise its vectors, lifted from primes, passed an exact
-    check in K and are zero at every pivot after their free column."""
+    the configuration: its integral model's plan (ints over Q) and that
+    plan reduced mod each split prime tried, one per root of the minimal
+    polynomial, each with the series of the generic form at the points,
+    kept for one degree at a time and up to ``linsys._KEPT`` of them; and
+    the last kernel that ``h0`` returned, as (class, vectors), for
+    ``basis``.  That kernel is certified one of two ways: a rank of n mod a
+    prime proves it empty, and otherwise its vectors, lifted from primes,
+    passed an exact check in K and are zero at every pivot after their
+    free column."""
 
     __slots__ = ("exact", "images", "kernel")
 
@@ -468,11 +468,16 @@ def load_configuration(text: str, field: NumberField = None) -> Configuration:
     points = []
     dicritical = []
     assertions = []
-    for raw in text.splitlines():
+    field_line = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("field:"):
+            if field_line is not None:
+                raise ConfigurationError("line %d: field is already given on "
+                                         "line %d" % (lineno, field_line))
+            field_line = lineno
             declared = NumberField.from_string(line.split(":", 1)[1].strip())
             if field is None:
                 field = declared

@@ -7,7 +7,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import List, Optional, Sequence
 
 from . import cones, linalg, linsys
@@ -140,18 +140,12 @@ def delta_bound(omega: ProjectiveOneForm, system: IndependentSystem,
     coeffs = list(decomposition.alpha) + list(decomposition.beta.values())
     if any(c <= 0 for c in coeffs):
         raise ValueError("the bound needs a strictly positive decomposition")
-    r = 1
-    for c in coeffs:
-        r = r * c.denominator // gcd(r, c.denominator)
-    T = system.T
-    entries = [r * v for v in T.coordinates()]
-    k0 = 0
-    for v in entries:
-        k0 = gcd(k0, int(v))
+    # T is primitive (``cluster.t_from_system``), so gcd(r T) = r
+    r = lcm(*(c.denominator for c in coeffs))
     numer = foliation_degree(omega) + 2 - sum(c.degree for c in system.curves)
     if numer <= 0:
         return None
-    w = w_function(k0, positive=numer > 0)
+    w = w_function(r, positive=numer > 0)
     if w is None:
         return None
     denom = w * sum(a * c.degree

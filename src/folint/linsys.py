@@ -14,8 +14,7 @@ The series engine is the one chart-transform code of the package, and
 built from a binomial shift (``_shift``: u -> u + c or v -> v + c) and the
 chart step: a root series dehomogenises at the pivot and shifts both
 coordinates, and chart 1 relabels the exponents and shifts w by c.  The
-engine runs over K, on plain ints, or on ints mod a prime P through t -> r
-for a root r of the minimal polynomial mod P (``numfield.residue``).
+engine runs over K, on plain ints, or on ints mod a prime P.
 
 Exact traversals run fraction-free, as in Bareiss, on an integral model: a
 series is stored in (U, V) = (u/lambda, v/mu), times a constant.  A plane
@@ -25,8 +24,13 @@ V = U (W + n)/m, times m^J (``child_scales``).  Such rescalings keep every
 support, order, dicriticalness, eigenvalue ratio and kernel of the
 conditions, and over Q every entry is an int.
 
-``h0`` and ``basis`` eliminate the conditions mod word-size primes and
-return only what one of two certificates proves:
+``h0`` and ``basis`` eliminate the conditions mod word-size primes.  The
+images are the integral model's plan reduced mod P through t -> r, for a
+root r of the minimal polynomial mod P (``numfield.residue``): every datum
+has int coordinates, so a prime that divides a scale q or m only makes
+that scale zero mod P, and the engine computes each point's series mod P
+as a multiple, possibly zero, of the image of its exact series (see
+``_shift``).  They return only what one of two certificates proves:
 
 - a rank of n, the number of degree-d monomials, mod P proves h0 = 0, since
   the rank mod P is at most the rank in K;
@@ -41,12 +45,12 @@ When neither holds the conditions are eliminated exactly in K.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import Dict, List, Tuple
 
 from . import linalg, modp
 from .cluster import Configuration, DivisorClass, root_chart_images
-from .numfield import FieldElement, _canon, residue
+from .numfield import FieldElement, _canon, denominator, residue
 from .polyforms import HomogeneousForm, monomials
 
 # A series maps a monomial (i, j) in the local coordinates (u, v) to its
@@ -77,8 +81,16 @@ def _shift(series: Series, axis: int, c, ring, below=None, m=1) -> Series:
     over ``ring``: K, or an int P for ints mod a prime P or, for P = 0,
     plain ints.  With ``below``, only the monomials that can still reach an
     order below it are formed: on axis 0 those of u-exponent below it (a
-    later v-shift lowers v-exponents), on axis 1 those of order below it."""
-    if not c:
+    later v-shift lowers v-exponents), on axis 1 those of order below it.
+
+    Mod P, J is read off the series mod P, which can lack the exact top
+    row, so the result is m^(J_P - J) times the image of the exact one
+    while m is a unit mod P, and the zero multiple when P divides m.  So a
+    row of conditions mod P is a multiple of the image of its exact row,
+    and the rank mod P stays at most the rank in K."""
+    if not m:
+        return {}
+    if not c and m == 1:
         return series
     P = ring if type(ring) is int else 0
     powers = [1 if type(ring) is int else ring.one()]
@@ -103,11 +115,6 @@ def _shift(series: Series, axis: int, c, ring, below=None, m=1) -> Series:
                 cur = acc.get(t)
                 acc[t] = w if cur is None else cur + w
     return _prune(out, P)
-
-
-def denominator(*elements) -> int:
-    """The lcm of the coordinate denominators of the elements."""
-    return lcm(*(c.denominator for x in elements for c in x.coeffs))
 
 
 def exact_ring(field):
@@ -255,28 +262,17 @@ def _exact_data(config: Configuration) -> _ChartData:
 
 
 def _modular_data(config: Configuration, index: int):
-    """The true chart data mapped into F_P through t -> r, one per root r
-    of the minimal polynomial mod the index-th split prime P, or None when
-    a datum has P in a denominator.  The data are normalised in K first: a
-    coordinate can be nonzero in K and zero mod P."""
+    """The integral model's chart data mapped into F_P through t -> r, one
+    per root r of the minimal polynomial mod the index-th split prime P."""
     memo = config.linsys_memo
     if index not in memo.images:
-        field = config.field
-        P, roots, _ = field.split_prime(index)
-        charts = {idx: root_chart_images(point.origin)
-                  for idx, point in enumerate(config.points)
-                  if point.is_root()}
-        data = []
-        for r in roots:
-            images = {idx: (pivot, 1, residue(a, P, r), residue(b, P, r))
-                      for idx, (pivot, a, b) in charts.items()}
-            constants = [(residue(point.c, P, r) if point.chart == 1 else 0,
-                          1) for point in config.points]
-            if None in {x for c in [*images.values(), *constants] for x in c}:
-                data = None
-                break
-            data.append(_ChartData(P, images, constants))
-        memo.images[index] = data
+        exact = _exact_data(config)
+        P, roots, _ = config.field.split_prime(index)
+        memo.images[index] = [_ChartData(
+            P, {idx: (pivot, q % P, residue(a, P, r), residue(b, P, r))
+                for idx, (pivot, q, a, b) in exact.charts.items()},
+            [(residue(c, P, r), m % P) for c, m in exact.constants])
+            for r in roots]
     return memo.images[index]
 
 
@@ -363,12 +359,12 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     eliminations mod split primes, or None when it is not certified.
 
     At the i-th split prime P the minimal polynomial has k distinct roots
-    r_j, and each t -> r_j maps the conditions into F_P (``numfield.residue``),
-    where they are eliminated on ints.  A rank of n at the first root proves
-    h0 = 0.  Otherwise every root must give the same pivots; the kernel
-    vector v_f of a free column f is 1 at f, 0 at the other free columns,
-    and minus the reduced entries at the pivots, which are 0 at the pivots
-    after f.  The images at the r_j give each K-coordinate mod P through
+    r_j, and each t -> r_j maps the integral model's conditions into F_P
+    (``_modular_data``), where they are eliminated on ints.  A rank of n at
+    the first root proves h0 = 0.  Otherwise every root must give the same
+    pivots; the kernel vector v_f of a free column f is 1 at f, 0 at the
+    other free columns, and minus the reduced entries at the pivots, which
+    are 0 at the pivots after f.  The images at the r_j give each K-coordinate mod P through
     the inverse Vandermonde matrix of the roots, and Garner's CRT combines
     the primes until every coordinate has a rational reconstruction.  The
     vectors so found are accepted only after an exact check in K: the
@@ -381,17 +377,16 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     kernel vector ends there.  So rank_K = rank_P, the free columns are the
     same, and v_f is the unique kernel vector that is 1 at f and 0 at the
     other free columns: what ``linalg.kernel`` reads off the exact
-    ``rref``.  Pivots that differ between roots or primes, a prime in a
-    chart denominator, no reconstruction within ``_PRIMES`` primes or a
-    failed check give None.
+    ``rref``.  Pivots that differ between roots or primes, no
+    reconstruction within ``_PRIMES`` primes or a failed check give None;
+    a prime that divides a scale of the model can only lower the rank mod
+    P, and so ends in one of these.
     """
     n = len(monomials(D.d))
     pivots = None
     coords, modulus = [], 1
     for index in range(_PRIMES):
         data = _modular_data(config, index)
-        if data is None:
-            return None
         P, _, inverse = config.field.split_prime(index)
         images = []
         for root in data:

@@ -235,9 +235,8 @@ def resultant_images(p_rows, q_rows, roots, inverse, count, P):
     """
     reduced = []
     for r in roots:
-        powers = [pow(r, i, P) for i in range(len(roots))]
-        pair = [[[sum(c * w for c, w in zip(e, powers)) % P for e in row]
-                 for row in rows] for rows in (p_rows, q_rows)]
+        pair = [[[evaluate(e, r, P) for e in row] for row in rows]
+                for rows in (p_rows, q_rows)]
         if not any(pair[0][-1]) or not any(pair[1][-1]):
             return None
         reduced.append(pair)

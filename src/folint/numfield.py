@@ -7,8 +7,9 @@ i.e. polynomials in the generator of degree < deg(K) whose coordinates are
 exact rationals: a plain ``int`` when integral, else a ``Fraction`` in
 lowest terms (see ``_canon``).  Most coordinates met in practice are
 integers, and int arithmetic skips Fraction's gcd normalisation.  An
-element without P in a denominator has an int image mod P at each root of
-m mod P (``residue``).
+element with int coordinates has an image mod P at each root of m mod P
+(``residue``); callers that need images clear denominators first
+(``denominator``), so no prime ever sits in one.
 
 The univariate routines ``poly_*`` work on coefficient lists of int,
 Fraction or FieldElement alike, and take int lists as they are: they
@@ -59,6 +60,11 @@ def _canon(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def denominator(*elements) -> int:
+    """The lcm of the coordinate denominators of the elements."""
+    return math.lcm(*(c.denominator for x in elements for c in x.coeffs))
 
 
 def _exact(value):
@@ -560,26 +566,19 @@ QQ = NumberField.rationals()
 # images mod a prime
 # ---------------------------------------------------------------------------
 
-def residue(x: FieldElement, P: int, r: int):
-    """The image of x under t -> r mod P, for a root r of the minimal
-    polynomial mod a prime P that divides none of its denominators; None
-    when a coordinate of x has P in its denominator.
+def residue(x, P: int, r: int) -> int:
+    """The image mod P of an int, or of an element with int coordinates
+    under t -> r, for a root r of the minimal polynomial mod a prime P
+    that divides none of its denominators.
 
-    The elements of K whose coordinates have no P in a denominator form the
-    ring Z_(P)[t]/(m), and reducing it mod P with t -> r is a ring
-    homomorphism onto F_P.  A polynomial expression in such elements
-    therefore maps to the same expression in their images: the rank of a
-    matrix mod P is at most its rank in K, since a minor that is nonzero
-    mod P is the image of a nonzero minor.
+    Z[t] -> F_P, t -> r, kills m and so factors through K's elements
+    without P in a coordinate denominator, where it is a ring
+    homomorphism.  Elements with int coordinates lie in that ring, and a
+    polynomial expression in them maps to the same expression in their
+    images: the rank of such a matrix mod P is at most its rank in K,
+    since a minor that is nonzero mod P is the image of a nonzero minor.
     """
-    acc = 0
-    for c in reversed(x.coeffs):
-        if type(c) is not int:
-            if c.denominator % P == 0:
-                return None
-            c = c.numerator * pow(c.denominator, -1, P)
-        acc = (acc * r + c) % P
-    return acc
+    return x % P if type(x) is int else modp.evaluate(x.coeffs, r, P)
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +739,7 @@ def to_y_rows(poly, field):
 def _int_rows(rows):
     """The rows times the lcm c of their coordinate denominators, as int
     coordinate tuples, with c and their 1-norm."""
-    c = math.lcm(*(x.denominator for row in rows for e in row
-                   for x in e.coeffs))
+    c = denominator(*(e for row in rows for e in row))
     out = [[tuple(x.numerator * (c // x.denominator) for x in e.coeffs)
             for e in row] for row in rows]
     return out, c, sum(abs(x) for row in out for e in row for x in e)

@@ -11,13 +11,12 @@ docstrings).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import modp
 from .numfield import (
-    QQ, FieldElement, NumberField, _ExprParser, _SparsePoly, format_element,
-    join_terms, poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim,
-    residue, scaled_term, to_y_rows, tokenize,
+    QQ, FieldElement, NumberField, _ExprParser, _SparsePoly, denominator,
+    format_element, join_terms, poly_divmod, poly_gcd, poly_mul, poly_sub,
+    poly_trim, residue, scaled_term, to_y_rows, tokenize,
 )
 
 VARS = ("X", "Y", "Z")
@@ -246,11 +245,12 @@ def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     g(x, y, 1).  If h is not constant, h(x, y, 1) has positive degree in x
     or in y, say in x.  Then f(x, y, 1) and g(x, y, 1) have positive
     x-degrees, and their resultant in x, taken at those degrees, is zero in
-    K[y].  Sending t -> r, y -> c for an int c is a ring homomorphism from
-    the forms with no P in a denominator onto F_P, and when neither
-    x-leading coefficient vanishes there, the Sylvester matrix keeps its
-    shape: the resultant maps to the resultant of the images, which would
-    then be zero.  So one c with surviving leading coefficients and a
+    K[y].  Scaling f and g by nonzero rationals keeps h, so they are first
+    given int coordinates (``_cleared``); sending t -> r, y -> c for an int
+    c is then a ring homomorphism onto F_P, and when neither x-leading
+    coefficient vanishes there, the Sylvester matrix keeps its shape: the
+    resultant maps to the resultant of the images, which would then be
+    zero.  So one c with surviving leading coefficients and a
     nonzero resultant of the images rules out a common factor of positive
     x-degree; a form of x-degree 0 rules it out by itself.  The same with y
     and x = c rules out positive y-degree, and then h is constant.  False
@@ -261,14 +261,9 @@ def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     if min(e[2] for e in f.coeffs) and min(e[2] for e in g.coeffs):
         return False
     P, roots, _ = f.field.split_prime(0)
-    images = []
-    for form in (f, g):
-        image = {}
-        for (i, j, _), c in form.coeffs.items():
-            image[i, j] = residue(c, P, roots[0])
-            if image[i, j] is None:
-                return False
-        images.append(image)
+    images = [{(i, j): residue(c, P, roots[0])
+               for (i, j, _), c in _cleared(form).coeffs.items()}
+              for form in (f, g)]
     for axis in (0, 1):
         tops = [max(key[axis] for key in image) for image in images]
         if not all(tops):
@@ -463,11 +458,7 @@ def is_invariant_curve(G: HomogeneousForm, omega: ProjectiveOneForm) -> bool:
 def _cleared(f: HomogeneousForm) -> HomogeneousForm:
     """f times the lcm of the denominators of its coordinates, a form with
     int coordinates only."""
-    den = 1
-    for c in f.coeffs.values():
-        for x in c.coeffs:
-            if type(x) is Fraction:
-                den = lcm(den, x.denominator)
+    den = denominator(*f.coeffs.values())
     return f if den == 1 else f * den
 
 

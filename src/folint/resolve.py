@@ -24,14 +24,15 @@ from .cluster import (
 )
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
-    common_zeros, find_roots_in_field, format_poly_in_t, poly_degree,
-    poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_inverse_mod,
-    poly_mul, poly_sub, poly_trim, rational_is_square, to_y_rows,
+    common_zeros, denominator, find_roots_in_field, format_poly_in_t,
+    poly_degree, poly_derivative, poly_divmod, poly_eval, poly_gcd,
+    poly_inverse_mod, poly_mul, poly_sub, poly_trim, rational_is_square,
+    to_y_rows,
 )
 from .polyforms import ProjectiveOneForm
 from .linsys import (
-    Series, _prune, _shift, chart_step, child_scales, denominator,
-    exact_ring, integral, integral_chart, lift, root_series,
+    Series, _prune, _shift, chart_step, child_scales, exact_ring, integral,
+    integral_chart, lift, root_series,
 )
 
 

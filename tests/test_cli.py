@@ -176,6 +176,38 @@ def test_repeated_component_is_an_input_error(tmp_path, capsys):
     assert "twice.fol:5: A is already given on line 2" in err
 
 
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_second_field_line_in_a_foliation_is_an_input_error(
+        tmp_path, capsys, machine):
+    # the second declaration used to override the first silently
+    with open(fx("fig2.fol")) as fh:
+        text = fh.read()
+    bad = tmp_path / "twice.fol"
+    bad.write_text("field: t^2+1\nfield: t^2-2\n" + text)
+    code, out, err = run(capsys, "resolve", *machine, str(bad))
+    assert (code, out) == (3, "")
+    assert "twice.fol:2: field is already given on line 1" in err
+
+
+@pytest.mark.parametrize("second", ["t^2+1", "t^2-2"])
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_second_field_line_in_a_configuration_is_an_input_error(
+        tmp_path, capsys, machine, second):
+    # an equal second declaration used to pass, and a different one was
+    # refused as disagreeing with the caller's field
+    with open(fx("example1.cfg")) as fh:
+        text = fh.read()
+    bad = tmp_path / "twice.cfg"
+    bad.write_text(text.replace("point q1", "field: %s\npoint q1" % second))
+    for argv in (["decide", *machine, fx("example1.fol"), str(bad)],
+                 ["h0", *machine, str(bad), "1"] + ["0"] * 10):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "twice.cfg: line 3: field is already given on line 2" in err
+
+
 def test_ambiguous_point_line_is_an_input_error(tmp_path, capsys):
     with open(fx("family_a0.cfg")) as fh:
         text = fh.read()

@@ -369,7 +369,6 @@ def test_prime_in_a_chart_constant_falls_back():
     config = Configuration(points, QQ)
     D = config.divisor(2, [2, 1, 1, 1, 1])
     assert h0(D, config) == 0
-    assert config.linsys_memo.images[0] is None
     assert h0(D, config) == 6 - linalg.rank(condition_rows(D, config))
     # the line pair at q1 through q4 and along q2
     D = config.divisor(2, [2, 1, 0, 1, 0])
@@ -459,6 +458,89 @@ def test_modular_kernel_with_denominators_over_q_i():
         assert basis(D, config) == expected
 
 
+def _multiple_mod(series, exact, P):
+    """Is series = s exact mod P for some s in F_P, zero included?"""
+    keys = {(key, t) for part in (series, exact)
+            for key, vec in part.items() for t in vec}
+    pairs = [(series.get(key, {}).get(t, 0), exact.get(key, {}).get(t, 0))
+             for key, t in keys]
+    if any(a and not v for a, v in pairs):
+        return False
+    return len({a * pow(v, -1, P) % P for a, v in pairs if v}) <= 1
+
+
+def test_shift_mod_p_is_a_multiple_of_the_exact_image():
+    # the v-shift with a denominator m mod P, where P divides c, m or the
+    # top row of the series: the result must be a multiple of the exact
+    # result reduced mod P, or ranks mod P could exceed ranks in K
+    P = QQ.split_prime(0)[0]
+    rng = random.Random(3)
+    cases = {"c": 0, "m": 0, "top": 0}
+    for _ in range(300):
+        top = rng.randint(1, 4)
+        series = {(i, j): {t: rng.randint(-5, 5) or 1 for t in range(2)}
+                  for i in range(3) for j in range(top + 1)
+                  if rng.random() < 0.7}
+        kind = rng.choice(sorted(cases))
+        c, m = rng.randint(-4, 4), rng.randint(2, 5)
+        if kind == "c":
+            c = P * rng.randint(1, 3)
+        elif kind == "m":
+            m = P * rng.randint(1, 3)
+        else:
+            m = P * rng.randint(1, 3)
+            for key in series:
+                if key[1] == max(k[1] for k in series):
+                    series[key] = {t: P * v for t, v in series[key].items()}
+        cases[kind] += 1
+        exact = linsys._prune(linsys._shift(series, 1, c, 0, m=m), P)
+        reduced = linsys._shift(linsys._prune(series, P), 1, c % P, P,
+                                m=m % P)
+        assert _multiple_mod(reduced, exact, P)
+    assert min(cases.values()) >= 80
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSS], ids=repr)
+def test_prime_in_a_chart_scale_keeps_h0_and_basis_exact(field):
+    # seeded configurations whose plane points and chart-1 constants have
+    # P, the first split prime, in their denominators, so that P divides a
+    # scale q or m of the integral model: h0 and basis still equal the
+    # exact elimination of the conditions
+    P = field.split_prime(0)[0]
+    rng = random.Random(23)
+
+    def element():
+        coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, P, 3 * P)))
+                  for _ in range(field.degree)]
+        return field.element(coords) if any(coords) else field.one()
+
+    scales = {"q": 0, "m": 0}
+    for _ in range(30):
+        points = []
+        for r in range(rng.randint(1, 2)):
+            name = "r%d" % r
+            points.append(InfinitelyNearPoint(
+                name, origin=(field.one(), element(), field.element(r)),
+                dicritical=True))
+            for depth in range(rng.randint(0, 3)):
+                chart = rng.choice((1, 1, 2))
+                points.append(InfinitelyNearPoint(
+                    "%s_%d" % (name, depth), parent=points[-1].name,
+                    chart=chart, c=element() if chart == 1 else None,
+                    dicritical=True))
+        config = Configuration(points, field)
+        plan = linsys._exact_data(config)
+        scales["q"] += any(q % P == 0 for _, q, _, _ in plan.charts.values())
+        scales["m"] += any(m % P == 0 for _, m in plan.constants)
+        for _ in range(3):
+            d = rng.randint(1, 3)
+            D = config.divisor(d, [rng.randint(0, 2) for _ in points])
+            expected = exact_kernel_forms(D, config)
+            assert h0(D, config) == len(expected)
+            assert basis(D, config) == expected
+    assert scales["q"] >= 5 and scales["m"] >= 5
+
+
 def test_pivots_that_differ_mod_p_fall_back(exact_calls):
     # the lines through (1:0:0) and (1:p:1): the conditions are the rows
     # (1, 0, 0) and (1, p, 1), whose pivots are columns 0, 1 in Q and 0, 2
@@ -496,13 +578,12 @@ def test_no_reconstruction_within_the_prime_budget_falls_back(exact_calls):
 
 
 def test_forced_failures_reach_the_exact_elimination(exact_calls):
-    # a prime in a chart denominator and a rank drop mod p
+    # a prime that divides a chart scale q, and a rank drop mod p
     p = QQ.split_prime(0)[0]
     config = plane_points_config([(p, 1, 0), (0, 0, 1)])
     D = config.divisor(1, [1, 1])
     assert config.linsys_memo.images == {}
     assert basis(D, config) == exact_kernel_forms(D, config)
-    assert config.linsys_memo.images[0] is None
     config = plane_points_config([(1, 0, 0), (0, 1, 0), (1, 1, p)])
     E = config.divisor(1, [1, 1, 1])
     assert h0(E, config) == 0

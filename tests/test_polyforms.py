@@ -141,6 +141,21 @@ def test_gcd3_certificate_against_the_prs(field):
     assert certified >= 20
 
 
+@pytest.mark.parametrize("field", [QQ, NumberField((1, 0, 1))], ids=repr)
+def test_coprime_certifies_with_the_prime_in_a_denominator(field):
+    # (X + aY)/P + Z and X - Y + Z, a = 1 or i, with P the first split
+    # prime: the forms are cleared of denominators before they are reduced
+    # mod P, which keeps both x- and both y-leading coefficients
+    P = field.split_prime(0)[0]
+    x, y, z = (HomogeneousForm.variable(field, i) for i in range(3))
+    a = field.gen() if field.degree == 2 else field.one()
+    f = (x + y * a) * field.element(Fraction(1, P)) + z
+    g = x - y + z
+    assert polyforms._coprime(f, g)
+    assert polyforms._coprime(g, f)
+    assert gcd3(f, g) == HomogeneousForm.constant(field, 1)
+
+
 def test_foliation_degree():
     assert foliation_degree(PENCIL_OF_LINES) == 0
     assert foliation_degree(FIG2) == 5

@@ -90,6 +90,65 @@ def test_reciprocal_check_sees_reciprocals():
     assert _reciprocals(tree, "reciprocal") == [1, 6]
 
 
+def _denominator_images(tree, allowed=None):
+    """Line numbers of ``<expr>.denominator % ...`` and
+    ``pow(<expr>.denominator, -1, ...)`` in tree, outside the function
+    whose qualified name is ``allowed``: a coordinate denominator taken mod
+    a prime, which only the image of a Fraction coordinate needs."""
+    inside = {id(inner) for name, node in _definitions(tree)
+              if name == allowed for inner in ast.walk(node)}
+
+    def is_denominator(node):
+        return isinstance(node, ast.Attribute) and node.attr == "denominator"
+
+    def is_minus_one(node):
+        return (isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant)
+                and node.operand.value == 1)
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and is_denominator(node.left)):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "pow" and len(node.args) == 3
+              and is_denominator(node.args[0])
+              and is_minus_one(node.args[1])):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_images_take_int_coordinates():
+    # images mod P are taken of ints and of elements with int coordinates
+    # only; the minimal polynomial, in NumberField.split_prime, is the one
+    # exception
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, line) for line in
+                  _denominator_images(tree, "NumberField.split_prime")]
+    assert found == []
+
+
+def test_denominator_image_check_sees_them():
+    snippet = ("a = c.denominator % P\n"
+               "b = pow(x.coeffs[0].denominator, -1, P)\n"
+               "c = pow(x.denominator, 2, P)\n"
+               "d = x.numerator % P + lcm(x.denominator, 2)\n"
+               "class NumberField:\n"
+               "    def split_prime(self, P):\n"
+               "        return [c.denominator % P, pow(c.denominator, -1, P)]\n"
+               "def split_prime(c, P):\n"
+               "    return c.denominator % P\n")
+    tree = ast.parse(snippet)
+    assert _denominator_images(tree) == [1, 2, 7, 7, 9]
+    assert _denominator_images(tree, "NumberField.split_prime") == [1, 2, 9]
+
+
 def _definitions(tree, prefix=""):
     """(qualified name, node) of every function and method in tree."""
     for node in ast.iter_child_nodes(tree):
