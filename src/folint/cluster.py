@@ -85,17 +85,20 @@ class LinsysMemo:
     polynomial, each with the series of the generic form at the points,
     kept for one degree at a time and up to ``linsys._KEPT`` of them; and
     the last kernel that ``h0`` returned, as (class, vectors), for
-    ``basis``.  That kernel is certified one of two ways: a rank of n mod a
-    prime proves it empty, and otherwise its vectors, lifted from primes,
-    passed an exact check in K and are zero at every pivot after their
-    free column."""
+    ``basis``; and, per degree, the clamped multiplicity vectors whose
+    kernel came out empty (``linsys._Empty``), which prove h0 = 0 at every
+    class of that degree at or above one of them.  A kernel is certified
+    one of three ways: such a record or a rank of n mod a prime proves it
+    empty, and otherwise its vectors, lifted from primes, passed an exact
+    check in K and are zero at every pivot after their free column."""
 
-    __slots__ = ("exact", "images", "kernel")
+    __slots__ = ("exact", "images", "kernel", "empty")
 
     def __init__(self):
         self.exact = None
         self.images = {}
         self.kernel = None
+        self.empty = {}
 
 
 class Configuration:

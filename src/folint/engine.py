@@ -4,7 +4,7 @@ independent system of algebraic solutions."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
@@ -97,9 +97,9 @@ class IndependentSystem:
 # the degree bound
 # ---------------------------------------------------------------------------
 
-def w_function(k: int, positive: bool) -> Optional[Fraction]:
-    """Minimum positive value of 1 - sum (s-1)/s (or its negative) over all
-    subsets of the divisors of k; None when no positive value exists."""
+def w_function(k: int) -> Optional[Fraction]:
+    """Minimum positive value of 1 - sum (s-1)/s over all subsets of the
+    divisors of k; None when no positive value exists."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     terms = [Fraction(s - 1, s) for s in range(1, k + 1) if k % s == 0]
@@ -109,20 +109,12 @@ def w_function(k: int, positive: bool) -> Optional[Fraction]:
     best = None
     one = Fraction(1)
     for a in sums_a:
-        if positive:
-            # want the largest a + b strictly below 1
-            idx = bisect_left(sums_b, one - a) - 1
-            if idx >= 0:
-                value = one - a - sums_b[idx]
-                if best is None or value < best:
-                    best = value
-        else:
-            # want the smallest a + b strictly above 1
-            idx = bisect_right(sums_b, one - a)
-            if idx < len(sums_b):
-                value = a + sums_b[idx] - one
-                if value > 0 and (best is None or value < best):
-                    best = value
+        # want the largest a + b strictly below 1
+        idx = bisect_left(sums_b, one - a) - 1
+        if idx >= 0:
+            value = one - a - sums_b[idx]
+            if best is None or value < best:
+                best = value
     return best
 
 
@@ -145,7 +137,7 @@ def delta_bound(omega: ProjectiveOneForm, system: IndependentSystem,
     numer = foliation_degree(omega) + 2 - sum(c.degree for c in system.curves)
     if numer <= 0:
         return None
-    w = w_function(r, positive=numer > 0)
+    w = w_function(r)
     if w is None:
         return None
     denom = w * sum(a * c.degree

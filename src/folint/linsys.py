@@ -30,20 +30,24 @@ root r of the minimal polynomial mod P (``numfield.residue``): every datum
 has int coordinates, so a prime that divides a scale q or m only makes
 that scale zero mod P, and the engine computes each point's series mod P
 as a multiple, possibly zero, of the image of its exact series (see
-``_shift``).  They return only what one of two certificates proves:
+``_shift``).  They return only what one of three certificates proves:
 
 - a rank of n, the number of degree-d monomials, mod P proves h0 = 0, since
   the rank mod P is at most the rank in K;
 - otherwise the kernel mod P, lifted to K, must pass an exact check in K
   (``_lifted_kernel``): k = n - rank_P kernel vectors in echelon form prove
   rank_K = rank_P, and their support makes them the reduced echelon kernel
-  of the exact elimination, vector for vector.
+  of the exact elimination, vector for vector;
+- and, tried before both, an empty kernel at a class of the same degree
+  whose clamped multiplicities are at most D's at every point proves
+  h0(D) = 0 (``_kernel``).
 
-When neither holds the conditions are eliminated exactly in K.
+When none holds the conditions are eliminated exactly in K.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Dict, List, Tuple
@@ -432,25 +436,85 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     return vectors
 
 
+class _Empty:
+    """The clamped multiplicity vectors of one degree whose kernel came out
+    empty, as int bitmasks over the records: at a point q, ``masks[q][i]``
+    has bit r set when record r has z_q <= ``levels[q][i]``, the i-th of
+    the sorted values z_q that the records take there.  A query ANDs one
+    mask per point, found by bisection, and never loops over the records.
+    """
+
+    __slots__ = ("every", "levels", "masks")
+
+    def __init__(self, size: int):
+        self.every = 0                  # one bit per record
+        self.levels = [[] for _ in range(size)]
+        self.masks = [[] for _ in range(size)]
+
+    def covers(self, clamped) -> bool:
+        """Whether some record z has z <= ``clamped`` at every point."""
+        found = self.every
+        for levels, masks, v in zip(self.levels, self.masks, clamped):
+            i = bisect_right(levels, v)
+            if not i:
+                return False
+            found &= masks[i - 1]
+            if not found:
+                return False
+        return bool(found)
+
+    def add(self, clamped) -> None:
+        bit = self.every + 1            # every is 2^k - 1 for k records
+        for levels, masks, w in zip(self.levels, self.masks, clamped):
+            i = bisect_left(levels, w)
+            if i == len(levels) or levels[i] != w:
+                levels.insert(i, w)
+                masks.insert(i, masks[i - 1] if i else 0)
+            for j in range(i, len(masks)):
+                masks[j] |= bit
+        self.every |= bit
+
+
 def _kernel(D: DivisorClass, config: Configuration):
     """The reduced echelon kernel of D's conditions in K, certified from
-    primes or else eliminated exactly; the last one is kept for ``basis``."""
+    primes or else eliminated exactly; the last one is kept for ``basis``.
+
+    A third certificate comes first: an empty kernel at a class of the
+    same degree below D.  Let z and e be the clamped multiplicities of two
+    classes of degree d with z <= e at every point.  The kernel at e is the
+    degree-d forms F that go virtually through the weighted configuration
+    (e): pi^* F - sum e_q E_q^* is effective, pi the blow-up of all its
+    points (Casas-Alvero, Singularities of Plane Curves, 2000, ch. 4).
+    Then pi^* F - sum z_q E_q^* = (pi^* F - sum e_q E_q^*) + sum (e_q -
+    z_q) E_q^* is effective too, since every E_q^* is, so H^0(dL - sum e_q
+    E_q^*) lies in H^0(dL - sum z_q E_q^*), and h0 = 0 at z proves h0 = 0
+    at e.  Every class whose kernel comes out empty is recorded on the
+    configuration's ``LinsysMemo`` (``_Empty``)."""
     memo = config.linsys_memo
     if memo.kernel is not None and memo.kernel[0] == D:
         return memo.kernel[1]
+    clamped = [max(v, 0) for v in D.e]
+    empty = memo.empty.get(D.d)
+    if empty is not None and empty.covers(clamped):
+        return []
     vectors = _lifted_kernel(D, config)
     if vectors is None:
         reduced, pivots = linalg.rref(condition_rows(D, config))
         vectors = linalg.kernel(reduced, pivots, len(monomials(D.d)),
                                 config.field.zero())
+    if not vectors:
+        if empty is None:
+            empty = memo.empty[D.d] = _Empty(config.size)
+        empty.add(clamped)
     memo.kernel = (D, vectors)
     return vectors
 
 
 def h0(D: DivisorClass, config: Configuration) -> int:
     """dim H^0 of the direct image on the plane of O(D): the dimension of
-    the kernel of D's conditions, certified from word-size primes (see
-    ``_lifted_kernel``) or eliminated exactly in K."""
+    the kernel of D's conditions, read off an empty kernel below D,
+    certified from word-size primes or eliminated exactly in K (see
+    ``_kernel``)."""
     return len(_kernel(D, config))
 
 

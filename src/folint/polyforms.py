@@ -11,6 +11,7 @@ docstrings).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import modp
 from .numfield import (
@@ -214,22 +215,20 @@ def divides(d: HomogeneousForm, f: HomogeneousForm):
 # ---------------------------------------------------------------------------
 
 def gcd3(*forms: HomogeneousForm) -> HomogeneousForm:
-    """A gcd of homogeneous forms, monic in graded lex order."""
+    """A gcd of homogeneous forms, monic in graded lex order: 1 as soon as
+    any pair of them is certified coprime (``_coprime``), else folded by
+    the PRS."""
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         raise ValueError("gcd of all-zero forms")
+    if any(_coprime(f, g) for f, g in combinations(nonzero, 2)):
+        return HomogeneousForm.constant(nonzero[0].field, 1)
     g = nonzero[0]
     for f in nonzero[1:]:
-        g = _gcd_pair(g, f)
+        g = _prs_gcd(g, f)
         if g.degree == 0:
             break
     return g.monic()
-
-
-def _gcd_pair(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
-    if _coprime(f, g):
-        return HomogeneousForm.constant(f.field, 1)
-    return _prs_gcd(f, g)
 
 
 # specialisations tried per variable before the primitive PRS takes over

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from folint import engine
+from folint import engine, linsys
 from folint.cli import load_foliation, load_config_file
 from folint.cluster import ConfigurationError, load_configuration
 from folint.engine import (
@@ -38,10 +38,9 @@ def load(name):
 # ---------------------------------------------------------------------------
 
 def test_w_function_small_k():
-    assert w_function(1, True) == 1
-    assert w_function(2, True) == Fraction(1, 2)
-    assert w_function(2, False) is None
-    assert w_function(6, False) == Fraction(1, 6)
+    assert w_function(1) == 1
+    assert w_function(2) == Fraction(1, 2)
+    assert w_function(6) == Fraction(1, 6)
 
 
 def test_w_function_against_enumeration():
@@ -52,11 +51,7 @@ def test_w_function_against_enumeration():
         for r in range(len(divisors) + 1):
             for sub in combinations(divisors, r):
                 values.append(1 - sum(Fraction(s - 1, s) for s in sub))
-        pos = [v for v in values if v > 0]
-        neg = [-v for v in values if -v > 0]
-        assert w_function(k, True) == min(pos)
-        expected_neg = min(neg) if neg else None
-        assert w_function(k, False) == expected_neg
+        assert w_function(k) == min(v for v in values if v > 0)
 
 
 def test_delta_bound_penultimate():
@@ -426,3 +421,32 @@ def test_lacinco_disjunction_on_p_sufficient_runs():
                    or any(T.intersect(e) < 0 for e in dicritical)
                    or K.intersect(T) < 0)
     assert disjunction
+
+
+@pytest.mark.parametrize("name", ["fig3", "example1", "family_a861"])
+def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
+    # the record of empty kernels only skips eliminations: emptied before
+    # every kernel, the cone search gives the same trace and result
+    def run():
+        omega, config, _ = load(name)
+        seen = []
+        result = algorithm3(omega, config, trace=seen.append)
+        return seen, result, config.linsys_memo.empty
+
+    seen, result, record = run()
+    assert record
+    kernel = linsys._kernel
+
+    def forgetting(D, config):
+        config.linsys_memo.empty.clear()
+        return kernel(D, config)
+
+    monkeypatch.setattr(linsys, "_kernel", forgetting)
+    again, other, _ = run()
+    assert again == seen
+    assert other.verdict == result.verdict
+    assert other.curve_set == result.curve_set
+    assert other.dual_history == result.dual_history
+    assert (other.system is None) == (result.system is None)
+    if result.system is not None:
+        assert other.system.curves == result.system.curves

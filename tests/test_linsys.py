@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -588,3 +589,85 @@ def test_forced_failures_reach_the_exact_elimination(exact_calls):
     E = config.divisor(1, [1, 1, 1])
     assert h0(E, config) == 0
     assert exact_calls == [D, E]
+
+
+# ---------------------------------------------------------------------------
+# the record of empty kernels: a class at or above one is empty too
+# ---------------------------------------------------------------------------
+
+def _dominated(zeros, d, e):
+    clamped = [max(v, 0) for v in e]
+    return any(all(a <= b for a, b in zip(z, clamped))
+               for z in zeros.get(d, ()))
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSS], ids=repr)
+def test_empty_kernel_record_against_the_reference(field):
+    # seeded classes in random order, with negative entries and entries
+    # above d, and chains that climb from an empty kernel or step below it:
+    # every h0 and basis on the one configuration, with its record
+    # growing, equals the reference kernel on a fresh copy of it
+    rng = random.Random(1900 + field.degree)
+    seen = {"dominated": 0, "below": 0, "positive": 0}
+    for n in range(8):
+        config = random_configuration(random.Random(n), field, mixed=True)
+        fresh = random_configuration(random.Random(n), field, mixed=True)
+        zeros, last = {}, None
+        for _ in range(36):
+            draw = rng.random()
+            if last is not None and draw < 0.4:
+                d, z = last
+                e = [max(v, 0) + rng.choice((0, 0, 1, 2)) for v in z]
+            elif last is not None and draw < 0.6:
+                d, z = last
+                e = [v - rng.choice((0, 1, 1, 2)) for v in z]
+            else:
+                d = rng.randint(0, 3)
+                e = [rng.randint(-2, d + 2) for _ in config.points]
+            expected = reference_kernel(fresh.divisor(d, e), fresh)
+            dominated = _dominated(zeros, d, e)
+            assert not (dominated and expected)
+            seen["dominated"] += dominated
+            seen["below"] += bool(zeros.get(d)) and bool(expected)
+            seen["positive"] += bool(expected)
+            D = config.divisor(d, e)
+            assert h0(D, config) == len(expected)
+            assert basis(D, config) == expected
+            if not expected:
+                zeros.setdefault(d, []).append([max(v, 0) for v in e])
+                last = (d, e)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_empty_record_answers_without_an_elimination(monkeypatch):
+    # on a line pair with the two points doubled, (2, 2) in degree 1 is
+    # empty, and every class at or above it is answered from the record
+    config = plane_points_config([(0, 0, 1), (1, 0, 1)])
+    assert h0(config.divisor(1, [2, 2]), config) == 0
+
+    def no_elimination(D, config):
+        raise AssertionError("eliminated %r" % (D.e,))
+
+    monkeypatch.setattr(linsys, "_lifted_kernel", no_elimination)
+    for e in ([2, 2], [3, 2], [2, 5], [7, 9]):
+        D = config.divisor(1, e)
+        assert h0(D, config) == 0
+        assert basis(D, config) == []
+    with pytest.raises(AssertionError):
+        h0(config.divisor(1, [2, 1]), config)
+    with pytest.raises(AssertionError):
+        h0(config.divisor(2, [2, 2]), config)
+
+
+def test_empty_record_covers_exactly_the_classes_above_a_record():
+    # records added in random order, with repeated values and gaps, against
+    # a scan of the records for every e in a grid
+    rng = random.Random(19)
+    for _ in range(20):
+        record, zeros = linsys._Empty(3), []
+        for _ in range(rng.randint(1, 6)):
+            z = [rng.choice((0, 1, 1, 3, 4)) for _ in range(3)]
+            record.add(z)
+            zeros.append(z)
+            for e in itertools.product(range(6), repeat=3):
+                assert record.covers(e) == _dominated({1: zeros}, 1, e)

@@ -156,6 +156,33 @@ def test_coprime_certifies_with_the_prime_in_a_denominator(field):
     assert gcd3(f, g) == HomogeneousForm.constant(field, 1)
 
 
+def test_gcd3_certifies_any_coprime_pair_before_the_prs(monkeypatch):
+    # (A, B) share Y and (B, C) share Z: only (A, C) is coprime
+    A, B, C = X * Y, Y * Z, Z * (X + Y + Z)
+
+    def no_prs(f, g):
+        raise AssertionError("PRS on %s, %s" % (f, g))
+
+    monkeypatch.setattr(polyforms, "_prs_gcd", no_prs)
+    one = HomogeneousForm.constant(QQ, 1)
+    assert gcd3(A, B, C) == one
+    assert gcd3(C, B, A) == one
+
+
+def test_gcd3_without_a_coprime_pair_runs_the_prs(monkeypatch):
+    # every pair of XY, YZ, ZX shares a variable, so only the PRS finds 1
+    calls = []
+    prs = polyforms._prs_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return prs(f, g)
+
+    monkeypatch.setattr(polyforms, "_prs_gcd", counting)
+    assert gcd3(X * Y, Y * Z, Z * X) == HomogeneousForm.constant(QQ, 1)
+    assert calls
+
+
 def test_foliation_degree():
     assert foliation_degree(PENCIL_OF_LINES) == 0
     assert foliation_degree(FIG2) == 5
