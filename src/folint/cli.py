@@ -15,7 +15,7 @@ import sys
 from . import engine, linsys
 from .cluster import (
     Configuration, ConfigurationError, dump_configuration, is_p_sufficient,
-    load_configuration,
+    load_configuration, read_field,
 )
 from .numfield import (
     QQ, FieldExtensionNeeded, NumberField, format_poly_in_t,
@@ -123,13 +123,11 @@ def _peek_field(path: str):
     """The field declared in a configuration file, if any."""
     try:
         with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line.startswith("field:"):
-                    return NumberField.from_string(line.split(":", 1)[1])
+            return read_field(fh.read())
     except OSError as err:
         raise InputError("cannot read %s: %s" % (path, err))
-    return None
+    except ValueError as err:
+        raise InputError("%s: %s" % (path, err))
 
 
 def _emit(args, text_line, machine_line):

@@ -466,31 +466,40 @@ def is_p_sufficient(config: Configuration) -> bool:
 # file format
 # ---------------------------------------------------------------------------
 
-def load_configuration(text: str, field: NumberField = None) -> Configuration:
-    """Parse the line-based configuration format (order = blow-up order)."""
-    points = []
-    dicritical = []
-    assertions = []
-    field_line = None
+def read_field(text: str) -> Optional[NumberField]:
+    """The field of the ``field:`` line of a file's text, wherever the line
+    stands, or None when there is none; a second such line is refused."""
+    declared = field_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("field:"):
             if field_line is not None:
                 raise ConfigurationError("line %d: field is already given on "
                                          "line %d" % (lineno, field_line))
             field_line = lineno
             declared = NumberField.from_string(line.split(":", 1)[1].strip())
-            if field is None:
-                field = declared
-            elif field != declared:
-                raise ConfigurationError("field declaration disagrees with "
-                                         "the caller's field")
+    return declared
+
+
+def load_configuration(text: str, field: NumberField = None) -> Configuration:
+    """Parse the line-based configuration format (order = blow-up order)
+    over the field of its ``field:`` line, wherever that line stands."""
+    declared = read_field(text)
+    if field is None:
+        field = declared or QQ
+    elif declared is not None and field != declared:
+        raise ConfigurationError("field declaration disagrees with the "
+                                 "caller's field")
+    points = []
+    dicritical = []
+    assertions = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line or line.startswith("field:"):
             continue
         parts = line.split()
         if parts[0] == "point":
-            points.append(_parse_point(parts, field or QQ))
+            points.append(_parse_point(parts, field))
         elif parts[0] == "dicritical":
             dicritical.extend(parts[1:])
         elif parts[0] == "proximate":
@@ -499,8 +508,6 @@ def load_configuration(text: str, field: NumberField = None) -> Configuration:
             assertions.append((parts[1], parts[2]))
         else:
             raise ConfigurationError("unknown directive %r" % parts[0])
-    if field is None:
-        field = QQ
     names = {p.name for p in points}
     for name in dicritical:
         if name not in names:

@@ -19,7 +19,8 @@ own coordinates, and the resolution takes its gcds, squarefree parts and
 quotient-algebra inverses over K from the same code.  ``to_y_rows`` is the
 one bivariate form, rows over y of K[x] lists.  Resultants come exactly
 from their images mod word-size primes at which m splits (``modp``).
-Everything here is exact; no floats anywhere.
+``parse_polynomial`` reads every input expression.  Everything here is
+exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from . import modp
@@ -310,7 +312,7 @@ class NumberField:
     @classmethod
     def from_string(cls, text: str) -> "NumberField":
         """Parse a minimal polynomial such as ``t^2+t+1`` or ``t^2-5``."""
-        return cls(_parse_univariate(text, "t"))
+        return cls(coefficient_list(parse_polynomial(text, "t")))
 
     @property
     def is_rational(self) -> bool:
@@ -324,11 +326,7 @@ class NumberField:
 
     def gen(self) -> "FieldElement":
         """The residue class of t (for K = Q this is the rational -m[0])."""
-        if self.degree == 1:
-            return self.element(-self.minpoly[0])
-        c = [0] * self.degree
-        c[1] = 1
-        return FieldElement(self, tuple(c))
+        return self.element((0, 1))
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -381,8 +379,11 @@ class NumberField:
         return primes[i]
 
     def parse(self, text: str) -> "FieldElement":
-        """Parse an element in the ``a`` syntax, e.g. ``-3/2*a+7``."""
-        return self.element(_parse_univariate(text, "a"))
+        """Parse an element in the ``a`` syntax, e.g. ``-3/2*a+7``; over Q
+        there is no ``a``."""
+        if self.degree == 1:
+            return self.element(parse_polynomial(text, "").get((), 0))
+        return self.element(coefficient_list(parse_polynomial(text, "a")))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, NumberField)
@@ -920,159 +921,122 @@ def common_zeros(p, q, field):
 # text syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z]|\^|\*|\+|-|\(|\))")
+_TOKEN = r"\s*(\d+/\d+|\d+|[a-zA-Z]|[-+*^()])"
+_TOKENS = re.compile(_TOKEN)
+_TOKENIZABLE = re.compile("(?:%s)*" % _TOKEN)
 
 
-def tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("bad token at %r" % text[pos:pos + 12])
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+def parse_polynomial(text: str, letters: str) -> dict:
+    """The polynomial over Q that text spells in the one-letter variables
+    ``letters``, as {exponent tuple: int or Fraction} with no zero
+    coefficient.  The grammar, with whitespace allowed before any token:
 
+        sum     = [+|-] product {(+|-) product}
+        product = power {[*] power}      (factors side by side multiply)
+        power   = factor [^ digits]
+        factor  = p/q | digits | letter | ( sum )
 
-class _ExprParser:
-    """Tiny recursive-descent parser shared by the element and form syntax.
-
-    ``atom(name)`` produces the value of a single-letter variable and
-    ``const(q)`` that of a Fraction; both parsers make ``_SparsePoly``
-    values.
+    A letter outside ``letters`` is refused when it is read.  Outside a
+    polynomial in one variable the letter ``a`` can only mean the
+    generator of a field that the reader has none of, and the message
+    says so; an element of Q is read with no letters.
     """
+    end = _TOKENIZABLE.match(text).end()
+    if end < len(text):
+        raise ValueError("bad token at %r" % text[end:end + 12])
+    tokens = _TOKENS.findall(text) + [None]
+    n = len(letters)
+    one = (0,) * n
+    units = {v: tuple(int(i == j) for j in range(n))
+             for i, v in enumerate(letters)}
+    pos = 0
 
-    def __init__(self, tokens, atom, const):
-        self.tokens = tokens
-        self.pos = 0
-        self.atom = atom
-        self.const = const
+    def times(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return out
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        val = self.sum()
-        if self.peek() is not None:
-            raise ValueError("trailing input at token %r" % self.peek())
-        return val
-
-    def sum(self):
-        sign = 1
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            sign = -1 if tok == "-" else 1
-        val = self.product()
-        if sign < 0:
-            val = -val
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.product()
-            val = val - rhs if op == "-" else val + rhs
-        return val
-
-    def product(self):
-        val = self.power()
+    def sum_():
+        nonlocal pos
+        val, sign = {}, "+"
+        if tokens[pos] in ("+", "-"):
+            sign = tokens[pos]
+            pos += 1
         while True:
-            tok = self.peek()
-            if tok == "*":
-                self.take()
-                val = val * self.power()
-            elif tok is not None and (tok[0].isdigit() or tok[0].isalpha()
-                                      or tok == "("):
-                val = val * self.power()
-            else:
+            for e, c in product().items():
+                c = -c if sign == "-" else c
+                val[e] = val[e] + c if e in val else c
+            sign = tokens[pos]
+            if sign not in ("+", "-"):
                 return val
+            pos += 1
 
-    def power(self):
-        base = self.factor()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ValueError("exponent must be a positive integer")
-            return base ** int(tok)
-        return base
+    def product():
+        nonlocal pos
+        val = power()
+        while True:
+            tok = tokens[pos]
+            if tok == "*":
+                pos += 1
+            elif tok is None or tok in "+-^)":
+                return val
+            val = times(val, power())
 
-    def factor(self):
-        tok = self.take()
+    def power():
+        nonlocal pos
+        base = factor()
+        if tokens[pos] != "^":
+            return base
+        tok = tokens[pos + 1]
+        pos += 2
+        if tok is None or not tok.isdigit():
+            raise ValueError("exponent must be a positive integer")
+        val = {one: 1}
+        for _ in range(int(tok)):
+            val = times(val, base)
+        return val
+
+    def factor():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok == "(":
-            val = self.sum()
-            if self.take() != ")":
+            val = sum_()
+            if tokens[pos] != ")":
                 raise ValueError("missing closing parenthesis")
+            pos += 1
             return val
         if tok[0].isdigit():
-            return self.const(Fraction(tok))
+            num, _, den = tok.partition("/")
+            if den and not int(den):
+                raise ValueError("zero denominator in %r" % tok)
+            return {one: Fraction(int(num), int(den)) if den else int(num)}
+        if tok in units:
+            return {units[tok]: 1}
+        if tok == "a" and n != 1:
+            raise ValueError("generator 'a' used without a field: line")
         if tok.isalpha():
-            return self.atom(tok)
+            # an element of Q is written in the syntax of K, with no a
+            raise ValueError("unknown variable %r" % tok + (
+                " (expected %r)" % (letters or "a") if n <= 1 else ""))
         raise ValueError("unexpected token %r" % tok)
 
-
-class _SparsePoly:
-    """A polynomial {exponent tuple: coefficient}, the value type of the
-    parsers: +, -, * and ** with int exponents.  ``one`` is the constant 1
-    as an (exponent tuple, coefficient) pair."""
-
-    __slots__ = ("terms", "one")
-
-    def __init__(self, terms, one):
-        self.terms = terms
-        self.one = one
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return _SparsePoly(out, self.one)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] - c if e in out else -c
-        return _SparsePoly(out, self.one)
-
-    def __neg__(self):
-        return _SparsePoly({e: -c for e, c in self.terms.items()}, self.one)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return _SparsePoly(out, self.one)
-
-    def __pow__(self, n):
-        out = _SparsePoly(dict([self.one]), self.one)
-        for _ in range(n):
-            out = out * self
-        return out
+    val = sum_()
+    if tokens[pos] is not None:
+        raise ValueError("trailing input at token %r" % tokens[pos])
+    return {e: c for e, c in val.items() if c}
 
 
-def _parse_univariate(text, letter):
-    """Parse a polynomial in one variable into its Fraction coefficients,
-    low degree first."""
-    one = ((0,), Fraction(1))
-
-    def atom(name):
-        if name != letter:
-            raise ValueError("unknown variable %r (expected %r)" %
-                             (name, letter))
-        return _SparsePoly({(1,): Fraction(1)}, one)
-
-    parser = _ExprParser(tokenize(text), atom,
-                         lambda q: _SparsePoly({(0,): q}, one))
-    terms = {e: c for (e,), c in parser.parse().terms.items() if c != 0}
-    return [terms.get(i, Fraction(0)) for i in range(max(terms, default=0) + 1)]
+def coefficient_list(terms: dict) -> list:
+    """The coefficients c_0, c_1, ... of {(k,): c_k}, a polynomial in one
+    variable."""
+    top = max(terms, default=(0,))[0]
+    return [terms.get((k,), 0) for k in range(top + 1)]
 
 
 def format_element(e: FieldElement) -> str:

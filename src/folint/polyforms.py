@@ -15,9 +15,9 @@ from itertools import combinations
 
 from . import modp
 from .numfield import (
-    QQ, FieldElement, NumberField, _ExprParser, _SparsePoly, denominator,
-    format_element, join_terms, poly_divmod, poly_gcd, poly_mul, poly_sub,
-    poly_trim, residue, scaled_term, to_y_rows, tokenize,
+    QQ, FieldElement, NumberField, coefficient_list, denominator,
+    format_element, join_terms, parse_polynomial, poly_divmod, poly_gcd,
+    poly_mul, poly_sub, poly_trim, residue, scaled_term, to_y_rows,
 )
 
 VARS = ("X", "Y", "Z")
@@ -506,34 +506,23 @@ def one_form_from_pencil(F: HomogeneousForm,
 # text syntax
 # ---------------------------------------------------------------------------
 
-def parse_form(text: str, field: NumberField = None) -> HomogeneousForm:
-    """Parse e.g. ``X^3*Y+4*Y^4`` or ``(8*a-1)*X^2+4*a*X*Y`` over the field."""
-    if field is None:
-        field = QQ
-
-    one = ((0, 0, 0), field.one())
-
-    def atom(name):
-        if name in VARS:
-            expo = [0, 0, 0]
-            expo[VARS.index(name)] = 1
-            return _SparsePoly({tuple(expo): field.one()}, one)
-        if name == "a":
-            if field.is_rational:
-                raise ValueError("generator 'a' used without a field: line")
-            return _SparsePoly({(0, 0, 0): field.gen()}, one)
-        raise ValueError("unknown variable %r" % name)
-
-    node = _ExprParser(
-        tokenize(text), atom,
-        lambda q: _SparsePoly({(0, 0, 0): field.element(q)}, one)).parse()
-    terms = {e: c for e, c in node.terms.items() if not c.is_zero()}
-    if not terms:
-        return HomogeneousForm(field, 0, {})
+def parse_form(text: str, field: NumberField = QQ) -> HomogeneousForm:
+    """Parse e.g. ``X^3*Y+4*Y^4`` or ``(8*a-1)*X^2+4*a*X*Y`` over the field.
+    The a-powers of each monomial are gathered first and become one field
+    element at the end."""
+    if field.is_rational:
+        terms = {e: field.element(c)
+                 for e, c in parse_polynomial(text, "XYZ").items()}
+    else:
+        powers = {}
+        for (i, j, k, l), c in parse_polynomial(text, "XYZa").items():
+            powers.setdefault((i, j, k), {})[l,] = c
+        terms = {e: x for e, p in powers.items()
+                 if (x := field.element(coefficient_list(p)))}
     degrees = {sum(e) for e in terms}
-    if len(degrees) != 1:
+    if len(degrees) > 1:
         raise ValueError("polynomial %r is not homogeneous" % text)
-    return HomogeneousForm(field, degrees.pop(), terms)
+    return HomogeneousForm(field, degrees.pop() if degrees else 0, terms)
 
 
 def format_form(f: HomogeneousForm) -> str:

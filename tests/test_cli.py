@@ -6,6 +6,9 @@ import pytest
 
 from folint import cli
 from folint.cli import main
+from folint.cluster import dump_configuration, load_configuration
+from folint.numfield import NumberField, format_minpoly
+from folint.polyforms import format_form, parse_form
 from folint.resolve import ResolutionError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -206,6 +209,87 @@ def test_second_field_line_in_a_configuration_is_an_input_error(
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "twice.cfg: line 3: field is already given on line 2" in err
+
+
+LATE_FIELD = ("point q1 origin=(0:0:1)\npoint q2 parent=q1 chart=1 c=%s\n"
+              "field: t^2+1\ndicritical q2\n")
+
+
+@pytest.mark.parametrize("c", ["1", "a+1"])
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_field_line_may_come_after_the_points(tmp_path, capsys, machine, c):
+    # the points used to be read over Q before the field line was seen,
+    # and then refused as elements of a different field
+    late = tmp_path / "late.cfg"
+    late.write_text(LATE_FIELD % c)
+    first = tmp_path / "first.cfg"
+    first.write_text("field: t^2+1\n" + (LATE_FIELD % c).replace(
+        "field: t^2+1\n", ""))
+    outputs = [run(capsys, "h0", *machine, str(path), "2", "1", "1")
+               for path in (first, late)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert ("(-1-a)*X*Z+Y*Z" in outputs[0][1]) == (c == "a+1")
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_decide_reads_a_configuration_whose_field_line_comes_last(
+        tmp_path, capsys, machine):
+    with open(fx("example1.cfg")) as fh:
+        text = fh.read()
+    late = tmp_path / "late.cfg"
+    late.write_text(text.replace("field: t^2+1\n", "") + "field: t^2+1\n")
+    expected = run(capsys, "decide", *machine, fx("example1.fol"),
+                   fx("example1.cfg"))
+    assert expected[0] == 0
+    assert run(capsys, "decide", *machine, fx("example1.fol"),
+               str(late)) == expected
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_the_generator_needs_a_field_line(tmp_path, capsys, machine):
+    # without a field line the letter a used to read as 0 in a
+    # configuration, and h0 printed a basis for c = 1
+    with open(fx("fig2.cfg")) as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("parent=q1 chart=1 c=1", "parent=q1 chart=1 "
+                                "c=a+1"))
+    for argv in (["h0", *machine, str(bad), "1"] + ["0"] * 13,
+                 ["decide", *machine, fx("fig2.fol"), str(bad)],
+                 ["decide-degree", *machine, "2", fx("fig2.fol"), str(bad)],
+                 ["check-integral", *machine, "a*X", "Y", fx("fig2.fol")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "generator 'a' used without a field: line" in err
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_a_zero_denominator_is_an_input_error(capsys, machine):
+    # Fraction's ZeroDivisionError used to escape main with a traceback
+    # and exit code 1, the code of a negative answer
+    code, out, err = run(capsys, "check-integral", *machine, "1/0*X", "Y",
+                         fx("fig2.fol"))
+    assert (code, out) == (3, "")
+    assert "zero denominator in '1/0'" in err
+
+
+def test_every_fixture_reads_back_what_it_prints():
+    for name in ("cubic_pencil", "example1", "family_a0", "family_a59",
+                 "family_a861", "fig2", "fig3", "penultimate"):
+        omega, field = cli.load_foliation(fx(name + ".fol"))
+        for comp in omega.components():
+            assert parse_form(format_form(comp), field) == comp
+        assert NumberField.from_string(format_minpoly(field)) == field
+        dumped = dump_configuration(cli.load_config_file(fx(name + ".cfg"),
+                                                         field))
+        again = load_configuration(dumped, field)
+        assert again.field is field
+        assert dump_configuration(again) == dumped
 
 
 def test_ambiguous_point_line_is_an_input_error(tmp_path, capsys):

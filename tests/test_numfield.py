@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from folint.numfield import (
     QQ, FieldMismatchError, NumberField, bivariate_resultant, denominator,
-    find_roots_in_field, format_element, format_minpoly, poly_degree,
+    find_roots_in_field, format_element, format_minpoly, parse_polynomial,
+    poly_degree,
     poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_interpolate,
     poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
     rational_is_square, residue, _is_prime,
@@ -76,6 +77,27 @@ def test_parsing_and_formatting():
     assert GAUSS.parse(format_element(e3)) == e3
     assert NumberField.from_string("t^2+t+1") == EISEN
     assert format_minpoly(ROOT5) == "t^2-5"
+
+
+def test_parse_polynomial_reads_text_into_exponent_dicts():
+    assert parse_polynomial("2X^2 Y - 1/2 + (Y)(X)X", "XY") == {
+        (2, 1): 3, (0, 0): Fraction(-1, 2)}
+    assert parse_polynomial("t^3-t^3+t", "t") == {(1,): 1}
+    assert parse_polynomial("4/2", "") == {(): 2}
+    assert parse_polynomial("X-X", "XYZ") == {}
+
+
+def test_the_generator_needs_a_field():
+    # over Q the letter a used to read as the root of t, which is 0
+    for text in ("a", "3*a+1", "(1+a)^2", "2 a"):
+        with pytest.raises(ValueError, match="generator 'a' used without a "
+                                             "field: line"):
+            QQ.parse(text)
+    assert GAUSS.parse("a^2") == GAUSS.element(-1)
+    assert EISEN.parse("a^3") == EISEN.element(1)
+    with pytest.raises(ValueError,
+                       match=r"unknown variable 'a' \(expected 't'\)"):
+        NumberField.from_string("a^2+1")
 
 
 def test_roots_over_q():

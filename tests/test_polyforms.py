@@ -20,6 +20,8 @@ Z = HomogeneousForm.variable(QQ, 2)
 
 PENCIL_OF_LINES = ProjectiveOneForm(Y, -X, HomogeneousForm(QQ, 1, {}))
 
+GAUSS = NumberField((1, 0, 1))
+
 FIG2_A = parse_form("2*Y*Z^5")
 FIG2_B = parse_form("-7*Y^5*Z-3*X*Z^5+Y*Z^5")
 FIG2_C = parse_form("7*Y^6+X*Y*Z^4-Y^2*Z^4")
@@ -219,13 +221,140 @@ def test_parse_rejects_inhomogeneous():
         parse_form("X^2+Y")
 
 
+def _random_tree(rng, degree, letters, depth):
+    """A random expression tree of a homogeneous form of the degree:
+    ("num", text, value), ("var", letter), ("neg", t), ("+", t, u),
+    ("-", t, u), ("*", t, u) and ("^", t, k)."""
+    if depth <= 0 or rng.random() < 0.25:
+        if degree == 1:
+            return ("var", rng.choice("XYZ"))
+        if degree > 1:
+            return ("*", ("var", rng.choice("XYZ")),
+                    _random_tree(rng, degree - 1, letters, 0))
+        if "a" in letters and rng.random() < 0.3:
+            return ("var", "a")
+        if rng.random() < 0.5:
+            n = rng.randint(0, 12)
+            return ("num", str(n), n)
+        p, q = rng.randint(0, 9), rng.randint(1, 6)
+        return ("num", "%d/%d" % (p, q), Fraction(p, q))
+    kind = rng.choice(["+", "-", "neg", "*", "*", "^"])
+    if kind == "^":
+        k = rng.choice([0, 1, 2, 3]) if degree == 0 else rng.choice(
+            [k for k in (1, 2, 3) if degree % k == 0])
+        inner = rng.randint(0, 2) if k == 0 else degree // k
+        return ("^", _random_tree(rng, inner, letters, depth - 1), k)
+    if kind == "*":
+        left = rng.randint(0, degree)
+        return ("*", _random_tree(rng, left, letters, depth - 1),
+                _random_tree(rng, degree - left, letters, depth - 1))
+    if kind == "neg":
+        return ("neg", _random_tree(rng, degree, letters, depth - 1))
+    return (kind, _random_tree(rng, degree, letters, depth - 1),
+            _random_tree(rng, degree, letters, depth - 1))
+
+
+def _tokens(rng, tree):
+    """The tokens of a text for the tree: products are written with * or
+    by putting the factors side by side, and only what needs parentheses,
+    plus some more at random, gets them."""
+    kind = tree[0]
+    if kind in ("num", "var"):
+        out = [tree[1]]
+    elif kind == "neg":
+        out = ["-"] + _bracketed(rng, tree[1], ("neg", "+", "-"))
+    elif kind in ("+", "-"):
+        out = (_tokens(rng, tree[1]) + [kind]
+               + _bracketed(rng, tree[2], ("neg", "+", "-")))
+    elif kind == "*":
+        left = _bracketed(rng, tree[1], ("neg", "+", "-"))
+        right = _bracketed(rng, tree[2], ("neg", "+", "-"))
+        out = left + (["*"] if rng.random() < 0.5 else []) + right
+    else:
+        base = tree[1]
+        simple = base[0] == "var" or base[0] == "num"
+        out = (_tokens(rng, base) if simple and rng.random() < 0.8
+               else ["("] + _tokens(rng, base) + [")"]) + ["^", str(tree[2])]
+    if rng.random() < 0.1:
+        out = ["("] + out + [")"]
+    return out
+
+
+def _bracketed(rng, tree, loose):
+    if tree[0] in loose:
+        return ["("] + _tokens(rng, tree) + [")"]
+    return _tokens(rng, tree)
+
+
+def _render(rng, tokens):
+    """The tokens as text, with whitespace before some of them; two number
+    tokens side by side are kept apart."""
+    text = ""
+    for tok in tokens:
+        gap = rng.choice(["", "", "", " ", "  ", "\t"])
+        if not gap and text[-1:].isdigit() and tok[0].isdigit():
+            gap = " "
+        text += gap + tok
+    return text
+
+
+def _evaluate(tree, field):
+    kind = tree[0]
+    if kind == "num":
+        return HomogeneousForm.constant(field, tree[2])
+    if kind == "var":
+        if tree[1] == "a":
+            return HomogeneousForm.constant(field, field.gen())
+        return HomogeneousForm.variable(field, "XYZ".index(tree[1]))
+    if kind == "neg":
+        return -_evaluate(tree[1], field)
+    if kind == "^":
+        return _evaluate(tree[1], field) ** tree[2]
+    left, right = _evaluate(tree[1], field), _evaluate(tree[2], field)
+    if kind == "*":
+        return left * right
+    return left + right if kind == "+" else left - right
+
+
+@pytest.mark.parametrize("field, letters", [(QQ, "XYZ"), (GAUSS, "XYZa")],
+                         ids=["Q", "Q(i)"])
+def test_parse_form_agrees_with_form_arithmetic(field, letters):
+    # the grammar: sums, products by * or side by side, powers, p/q,
+    # parentheses and whitespace before any token
+    rng = random.Random(20)
+    for _ in range(300):
+        tree = _random_tree(rng, rng.randint(0, 4), letters, 5)
+        text = _render(rng, _tokens(rng, tree))
+        parsed, value = parse_form(text, field), _evaluate(tree, field)
+        assert parsed == value or parsed.is_zero() and value.is_zero(), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X + 2.5", "bad token at '.5'"),
+    ("X+Y ", "bad token at ' '"),
+    ("X)", "trailing input at token ')'"),
+    ("X^-1", "exponent must be a positive integer"),
+    ("X^1/2", "exponent must be a positive integer"),
+    ("(X+Y", "missing closing parenthesis"),
+    ("X+", "unexpected end of expression"),
+    ("X*+Y", "unexpected token '+'"),
+    ("X+W", "unknown variable 'W'"),
+    ("X^2+Y", "polynomial 'X^2+Y' is not homogeneous"),
+    ("X+1/0*Y", "zero denominator in '1/0'"),
+    ("a*X", "generator 'a' used without a field: line"),
+    ("X+(a", "generator 'a' used without a field: line"),
+])
+def test_parse_form_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_form(text)
+    assert str(err.value) == message
+
+
 def test_monomial_order():
     assert monomials(2)[0] == (2, 0, 0)
     assert monomials(2)[-1] == (0, 0, 2)
     assert len(monomials(4)) == 15
 
-
-GAUSS = NumberField((1, 0, 1))
 
 
 def random_form(rng, field, degree):
