@@ -34,23 +34,69 @@ def _reduce(vec):
     return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
+def _primitive(vec):
+    """A nonzero integer vector divided by the gcd of its entries."""
+    if not any(vec):
+        raise ValueError("zero generator")
+    return _reduce(vec)
+
+
 def _combine(a, u, b, v):
     """a*u - b*v on integer vectors, divided by its gcd."""
     return _reduce([a * x - b * y for x, y in zip(u, v)])
 
 
-class _DualDescription(NamedTuple):
-    """Generators of {x : n . x >= 0 (Euclidean) for every normal n processed
-    so far}, as primitive integer vectors.  ``step`` is one iteration of the
-    double description method (Fukuda & Prodon 1996); it returns a new
-    description and leaves this one as it is."""
+def _is_edge(common, masks):
+    """Two rays span an edge iff no third ray is tight on every normal
+    both are tight on (the combinatorial adjacency test)."""
+    hits = 0
+    for m in masks:
+        if m & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
 
-    lineality: list     # a basis of the lineality space
-    rays: dict          # extremal ray modulo lineality -> its tight normals
-    count: int          # normals processed; bit i of a mask is the i-th
 
-    def step(self, n) -> "_DualDescription":
-        bit = 1 << self.count
+class RationalCone:
+    """Finitely generated cone that carries the double description of its
+    dual {x : x . g >= 0 for every generator g}, intersection pairing.
+
+    ``generators`` are primitive integer vectors without repeats.  The dual
+    is ``lineality``, a basis of its lineality space, and ``rays``, which
+    maps each primitive extremal ray modulo the lineality to the mask of the
+    generators it is tight on (bit i for the i-th).  Each generator, in
+    ``__init__`` or in ``with_generator``, updates it in place by one step
+    of the double description method (Fukuda & Prodon 1996).
+    """
+
+    def __init__(self, generators: Iterable[Sequence], dim: int = None):
+        gens = list(dict.fromkeys(map(_primitive, generators)))
+        if not gens and dim is None:
+            raise ValueError("empty cone needs an explicit dimension")
+        self.dim = dim if dim is not None else len(gens[0])
+        self.generators = []
+        self.lineality = [tuple(int(i == j) for j in range(self.dim))
+                          for i in range(self.dim)]
+        self.rays = {}
+        for g in gens:
+            self._step(g)
+
+    def with_generator(self, v) -> None:
+        """Add v in place, unless it repeats a generator up to a positive
+        factor: one V+ step of the cone search."""
+        vec = _primitive(v)
+        if vec not in self.generators:
+            self._step(vec)
+
+    def _step(self, g):
+        """Append the primitive generator g and cut the dual by its
+        Euclidean normal n = flip(g)."""
+        if len(g) != self.dim:
+            raise ValueError("generator length mismatch")
+        bit = 1 << len(self.generators)
+        self.generators.append(g)
+        n = _flip(g)
         rays = {}
         scores = [_dot(n, l) for l in self.lineality]
         pivot = next((i for i, s in enumerate(scores) if s), None)
@@ -61,16 +107,17 @@ class _DualDescription(NamedTuple):
             l0, s0 = self.lineality[pivot], scores[pivot]
             if s0 < 0:
                 l0, s0 = tuple(-v for v in l0), -s0
-            lineality = [_combine(s0, l, s, l0) if s else l
-                         for i, (l, s) in enumerate(zip(self.lineality,
-                                                        scores))
-                         if i != pivot]
+            self.lineality = [_combine(s0, l, s, l0) if s else l
+                              for i, (l, s) in enumerate(zip(self.lineality,
+                                                             scores))
+                              if i != pivot]
             for r, m in self.rays.items():
                 s = _dot(n, r)
                 rays.setdefault(_combine(s0, r, s, l0) if s else r,
                                 m | bit)
             rays.setdefault(l0, bit - 1)
-            return _DualDescription(lineality, rays, self.count + 1)
+            self.rays = rays
+            return
         dots = {r: _dot(n, r) for r in self.rays}
         for r, m in self.rays.items():
             if dots[r] >= 0:
@@ -88,100 +135,39 @@ class _DualDescription(NamedTuple):
                 if common.bit_count() >= least and _is_edge(common, masks):
                     rays.setdefault(_combine(sp, rm, dots[rm], rp),
                                     common | bit)
-        return _DualDescription(self.lineality, rays, self.count + 1)
-
-
-def _is_edge(common, masks):
-    """Two rays span an edge iff no third ray is tight on every normal
-    both are tight on (the combinatorial adjacency test)."""
-    hits = 0
-    for m in masks:
-        if m & common == common:
-            hits += 1
-            if hits > 2:
-                return False
-    return True
-
-
-class RationalCone:
-    """Finitely generated cone; integer generators, stored divided by the
-    gcd of their entries.
-
-    The dual's double description is built on first use and carried along
-    by ``with_generator``, one step per added generator.
-    """
-
-    def __init__(self, generators: Iterable[Sequence], dim: int = None):
-        gens = []
-        seen = set()
-        for g in generators:
-            vec = _reduce(g)
-            if all(x == 0 for x in vec):
-                raise ValueError("zero generator")
-            if vec not in seen:
-                seen.add(vec)
-                gens.append(vec)
-        if not gens and dim is None:
-            raise ValueError("empty cone needs an explicit dimension")
-        self.dim = dim if dim is not None else len(gens[0])
-        for g in gens:
-            if len(g) != self.dim:
-                raise ValueError("generator length mismatch")
-        self.generators = gens
-        self._dd = None
-
-    def with_generator(self, v) -> "RationalCone":
-        out = RationalCone(self.generators + [tuple(v)], self.dim)
-        if self._dd is not None:
-            added = len(out.generators) > len(self.generators)
-            out._dd = (self._dd.step(_flip(out.generators[-1])) if added
-                       else self._dd)
-        return out
-
-    def _dual_description(self) -> _DualDescription:
-        """The dual's double description, with the Lorentzian pairing
-        turned Euclidean by flipping each generator."""
-        if self._dd is None:
-            dd = _DualDescription([tuple(int(i == j) for j in range(self.dim))
-                                   for i in range(self.dim)], {}, 0)
-            for g in self.generators:
-                dd = dd.step(_flip(g))
-            self._dd = dd
-        return self._dd
+        self.rays = rays
 
     def __repr__(self):
         return "RationalCone(%d generators in Q^%d)" % (len(self.generators),
                                                         self.dim)
 
 
+class Dual(NamedTuple):
+    """The dual of a cone as read off its double description."""
+
+    lineality: list         # a basis of the lineality space
+    extremal_rays: list     # primitive rays modulo the lineality, sorted
+
+
 def contains(cone: RationalCone, x) -> bool:
     """Exact membership by Farkas: x lies in the cone iff it pairs
     nonnegatively with every ray of the dual and to zero with the dual's
     lineality."""
-    dd = cone._dual_description()
     fx = _flip(x)
-    return (all(_dot(fx, l) == 0 for l in dd.lineality)
-            and all(_dot(fx, r) >= 0 for r in dd.rays))
+    return (all(_dot(fx, l) == 0 for l in cone.lineality)
+            and all(_dot(fx, r) >= 0 for r in cone.rays))
 
 
-def dual(cone: RationalCone) -> RationalCone:
+def dual(cone: RationalCone) -> Dual:
     """Extremal rays of {x : x . g >= 0 for all generators}, intersection
-    pairing; a lineality space (dual of a non-spanning cone) comes out as
-    pairs of opposite generators."""
-    dd = cone._dual_description()
-    rays = sorted(dd.rays)
-    gens = []
-    for l in dd.lineality:
-        gens.append(l)
-        gens.append(tuple(-v for v in l))
-    out = RationalCone(gens + rays, cone.dim)
-    out.lineality = list(dd.lineality)
-    out.extremal_rays = rays
-    return out
+    pairing, and a basis of its lineality space, read from the cone's
+    description; no cone is built."""
+    return Dual(list(cone.lineality), sorted(cone.rays))
 
 
-def exists_negative_square(cone: RationalCone) -> bool:
-    """Is there x in the cone with x.x < 0 (intersection form)?
+def exists_negative_square(d: Dual) -> bool:
+    """Is there x in the cone spanned by d's rays and by +-l for each l of
+    its lineality with x.x < 0 (intersection form)?
 
     Exact convexity argument: rays with nonnegative square sit in one of the
     two nappes, separated by the sign of the pairing with L*; a cone inside
@@ -189,9 +175,9 @@ def exists_negative_square(cone: RationalCone) -> bool:
     null line, and any non-antipodal pair straddling the nappes produces a
     negative-square combination.
     """
-    rays = cone.generators
+    rays = [v for l in d.lineality for v in (l, tuple(-x for x in l))]
     pos, neg = [], []
-    for r in rays:
+    for r in rays + d.extremal_rays:
         if lorentz(r, r) < 0:
             return True
         # nonzero ray with r.r >= 0 cannot be orthogonal to L* (signature)

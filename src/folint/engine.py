@@ -5,7 +5,7 @@ independent system of algebraic solutions."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence
@@ -285,10 +285,12 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration,
 
 @dataclass
 class Algorithm3Result:
+    """A verdict or the independent system for Algorithm 2, and the curves
+    G found on the way; V's duals are read once each and not kept."""
+
     verdict: Optional[Verdict]
     system: Optional[IndependentSystem]
     curve_set: List[HomogeneousForm]
-    dual_history: List[list] = dc_field(default_factory=list)
 
 
 def algorithm3(omega: ProjectiveOneForm, config: Configuration,
@@ -311,7 +313,6 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
          for i in range(config.size)], dim=config.size + 1)
     g_curves: List[HomogeneousForm] = []
     g_classes: List[DivisorClass] = []
-    history: List[list] = []
     K = config.canonical_class()
 
     def emit(line):
@@ -325,7 +326,7 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
         found = algorithm1(omega, config, d)
         emit("%d algorithm1 | %s" % (d, found.outcome))
         if found.is_integral:
-            return Algorithm3Result(found, None, g_curves, history)
+            return Algorithm3Result(found, None, g_curves)
         for e in _effective_multiplicities(config, d):
             C2 = d * d - sum(v * v for v in e)
             KC = -3 * d + sum(e)
@@ -343,7 +344,7 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
             if linsys.strict_class(Q, config) != D:
                 emit("%s | reject(section class differs)" % label)
                 continue
-            V = V.with_generator(D.coordinates())
+            V.with_generator(D.coordinates())
             emit("%s | V+" % label)
             if is_invariant_curve(Q, omega):
                 for prior in g_curves:
@@ -360,19 +361,17 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
             if len(g_curves) >= s:
                 system = IndependentSystem(g_curves, config,
                                            classes=g_classes)
-                return Algorithm3Result(None, system, g_curves, history)
-            dual = cones.dual(V)
-            history.append(list(dual.extremal_rays))
-            if not cones.exists_negative_square(dual):
+                return Algorithm3Result(None, system, g_curves)
+            if not cones.exists_negative_square(cones.dual(V)):
                 return Algorithm3Result(
                     Verdict.no_integral(
                         "the dual cone left the negative-square region with "
                         "only %d of %d solutions found" % (len(g_curves), s)),
-                    None, g_curves, history)
+                    None, g_curves)
     return Algorithm3Result(
         Verdict.inconclusive("degree cap %d reached; the cone of curves may "
                              "not be polyhedral" % d_max),
-        None, g_curves, history)
+        None, g_curves)
 
 
 # ---------------------------------------------------------------------------

@@ -924,6 +924,9 @@ def common_zeros(p, q, field):
 _TOKEN = r"\s*(\d+/\d+|\d+|[a-zA-Z]|[-+*^()])"
 _TOKENS = re.compile(_TOKEN)
 _TOKENIZABLE = re.compile("(?:%s)*" % _TOKEN)
+# the parser recurses four frames per parenthesis level; deeper input is
+# refused long before Python's default recursion limit of 1000
+_MAX_NESTING = 100
 
 
 def parse_polynomial(text: str, letters: str) -> dict:
@@ -936,10 +939,11 @@ def parse_polynomial(text: str, letters: str) -> dict:
         power   = factor [^ digits]
         factor  = p/q | digits | letter | ( sum )
 
-    A letter outside ``letters`` is refused when it is read.  Outside a
-    polynomial in one variable the letter ``a`` can only mean the
-    generator of a field that the reader has none of, and the message
-    says so; an element of Q is read with no letters.
+    Parentheses nest at most _MAX_NESTING deep.  A letter outside
+    ``letters`` is refused when it is read.  Outside a polynomial in one
+    variable the letter ``a`` can only mean the generator of a field that
+    the reader has none of, and the message says so; an element of Q is
+    read with no letters.
     """
     end = _TOKENIZABLE.match(text).end()
     if end < len(text):
@@ -949,7 +953,7 @@ def parse_polynomial(text: str, letters: str) -> dict:
     one = (0,) * n
     units = {v: tuple(int(i == j) for j in range(n))
              for i, v in enumerate(letters)}
-    pos = 0
+    pos = depth = 0
 
     def times(p, q):
         out = {}
@@ -1000,16 +1004,21 @@ def parse_polynomial(text: str, letters: str) -> dict:
         return val
 
     def factor():
-        nonlocal pos
+        nonlocal pos, depth
         tok = tokens[pos]
         pos += 1
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok == "(":
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise ValueError("parentheses nested more than %d deep"
+                                 % _MAX_NESTING)
             val = sum_()
             if tokens[pos] != ")":
                 raise ValueError("missing closing parenthesis")
             pos += 1
+            depth -= 1
             return val
         if tok[0].isdigit():
             num, _, den = tok.partition("/")

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
-equality, total-transform valuations, spans of forms, the wedge and
+equality, the cone spanned by a dual, a record of the cone search's duals,
+total-transform valuations, spans of forms, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
 resultant, the chart maps substituted in K and the filtered [-d, d] sweep
 of Algorithm 1, as references, and seeded random configurations."""
@@ -9,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from folint import linalg
+from folint import cones, linalg
 from folint.cluster import (
     Configuration, InfinitelyNearPoint, root_chart_images,
 )
@@ -28,6 +29,28 @@ def cone_equal(a: RationalCone, b: RationalCone) -> bool:
     """Equality as sets, by double inclusion of generators."""
     return (all(contains(b, g) for g in a.generators)
             and all(contains(a, g) for g in b.generators))
+
+
+def cone_of(d: cones.Dual, dim: int) -> RationalCone:
+    """The cone in Q^dim that a dual's rays and +-l for each l of its
+    lineality span."""
+    gens = [v for l in d.lineality for v in (l, tuple(-x for x in l))]
+    return RationalCone(gens + d.extremal_rays, dim)
+
+
+def record_duals(monkeypatch) -> list:
+    """The extremal rays of each ``cones.dual`` result from now on, one
+    list per call, in call order."""
+    seen = []
+    dual = cones.dual
+
+    def recording(cone):
+        out = dual(cone)
+        seen.append(out.extremal_rays)
+        return out
+
+    monkeypatch.setattr(cones, "dual", recording)
+    return seen
 
 
 def total_valuations(mults, config: Configuration):

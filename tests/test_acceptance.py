@@ -22,7 +22,7 @@ from folint.numfield import NumberField
 from folint.polyforms import is_first_integral, is_invariant_curve, parse_form
 from folint.resolve import build_configuration
 
-from helpers import same_span
+from helpers import record_duals, same_span
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -107,22 +107,24 @@ def test_criterion_2_fig2():
         assert same_span([verdict.numerator, verdict.denominator], [F1, F2])
 
 
-def test_criterion_3_family_a59():
+def test_criterion_3_family_a59(monkeypatch):
     with deadline("3 family a=5/9", 120):
         omega, config, _ = load("family_a59")
+        duals = record_duals(monkeypatch)
         result = algorithm3(omega, config)
-        assert sorted(result.dual_history[0]) == sorted([
+        assert sorted(duals[0]) == sorted([
             (1, 0, 0, 0, 0), (1, -1, 0, 0, 0), (1, 0, -1, 0, 0),
             (2, 0, -1, -1, 0), (3, 0, -2, -1, -1)])
         assert result.verdict.outcome == "no_integral"
         assert [f.monic() for f in result.curve_set] == [parse_form("X+Z")]
 
 
-def test_criterion_3_family_a861():
+def test_criterion_3_family_a861(monkeypatch):
     with deadline("3 family a=-861/100", 120):
         omega, config, _ = load("family_a861")
+        duals = record_duals(monkeypatch)
         result = algorithm3(omega, config)
-        assert len(result.dual_history[1]) == 27
+        assert len(duals[1]) == 27
         assert result.verdict.outcome == "no_integral"
 
 

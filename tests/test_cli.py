@@ -278,6 +278,19 @@ def test_a_zero_denominator_is_an_input_error(capsys, machine):
     assert "zero denominator in '1/0'" in err
 
 
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_deep_nesting_is_an_input_error(tmp_path, capsys, machine):
+    # the parser recursed until RecursionError, which exited 4 as an
+    # internal error
+    deep = tmp_path / "deep.fol"
+    deep.write_text("A = %sX%s\nB = Y\nC = Z\n" % ("(" * 5000, ")" * 5000))
+    code, out, err = run(capsys, "decide", *machine, str(deep))
+    assert (code, out) == (3, "")
+    assert "parentheses nested more than 100 deep" in err
+    assert parse_form("(" * 50 + "X+Y" + ")" * 50) == parse_form("X+Y")
+
+
 def test_every_fixture_reads_back_what_it_prints():
     for name in ("cubic_pencil", "example1", "family_a0", "family_a59",
                  "family_a861", "fig2", "fig3", "penultimate"):

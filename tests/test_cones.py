@@ -2,9 +2,9 @@ import random
 
 from folint import linalg
 from folint.cones import (
-    RationalCone, contains, dual, exists_negative_square, lorentz,
+    Dual, RationalCone, contains, dual, exists_negative_square, lorentz,
 )
-from helpers import cone_equal, rank_of_classes
+from helpers import cone_equal, cone_of, rank_of_classes
 
 # Picard coordinates (L*, E_W*, E_1*, E_2*, E_3*) for the 4-point family
 # configuration: strict exceptional classes plus one line class
@@ -31,7 +31,7 @@ def test_dual_of_family_cone_rays():
     assert d.lineality == []
     assert d.extremal_rays == V1_DUAL_EXPECTED
     assert all(lorentz(r, r) >= 0 for r in d.extremal_rays)
-    assert not exists_negative_square(RationalCone(d.extremal_rays))
+    assert not exists_negative_square(d)
 
 
 def test_contains():
@@ -52,12 +52,18 @@ def test_contains():
     assert not contains(cone, LINE_W12)
 
 
+def _negative_square_in(gens):
+    return exists_negative_square(Dual([], RationalCone(gens).generators))
+
+
 def test_exists_negative_square_basics():
-    assert exists_negative_square(RationalCone([(0, 1, 0, 0, 0)]))
-    assert exists_negative_square(RationalCone([(1, 1, 0), (-1, 1, 0)]))
-    assert not exists_negative_square(RationalCone([(1, 0, 0), (1, 1, 0)]))
-    # a single null line
-    assert not exists_negative_square(RationalCone([(1, 1, 0), (-1, -1, 0)]))
+    assert _negative_square_in([(0, 1, 0, 0, 0)])
+    assert _negative_square_in([(1, 1, 0), (-1, 1, 0)])
+    assert not _negative_square_in([(1, 0, 0), (1, 1, 0)])
+    # a single null line, as two rays and as a lineality vector
+    assert not _negative_square_in([(1, 1, 0), (-1, -1, 0)])
+    assert not exists_negative_square(Dual([(1, 1, 0)], []))
+    assert exists_negative_square(Dual([(1, 1, 0)], [(1, 0, 0)]))
 
 
 def test_dual_certificate_tightness():
@@ -126,22 +132,38 @@ def test_contains_matches_lp_bulk():
 
 
 def test_incremental_dual_matches_fresh_dual():
-    """The dual carried through with_generator, one step per generator,
-    equals the dual computed anew after every step."""
+    """The cone grown in place by with_generator, one step per generator,
+    equals the cone built anew after every step; a generator that repeats
+    one up to a positive factor changes nothing."""
     rng = random.Random(4242)
+    repeats = 0
     for _ in range(80):
         dim = rng.randint(2, 8)
         gens = _random_shaped_cone(rng, dim).generators
+        # repeat a generator and add a positive multiple of one
+        for _ in range(2):
+            gens.insert(rng.randint(1, len(gens)), rng.choice(gens))
+        k, c = rng.randint(1, len(gens)), rng.randint(2, 4)
+        gens.insert(k, tuple(c * v for v in gens[k - 1]))
         chain = RationalCone([], dim)
-        dual(chain)
         for k, g in enumerate(gens, start=1):
-            chain = chain.with_generator(g)
-            carried, fresh = dual(chain), dual(RationalCone(gens[:k], dim))
-            assert carried.extremal_rays == fresh.extremal_rays
-            assert carried.lineality == fresh.lineality
+            repeat = RationalCone([g]).generators[0] in chain.generators
+            before = (list(chain.generators), list(chain.lineality),
+                      dict(chain.rays))
+            assert chain.with_generator(g) is None
+            fresh = RationalCone(gens[:k], dim)
+            assert chain.generators == fresh.generators
+            assert chain.lineality == fresh.lineality
+            assert chain.rays == fresh.rays
+            assert dual(chain) == dual(fresh)
+            if repeat:
+                repeats += 1
+                assert (chain.generators, chain.lineality,
+                        chain.rays) == before
             # fraction-free: every entry stays a plain int
-            assert all(type(v) is int for vec in carried.extremal_rays
-                       + carried.lineality for v in vec)
+            assert all(type(v) is int for vec in list(chain.rays)
+                       + chain.lineality for v in vec)
+    assert repeats == 240
 
 
 def test_dual_rays_extremal_bulk():
@@ -173,7 +195,7 @@ def test_dual_dual_identity_bulk():
     while checked < 110:
         dim = rng.randint(2, 8)
         cone = _random_cone(rng, dim, rng.randint(1, dim + 2))
-        dd = dual(dual(cone))
+        dd = cone_of(dual(cone_of(dual(cone), dim)), dim)
         assert cone_equal(cone, dd)
         checked += 1
 
@@ -181,8 +203,8 @@ def test_dual_dual_identity_bulk():
 def test_dual_dual_canonical_rays_lower_dimensional():
     # a 2-dimensional cone inside Q^4
     cone = RationalCone([(1, 1, 0, 0), (1, 0, 1, 0)])
-    dd = dual(dual(cone))
-    assert cone_equal(cone, dd)
+    dd = dual(cone_of(dual(cone), 4))
+    assert cone_equal(cone, cone_of(dd, 4))
     assert sorted(dd.extremal_rays) == sorted(cone.generators)
 
 
@@ -203,7 +225,7 @@ def test_negative_square_against_witness_search():
                 found = x
                 break
         if found is not None:
-            assert exists_negative_square(cone)
+            assert _negative_square_in(cone.generators)
         checked += 1
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from folint import engine, linsys
+from folint import cones, engine, linsys
 from folint.cli import load_foliation, load_config_file
 from folint.cluster import ConfigurationError, load_configuration
 from folint.engine import (
@@ -18,7 +18,9 @@ from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, parse_form,
 )
 
-from helpers import random_configuration, same_span, zero_sum_candidates
+from helpers import (
+    random_configuration, record_duals, same_span, zero_sum_candidates,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -272,23 +274,25 @@ def test_algorithm2_rejects_nonzero_t_square():
     assert algorithm2(omega, config, system).is_integral
 
 
-def test_algorithm3_family_a59():
+def test_algorithm3_family_a59(monkeypatch):
     omega, config, _ = load("family_a59")
+    duals = record_duals(monkeypatch)
     result = algorithm3(omega, config)
     assert result.verdict is not None
     assert result.verdict.outcome == "no_integral"
     assert [f.monic() for f in result.curve_set] == [parse_form("X+Z")]
-    assert sorted(result.dual_history[0]) == sorted([
+    assert sorted(duals[0]) == sorted([
         (1, 0, 0, 0, 0), (1, -1, 0, 0, 0), (1, 0, -1, 0, 0),
         (2, 0, -1, -1, 0), (3, 0, -2, -1, -1)])
 
 
-def test_algorithm3_family_a861():
+def test_algorithm3_family_a861(monkeypatch):
     omega, config, _ = load("family_a861")
+    duals = record_duals(monkeypatch)
     result = algorithm3(omega, config)
     assert result.verdict.outcome == "no_integral"
     assert [f.monic() for f in result.curve_set] == [parse_form("X+Z")]
-    assert len(result.dual_history[1]) == 27
+    assert len(duals[1]) == 27
 
 
 def test_algorithm3_fig3():
@@ -309,7 +313,6 @@ def test_algorithm3_debug_mode():
 
 def test_algorithm3_strict_cone_growth():
     omega, config, _ = load("family_a861")
-    from folint import cones
     seen = []
 
     def trace(line):
@@ -328,6 +331,27 @@ def test_algorithm3_runs_algorithm1_once_per_degree():
     degrees = sorted({int(line.split()[0]) for line in seen})
     assert [l for l in seen if "algorithm1" in l] == [
         "%d algorithm1 | no_integral" % d for d in degrees]
+
+
+@pytest.mark.parametrize("name", ["fig3", "family_a861"])
+def test_algorithm3_builds_one_cone(name, monkeypatch):
+    # V grows in place and each dual is read off it: neither a copy of V
+    # nor a cone of a dual is built
+    omega, config, _ = load(name)
+    built = []
+    init = cones.RationalCone.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cones.RationalCone, "__init__", counting)
+    duals = record_duals(monkeypatch)
+    seen = []
+    algorithm3(omega, config, trace=seen.append)
+    assert len(built) == 1
+    assert sum(line.endswith("V+") for line in seen) >= 2
+    assert duals
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +451,16 @@ def test_lacinco_disjunction_on_p_sufficient_runs():
 def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
     # the record of empty kernels only skips eliminations: emptied before
     # every kernel, the cone search gives the same trace and result
+    duals = record_duals(monkeypatch)
+
     def run():
         omega, config, _ = load(name)
         seen = []
+        duals.clear()
         result = algorithm3(omega, config, trace=seen.append)
-        return seen, result, config.linsys_memo.empty
+        return seen, result, config.linsys_memo.empty, list(duals)
 
-    seen, result, record = run()
+    seen, result, record, first_duals = run()
     assert record
     kernel = linsys._kernel
 
@@ -442,11 +469,11 @@ def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
         return kernel(D, config)
 
     monkeypatch.setattr(linsys, "_kernel", forgetting)
-    again, other, _ = run()
+    again, other, _, other_duals = run()
     assert again == seen
     assert other.verdict == result.verdict
     assert other.curve_set == result.curve_set
-    assert other.dual_history == result.dual_history
+    assert other_duals == first_duals
     assert (other.system is None) == (result.system is None)
     if result.system is not None:
         assert other.system.curves == result.system.curves

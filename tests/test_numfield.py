@@ -87,6 +87,16 @@ def test_parse_polynomial_reads_text_into_exponent_dicts():
     assert parse_polynomial("X-X", "XYZ") == {}
 
 
+def test_parentheses_nest_at_most_100_deep():
+    # every level costs four frames of recursion, so the limit keeps the
+    # parser far from Python's recursion limit
+    assert parse_polynomial("(" * 100 + "t" + ")" * 100, "t") == {(1,): 1}
+    assert parse_polynomial("(t)" * 3 + "(" * 99 + "t" + ")" * 99,
+                            "t") == {(4,): 1}
+    with pytest.raises(ValueError, match="nested more than 100 deep"):
+        parse_polynomial("(" * 101 + "t" + ")" * 101, "t")
+
+
 def test_the_generator_needs_a_field():
     # over Q the letter a used to read as the root of t, which is 0
     for text in ("a", "3*a+1", "(1+a)^2", "2 a"):

@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import folint
 
@@ -333,3 +338,35 @@ def test_traced_layers_exist():
         if not callable(obj):
             missing.append(name)
     assert missing == []
+
+
+@pytest.mark.parametrize("name,outcome", [("family_a59", "no_integral"),
+                                          ("fig3", "integral")])
+def test_traced_pipeline_passes_the_counter_checks(name, outcome,
+                                                   monkeypatch):
+    # a traced benchmark run wraps the layers by name, checks these counter
+    # relations on every instance and reads each dual's ray count, so a
+    # change to what a layer means breaks it even when the name survives
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mods = SimpleNamespace(**{
+        m: importlib.import_module("folint." + m)
+        for m in ("cli", "cones", "engine", "linalg", "linsys", "numfield",
+                  "polyforms", "resolve")})
+    fixtures = TRACING.parent.parent / "fixtures"
+    with tracing.Tracer() as tracer:
+        tracer.install(mods)
+        tracer.instance = name
+        omega, field = mods.cli.load_foliation(str(fixtures / (name + ".fol")))
+        config = mods.cli.load_config_file(str(fixtures / (name + ".cfg")),
+                                           field)
+        verdict = mods.engine.pipeline(omega, config, mods.engine.Caps())
+    assert verdict.outcome == outcome
+    counts = tracer.counts(name)
+    assert tracing.counter_problems(counts, "decide") == []
+    assert counts[tracing.VPLUS] >= 1
+    rays = [span[tracing.VALUE] for span in tracer.spans
+            if span[tracing.NAME] == "cones.dual"]
+    assert rays and all(isinstance(r, int) and r > 0 for r in rays)
