@@ -72,7 +72,8 @@ def load_foliation(path: str, field: NumberField = None):
             if field_line is not None:
                 raise InputError("%s:%d: field is already given on line %d"
                                  % (path, lineno, field_line))
-            declared = NumberField.from_string(line.split(":", 1)[1].strip())
+            declared = NumberField.from_string(line.split(":", 1)[1].strip(),
+                                               field)
             field_line = lineno
             continue
         if "=" not in line:

@@ -466,9 +466,10 @@ def is_p_sufficient(config: Configuration) -> bool:
 # file format
 # ---------------------------------------------------------------------------
 
-def read_field(text: str) -> Optional[NumberField]:
+def read_field(text: str, like: NumberField = None) -> Optional[NumberField]:
     """The field of the ``field:`` line of a file's text, wherever the line
-    stands, or None when there is none; a second such line is refused."""
+    stands, or None when there is none; a second such line is refused.  A
+    declaration of ``like``'s field returns ``like`` itself."""
     declared = field_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -477,14 +478,15 @@ def read_field(text: str) -> Optional[NumberField]:
                 raise ConfigurationError("line %d: field is already given on "
                                          "line %d" % (lineno, field_line))
             field_line = lineno
-            declared = NumberField.from_string(line.split(":", 1)[1].strip())
+            declared = NumberField.from_string(line.split(":", 1)[1].strip(),
+                                               like)
     return declared
 
 
 def load_configuration(text: str, field: NumberField = None) -> Configuration:
     """Parse the line-based configuration format (order = blow-up order)
     over the field of its ``field:`` line, wherever that line stands."""
-    declared = read_field(text)
+    declared = read_field(text, field)
     if field is None:
         field = declared or QQ
     elif declared is not None and field != declared:

@@ -250,14 +250,32 @@ def _pencil_multiplicities(config: Configuration, d: int):
 
 def _effective_multiplicities(config: Configuration, d: int):
     """The cone search's candidates, sorted: every e with D.E~_q >= 0 at
-    each point and e_q <= d.  The induction of _pencil_multiplicities makes
-    forced >= 0, so no entry is negative.  Nothing is pruned here:
-    algorithm3 filters on C^2 and K.C."""
-    prox, tails = config.proximate_children, [()]
+    each point, e_q <= d and p_a(D) >= 0 whose C^2 and K.C pass the
+    adjunction filter of a negative curve, C^2 = K.C = -1 or C^2 < 0 and
+    K.C >= 0 (algorithm3 says why these are the classes it needs).
+
+    The induction of _pencil_multiplicities makes forced >= 0, so no entry
+    is negative.  D^2 + K.D = d(d - 3) - sum e(e - 1), so p_a(D) >= 0 iff
+    acc = sum e(e - 1) <= (d - 1)(d - 2).  v(v - 1) grows with v >= 0 and
+    no tail's acc shrinks as it grows, so the first v past the bound ends
+    its loop and no class with p_a >= 0 is lost."""
+    prox, tails = config.proximate_children, [(0, ())]
+    bound = (d - 1) * (d - 2)
     for q in reversed(range(config.size)):
-        tails = [(v,) + t for t in tails
-                 for v in range(sum(t[p - q - 1] for p in prox[q]), d + 1)]
-    return sorted(tails)
+        grown = []
+        for acc, t in tails:
+            for v in range(sum(t[p - q - 1] for p in prox[q]), d + 1):
+                if acc + v * (v - 1) > bound:
+                    break
+                grown.append((acc + v * (v - 1), (v,) + t))
+        tails = grown
+    kept = []
+    for acc, t in tails:
+        # sum e^2 = acc + sum e
+        C2, KC = d * d - acc - sum(t), sum(t) - 3 * d
+        if C2 == KC == -1 or (C2 < 0 and KC >= 0):
+            kept.append(t)
+    return sorted(kept)
 
 
 def algorithm1(omega: ProjectiveOneForm, config: Configuration,
@@ -298,6 +316,19 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
     """Search for an independent system of algebraic solutions, growing the
     cone V and the curve set G degree by degree.
 
+    V and G are made of classes of integral curves: a candidate D enters V
+    when h0(D) = 1 and its unique section Q has strict class D, and G when
+    Q is also invariant.  The strict transform of an integral curve C has
+    p_a(C) >= 0, that is C^2 + K.C = d(d - 3) - sum e(e - 1) >= -2, and a
+    negative one has C^2 = K.C = -1 or C^2 < 0 and K.C >= 0, so
+    ``_effective_multiplicities`` builds only the classes that pass both.
+    Pruning is sound: every class in V is still effective, so V stays in NE,
+    and a smaller V has a larger dual, so the dual leaving the
+    negative-square region still proves that no independent system exists.
+    The result could differ from an unpruned search only where that search
+    takes in a reducible unique section with p_a < 0, for example an
+    elliptic curve with C^2 = 0 and h0 = 1 plus two disjoint (-2)-curves.
+
     The loop conditions are evaluated lazily: the negative-square test on the
     dual holds automatically before the first cone mutation (any root point
     with a child, or two plane points, produce a witness), so duals are only
@@ -313,7 +344,6 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
          for i in range(config.size)], dim=config.size + 1)
     g_curves: List[HomogeneousForm] = []
     g_classes: List[DivisorClass] = []
-    K = config.canonical_class()
 
     def emit(line):
         if trace is not None:
@@ -328,10 +358,6 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
         if found.is_integral:
             return Algorithm3Result(found, None, g_curves)
         for e in _effective_multiplicities(config, d):
-            C2 = d * d - sum(v * v for v in e)
-            KC = -3 * d + sum(e)
-            if not (C2 == KC == -1 or (C2 < 0 and KC >= 0)):
-                continue
             D = config.divisor(d, e)
             label = "%d %s" % (d, list(e))
             if cones.contains(V, D.coordinates()):

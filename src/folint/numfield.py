@@ -310,9 +310,15 @@ class NumberField:
         return cls((0, 1))
 
     @classmethod
-    def from_string(cls, text: str) -> "NumberField":
-        """Parse a minimal polynomial such as ``t^2+t+1`` or ``t^2-5``."""
-        return cls(coefficient_list(parse_polynomial(text, "t")))
+    def from_string(cls, text: str, like: "NumberField" = None
+                    ) -> "NumberField":
+        """Parse a minimal polynomial such as ``t^2+t+1`` or ``t^2-5``.
+        When it is the minimal polynomial of ``like``, return ``like`` and
+        build no field, so its checks and split primes are not redone."""
+        coeffs = coefficient_list(parse_polynomial(text, "t"))
+        if like is not None and tuple(coeffs) == like.minpoly:
+            return like
+        return cls(coeffs)
 
     @property
     def is_rational(self) -> bool:

@@ -2,11 +2,14 @@
 equality, the cone spanned by a dual, a record of the cone search's duals,
 total-transform valuations, spans of forms, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
-resultant, the chart maps substituted in K and the filtered [-d, d] sweep
-of Algorithm 1, as references, and seeded random configurations."""
+resultant, the chart maps substituted in K, the filtered [-d, d] sweep
+of Algorithm 1 and the cone search's unpruned candidates, as references,
+seeded random configurations and the labels of the cone search's
+trace."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -291,3 +294,37 @@ def zero_sum_candidates(config: Configuration, d: int):
         if D.square() == 0 and all(D.intersect(cl) > 0 for cl in dic_strict):
             kept.append(e)
     return kept
+
+
+def unpruned_effective_multiplicities(config: Configuration, d: int):
+    """Reference for the cone search's candidates: every e with
+    D.E~_q >= 0 at each point and e_q <= d, sorted, with no filter on C^2,
+    K.C or the arithmetic genus."""
+    prox, tails = config.proximate_children, [()]
+    for q in reversed(range(config.size)):
+        tails = [(v,) + t for t in tails
+                 for v in range(sum(t[p - q - 1] for p in prox[q]), d + 1)]
+    return sorted(tails)
+
+
+def negative_curve_filter(d: int, e) -> bool:
+    """The adjunction filter on a negative curve's class D = dL - sum e E*:
+    C^2 = K.C = -1, or C^2 < 0 and K.C >= 0."""
+    C2, KC = d * d - sum(v * v for v in e), sum(e) - 3 * d
+    return C2 == KC == -1 or (C2 < 0 and KC >= 0)
+
+
+def genus_bound(d: int, e) -> bool:
+    """p_a(dL - sum e E*) >= 0: sum e(e - 1) <= (d - 1)(d - 2)."""
+    return sum(v * (v - 1) for v in e) <= (d - 1) * (d - 2)
+
+
+_LABEL = re.compile(r"(\d+) \[([\d, ]*)\] \| (.*)")
+
+
+def trace_labels(lines):
+    """(d, e, outcome) of every candidate line of ``algorithm3``'s trace,
+    such as ``2 [1, 0, 1] | V+``."""
+    return [(int(m.group(1)), [int(v) for v in m.group(2).split(",")],
+             m.group(3))
+            for m in map(_LABEL.fullmatch, lines) if m]

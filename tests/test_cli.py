@@ -7,9 +7,11 @@ import pytest
 from folint import cli
 from folint.cli import main
 from folint.cluster import dump_configuration, load_configuration
-from folint.numfield import NumberField, format_minpoly
+from folint.numfield import QQ, NumberField, format_minpoly
 from folint.polyforms import format_form, parse_form
 from folint.resolve import ResolutionError
+
+from helpers import genus_bound, negative_curve_filter, trace_labels
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -329,6 +331,51 @@ def test_trace_goes_to_stderr(capsys):
     assert code == 1
     assert "V+" in err
     assert "V+" not in out
+
+
+def test_trace_labels_satisfy_the_genus_bound(capsys):
+    # the cone search tries only classes with p_a >= 0 that pass the
+    # negative-curve filter, so every label it traces does
+    code, _, err = run(capsys, "decide", "--trace", fx("fig3.fol"),
+                       fx("fig3.cfg"))
+    assert code == 0
+    labels = trace_labels(err.splitlines())
+    assert len(labels) >= 40
+    for d, e, _ in labels:
+        assert genus_bound(d, e) and negative_curve_filter(d, e), (d, e)
+
+
+def test_decide_builds_one_number_field(capsys, monkeypatch):
+    # the .cfg's field: line builds the field; the .fol's declaration and
+    # the .cfg's, read again by load_configuration, are compared with it by
+    # their minimal polynomials and build none
+    built = []
+    init = NumberField.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumberField, "__init__", counting)
+    code, out, _ = run(capsys, "decide", "--machine", fx("example1.fol"),
+                       fx("example1.cfg"))
+    assert code == 0 and "verdict=integral" in out
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+def test_disagreeing_field_is_an_input_error(tmp_path, capsys, machine):
+    with open(fx("example1.fol")) as fh:
+        text = fh.read()
+    bad = tmp_path / "other.fol"
+    bad.write_text(text.replace("field: t^2+1", "field: t^2-2"))
+    code, out, err = run(capsys, "decide", *machine, str(bad),
+                         fx("example1.cfg"))
+    assert (code, out) == (3, "")
+    assert "field declaration disagrees" in err
+    with pytest.raises(cli.InputError, match="disagrees"):
+        cli.load_config_file(fx("example1.cfg"), QQ)
 
 
 def test_machine_output_is_stable(capsys):

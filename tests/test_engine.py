@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,9 @@ from folint.polyforms import (
 )
 
 from helpers import (
-    random_configuration, record_duals, same_span, zero_sum_candidates,
+    genus_bound, negative_curve_filter, random_configuration, record_duals,
+    same_span, trace_labels, unpruned_effective_multiplicities,
+    zero_sum_candidates,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -252,6 +256,90 @@ def test_pencil_candidates_are_the_filtered_sweep():
             assert engine._pencil_multiplicities(config, d) == expected
             seen["candidate"] += len(expected)
     assert min(seen.values()) >= 10, seen
+
+
+def test_cone_candidates_are_the_pruned_reference():
+    # the cone search's candidates against the unpruned enumeration, kept
+    # if they pass the negative-curve filter and p_a >= 0, in the same
+    # order: on the fixtures for d <= 4 (cubic_pencil, with nine free
+    # points, for d <= 3: its d = 4 reference has 1,953,125 tuples) and on
+    # seeded random configurations of at most 8 points for d <= 4
+    configs = [load(name)[1] for name in FIXTURE_NAMES]
+    rng = random.Random(22)
+    while len(configs) < 8 + 40:
+        config = random_configuration(rng, QQ, mixed=True)
+        if 2 <= config.size <= 8:
+            configs.append(config)
+    seen = {"kept": 0, "pruned by the bound": 0}
+    for name, config in zip(FIXTURE_NAMES + [None] * 40, configs):
+        for d in range(1, 4 if name == "cubic_pencil" else 5):
+            passing = [e for e in unpruned_effective_multiplicities(config, d)
+                       if negative_curve_filter(d, e)]
+            expected = [e for e in passing if genus_bound(d, e)]
+            assert engine._effective_multiplicities(config, d) == expected
+            seen["kept"] += len(expected)
+            seen["pruned by the bound"] += len(passing) - len(expected)
+    assert min(seen.values()) >= 1000, seen
+
+
+def _pool_pencils(count):
+    """The first ``count`` pencils of the benchmark's pool, drawn from its
+    workload seed 1 by ``perfbench/pencils.py``, loaded by path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "pencils.py")
+    spec = importlib.util.spec_from_file_location("bench_pencils", path)
+    pencils = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(pencils)
+    finally:
+        sys.dont_write_bytecode = written
+    return pencils.generate(1, count)
+
+
+def test_unpruned_cone_search_admits_only_classes_with_p_a_at_least_0(
+        monkeypatch, tmp_path):
+    # with the unpruned candidates patched in, every class that enters V or
+    # G satisfies the genus bound, and the duals, the curve set and the
+    # verdict are those of the pruned search
+    from folint.resolve import build_configuration
+    inputs = [load(name)[:2] for name in ("fig3", "example1", "family_a861")]
+    for i, pencil in enumerate(_pool_pencils(20)):
+        path = tmp_path / ("p%02d.fol" % i)
+        path.write_text(pencil.fol_text())
+        omega, _ = load_foliation(str(path))
+        config = build_configuration(omega)
+        if config.size >= 2:
+            inputs.append((omega, config))
+    assert len(inputs) >= 3 + 15
+    duals = record_duals(monkeypatch)
+    pruned = engine._effective_multiplicities
+
+    def unpruned(config, d):
+        return [e for e in unpruned_effective_multiplicities(config, d)
+                if negative_curve_filter(d, e)]
+
+    admitted = 0
+    for omega, config in inputs:
+        runs = []
+        for candidates in (unpruned, pruned):
+            monkeypatch.setattr(engine, "_effective_multiplicities",
+                                candidates)
+            seen = []
+            duals.clear()
+            result = algorithm3(omega, config, trace=seen.append)
+            runs.append((result, list(duals), seen))
+        (result, first_duals, seen), (other, other_duals, _) = runs
+        for d, e, outcome in trace_labels(seen):
+            if outcome in ("V+", "G+"):
+                assert genus_bound(d, e), (d, e)
+                admitted += 1
+        assert other_duals == first_duals
+        assert other.curve_set == result.curve_set
+        assert other.verdict == result.verdict
+        assert (other.system is None) == (result.system is None)
+    assert admitted >= 100
 
 
 def test_algorithm2_example1():
