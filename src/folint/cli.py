@@ -24,7 +24,7 @@ from .polyforms import (
     ProjectiveOneForm, format_form, is_first_integral, is_invariant_curve,
     parse_form,
 )
-from .resolve import DepthCapExceeded, build_configuration
+from .resolve import DEPTH_CAP, DepthCapExceeded, build_configuration
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -261,8 +261,9 @@ def build_parser():
     machine.add_argument("--machine", action="store_true",
                          help="stable line-oriented output")
     depth = argparse.ArgumentParser(add_help=False, parents=[machine])
-    depth.add_argument("--depth", type=int, default=50,
-                       help="blow-up depth cap for resolution (default 50)")
+    depth.add_argument("--depth", type=int, default=DEPTH_CAP,
+                       help="blow-up depth cap for resolution (default "
+                       "%(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("resolve", parents=[depth],
@@ -272,10 +273,11 @@ def build_parser():
 
     p = sub.add_parser("decide", parents=[depth],
                        help="full decision pipeline")
-    p.add_argument("--dmax", type=int, default=30,
-                   help="degree cap for the cone search (default 30)")
-    p.add_argument("--lmax", type=int, default=60,
-                   help="multiplier cap for the pencil search (default 60)")
+    p.add_argument("--dmax", type=int, default=engine.Caps.d_max,
+                   help="degree cap for the cone search (default %(default)s)")
+    p.add_argument("--lmax", type=int, default=engine.Caps.lam_max,
+                   help="multiplier cap for the pencil search (default "
+                   "%(default)s)")
     p.add_argument("--trace", action="store_true",
                    help="log every candidate divisor to stderr")
     p.add_argument("foliation")
@@ -349,7 +351,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as err:
+    except (RuntimeError, ZeroDivisionError) as err:
         print("error: internal: %s" % err, file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -85,12 +85,13 @@ class LinsysMemo:
     polynomial, each with the series of the generic form at the points,
     kept for one degree at a time and up to ``linsys._KEPT`` of them; and
     the last kernel that ``h0`` returned, as (class, vectors), for
-    ``basis``; and, per degree, the clamped multiplicity vectors whose
-    kernel came out empty (``linsys._Empty``), which prove h0 = 0 at every
-    class of that degree at or above one of them.  A kernel is certified
-    one of three ways: such a record or a rank of n mod a prime proves it
-    empty, and otherwise its vectors, lifted from primes, passed an exact
-    check in K and are zero at every pivot after their free column."""
+    ``basis``; and ``empty``, for each degree d a plain list of the
+    clamped multiplicity tuples whose kernel came out empty, scanned by
+    ``linsys._kernel``: they prove h0 = 0 at every class of degree d at or
+    above one of them.  A kernel is certified one of three ways: such an
+    entry or a rank of n mod a prime proves it empty, and otherwise its
+    vectors, lifted from primes, passed an exact check in K and are zero
+    at every pivot after their free column."""
 
     __slots__ = ("exact", "images", "kernel", "empty")
 

@@ -168,7 +168,7 @@ def _first_pencil_multiple(T: DivisorClass, config: Configuration, lams):
 
 
 def classify_conditions(system: IndependentSystem,
-                        lam_max: int = 60) -> ConditionReport:
+                        lam_max: int = Caps.lam_max) -> ConditionReport:
     """Which of the three usability conditions the system satisfies."""
     conds = set()
     T = system.T
@@ -190,7 +190,8 @@ def classify_conditions(system: IndependentSystem,
 
 
 def algorithm2(omega: ProjectiveOneForm, config: Configuration,
-               system: IndependentSystem, lam_max: int = 60) -> Verdict:
+               system: IndependentSystem,
+               lam_max: int = Caps.lam_max) -> Verdict:
     """First-integral extraction from an independent system."""
     T = system.T
     if T.square() != 0:
@@ -312,7 +313,7 @@ class Algorithm3Result:
 
 
 def algorithm3(omega: ProjectiveOneForm, config: Configuration,
-               d_max: int = 30, trace=None) -> Algorithm3Result:
+               d_max: int = Caps.d_max, trace=None) -> Algorithm3Result:
     """Search for an independent system of algebraic solutions, growing the
     cone V and the curve set G degree by degree.
 
@@ -417,23 +418,6 @@ def memo_fastpath(omega: ProjectiveOneForm, config: Configuration,
                             "K.T < 0 and the T-pencil is not invariant")
 
 
-def _lines_through(config: Configuration):
-    point = config.points[0].origin
-    field = config.field
-    rows = [[point[0], point[1], point[2]]]
-    kernel = linalg.nullspace(rows)
-    lines = []
-    for vec in kernel:
-        coeffs = {}
-        for idx, c in enumerate(vec):
-            if not c.is_zero():
-                expo = [0, 0, 0]
-                expo[idx] = 1
-                coeffs[tuple(expo)] = c
-        lines.append(HomogeneousForm(field, 1, coeffs))
-    return lines
-
-
 def pipeline(omega: ProjectiveOneForm, config: Configuration,
              caps: Caps = Caps(), trace=None) -> Verdict:
     """End-to-end decision: small configurations by hand, then the cone
@@ -441,7 +425,7 @@ def pipeline(omega: ProjectiveOneForm, config: Configuration,
     if config.size == 0:
         return Verdict.no_integral("no dicritical points")
     if config.size == 1:
-        L1, L2 = _lines_through(config)
+        L1, L2 = linsys.basis(config.divisor(1, [1]), config)
         return Verdict.integral(
             L1, L2, omega, "the line pencil through the single dicritical "
             "point is not invariant")

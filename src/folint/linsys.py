@@ -47,9 +47,9 @@ When none holds the conditions are eliminated exactly in K.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, isqrt
+from operator import le
 from typing import Dict, List, Tuple
 
 from . import linalg, modp
@@ -436,45 +436,6 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     return vectors
 
 
-class _Empty:
-    """The clamped multiplicity vectors of one degree whose kernel came out
-    empty, as int bitmasks over the records: at a point q, ``masks[q][i]``
-    has bit r set when record r has z_q <= ``levels[q][i]``, the i-th of
-    the sorted values z_q that the records take there.  A query ANDs one
-    mask per point, found by bisection, and never loops over the records.
-    """
-
-    __slots__ = ("every", "levels", "masks")
-
-    def __init__(self, size: int):
-        self.every = 0                  # one bit per record
-        self.levels = [[] for _ in range(size)]
-        self.masks = [[] for _ in range(size)]
-
-    def covers(self, clamped) -> bool:
-        """Whether some record z has z <= ``clamped`` at every point."""
-        found = self.every
-        for levels, masks, v in zip(self.levels, self.masks, clamped):
-            i = bisect_right(levels, v)
-            if not i:
-                return False
-            found &= masks[i - 1]
-            if not found:
-                return False
-        return bool(found)
-
-    def add(self, clamped) -> None:
-        bit = self.every + 1            # every is 2^k - 1 for k records
-        for levels, masks, w in zip(self.levels, self.masks, clamped):
-            i = bisect_left(levels, w)
-            if i == len(levels) or levels[i] != w:
-                levels.insert(i, w)
-                masks.insert(i, masks[i - 1] if i else 0)
-            for j in range(i, len(masks)):
-                masks[j] |= bit
-        self.every |= bit
-
-
 def _kernel(D: DivisorClass, config: Configuration):
     """The reduced echelon kernel of D's conditions in K, certified from
     primes or else eliminated exactly; the last one is kept for ``basis``.
@@ -488,14 +449,16 @@ def _kernel(D: DivisorClass, config: Configuration):
     Then pi^* F - sum z_q E_q^* = (pi^* F - sum e_q E_q^*) + sum (e_q -
     z_q) E_q^* is effective too, since every E_q^* is, so H^0(dL - sum e_q
     E_q^*) lies in H^0(dL - sum z_q E_q^*), and h0 = 0 at z proves h0 = 0
-    at e.  Every class whose kernel comes out empty is recorded on the
-    configuration's ``LinsysMemo`` (``_Empty``)."""
+    at e.  The clamped multiplicities of every class whose kernel comes
+    out empty are appended to the configuration's ``LinsysMemo.empty[d]``,
+    which is scanned.  A class that an entry covers returns before it is
+    eliminated, so no entry is ever above an older one, and the list needs
+    no pruning."""
     memo = config.linsys_memo
     if memo.kernel is not None and memo.kernel[0] == D:
         return memo.kernel[1]
-    clamped = [max(v, 0) for v in D.e]
-    empty = memo.empty.get(D.d)
-    if empty is not None and empty.covers(clamped):
+    clamped = tuple(max(v, 0) for v in D.e)
+    if any(all(map(le, z, clamped)) for z in memo.empty.get(D.d, ())):
         return []
     vectors = _lifted_kernel(D, config)
     if vectors is None:
@@ -503,9 +466,7 @@ def _kernel(D: DivisorClass, config: Configuration):
         vectors = linalg.kernel(reduced, pivots, len(monomials(D.d)),
                                 config.field.zero())
     if not vectors:
-        if empty is None:
-            empty = memo.empty[D.d] = _Empty(config.size)
-        empty.add(clamped)
+        memo.empty.setdefault(D.d, []).append(clamped)
     memo.kernel = (D, vectors)
     return vectors
 

@@ -39,6 +39,12 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of different number fields."""
 
 
+class ReducibleMinpoly(ValueError):
+    """Raised when an element has no inverse because it shares a factor with
+    the declared minimal polynomial, which is then reducible over Q (a check
+    that ``NumberField`` completes only up to degree 3)."""
+
+
 class FieldExtensionNeeded(ValueError):
     """Raised when a computation would leave the base field.
 
@@ -411,12 +417,11 @@ class FieldElement:
     ints where integral, Fractions in lowest terms otherwise.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: NumberField, coeffs: tuple):
         self.field = field
         self.coeffs = coeffs
-        self._hash = None
 
     # -- predicates ---------------------------------------------------------
 
@@ -513,9 +518,9 @@ class FieldElement:
             return FieldElement(field, (_canon(reciprocal(self.coeffs[0])),))
         inv = poly_inverse_mod(list(self.coeffs), field.minpoly)
         if inv is None:
-            # the residue shares a factor with an unverified minimal polynomial
-            raise ZeroDivisionError("element is a zero divisor; the declared "
-                                    "minimal polynomial is reducible")
+            raise ReducibleMinpoly(
+                "%s is a zero divisor: the declared minimal polynomial %s is "
+                "reducible" % (format_element(self), format_minpoly(field)))
         return FieldElement(field, field._reduce(inv))
 
     def __truediv__(self, other):
@@ -553,10 +558,9 @@ class FieldElement:
     def __hash__(self):
         # a rational element equals its int or Fraction value, so it hashes
         # like it
-        if self._hash is None:
-            self._hash = (hash(self.coeffs[0]) if self.is_rational()
-                          else hash((self.field.minpoly, self.coeffs)))
-        return self._hash
+        if self.is_rational():
+            return hash(self.coeffs[0])
+        return hash((self.field.minpoly, self.coeffs))
 
     def sort_key(self):
         """Deterministic total order on elements of one field (not algebraic)."""

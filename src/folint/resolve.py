@@ -415,8 +415,12 @@ class _Node:
         self.local = None
 
 
+# the default cap on the blow-ups along one chain from a plane point
+DEPTH_CAP = 50
+
+
 def build_configuration(omega: ProjectiveOneForm,
-                        depth_cap: int = 50) -> Configuration:
+                        depth_cap: int = DEPTH_CAP) -> Configuration:
     """Blow up the non-simple singularities iteratively and return the
     configuration of dicritical points (B_F with its N_F partition)."""
     field = omega.field

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
 equality, the cone spanned by a dual, a record of the cone search's duals,
-total-transform valuations, spans of forms, the wedge and
+total-transform valuations, spans of forms, the pencil of lines through
+a point, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
 resultant, the chart maps substituted in K, the filtered [-d, d] sweep
 of Algorithm 1 and the cone search's unpruned candidates, as references,
@@ -77,6 +78,14 @@ def same_span(forms_a: Sequence[HomogeneousForm],
     rb = linalg.rank(rows_b)
     rab = linalg.rank(rows_a + rows_b)
     return ra == rb == rab
+
+
+def lines_through(point, field):
+    """The reduced echelon kernel of the one row (x, y, z) of a plane
+    point, as the two lines that span the pencil through it."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [HomogeneousForm(field, 1, {u: c for u, c in zip(units, vec) if c})
+            for vec in linalg.nullspace([list(point)])]
 
 
 def wedge_one_forms(p, q, r, omega):

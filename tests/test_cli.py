@@ -282,6 +282,23 @@ def test_a_zero_denominator_is_an_input_error(capsys, machine):
 
 @pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
                                                                "machine"])
+@pytest.mark.parametrize("command", ["decide", "resolve"])
+def test_a_reducible_declared_field_is_an_input_error(tmp_path, capsys,
+                                                      machine, command):
+    # (t^2 - 2)(t^2 - 3) has no rational root, so NumberField accepts it;
+    # inverting a^2 - 2 used to raise ZeroDivisionError out of main with a
+    # traceback and exit code 1, the code of a negative answer
+    pencil = tmp_path / "reducible.fol"
+    pencil.write_text("field: t^4-5*t^2+6\nA = -Y+Z\nB = X-(a^2-2)*Z\n"
+                      "C = -X+(a^2-2)*Y\n")
+    code, out, err = run(capsys, command, *machine, str(pencil))
+    assert (code, out) == (3, "")
+    assert err == ("error: -2+a^2 is a zero divisor: the declared minimal "
+                   "polynomial t^4-5*t^2+6 is reducible\n")
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
 def test_deep_nesting_is_an_input_error(tmp_path, capsys, machine):
     # the parser recursed until RecursionError, which exited 4 as an
     # internal error
@@ -402,7 +419,8 @@ def test_depth_cap_is_inconclusive_in_both_modes(tmp_path, capsys):
                                 "reason=depth cap exceeded"]
 
 
-@pytest.mark.parametrize("error", [RuntimeError, ResolutionError])
+@pytest.mark.parametrize("error", [RuntimeError, ResolutionError,
+                                   ZeroDivisionError])
 @pytest.mark.parametrize("mode", [[], ["--machine"]], ids=["text", "machine"])
 @pytest.mark.parametrize("command", ["decide", "resolve"])
 def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch,

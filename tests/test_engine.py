@@ -8,21 +8,24 @@ import pytest
 
 from folint import cones, engine, linsys
 from folint.cli import load_foliation, load_config_file
-from folint.cluster import ConfigurationError, load_configuration
+from folint.cluster import (
+    Configuration, ConfigurationError, InfinitelyNearPoint,
+    load_configuration, normalize_point,
+)
 from folint.engine import (
     Caps, IndependentSystem, NotAnIndependentSystem, Verdict, algorithm1,
     algorithm2, algorithm3, classify_conditions, delta_bound, memo_fastpath,
     pipeline, w_function,
 )
 from folint.linsys import strict_class
-from folint.numfield import QQ
+from folint.numfield import QQ, NumberField
 from folint.polyforms import (
-    HomogeneousForm, ProjectiveOneForm, parse_form,
+    HomogeneousForm, ProjectiveOneForm, one_form_from_pencil, parse_form,
 )
 
 from helpers import (
-    genus_bound, negative_curve_filter, random_configuration, record_duals,
-    same_span, trace_labels, unpruned_effective_multiplicities,
+    genus_bound, lines_through, negative_curve_filter, random_configuration,
+    record_duals, same_span, trace_labels, unpruned_effective_multiplicities,
     zero_sum_candidates,
 )
 
@@ -485,6 +488,29 @@ def test_pipeline_pencil_of_lines():
     config = load_configuration(text)
     verdict = pipeline(omega, config)
     assert verdict.is_integral
+    # seeded single points over Q and Q(i), a third of them at infinity:
+    # the pencil is the reduced echelon kernel of the point's one row
+    rng = random.Random(23)
+    seen_infinity = 0
+    for field in (QQ, NumberField((1, 0, 1))):
+        for _ in range(24):
+            coords = [field.element([Fraction(rng.randint(-5, 5),
+                                              rng.randint(1, 4))
+                                     for _ in range(field.degree)])
+                      for _ in range(3)]
+            if rng.random() < 1 / 3:
+                coords[2] = field.zero()
+            if all(c.is_zero() for c in coords):
+                continue
+            point = normalize_point(coords)
+            seen_infinity += point[2].is_zero()
+            config = Configuration([InfinitelyNearPoint(
+                "p", origin=point, dicritical=True)], field)
+            F, G = lines_through(point, field)
+            verdict = pipeline(one_form_from_pencil(F, G), config)
+            assert verdict.is_integral
+            assert (verdict.numerator, verdict.denominator) == (F, G)
+    assert seen_infinity >= 10
 
 
 def test_pipeline_family_a0():

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 from fractions import Fraction
@@ -657,17 +656,3 @@ def test_empty_record_answers_without_an_elimination(monkeypatch):
         h0(config.divisor(1, [2, 1]), config)
     with pytest.raises(AssertionError):
         h0(config.divisor(2, [2, 2]), config)
-
-
-def test_empty_record_covers_exactly_the_classes_above_a_record():
-    # records added in random order, with repeated values and gaps, against
-    # a scan of the records for every e in a grid
-    rng = random.Random(19)
-    for _ in range(20):
-        record, zeros = linsys._Empty(3), []
-        for _ in range(rng.randint(1, 6)):
-            z = [rng.choice((0, 1, 1, 3, 4)) for _ in range(3)]
-            record.add(z)
-            zeros.append(z)
-            for e in itertools.product(range(6), repeat=3):
-                assert record.covers(e) == _dominated({1: zeros}, 1, e)

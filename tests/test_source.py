@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import sys
@@ -219,6 +220,72 @@ def test_caller_check_sees_unused_functions():
     found = _functions_without_callers({"a.py": used, "b.py": caller,
                                         "c.py": other}, [test])
     assert found == ["a.py:_recursive", "a.py:unused", "c.py:C.method"]
+
+
+def _lookup(name, namespace):
+    """What a name means in a module: its global, else the builtin."""
+    return namespace.get(name, getattr(builtins, name, None))
+
+
+def _handled_classes(tree, namespace):
+    """The exception classes that the except clauses of ``main`` in tree
+    name."""
+    handled = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.FunctionDef) and node.name == "main"):
+            continue
+        for handler in ast.walk(node):
+            if isinstance(handler, ast.ExceptHandler) and handler.type:
+                kinds = getattr(handler.type, "elts", [handler.type])
+                handled += [_lookup(kind.id, namespace) for kind in kinds]
+    return tuple(handled)
+
+
+def _unhandled_raises(tree, namespace, handled):
+    """Line numbers of the ``raise Name(...)`` in tree whose class is not
+    a subclass of one of ``handled``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)):
+            kind = _lookup(node.exc.func.id, namespace)
+            if not (isinstance(kind, type) and issubclass(kind, handled)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_raise_has_an_exit_code():
+    # an exception that cli.main does not catch ends in a traceback with
+    # exit code 1, the code of a negative answer
+    cli = importlib.import_module("folint.cli")
+    handled = _handled_classes(ast.parse(Path(cli.__file__).read_text()),
+                               vars(cli))
+    found = []
+    for path in SOURCES:
+        name = "folint" if path.stem == "__init__" else "folint." + path.stem
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, line)
+                  for line in _unhandled_raises(tree, vars(module), handled)]
+    assert found == []
+
+
+def test_exit_code_check_sees_unhandled_raises():
+    snippet = ("class Bad(KeyError):\n    pass\n\n"
+               "class Good(ValueError):\n    pass\n\n"
+               "def main():\n    try:\n        run()\n"
+               "    except (ValueError, Bad):\n        return 3\n"
+               "    except RuntimeError as err:\n        return 4\n\n"
+               "def run(err):\n    raise Good('a')\n    raise KeyError('b')\n"
+               "    raise ZeroDivisionError\n    raise Bad('c')\n"
+               "    raise Unknown('d')\n    raise err\n"
+               "    raise RecursionError('e')\n    raise IndexError('f')\n")
+    tree = ast.parse(snippet)
+    namespace = {}
+    exec(compile(tree, "<snippet>", "exec"), namespace)
+    handled = _handled_classes(tree, namespace)
+    assert handled == (ValueError, namespace["Bad"], RuntimeError)
+    assert _unhandled_raises(tree, namespace, handled) == [17, 20, 23]
 
 
 def _function_imports(tree):
