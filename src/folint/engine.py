@@ -284,8 +284,6 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration,
     """Decide a rational first integral of the exact degree d."""
     if d < 1:
         raise ValueError("degree must be positive")
-    if config.size < 2:
-        raise ValueError("the fixed-degree search needs >= 2 points")
     failure = "no degree-%d pencil is invariant" % d
     for e in _pencil_multiplicities(config, d):
         D = config.divisor(d, e)
@@ -425,10 +423,7 @@ def pipeline(omega: ProjectiveOneForm, config: Configuration,
     if config.size == 0:
         return Verdict.no_integral("no dicritical points")
     if config.size == 1:
-        L1, L2 = linsys.basis(config.divisor(1, [1]), config)
-        return Verdict.integral(
-            L1, L2, omega, "the line pencil through the single dicritical "
-            "point is not invariant")
+        return algorithm1(omega, config, 1)
     result = algorithm3(omega, config, d_max=caps.d_max, trace=trace)
     if result.verdict is not None:
         return result.verdict

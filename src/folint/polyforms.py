@@ -445,9 +445,14 @@ def is_invariant_curve(G: HomogeneousForm, omega: ProjectiveOneForm) -> bool:
     If G divides Q and R, the last two make G divide P Z and P Y.  A prime
     power dividing G then divides P, since its prime divides at most one of
     the coprime Y and Z; so G | P.
+
+    A constant divides everything but defines no curve, so it is refused
+    like the zero form.
     """
     if G.is_zero():
         raise ValueError("invariance test on the zero form")
+    if G.degree == 0:
+        raise ValueError("invariance test on a constant")
     A, B, C = omega.components()
     gx, gy, gz = G.partial(0), G.partial(1), G.partial(2)
     return (divides(G, gz * A - gx * C) is not None
@@ -475,6 +480,10 @@ def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
     and then Q = H Y and P = H X.  The 2-form is H (X, Y, Z), zero exactly
     when R = p B - q A is.
 
+    A constant F/G is no first integral, and it is the case p = q = 0: the
+    same contraction on eta alone gives X p + Y q + Z r = 0, so p = q = 0
+    makes Z r = 0, then r = 0, eta = 0 and F, G proportional.
+
     F and G are first scaled by the lcms of their coordinate denominators,
     which scales eta by a nonzero rational and keeps the arithmetic on ints.
     """
@@ -485,6 +494,8 @@ def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
     F, G = _cleared(F), _cleared(G)
     p = G * F.partial(0) - F * G.partial(0)
     q = G * F.partial(1) - F * G.partial(1)
+    if p.is_zero() and q.is_zero():
+        return False
     return (p * omega.B - q * omega.A).is_zero()
 
 

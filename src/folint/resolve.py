@@ -17,7 +17,7 @@ constants, c = (mu/lambda) c_stored, and certificates map back to true ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .cluster import (
     Configuration, InfinitelyNearPoint, normalize_point,
@@ -66,7 +66,8 @@ def _coeffs_at_u0(poly, field):
 
 class LocalFoliation:
     """omega = a du + b dv around the origin: one two-column ``linsys``
-    series {(i, j): {0: a_ij, 1: b_ij}} in coordinates scaled by ``scales``."""
+    series {(i, j): {0: a_ij, 1: b_ij}} in coordinates scaled by the
+    positive ``scales``."""
 
     __slots__ = ("field", "series", "scales")
 
@@ -130,9 +131,8 @@ def is_simple(omega: LocalFoliation) -> bool:
 
 class BlowUpResult(NamedTuple):
     dicritical: bool
-    chart1: list            # (c, LocalFoliation at the point, simple flag)
-    chart2: Optional[LocalFoliation]
-    chart2_singular: bool
+    chart1: list            # (c, LocalFoliation at the point), c increasing
+    chart2: LocalFoliation
 
 
 def _chart_form(series: Series, chart: int, order: int, ring):
@@ -164,7 +164,9 @@ def _chart_form(series: Series, chart: int, order: int, ring):
 
 def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     """One blow-up at the origin; locates the singular points on the
-    exceptional divisor and decides dicriticalness."""
+    exceptional divisor and decides dicriticalness.  The chart-1 points
+    come in increasing c: ``find_roots_in_field`` sorts the stored roots,
+    and rho = mu/lambda > 0 keeps their order."""
     if not omega.is_singular():
         raise ResolutionError("blow-up at a non-singular point")
     field = omega.field
@@ -196,14 +198,14 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
             child = LocalFoliation(
                 field, _shift(form, 1, lift(c * m, ring), ring, m=m),
                 child_scales(omega.scales, 1, m))
-            children.append((c * rho, child, is_simple(child)))
+            children.append((c * rho, child))
 
     # chart 2: (u, v) = (v'u', u'), which sees the same exceptional
     form2, dicritical2 = _chart_form(omega.series, 2, order, ring)
     if dicritical2 != dicritical:
         raise ResolutionError("the two charts disagree on dicriticalness")
     chart2 = LocalFoliation(field, form2, child_scales(omega.scales, 2))
-    return BlowUpResult(dicritical, children, chart2, (0, 0) not in form2)
+    return BlowUpResult(dicritical, children, chart2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +333,12 @@ class EscapedOrbit(NamedTuple):
 
 class SingularLocus(NamedTuple):
     points: list            # normalized projective points over K
-    complete: bool
     escaped: list           # EscapedOrbit entries
 
 
 def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
-    """Common zeros of A, B, C over K, chart by chart, with completeness.
+    """Common zeros of A, B, C over K, chart by chart, and the orbits of
+    conjugate common zeros outside K.
 
     An orbit of conjugate x-coordinates needs one y per conjugate, the
     root of a linear gcd over K[t]/(g); anything else raises
@@ -394,26 +396,12 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     if all(f.evaluate((one, zero, zero)).is_zero() for f in (A, B, C)):
         points.append((one, zero, zero))
     points = [normalize_point(pt) for pt in points]
-    return SingularLocus(points, not escaped, escaped)
+    return SingularLocus(points, escaped)
 
 
 # ---------------------------------------------------------------------------
 # building the dicritical configuration
 # ---------------------------------------------------------------------------
-
-class _Node:
-    __slots__ = ("origin", "chart", "c", "parent", "children", "dicritical",
-                 "local")
-
-    def __init__(self, origin=None, chart=None, c=None, parent=None):
-        self.origin = origin
-        self.chart = chart
-        self.c = c
-        self.parent = parent
-        self.children = []
-        self.dicritical = False
-        self.local = None
-
 
 # the default cap on the blow-ups along one chain from a plane point
 DEPTH_CAP = 50
@@ -421,81 +409,46 @@ DEPTH_CAP = 50
 
 def build_configuration(omega: ProjectiveOneForm,
                         depth_cap: int = DEPTH_CAP) -> Configuration:
-    """Blow up the non-simple singularities iteratively and return the
-    configuration of dicritical points (B_F with its N_F partition)."""
+    """Blow up the non-simple singularities and return B_F, the points a
+    dicritical divisor lies at or above, with its N_F partition.
+
+    One depth-first walk visits the non-simple plane points in the order
+    of their coordinates' ``sort_key`` and, below each blown-up point, its
+    chart-1 children in the order of c, then its chart-2 child.  A point
+    takes the next name q1, q2, ... when it is reached; it is kept iff it
+    is dicritical or keeps a child, and otherwise the list goes back to
+    where it stood, so a pruned subtree takes no names.  Every non-simple
+    point is blown up either way.
+    """
     field = omega.field
     locus = singular_points(omega)
     for orbit in locus.escaped:
         _require_orbit_simple(*orbit, field)
-    roots = []
-    for pt in locus.points:
+    out = []
+    for pt in sorted(locus.points, key=lambda pt: [c.sort_key() for c in pt]):
         local = local_at_plane_point(omega, pt)
         if not local.is_singular():
             raise ResolutionError("computed singular point is not singular")
-        if is_simple(local):
-            continue
-        node = _Node(origin=pt)
-        node.local = local
-        roots.append(node)
-    for node in roots:
-        _expand(node, depth_cap)
-    roots.sort(key=lambda nd: tuple(c.sort_key() for c in nd.origin))
-    ordered = []
-    for node in roots:
-        if _collect_dicritical(node):
-            _emit(node, ordered)
-    names = {}
-    named = []
-    for i, node in enumerate(ordered):
-        name = "q%d" % (i + 1)
-        names[id(node)] = name
-        if node.origin is not None:
-            rec = InfinitelyNearPoint(name, origin=node.origin,
-                                      dicritical=node.dicritical)
-        else:
-            rec = InfinitelyNearPoint(name, parent=names[id(node.parent)],
-                                      chart=node.chart,
-                                      c=node.c if node.chart == 1 else None,
-                                      dicritical=node.dicritical)
-        named.append(rec)
-    return Configuration(named, field)
+        if not is_simple(local):
+            _walk(local, {"origin": pt}, out, depth_cap)
+    return Configuration(out, field)
 
 
-def _expand(node: _Node, depth_left: int):
+def _walk(local: LocalFoliation, place, out, depth_left: int):
+    """Blow up the point at ``place`` and append it, then its kept
+    subtree, to ``out`` if a dicritical divisor lies at or above it."""
     if depth_left <= 0:
         raise DepthCapExceeded("resolution exceeded the depth cap")
-    result = blow_up_local(node.local)
-    node.dicritical = result.dicritical
-    for c, child_local, simple in result.chart1:
-        if simple:
-            continue
-        child = _Node(chart=1, c=c, parent=node)
-        child.local = child_local
-        node.children.append(child)
-    if result.chart2_singular and not is_simple(result.chart2):
-        child = _Node(chart=2, parent=node)
-        child.local = result.chart2
-        node.children.append(child)
-    for child in node.children:
-        _expand(child, depth_left - 1)
-
-
-def _collect_dicritical(node: _Node) -> bool:
-    """Prune to B_F: keep nodes with a dicritical divisor above or at them."""
-    kept_children = []
-    any_dicritical = node.dicritical
-    for child in node.children:
-        if _collect_dicritical(child):
-            kept_children.append(child)
-            any_dicritical = True
-    node.children = kept_children
-    return any_dicritical
-
-
-def _emit(node: _Node, out):
-    out.append(node)
-    chart1 = sorted((ch for ch in node.children if ch.chart == 1),
-                    key=lambda ch: ch.c.sort_key())
-    chart2 = [ch for ch in node.children if ch.chart == 2]
-    for ch in chart1 + chart2:
-        _emit(ch, out)
+    start = len(out)
+    name = "q%d" % (start + 1)
+    out.append(None)                    # the name is reserved
+    result = blow_up_local(local)
+    children = [({"chart": 1, "c": c}, child) for c, child in result.chart1]
+    for at, child in children + [({"chart": 2}, result.chart2)]:
+        if child.is_singular() and not is_simple(child):
+            _walk(child, {"parent": name, **at}, out, depth_left - 1)
+    if result.dicritical or len(out) > start + 1:
+        out[start] = InfinitelyNearPoint(name, dicritical=result.dicritical,
+                                         **place)
+    else:
+        del out[start:]

@@ -108,12 +108,15 @@ def is_invariant_curve(G, omega) -> bool:
 
 
 def is_first_integral(F, G, omega) -> bool:
-    """Reference: all three components of (G dF - F dG) ^ omega vanish."""
+    """Reference: G dF - F dG is not zero (F/G is not a constant) and all
+    three components of (G dF - F dG) ^ omega vanish."""
     if G.is_zero():
         raise ValueError("zero denominator")
     if F.degree != G.degree:
         raise ValueError("numerator and denominator degrees differ")
     p, q, r = (G * F.partial(i) - F * G.partial(i) for i in range(3))
+    if p.is_zero() and q.is_zero() and r.is_zero():
+        return False
     return all(c.is_zero() for c in wedge_one_forms(p, q, r, omega))
 
 

@@ -161,6 +161,52 @@ def test_invariant(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+@pytest.mark.parametrize("F, G", [("2", "3"), ("X", "X"), ("X", "-2*X")])
+def test_a_constant_is_no_first_integral(capsys, machine, F, G):
+    code, out, err = run(capsys, "check-integral", *machine, F, G,
+                         fx("fig2.fol"))
+    assert (code, err) == (1, "")
+    assert out == ("first_integral=false\n" if machine else
+                   "F/G is a rational first integral: False\n")
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+@pytest.mark.parametrize("curve", ["5", "-1/2"])
+def test_a_constant_is_no_curve(capsys, machine, curve):
+    code, out, err = run(capsys, "invariant", *machine, curve,
+                         fx("fig2.fol"))
+    assert (code, out) == (3, "")
+    assert err == "error: invariance test on a constant\n"
+
+
+# the pencil of lines through (0:0:1), which resolves to one dicritical
+# point, and Jouanolou's J_2, which has none
+ONE_POINT = "A = Y\nB = -X\nC = 0\n"
+NO_POINT = "A = Y*X^2-Z^3\nB = Z*Y^2-X^3\nC = X*Z^2-Y^3\n"
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
+@pytest.mark.parametrize("fol, code, text, lines", [
+    (ONE_POINT, 0, ["rational first integral found:", "  F = X", "  G = Y"],
+     ["verdict=integral", "F=X", "G=Y"]),
+    (NO_POINT, 1, ["no rational first integral: no degree-1 pencil is "
+                   "invariant"],
+     ["verdict=no_integral", "reason=no degree-1 pencil is invariant"]),
+], ids=["one-point", "no-point"])
+def test_decide_degree_on_fewer_than_two_points(tmp_path, capsys, machine,
+                                                fol, code, text, lines):
+    path = tmp_path / "few.fol"
+    path.write_text(fol)
+    assert run(capsys, "decide-degree", *machine, "1", str(path)) == (
+        code, "".join(l + "\n" for l in (lines if machine else text)), "")
+    # decide agrees with the degree-1 search
+    assert run(capsys, "decide", *machine, str(path))[0] == code
+
+
 def test_bad_foliation_file(tmp_path, capsys):
     bad = tmp_path / "bad.fol"
     bad.write_text("A = X\nB = Y\n")

@@ -67,9 +67,17 @@ def test_invariant_curves_fig2():
     assert is_invariant_curve(X, PENCIL_OF_LINES)
 
 
+def test_invariance_refuses_a_constant():
+    # a constant divides every component but defines no curve
+    with pytest.raises(ValueError, match="constant"):
+        is_invariant_curve(HomogeneousForm.constant(QQ, 5), FIG2)
+
+
 def test_first_integral_fig2():
     assert is_first_integral(FIG2_F1, FIG2_F2, FIG2)
-    assert is_first_integral(FIG2_F1, FIG2_F1, FIG2)
+    # a constant F/G is no first integral
+    assert not is_first_integral(FIG2_F1, FIG2_F1, FIG2)
+    assert not is_first_integral(FIG2_F1, FIG2_F1 * Fraction(-2, 3), FIG2)
     assert not is_first_integral(X, Z, PENCIL_OF_LINES)
     assert is_first_integral(X, Y, PENCIL_OF_LINES)
 

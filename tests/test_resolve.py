@@ -1,12 +1,17 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
+import random
 
 import pytest
 
 from folint.cli import load_foliation, main
 from folint.cluster import dump_configuration, load_configuration
 from folint.numfield import QQ, FieldExtensionNeeded, NumberField
-from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
+from folint.polyforms import (
+    HomogeneousForm, ProjectiveOneForm, one_form_from_pencil, parse_form,
+)
 from folint.resolve import (
     LocalFoliation, _generator, _require_orbit_simple, blow_up_local,
     build_configuration, is_simple, local_at_plane_point, singular_points,
@@ -56,7 +61,7 @@ def test_blow_up_radial_is_dicritical():
     result = blow_up_local(radial)
     assert result.dicritical
     assert result.chart1 == []
-    assert not result.chart2_singular
+    assert not result.chart2.is_singular()
 
 
 def test_blow_up_saddle():
@@ -64,10 +69,10 @@ def test_blow_up_saddle():
     result = blow_up_local(saddle)
     assert not result.dicritical
     assert len(result.chart1) == 1
-    c, child, simple = result.chart1[0]
+    c, child = result.chart1[0]
     assert c.is_zero()
-    assert simple
-    assert result.chart2_singular
+    assert is_simple(child)
+    assert result.chart2.is_singular()
     assert is_simple(result.chart2)
 
 
@@ -92,9 +97,9 @@ def blow_up_outcome(omega):
         result = blow_up_local(omega)
     except FieldExtensionNeeded as err:
         return (str(err), err.certificate), []
-    children = [child for _, child, _ in result.chart1] + [result.chart2]
-    return (result.dicritical, [(c, simple) for c, _, simple in
-                                result.chart1], result.chart2_singular), \
+    children = [child for _, child in result.chart1] + [result.chart2]
+    return (result.dicritical, [(c, is_simple(child)) for c, child in
+                                result.chart1], result.chart2.is_singular()), \
         children
 
 
@@ -148,7 +153,7 @@ def test_orbit_with_constant_linear_part():
 
 def test_singular_points_pencil_of_lines():
     locus = singular_points(PENCIL)
-    assert locus.complete
+    assert not locus.escaped
     assert len(locus.points) == 1
     x, y, z = locus.points[0]
     assert x.is_zero() and y.is_zero() and z == QQ.one()
@@ -183,7 +188,7 @@ def test_escaped_simple_points_are_skipped():
     C = parse_form("X*Y^2-%s*X^2*Z-X*Z^2-X^2*Y+Y*Z^2" % a)
     omega = ProjectiveOneForm(A, B, C)
     locus = singular_points(omega)
-    assert not locus.complete
+    assert locus.escaped
     config = build_configuration(omega)
     assert config.size == 4
     assert sum(1 for p in config.points if p.dicritical) == 2
@@ -216,6 +221,88 @@ def test_build_configuration_reproduces_fixture(name):
     lines = (FIXTURES / (name + ".cfg")).read_text().splitlines(True)
     expected = "".join(l for l in lines if not l.startswith("#"))
     assert dump_configuration(build_configuration(omega)) == expected
+
+
+def line_pencils(rng, count):
+    """Seeded foliations G dF - F dG of pencils F/G of products of distinct
+    rational lines, the first k of them through (0:0:1).  Three lines of F
+    through it make a triple point whose blow-up is pruned; three of F and
+    two of G make a base point with two kept chart-1 children."""
+    shapes = [((1, 1), (1, 1), 0), ((1, 1, 1), (3,), 3),
+              ((1, 1, 1), (1, 1, 1), 5), ((2, 1), (2, 1), 0)]
+    out = []
+    while len(out) < count:
+        top, bottom, k = shapes[len(out) % len(shapes)]
+        lines = []
+        while len(lines) < len(top) + len(bottom):
+            coeffs = [rng.randint(-3, 3) for _ in range(3)]
+            if len(lines) < k:
+                coeffs[2] = 0
+            first = next((c for c in coeffs if c), 0)
+            line = tuple(Fraction(c, first) for c in coeffs) if first else ()
+            if line and line not in lines:
+                lines.append(line)
+        lines = [parse_form("(%s)*X+(%s)*Y+(%s)*Z" % line) for line in lines]
+        F = reduce(mul, (lines[i] ** e for i, e in enumerate(top)))
+        G = reduce(mul, (lines[i] ** e for i, e in enumerate(bottom,
+                                                              len(top))))
+        out.append(one_form_from_pencil(F, G))
+    return out
+
+
+def assert_walk_order(config):
+    """The order ``build_configuration`` promises: names q1..qm in list
+    order, plane points in increasing coordinate ``sort_key``, each
+    point's subtree right after it, and chart-1 siblings in increasing
+    c before the chart-2 sibling; and no point kept without a dicritical
+    divisor at or above it."""
+    points = config.points
+    assert [p.name for p in points] == ["q%d" % (i + 1)
+                                        for i in range(len(points))]
+    parent = {p.name: p.parent for p in points}
+
+    def above(name):
+        while parent[name] is not None:
+            name = parent[name]
+            yield name
+
+    roots = [tuple(c.sort_key() for c in p.origin) for p in points
+             if p.is_root()]
+    assert roots == sorted(set(roots))
+    for i, p in enumerate(points):
+        subtree = [q.name for q in points if p.name in above(q.name)]
+        assert [q.name for q in points[i + 1:][:len(subtree)]] == subtree
+        # kept only if dicritical or keeping a child
+        assert p.dicritical or subtree
+        siblings = [(q.chart, q.c.sort_key() if q.chart == 1 else ())
+                    for q in points if q.parent == p.name]
+        assert siblings == sorted(set(siblings))
+
+
+def test_walk_order_on_line_pencils_and_fixtures(monkeypatch):
+    # every fixture that resolves over its field (not cubic_pencil), and
+    # seeded line pencils; a point that is blown up but not emitted was
+    # pruned
+    from folint import resolve
+    calls = []
+    blow_up = resolve.blow_up_local
+    monkeypatch.setattr(resolve, "blow_up_local",
+                        lambda omega: calls.append(1) or blow_up(omega))
+    forms = [load_foliation(str(path))[0] for path in
+             sorted(FIXTURES.glob("*.fol")) if path.stem != "cubic_pencil"]
+    forms += line_pencils(random.Random(24), 30)
+    seen = {"points": 0, "pruned": 0, "chart 2": 0, "chart-1 siblings": 0}
+    for omega in forms:
+        calls.clear()
+        config = build_configuration(omega)
+        assert_walk_order(config)
+        seen["points"] += config.size
+        seen["pruned"] += len(calls) - config.size
+        seen["chart 2"] += sum(p.chart == 2 for p in config.points)
+        seen["chart-1 siblings"] += sum(
+            sum(q.parent == p.name and q.chart == 1
+                for q in config.points) >= 2 for p in config.points)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_resolve_cubic_pencil_needs_a_field_extension(capsys):
