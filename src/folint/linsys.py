@@ -54,7 +54,9 @@ from typing import Dict, List, Tuple
 
 from . import linalg, modp
 from .cluster import Configuration, DivisorClass, root_chart_images
-from .numfield import FieldElement, _canon, denominator, residue
+from .numfield import (
+    FieldElement, _canon, denominator, exact_ring, integral, lift, residue,
+)
 from .polyforms import HomogeneousForm, monomials
 
 # A series maps a monomial (i, j) in the local coordinates (u, v) to its
@@ -121,31 +123,12 @@ def _shift(series: Series, axis: int, c, ring, below=None, m=1) -> Series:
     return _prune(out, P)
 
 
-def exact_ring(field):
-    """The integral model's ring: 0, for ints, over Q, else K itself."""
-    return 0 if field.is_rational else field
-
-
-def lift(x: FieldElement, ring):
-    """An element with int coordinates as an entry of ``ring``."""
-    return x.coeffs[0] if type(ring) is int else x
-
-
-def integral(columns, ring):
-    """Coefficient dicts times the lcm of all their denominators, in ring."""
-    m = denominator(*(c for coeffs in columns for c in coeffs.values()))
-    if m == 1 and type(ring) is not int:
-        return columns
-    return [{key: lift(c * m if m != 1 else c, ring)
-             for key, c in coeffs.items()} for coeffs in columns]
-
-
 def integral_chart(origin, field):
     """(pivot, q, q a, q b) for a plane point's canonical chart (pivot, a,
     b) (``cluster.root_chart_images``), q = ``denominator(a, b)``."""
     pivot, a, b = root_chart_images(origin)
     q = denominator(a, b)
-    return (pivot, q, *(lift(x * q, exact_ring(field)) for x in (a, b)))
+    return (pivot, q, *(lift(x, q, exact_ring(field)) for x in (a, b)))
 
 
 def child_scales(scales, chart: int, m: int = 1):
@@ -259,7 +242,7 @@ def _exact_data(config: Configuration) -> _ChartData:
             lam, mu = scales[config.parent_idx[idx]]
             c = point.c * Fraction(lam, mu) if point.chart == 1 else 0
             m = denominator(c) if c else 1
-            constants.append((lift(c * m, exact_ring(field)) if c else 0, m))
+            constants.append((lift(c, m, exact_ring(field)) if c else 0, m))
             scales.append(child_scales((lam, mu), point.chart, m))
         memo.exact = _ChartData(exact_ring(field), charts, constants)
     return memo.exact

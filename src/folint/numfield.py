@@ -83,6 +83,26 @@ def _exact(value):
     return _canon(Fraction(value))
 
 
+def exact_ring(field):
+    """The integral model's ring: 0, for ints, over Q, else K itself."""
+    return 0 if field.is_rational else field
+
+
+def lift(x, m: int, ring):
+    """x m, for an int m that clears x's denominators, as an entry of
+    ``ring``: an int over Q, else an element with int coordinates."""
+    return _canon(x.coeffs[0] * m) if type(ring) is int else x * m
+
+
+def integral(columns, ring):
+    """Coefficient dicts times the lcm of all their denominators, in ring."""
+    m = denominator(*(c for coeffs in columns for c in coeffs.values()))
+    if m == 1 and type(ring) is not int:
+        return columns
+    return [{key: lift(c, m, ring) for key, c in coeffs.items()}
+            for coeffs in columns]
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials: lists of coefficients, low degree first
 # ---------------------------------------------------------------------------
@@ -481,18 +501,20 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if type(other) is int:
-            return FieldElement(self.field,
-                                tuple([_canon(a * other) for a in self.coeffs]))
-        if type(other) is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        """A rational factor only scales the other's coordinates."""
+        x, k = self, other
+        if type(other) is not int:
+            if type(other) is not FieldElement or other.field is not x.field:
+                other = self._coerce(other)
+                if other is NotImplemented:
+                    return NotImplemented
+            x, k = (other, self) if any(other.coeffs[1:]) else (self, other)
+            k = None if any(k.coeffs[1:]) else k.coeffs[0]
+        if k is not None:
+            return FieldElement(x.field,
+                                tuple([_canon(a * k) for a in x.coeffs]))
         field = self.field
         n = field.degree
-        if n == 1:
-            return FieldElement(field,
-                                (_canon(self.coeffs[0] * other.coeffs[0]),))
         prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
             if a:

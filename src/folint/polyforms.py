@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 
 from . import modp
 from .numfield import (
-    QQ, FieldElement, NumberField, coefficient_list, denominator,
-    format_element, join_terms, parse_polynomial, poly_divmod, poly_gcd,
-    poly_mul, poly_sub, poly_trim, residue, scaled_term, to_y_rows,
+    QQ, FieldElement, NumberField, coefficient_list, exact_ring,
+    format_element, integral, join_terms, lift, parse_polynomial,
+    poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim, residue,
+    scaled_term, to_y_rows,
 )
 
 VARS = ("X", "Y", "Z")
@@ -64,42 +66,30 @@ class HomogeneousForm:
         if self.field != other.field:
             raise ValueError("forms over different fields")
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
+        """self + other, or self - other for op = sub; a zero form of any
+        degree leaves the other term's degree."""
         self._check(other)
-        if self.is_zero():
-            return other
         if other.is_zero():
             return self
-        if self.degree != other.degree:
+        if not self.is_zero() and self.degree != other.degree:
             raise ValueError("adding forms of degrees %d and %d" %
                              (self.degree, other.degree))
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            cur = out.get(expo)
-            out[expo] = c if cur is None else cur + c
-        return HomogeneousForm(self.field, self.degree, out)
+        return HomogeneousForm(self.field, other.degree,
+                               _sum(self.coeffs, other.coeffs, op))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, sub)
 
     def __neg__(self):
-        return HomogeneousForm(self.field, self.degree,
-                               {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            k = self.field.element(other)
-            return HomogeneousForm(self.field, self.degree,
-                                   {e: c * k for e, c in self.coeffs.items()})
+            other = HomogeneousForm.constant(self.field, other)
         self._check(other)
-        out = {}
-        for (i, j, k), a in self.coeffs.items():
-            for (p, q, r), b in other.coeffs.items():
-                key = (i + p, j + q, k + r)
-                cur = out.get(key)
-                v = a * b
-                out[key] = v if cur is None else cur + v
-        return HomogeneousForm(self.field, self.degree + other.degree, out)
+        return HomogeneousForm(self.field, self.degree + other.degree,
+                               _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -118,49 +108,23 @@ class HomogeneousForm:
         return hash((self.degree,
                      tuple(sorted((e, c.coeffs) for e, c in self.coeffs.items()))))
 
-    # -- calculus and evaluation ------------------------------------------
+    # -- calculus -----------------------------------------------------------
 
     def partial(self, index: int) -> "HomogeneousForm":
-        out = {}
-        for expo, c in self.coeffs.items():
-            if expo[index] == 0:
-                continue
-            new = list(expo)
-            new[index] -= 1
-            out[tuple(new)] = c * expo[index]
-        return HomogeneousForm(self.field, max(self.degree - 1, 0), out)
-
-    def evaluate(self, point) -> FieldElement:
-        x, y, z = (self.field.element(v) for v in point)
-        acc = self.field.zero()
-        for (i, j, k), c in self.coeffs.items():
-            acc = acc + c * x ** i * y ** j * z ** k
-        return acc
+        return HomogeneousForm(self.field, max(self.degree - 1, 0),
+                               _partial(self.coeffs, index))
 
     def dehomogenize(self, index: int) -> dict:
-        """Set variable ``index`` to 1; keys are exponent pairs of the others."""
-        keep = [i for i in range(3) if i != index]
-        out = {}
-        for expo, c in self.coeffs.items():
-            key = (expo[keep[0]], expo[keep[1]])
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def leading(self):
-        """Leading (exponent, coefficient) in graded lex order, X > Y > Z."""
-        if self.is_zero():
-            raise ValueError("zero form has no leading term")
-        expo = max(self.coeffs)
-        return expo, self.coeffs[expo]
+        """Set variable ``index`` to 1; keys are exponent pairs of the
+        others, which fix the third exponent, so no two terms merge."""
+        return {tuple(e for i, e in enumerate(expo) if i != index): c
+                for expo, c in self.coeffs.items()}
 
     def monic(self) -> "HomogeneousForm":
+        """Leading coefficient 1 in graded lex order, X > Y > Z."""
         if self.is_zero():
             return self
-        _, lead = self.leading()
-        inv = lead.inverse()
-        return HomogeneousForm(self.field, self.degree,
-                               {e: c * inv for e, c in self.coeffs.items()})
+        return self * self.coeffs[max(self.coeffs)].inverse()
 
     def coefficient_vector(self, order=None):
         if order is None:
@@ -180,34 +144,84 @@ def monomials(degree: int):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the coefficient loops, on dicts {(i, j, k): c} without zeros, over K or
+# the integral model (``numfield.integral``): the operators of
+# ``HomogeneousForm`` wrap them, and the wedge and invariance tests run them
+# ---------------------------------------------------------------------------
+
+def _sum(f: dict, g: dict, op=add) -> dict:
+    """f + g, or f - g for op = sub."""
+    out = dict(f)
+    for key, c in g.items():
+        v = op(out[key], c) if key in out else c if op is add else -c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
+
+
+def _product(f: dict, g: dict) -> dict:
+    out = {}
+    for (i, j, k), a in f.items():
+        for (p, q, r), b in g.items():
+            key = (i + p, j + q, k + r)
+            cur = out.get(key)
+            v = a * b
+            out[key] = v if cur is None else cur + v
+    return {key: v for key, v in out.items() if v}
+
+
+def _minus(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """a b - c d."""
+    return _sum(_product(a, b), _product(c, d), sub)
+
+
+def _partial(f: dict, index: int) -> dict:
+    """The partial derivative in variable ``index``."""
+    out = {}
+    for expo, c in f.items():
+        if expo[index]:
+            new = list(expo)
+            new[index] -= 1
+            out[tuple(new)] = c * expo[index]
+    return out
+
+
+def _quotient(f: dict, d: dict, ring):
+    """f / d for a nonzero d, or None when d does not divide f, by division
+    in graded lex order over ``ring`` (``numfield.exact_ring``).
+
+    Over K each step multiplies by the inverse of d's leading coefficient.
+    Over the ints each step is an exact int division, for f and d whose
+    quotient, if there is one, has int coefficients: each remainder is then
+    d (h - h') for the int quotient h' found so far, whose leading
+    coefficient is a multiple of d's, so a step that leaves a nonzero int
+    remainder proves that d does not divide f in Q[X, Y, Z].
+    """
+    (a, b, c), lead = max(d.items())
+    inv = None if type(ring) is int else lead.inverse()
+    rem, quo = f, {}
+    while rem:
+        expo = max(rem)
+        step = (expo[0] - a, expo[1] - b, expo[2] - c)
+        factor, r = (divmod(rem[expo], lead) if inv is None
+                     else (rem[expo] * inv, 0))
+        if r or min(step) < 0:
+            return None
+        quo[step] = factor
+        rem = _sum(rem, _product({step: factor}, d), sub)
+    return quo
+
+
 def divides(d: HomogeneousForm, f: HomogeneousForm):
     """Exact division test; returns the quotient or None."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero form")
-    if f.is_zero():
-        return HomogeneousForm(f.field, max(f.degree - d.degree, 0), {})
-    if f.degree < d.degree:
-        return None
-    lead_e, lead_c = d.leading()
-    lead_inv = lead_c.inverse()
-    rem = dict(f.coeffs)
-    quo = {}
-    while rem:
-        expo = max(rem)
-        coeff = rem[expo]
-        step = tuple(a - b for a, b in zip(expo, lead_e))
-        if min(step) < 0:
-            return None
-        factor = coeff * lead_inv
-        quo[step] = factor
-        for de, dc in d.coeffs.items():
-            key = tuple(s + t for s, t in zip(step, de))
-            cur = rem.get(key, f.field.zero()) - factor * dc
-            if cur.is_zero():
-                rem.pop(key, None)
-            else:
-                rem[key] = cur
-    return HomogeneousForm(f.field, f.degree - d.degree, quo)
+    quo = _quotient(f.coeffs, d.coeffs, d.field)
+    return None if quo is None else HomogeneousForm(
+        f.field, max(f.degree - d.degree, 0), quo)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +259,7 @@ def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     or in y, say in x.  Then f(x, y, 1) and g(x, y, 1) have positive
     x-degrees, and their resultant in x, taken at those degrees, is zero in
     K[y].  Scaling f and g by nonzero rationals keeps h, so they are first
-    given int coordinates (``_cleared``); sending t -> r, y -> c for an int
+    given int coordinates (``integral``); sending t -> r, y -> c for an int
     c is then a ring homomorphism onto F_P, and when neither x-leading
     coefficient vanishes there, the Sylvester matrix keeps its shape: the
     resultant maps to the resultant of the images, which would then be
@@ -261,7 +275,8 @@ def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
         return False
     P, roots, _ = f.field.split_prime(0)
     images = [{(i, j): residue(c, P, roots[0])
-               for (i, j, _), c in _cleared(form).coeffs.items()}
+               for (i, j, _), c in
+               integral([form.coeffs], exact_ring(form.field))[0].items()}
               for form in (f, g)]
     for axis in (0, 1):
         tops = [max(key[axis] for key in image) for image in images]
@@ -393,7 +408,9 @@ def _homogenize_bivariate(p, field):
 class ProjectiveOneForm:
     """A dX + B dY + C dZ with the Euler relation XA + YB + ZC = 0 and
     gcd(A, B, C) = 1, both checked on construction: the wedge and invariance
-    tests below rest on the Euler relation."""
+    tests below rest on the Euler relation.  ``model`` is (A, B, C) times
+    one common factor on the integral model (``numfield.integral``), where
+    those tests and the Euler check run."""
 
     def __init__(self, A: HomogeneousForm, B: HomogeneousForm,
                  C: HomogeneousForm):
@@ -402,8 +419,12 @@ class ProjectiveOneForm:
         degs = {f.degree for f in (A, B, C) if not f.is_zero()}
         if len(degs) != 1:
             raise ValueError("components must share one degree")
-        x, y, z = (HomogeneousForm.variable(self.field, i) for i in range(3))
-        if not (x * A + y * B + z * C).is_zero():
+        ring = exact_ring(self.field)
+        self.model = integral([A.coeffs, B.coeffs, C.coeffs], ring)
+        one, euler = lift(self.field.one(), 1, ring), {}
+        for unit, comp in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), self.model):
+            euler = _sum(euler, _product({unit: one}, comp))
+        if euler:
             raise ValueError("Euler condition X*A + Y*B + Z*C = 0 fails")
         g = gcd3(A, B, C)
         if g.degree != 0:
@@ -448,22 +469,24 @@ def is_invariant_curve(G: HomogeneousForm, omega: ProjectiveOneForm) -> bool:
 
     A constant divides everything but defines no curve, so it is refused
     like the zero form.
+
+    The test runs on the integral model, omega's ``model`` and G times the
+    lcm of its coordinate denominators, which scales G, Q and R by nonzero
+    rationals and so changes neither G | Q nor G | R.  Over Q this G is
+    c G' for an int c and a primitive G', and Q is c Q', with Q' made from
+    G' and int coefficients; so a quotient Q / G = Q' / G' has int
+    coefficients by Gauss's lemma, as ``_quotient`` needs, and so has R / G.
     """
     if G.is_zero():
         raise ValueError("invariance test on the zero form")
     if G.degree == 0:
         raise ValueError("invariance test on a constant")
-    A, B, C = omega.components()
-    gx, gy, gz = G.partial(0), G.partial(1), G.partial(2)
-    return (divides(G, gz * A - gx * C) is not None
-            and divides(G, gx * B - gy * A) is not None)
-
-
-def _cleared(f: HomogeneousForm) -> HomogeneousForm:
-    """f times the lcm of the denominators of its coordinates, a form with
-    int coordinates only."""
-    den = denominator(*f.coeffs.values())
-    return f if den == 1 else f * den
+    ring = exact_ring(G.field)
+    g, = integral([G.coeffs], ring)
+    A, B, C = omega.model
+    gx, gy, gz = (_partial(g, i) for i in range(3))
+    return all(_quotient(h, g, ring) is not None
+               for h in (_minus(gz, A, gx, C), _minus(gx, B, gy, A)))
 
 
 def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
@@ -484,19 +507,18 @@ def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
     same contraction on eta alone gives X p + Y q + Z r = 0, so p = q = 0
     makes Z r = 0, then r = 0, eta = 0 and F, G proportional.
 
-    F and G are first scaled by the lcms of their coordinate denominators,
-    which scales eta by a nonzero rational and keeps the arithmetic on ints.
+    The test runs on the integral model: omega's ``model``, and F and G
+    times the lcm of their coordinate denominators.  Each scales eta ^ omega
+    by a nonzero rational, which changes neither eta = 0 nor R = 0.
     """
     if G.is_zero():
         raise ValueError("zero denominator")
     if F.degree != G.degree:
         raise ValueError("numerator and denominator degrees differ")
-    F, G = _cleared(F), _cleared(G)
-    p = G * F.partial(0) - F * G.partial(0)
-    q = G * F.partial(1) - F * G.partial(1)
-    if p.is_zero() and q.is_zero():
-        return False
-    return (p * omega.B - q * omega.A).is_zero()
+    f, g = integral([F.coeffs, G.coeffs], exact_ring(G.field))
+    A, B, _ = omega.model
+    p, q = (_minus(g, _partial(f, i), f, _partial(g, i)) for i in (0, 1))
+    return bool(p or q) and not _minus(p, B, q, A)
 
 
 def one_form_from_pencil(F: HomogeneousForm,

@@ -24,15 +24,15 @@ from .cluster import (
 )
 from .numfield import (
     FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
-    common_zeros, denominator, find_roots_in_field, format_poly_in_t,
-    poly_degree, poly_derivative, poly_divmod, poly_eval, poly_gcd,
+    common_zeros, denominator, exact_ring, find_roots_in_field,
+    format_poly_in_t, lift, poly_degree, poly_divmod, poly_gcd,
     poly_inverse_mod, poly_mul, poly_sub, poly_trim, rational_is_square,
     to_y_rows,
 )
-from .polyforms import ProjectiveOneForm
+from .polyforms import ProjectiveOneForm, _partial
 from .linsys import (
-    Series, _prune, _shift, chart_step, child_scales, exact_ring, integral,
-    integral_chart, lift, root_series,
+    Series, _prune, _shift, chart_step, child_scales, integral_chart,
+    root_series,
 )
 
 
@@ -95,13 +95,12 @@ class LocalFoliation:
 
 
 def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
-    """Pull the projective 1-form back to the integral chart at the point.
-    The pivot variable is constant there, so a and b are the series of the
-    other two components."""
+    """Pull the projective 1-form's ``model`` back to the integral chart at
+    the point.  The pivot variable is constant there, so a and b are the
+    series of the other two components."""
     field, ring = omega.field, exact_ring(omega.field)
     chart = integral_chart(origin, field)
-    columns = integral([comp.coeffs for i, comp in
-                        enumerate(omega.components()) if i != chart[0]], ring)
+    columns = [comp for i, comp in enumerate(omega.model) if i != chart[0]]
     return LocalFoliation(field, root_series(chart, columns, ring),
                           (Fraction(1, chart[1]),) * 2)
 
@@ -196,7 +195,7 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
                 key: {t: v * m if t == 0 else v for t, v in vec.items()}
                 for key, vec in form1.items()}
             child = LocalFoliation(
-                field, _shift(form, 1, lift(c * m, ring), ring, m=m),
+                field, _shift(form, 1, lift(c, m, ring), ring, m=m),
                 child_scales(omega.scales, 1, m))
             children.append((c * rho, child))
 
@@ -261,14 +260,19 @@ def _generator(g, field):
     return _Quotient([field.zero(), field.one()], g)
 
 
-def _partial_at_orbit(rows, index, u0, v0):
-    """The partial derivative in u (index 0) or v (index 1) of a bivariate
-    polynomial over K, given by its ``to_y_rows``, at the orbit point."""
-    if index == 0:
-        rows = poly_trim(poly_derivative(row) for row in rows)
-    else:
-        rows = [[c * j for c in row] for j, row in enumerate(rows) if j]
-    return poly_eval([poly_eval(row, u0) for row in rows], v0)
+def _at_orbit(poly, u0, v0):
+    """A bivariate dict {(i, j): c} over K at the orbit point, from its
+    nonzero terms."""
+    powers = ([None, u0], [None, v0])   # powers[axis][e] = u0^e or v0^e
+    acc = _Quotient([], u0.g)
+    for expo, c in poly.items():
+        for e, row in zip(expo, powers):
+            while len(row) <= e:
+                row.append(row[-1] * row[1])
+            if e:
+                c = row[e] * c
+        acc = acc + c
+    return acc
 
 
 def _require_orbit_simple(a, b, u0, v0, field, scale=1):
@@ -281,9 +285,8 @@ def _require_orbit_simple(a, b, u0, v0, field, scale=1):
     roots of g times ``scale``, their true coordinates.
     """
     g = u0.g
-    a_u, a_v, b_u, b_v = (_partial_at_orbit(rows, k, u0, v0)
-                          for rows in (to_y_rows(a, field),
-                                       to_y_rows(b, field)) for k in (0, 1))
+    a_u, a_v, b_u, b_v = (_at_orbit(_partial(poly, k), u0, v0)
+                          for poly in (a, b) for k in (0, 1))
     trace = a_v - b_u
     det = a_u * b_v - a_v * b_u
 
@@ -392,9 +395,9 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
             t = _generator(cofactor, field)
             escaped.append(EscapedOrbit(A.dehomogenize(1), C.dehomogenize(1),
                                         t, t * 0))
-    one, zero = field.one(), field.zero()
-    if all(f.evaluate((one, zero, zero)).is_zero() for f in (A, B, C)):
-        points.append((one, zero, zero))
+    # f(1, 0, 0) is the coefficient of X^deg f
+    if all((f.degree, 0, 0) not in f.coeffs for f in (A, B, C)):
+        points.append((field.one(), field.zero(), field.zero()))
     points = [normalize_point(pt) for pt in points]
     return SingularLocus(points, escaped)
 

@@ -1,7 +1,7 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
 equality, the cone spanned by a dual, a record of the cone search's duals,
 total-transform valuations, spans of forms, the pencil of lines through
-a point, the wedge and
+a point, the value of a form at a point, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
 resultant, the chart maps substituted in K, the filtered [-d, d] sweep
 of Algorithm 1 and the cone search's unpruned candidates, as references,
@@ -86,6 +86,15 @@ def lines_through(point, field):
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return [HomogeneousForm(field, 1, {u: c for u, c in zip(units, vec) if c})
             for vec in linalg.nullspace([list(point)])]
+
+
+def value_at(f: HomogeneousForm, point):
+    """f at a point of K^3, term by term."""
+    x, y, z = (f.field.element(v) for v in point)
+    acc = f.field.zero()
+    for (i, j, k), c in f.coeffs.items():
+        acc = acc + c * x ** i * y ** j * z ** k
+    return acc
 
 
 def wedge_one_forms(p, q, r, omega):

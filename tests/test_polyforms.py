@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from folint import polyforms
-from folint.numfield import QQ, NumberField
+from folint.numfield import QQ, FieldElement, NumberField
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, format_form,
     gcd3, is_first_integral, is_invariant_curve, monomials, one_form_from_pencil,
@@ -21,6 +21,7 @@ Z = HomogeneousForm.variable(QQ, 2)
 PENCIL_OF_LINES = ProjectiveOneForm(Y, -X, HomogeneousForm(QQ, 1, {}))
 
 GAUSS = NumberField((1, 0, 1))
+CUBIC = NumberField((-2, 0, 0, 1))
 
 FIG2_A = parse_form("2*Y*Z^5")
 FIG2_B = parse_form("-7*Y^5*Z-3*X*Z^5+Y*Z^5")
@@ -378,13 +379,17 @@ def random_form(rng, field, degree):
     return HomogeneousForm(field, degree, coeffs)
 
 
-@pytest.mark.parametrize("field", [QQ, GAUSS], ids=["Q", "Q(i)"])
+@pytest.mark.parametrize("field", [QQ, GAUSS, CUBIC],
+                         ids=["Q", "Q(i)", "Q(2^(1/3))"])
 def test_certificates_agree_with_the_three_component_references(field):
     """Random pencils G dF - F dG with Fraction coefficients: the
     one-component wedge test and the two-component invariance test agree
     with the full 2-form on the pencil itself, on perturbed pairs, on
-    members of the pencil and on random curves."""
+    members of the pencil and on random curves, also when the forms are
+    scaled to large denominators or to int coefficients with a content
+    above 1, which the integral model must strip before it divides."""
     rng = random.Random(8)
+    big, small = Fraction(2 ** 61 - 1, 3 ** 40), Fraction(7 ** 25, 2 ** 89 - 1)
     for _ in range(50):
         degree = rng.randint(1, 3)
         F = random_form(rng, field, degree)
@@ -399,16 +404,44 @@ def test_certificates_agree_with_the_three_component_references(field):
         pairs = [(F + random_form(rng, field, degree), G),
                  (F, G + random_form(rng, field, degree)),
                  (random_form(rng, field, other),
-                  random_form(rng, field, other))]
+                  random_form(rng, field, other)),
+                 (F * big, G * small), ((F + G) * small, G * 6)]
+        scaled = ProjectiveOneForm(*(c * small for c in omega.components()))
         for num, den in pairs:
             if not den.is_zero():
                 assert (is_first_integral(num, den, omega)
+                        == is_first_integral(num, den, scaled)
                         == helpers.is_first_integral(num, den, omega))
-        lam = field.element((rng.randint(-3, 3), 1) if field.degree == 2
+        lam = field.element((rng.randint(-3, 3), 1) if field.degree >= 2
                             else rng.randint(-3, 3))
         curves = [F, G, F + G * lam, random_form(rng, field, 1),
                   random_form(rng, field, rng.randint(1, 3))]
+        curves += [c * k for c in curves[:3] + curves[-1:]
+                   for k in (Fraction(6, 35), 30, big)]
         for curve in curves:
             if not curve.is_zero():
                 assert (is_invariant_curve(curve, omega)
+                        == is_invariant_curve(curve, scaled)
                         == helpers.is_invariant_curve(curve, omega))
+
+
+def test_tests_over_q_build_no_field_element(monkeypatch):
+    # over Q both tests run on the integral model's plain ints: omega's
+    # model is made with omega, and F, G and the curve become ints
+    F = parse_form("X^2 - 2/3*Y*Z + 5/7*Z^2")
+    G = parse_form("(3*X - Y)*(X + 2*Z)")
+    omega = one_form_from_pencil(F, G)
+    other, member, line = G + X * Y, (F + G) * Fraction(6, 35), X + Y + Z
+    built = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    assert is_first_integral(F, G, omega)
+    assert not is_first_integral(F, other, omega)
+    assert is_invariant_curve(member, omega)
+    assert not is_invariant_curve(line, omega)
+    assert built == []
