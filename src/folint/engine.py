@@ -39,14 +39,18 @@ class Verdict:
     @classmethod
     def integral(cls, F, G, omega, otherwise: str) -> "Verdict":
         """F/G with common factors removed if it passes the wedge test,
-        else no_integral with the reason ``otherwise``.  The reduced pair
-        spans the same pencil (G dF - F dG scales by g^2), so the one wedge
-        test here certifies the pencil the caller proposed."""
+        else no_integral with the reason ``otherwise``.
+
+        The test runs on the pair as proposed and only a pair that passes
+        is reduced.  With F = g F' and G = g G',
+        G dF - F dG = g^2 (G' dF' - F' dG'), so the two pairs span the same
+        pencil and pass or fail together, and F is proportional to G iff F'
+        is to G', so a constant F/G is refused either way."""
+        if not is_first_integral(F, G, omega):
+            return cls.no_integral(otherwise)
         g = gcd3(F, G)
         if g.degree > 0:
             F, G = divides(g, F), divides(g, G)
-        if not is_first_integral(F, G, omega):
-            return cls.no_integral(otherwise)
         return cls("integral", F, G)
 
     @classmethod
@@ -279,13 +283,17 @@ def _effective_multiplicities(config: Configuration, d: int):
     return sorted(kept)
 
 
-def algorithm1(omega: ProjectiveOneForm, config: Configuration,
-               d: int) -> Verdict:
-    """Decide a rational first integral of the exact degree d."""
+def algorithm1(omega: ProjectiveOneForm, config: Configuration, d: int,
+               candidates=None) -> Verdict:
+    """Decide a rational first integral of the exact degree d, trying
+    ``candidates`` when the caller has built them already, else
+    ``_pencil_multiplicities(config, d)``."""
     if d < 1:
         raise ValueError("degree must be positive")
+    if candidates is None:
+        candidates = _pencil_multiplicities(config, d)
     failure = "no degree-%d pencil is invariant" % d
-    for e in _pencil_multiplicities(config, d):
+    for e in candidates:
         D = config.divisor(d, e)
         if linsys.h0(D, config) != 2:
             continue
@@ -332,6 +340,18 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
     dual holds automatically before the first cone mutation (any root point
     with a child, or two plane points, produce a witness), so duals are only
     computed right after V grows.
+
+    Algorithm 1 finds the pencils that need no independent system, and it
+    runs ahead of the cone search, balanced by work: ``work1`` counts 1
+    plus the candidates of each degree it has tried, ``work3`` the cone
+    candidates reached, and before each cone candidate is examined
+    Algorithm 1 tries its next degree while work1 <= work3.  It still runs
+    at d before the cone search does, and d_max caps both.  Its integral is
+    wedge-verified and returned at once; its no_integral decides nothing,
+    so the cone search's verdicts, and its V+ and G+ lines, are those of a
+    search with Algorithm 1 at each degree in turn.  The counts are counts,
+    not clocks, so a trace is reproducible; its ``d algorithm1 |`` lines
+    can come ahead of the cone lines of lower degrees.
     """
     if config.size < 2:
         raise ValueError("the cone search needs >= 2 points")
@@ -344,19 +364,35 @@ def algorithm3(omega: ProjectiveOneForm, config: Configuration,
     g_curves: List[HomogeneousForm] = []
     g_classes: List[DivisorClass] = []
 
+    done1 = work1 = work3 = 0
+
     def emit(line):
         if trace is not None:
             trace(line)
 
+    def run_ahead(d):
+        """Algorithm 1 up to degree d, then on while its work is behind;
+        the result its integral ends the search with, or None."""
+        nonlocal done1, work1
+        while done1 < d or (done1 < d_max and work1 <= work3):
+            done1 += 1
+            candidates = _pencil_multiplicities(config, done1)
+            work1 += 1 + len(candidates)
+            found = algorithm1(omega, config, done1, candidates)
+            emit("%d algorithm1 | %s" % (done1, found.outcome))
+            if found.is_integral:
+                return Algorithm3Result(found, None, g_curves)
+        return None
+
     for d in range(1, d_max + 1):
-        # Algorithm 1 at each degree finds the pencils that need no
-        # independent system; its integral is wedge-verified, and a
-        # no_integral of it decides nothing here
-        found = algorithm1(omega, config, d)
-        emit("%d algorithm1 | %s" % (d, found.outcome))
-        if found.is_integral:
-            return Algorithm3Result(found, None, g_curves)
+        ended = run_ahead(d)
+        if ended is not None:
+            return ended
         for e in _effective_multiplicities(config, d):
+            work3 += 1
+            ended = run_ahead(d)
+            if ended is not None:
+                return ended
             D = config.divisor(d, e)
             label = "%d %s" % (d, list(e))
             if cones.contains(V, D.coordinates()):

@@ -5,8 +5,8 @@ a point, the value of a form at a point, the wedge and
 invariance tests on all three components of the 2-form, the node-wise
 resultant, the chart maps substituted in K, the filtered [-d, d] sweep
 of Algorithm 1 and the cone search's unpruned candidates, as references,
-seeded random configurations and the labels of the cone search's
-trace."""
+seeded random configurations, the labels of the cone search's
+trace and Algorithm 1 held back from it."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from folint import cones, linalg
+from folint import cones, engine, linalg
 from folint.cluster import (
     Configuration, InfinitelyNearPoint, root_chart_images,
 )
@@ -349,3 +349,13 @@ def trace_labels(lines):
     return [(int(m.group(1)), [int(v) for v in m.group(2).split(",")],
              m.group(3))
             for m in map(_LABEL.fullmatch, lines) if m]
+
+
+def hold_back_algorithm1(monkeypatch):
+    """Make every ``engine.algorithm1`` call find nothing, so that
+    ``algorithm3`` runs its cone search to its own end.  Algorithm 1's
+    no_integral decides nothing there, so the cone search then gives the
+    verdict, system, V+ and G+ lines it gives whenever Algorithm 1 does
+    not end the run first."""
+    held_back = engine.Verdict.no_integral("held back")
+    monkeypatch.setattr(engine, "algorithm1", lambda *args: held_back)

@@ -22,7 +22,7 @@ from folint.numfield import NumberField
 from folint.polyforms import is_first_integral, is_invariant_curve, parse_form
 from folint.resolve import build_configuration
 
-from helpers import record_duals, same_span
+from helpers import hold_back_algorithm1, record_duals, same_span
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -153,11 +153,19 @@ def test_criterion_4_penultimate():
         assert same_span([verdict.numerator, verdict.denominator], [F1, F2])
 
 
-def test_criterion_5_fig3():
+def test_criterion_5_fig3(monkeypatch):
+    # Algorithm 1 finds fig3's pencil at d = 6 and ends the run; held back,
+    # the cone search finds the independent system that spans it too
     with deadline("5 fig3", 120):
         omega, config, field = load("fig3")
         assert field == NumberField.from_string("t^2+t+1")
         assert is_p_sufficient(config)
+        F1 = parse_form("(X+Y)^2*X^2*Z^2", field)
+        F2 = parse_form("(X+Y)^3*Y^3+X^3*Z^3", field)
+        verdict = pipeline(omega, config)
+        assert verdict.is_integral
+        assert same_span([verdict.numerator, verdict.denominator], [F1, F2])
+        hold_back_algorithm1(monkeypatch)
         result = algorithm3(omega, config)
         assert result.system is not None
         produced = {f.monic() for f in result.curve_set}
@@ -166,8 +174,6 @@ def test_criterion_5_fig3():
         assert produced == expected
         verdict = memo_fastpath(omega, config, result.system)
         assert verdict is not None and verdict.is_integral
-        F1 = parse_form("(X+Y)^2*X^2*Z^2", field)
-        F2 = parse_form("(X+Y)^3*Y^3+X^3*Z^3", field)
         assert same_span([verdict.numerator, verdict.denominator], [F1, F2])
 
 
@@ -213,7 +219,7 @@ def test_criterion_6_cubic_pencil():
 
 def test_cubic_pencil_decide_with_default_caps():
     # no independent system exists, so the cone search alone never ends;
-    # Algorithm 1, run at each of its degrees, finds the cubic pencil
+    # Algorithm 1, running ahead of it, finds the cubic pencil
     with deadline("cubic pencil decide", 30):
         omega, config, field = load("cubic_pencil")
         verdict = pipeline(omega, config)

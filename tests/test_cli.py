@@ -11,7 +11,9 @@ from folint.numfield import QQ, NumberField, format_minpoly
 from folint.polyforms import format_form, parse_form
 from folint.resolve import ResolutionError
 
-from helpers import genus_bound, negative_curve_filter, trace_labels
+from helpers import (
+    genus_bound, hold_back_algorithm1, negative_curve_filter, trace_labels,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -388,6 +390,17 @@ def test_euler_violation_rejected(tmp_path, capsys):
     assert "Euler" in err
 
 
+def test_decide_cubic_pencil_ends_in_algorithm1(capsys):
+    # Algorithm 1 runs ahead of the cone search and finds the pencil at
+    # d = 3 before the search takes in a class
+    code, out, err = run(capsys, "decide", "--trace", fx("cubic_pencil.fol"),
+                         fx("cubic_pencil.cfg"))
+    assert code == 0 and out.startswith("rational first integral found:")
+    lines = err.splitlines()
+    assert lines[-1] == "3 algorithm1 | integral"
+    assert not any(line.endswith("V+") for line in lines)
+
+
 def test_trace_goes_to_stderr(capsys):
     code, out, err = run(capsys, "decide", "--trace", "--machine",
                          fx("family_a59.fol"), fx("family_a59.cfg"))
@@ -396,9 +409,11 @@ def test_trace_goes_to_stderr(capsys):
     assert "V+" not in out
 
 
-def test_trace_labels_satisfy_the_genus_bound(capsys):
+def test_trace_labels_satisfy_the_genus_bound(capsys, monkeypatch):
     # the cone search tries only classes with p_a >= 0 that pass the
-    # negative-curve filter, so every label it traces does
+    # negative-curve filter, so every label it traces does; Algorithm 1 is
+    # held back, or it ends fig3's run after a few labels
+    hold_back_algorithm1(monkeypatch)
     code, _, err = run(capsys, "decide", "--trace", fx("fig3.fol"),
                        fx("fig3.cfg"))
     assert code == 0

@@ -3,10 +3,11 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from folint import cones, engine, linsys
+from folint import cones, engine, linsys, polyforms
 from folint.cli import load_foliation, load_config_file
 from folint.cluster import (
     Configuration, ConfigurationError, InfinitelyNearPoint,
@@ -24,9 +25,9 @@ from folint.polyforms import (
 )
 
 from helpers import (
-    genus_bound, lines_through, negative_curve_filter, random_configuration,
-    record_duals, same_span, trace_labels, unpruned_effective_multiplicities,
-    zero_sum_candidates,
+    genus_bound, hold_back_algorithm1, lines_through, negative_curve_filter,
+    random_configuration, record_duals, same_span, trace_labels,
+    unpruned_effective_multiplicities, zero_sum_candidates,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -53,7 +54,6 @@ def test_w_function_small_k():
 
 
 def test_w_function_against_enumeration():
-    from itertools import combinations
     for k in (4, 6, 12, 30):
         divisors = [s for s in range(1, k + 1) if k % s == 0]
         values = []
@@ -155,6 +155,29 @@ def test_verdict_integral_runs_the_one_wedge_test():
     verdict = Verdict.integral(X * Z, Z * Z, omega, "not invariant")
     assert verdict.outcome == "no_integral"
     assert verdict.reason == "not invariant"
+
+
+def test_verdict_integral_reduces_only_a_pair_that_passes(monkeypatch):
+    # family_a0's pencil with a planted common factor h comes back reduced;
+    # a failing pair with the same factor is refused before the gcd's PRS
+    omega, _, _ = load("family_a0")
+    F = parse_form("(X+Z)*(Z-Y)")
+    G = parse_form("Z*(Y-X)")
+    h = parse_form("X+2*Y-3*Z")
+    calls = []
+    prs = polyforms._prs_gcd
+    monkeypatch.setattr(polyforms, "_prs_gcd",
+                        lambda f, g: calls.append(f) or prs(f, g))
+    verdict = Verdict.integral(F * h, G * h, omega, "unused")
+    assert verdict.is_integral and calls
+    assert verdict.numerator.degree == verdict.denominator.degree == 2
+    assert verdict.numerator * G == verdict.denominator * F
+    calls.clear()
+    verdict = Verdict.integral(F * h, parse_form("X*Y") * h, omega,
+                               "not invariant")
+    assert (verdict.outcome, verdict.reason) == ("no_integral",
+                                                 "not invariant")
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["fig2", "family_a0", "penultimate"])
@@ -285,9 +308,9 @@ def test_cone_candidates_are_the_pruned_reference():
     assert min(seen.values()) >= 1000, seen
 
 
-def _pool_pencils(count):
-    """The first ``count`` pencils of the benchmark's pool, drawn from its
-    workload seed 1 by ``perfbench/pencils.py``, loaded by path."""
+def _bench_pencils():
+    """The benchmark's pencil generator ``perfbench/pencils.py``, loaded by
+    path as a fresh module."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "pencils.py")
     spec = importlib.util.spec_from_file_location("bench_pencils", path)
@@ -298,15 +321,23 @@ def _pool_pencils(count):
         spec.loader.exec_module(pencils)
     finally:
         sys.dont_write_bytecode = written
-    return pencils.generate(1, count)
+    return pencils
+
+
+def _pool_pencils(count):
+    """The first ``count`` pencils of the benchmark's pool, drawn from its
+    workload seed 1."""
+    return _bench_pencils().generate(1, count)
 
 
 def test_unpruned_cone_search_admits_only_classes_with_p_a_at_least_0(
         monkeypatch, tmp_path):
     # with the unpruned candidates patched in, every class that enters V or
     # G satisfies the genus bound, and the duals, the curve set and the
-    # verdict are those of the pruned search
+    # verdict are those of the pruned search; Algorithm 1 is held back, or
+    # it ends most of these runs before the search admits a class
     from folint.resolve import build_configuration
+    hold_back_algorithm1(monkeypatch)
     inputs = [load(name)[:2] for name in ("fig3", "example1", "family_a861")]
     for i, pencil in enumerate(_pool_pencils(20)):
         path = tmp_path / ("p%02d.fol" % i)
@@ -365,6 +396,53 @@ def test_algorithm2_rejects_nonzero_t_square():
     assert algorithm2(omega, config, system).is_integral
 
 
+def test_algorithm2_on_pool_pencils_gives_the_pipeline_integral(tmp_path):
+    # Algorithm 1 now ends the pool pencils' runs, so Algorithm 2 is run
+    # here on the systems their invariant lines make, and must extract the
+    # same F/G exactly
+    from folint.resolve import build_configuration
+    checked = set()
+    for i, pencil in enumerate(_pool_pencils(20)):
+        path = tmp_path / ("p%02d.fol" % i)
+        path.write_text(pencil.fol_text())
+        omega, field = load_foliation(str(path))
+        config = build_configuration(omega)
+        verdict = pipeline(omega, config)
+        X, Y, Z = (HomogeneousForm.variable(field, k) for k in range(3))
+        lines = [a * X + b * Y + c * Z for a, b, c in pencil.lines]
+        for curves in combinations(lines, config.dicritical_count):
+            try:
+                system = IndependentSystem(curves, config)
+            except NotAnIndependentSystem:
+                continue
+            found = algorithm2(omega, config, system)
+            assert (found.numerator, found.denominator) == (
+                verdict.numerator, verdict.denominator), i
+            checked.add(i)
+    assert len(checked) >= 10, checked
+
+
+def test_pipeline_decides_the_degree_4_line_pencil(tmp_path):
+    # L1L2L3L4/L5L6L7L8, drawn as the pool draws its pencils: the cone search
+    # does not end at d = 1 in a minute, and Algorithm 1, running ahead of
+    # it, finds the pencil at d = 4
+    from folint.resolve import build_configuration
+    pencils = _bench_pencils()
+    pencils.SHAPES = {"L1L2L3L4/L5L6L7L8": ((1, 1, 1, 1), (1, 1, 1, 1))}
+    pencil, = pencils.generate(1, 1)
+    path = tmp_path / "quartic.fol"
+    path.write_text(pencil.fol_text())
+    omega, _ = load_foliation(str(path))
+    config = build_configuration(omega)
+    seen = []
+    verdict = pipeline(omega, config, trace=seen.append)
+    expected = algorithm1(omega, config, 4)
+    assert expected.is_integral
+    assert (verdict.numerator, verdict.denominator) == (
+        expected.numerator, expected.denominator)
+    assert seen[-1] == "4 algorithm1 | integral"
+
+
 def test_algorithm3_family_a59(monkeypatch):
     omega, config, _ = load("family_a59")
     duals = record_duals(monkeypatch)
@@ -386,7 +464,9 @@ def test_algorithm3_family_a861(monkeypatch):
     assert len(duals[1]) == 27
 
 
-def test_algorithm3_fig3():
+def test_algorithm3_fig3(monkeypatch):
+    # the cone search's own system: Algorithm 1 would end the run at d = 6
+    hold_back_algorithm1(monkeypatch)
     omega, config, field = load("fig3")
     result = algorithm3(omega, config)
     assert result.system is not None
@@ -545,9 +625,11 @@ def test_pipeline_degree_consistency_fig2():
                      [again.numerator, again.denominator])
 
 
-def test_lacinco_disjunction_on_p_sufficient_runs():
+def test_lacinco_disjunction_on_p_sufficient_runs(monkeypatch):
     # for a P-sufficient configuration whose search returns a system, one of
-    # the three listed sign conditions must hold
+    # the three listed sign conditions must hold; Algorithm 1 is held back,
+    # or it ends fig3's run before the search returns one
+    hold_back_algorithm1(monkeypatch)
     omega, config, _ = load("fig3")
     result = algorithm3(omega, config)
     system = result.system
@@ -564,7 +646,9 @@ def test_lacinco_disjunction_on_p_sufficient_runs():
 @pytest.mark.parametrize("name", ["fig3", "example1", "family_a861"])
 def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
     # the record of empty kernels only skips eliminations: emptied before
-    # every kernel, the cone search gives the same trace and result
+    # every kernel, the cone search gives the same trace and result; with
+    # Algorithm 1 held back, example1 and fig3 reach the search's own end
+    hold_back_algorithm1(monkeypatch)
     duals = record_duals(monkeypatch)
 
     def run():
