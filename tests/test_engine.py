@@ -504,6 +504,41 @@ def test_algorithm3_runs_algorithm1_once_per_degree():
         "%d algorithm1 | no_integral" % d for d in degrees]
 
 
+@pytest.mark.parametrize("d_max", [2, 3, 30])
+def test_algorithm3_runs_algorithm1_first_at_each_degree_up_to_d_max(d_max):
+    # Algorithm 1 at d comes before every cone candidate of degree d, and
+    # runs ahead of the cone search no further than d_max
+    omega, config, _ = load("family_a861")
+    seen = []
+    algorithm3(omega, config, d_max=d_max, trace=seen.append)
+    ahead = [int(l.split()[0]) for l in seen if "algorithm1" in l]
+    assert ahead == list(range(1, len(ahead) + 1))
+    assert ahead[-1] <= d_max
+    for d, _, _ in trace_labels(seen):
+        assert d <= d_max
+        assert seen.index("%d algorithm1 | no_integral" % d) < seen.index(
+            next(l for l in seen if l.startswith("%d [" % d)))
+
+
+def test_algorithm3_runs_algorithm1_at_d_before_the_cone_search_at_d(
+        monkeypatch):
+    # with Algorithm 1 charged far more than the cone search, it never runs
+    # ahead, and the trace of each degree still opens with its line
+    hold_back_algorithm1(monkeypatch)
+    monkeypatch.setattr(engine, "_pencil_multiplicities",
+                        lambda config, d: range(10 ** 9))
+    omega, config, _ = load("family_a861")
+    seen = []
+    algorithm3(omega, config, trace=seen.append)
+    degrees = sorted({d for d, _, _ in trace_labels(seen)})
+    assert len(degrees) >= 2
+    assert [l for l in seen if "algorithm1" in l] == [
+        "%d algorithm1 | no_integral" % d for d in degrees]
+    for d in degrees:
+        first = next(i for i, l in enumerate(seen) if l.startswith("%d [" % d))
+        assert seen[first - 1] == "%d algorithm1 | no_integral" % d
+
+
 @pytest.mark.parametrize("name", ["fig3", "family_a861"])
 def test_algorithm3_builds_one_cone(name, monkeypatch):
     # V grows in place and each dual is read off it: neither a copy of V
@@ -647,8 +682,11 @@ def test_lacinco_disjunction_on_p_sufficient_runs(monkeypatch):
 def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
     # the record of empty kernels only skips eliminations: emptied before
     # every kernel, the cone search gives the same trace and result; with
-    # Algorithm 1 held back, example1 and fig3 reach the search's own end
-    hold_back_algorithm1(monkeypatch)
+    # Algorithm 1 held back, example1 and fig3 reach the search's own end,
+    # while on family_a861 Algorithm 1 runs, ahead to d = 9, and its own
+    # h0 calls meet the emptied record too
+    if name != "family_a861":
+        hold_back_algorithm1(monkeypatch)
     duals = record_duals(monkeypatch)
 
     def run():
