@@ -220,15 +220,6 @@ class Configuration:
                 "points %s have no dicritical divisor above or at them" %
                 ", ".join(missing))
 
-    def proximity_matrix(self):
-        """Lower triangular; unit diagonal, -1 where row-point prox column-point."""
-        P = [[0] * self.size for _ in range(self.size)]
-        for i in range(self.size):
-            P[i][i] = 1
-            for j in self.prox_to[i]:
-                P[i][j] = -1
-        return P
-
     def validate_proximity_assertions(self, assertions):
         for a, b in assertions:
             ia, ib = self.index.get(a), self.index.get(b)
@@ -245,9 +236,6 @@ class Configuration:
     def divisor(self, d: int, e: Sequence[int]) -> "DivisorClass":
         return DivisorClass(self, int(d), tuple(int(v) for v in e))
 
-    def line_class(self) -> "DivisorClass":
-        return self.divisor(1, [0] * self.size)
-
     def exceptional_strict_class(self, name_or_index) -> "DivisorClass":
         """[E~_q] = E_q* - sum of E_p* over p proximate to q."""
         q = self._idx(name_or_index)
@@ -255,12 +243,6 @@ class Configuration:
         e[q] = -1
         for p in self.proximate_children[q]:
             e[p] = 1
-        return self.divisor(0, e)
-
-    def total_exceptional_class(self, name_or_index) -> "DivisorClass":
-        q = self._idx(name_or_index)
-        e = [0] * self.size
-        e[q] = -1
         return self.divisor(0, e)
 
     def canonical_class(self) -> "DivisorClass":

@@ -15,11 +15,11 @@ from itertools import combinations
 from operator import add, sub
 
 from . import modp
+from .linalg import nullspace
 from .numfield import (
     QQ, FieldElement, NumberField, coefficient_list, exact_ring,
-    format_element, integral, join_terms, lift, parse_polynomial,
-    poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim, residue,
-    scaled_term, to_y_rows,
+    format_element, integral, join_terms, lift, parse_polynomial, residue,
+    scaled_term,
 )
 
 VARS = ("X", "Y", "Z")
@@ -43,12 +43,6 @@ class HomogeneousForm:
         self.coeffs = clean
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def variable(cls, field: NumberField, index: int) -> "HomogeneousForm":
-        expo = [0, 0, 0]
-        expo[index] = 1
-        return cls(field, 1, {tuple(expo): field.one()})
 
     @classmethod
     def constant(cls, field: NumberField, value) -> "HomogeneousForm":
@@ -110,10 +104,6 @@ class HomogeneousForm:
 
     # -- calculus -----------------------------------------------------------
 
-    def partial(self, index: int) -> "HomogeneousForm":
-        return HomogeneousForm(self.field, max(self.degree - 1, 0),
-                               _partial(self.coeffs, index))
-
     def dehomogenize(self, index: int) -> dict:
         """Set variable ``index`` to 1; keys are exponent pairs of the
         others, which fix the third exponent, so no two terms merge."""
@@ -125,11 +115,6 @@ class HomogeneousForm:
         if self.is_zero():
             return self
         return self * self.coeffs[max(self.coeffs)].inverse()
-
-    def coefficient_vector(self, order=None):
-        if order is None:
-            order = monomials(self.degree)
-        return [self.coeffs.get(e, self.field.zero()) for e in order]
 
     def __repr__(self):
         return format_form(self)
@@ -231,7 +216,7 @@ def divides(d: HomogeneousForm, f: HomogeneousForm):
 def gcd3(*forms: HomogeneousForm) -> HomogeneousForm:
     """A gcd of homogeneous forms, monic in graded lex order: 1 as soon as
     any pair of them is certified coprime (``_coprime``), else folded by
-    the PRS."""
+    ``_kernel_gcd``."""
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         raise ValueError("gcd of all-zero forms")
@@ -239,13 +224,13 @@ def gcd3(*forms: HomogeneousForm) -> HomogeneousForm:
         return HomogeneousForm.constant(nonzero[0].field, 1)
     g = nonzero[0]
     for f in nonzero[1:]:
-        g = _prs_gcd(g, f)
+        g = _kernel_gcd(g, f)
         if g.degree == 0:
             break
     return g.monic()
 
 
-# specialisations tried per variable before the primitive PRS takes over
+# specialisations tried per variable before ``_kernel_gcd`` takes over
 _TRIES = 4
 
 
@@ -296,109 +281,61 @@ def _coprime(f: HomogeneousForm, g: HomogeneousForm) -> bool:
     return True
 
 
-def _prs_gcd(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
-    """A gcd by the primitive PRS over K[x][y], times the common power of
-    Z."""
-    field = f.field
-    fz = min(e[2] for e in f.coeffs)
-    gz = min(e[2] for e in g.coeffs)
-    gcd_b = _bi_gcd(to_y_rows(f.dehomogenize(2), field),
-                    to_y_rows(g.dehomogenize(2), field), field)
-    result = _homogenize_bivariate(gcd_b, field)
-    z = HomogeneousForm.variable(field, 2)
-    return result * z ** min(fz, gz)
+def _kernel_gcd(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
+    """gcd(f, g), monic, for forms of positive degree, read off the least
+    nonzero kernel of (U, V) -> U f - V g.
 
+    Let a = deg f >= b = deg g (else swap them), and for j < b let M_j be
+    that map on forms U of degree j and V of degree j + a - b.  With
+    h = gcd(f, g), f = h f' and g = h g' for coprime f' and g', so U f = V g
+    means U f' = V g'.  Then g' divides U, since K[X, Y, Z] is a UFD, and
+    U = W g', V = W f' for a form W of degree j - deg g'.  So ker M_j is
+    {(W g', W f')}: zero for j < deg g' = b - deg h, and at j = deg g'
+    spanned by (g', f'), where a kernel vector has U = c g' with c != 0
+    and g / U = h / c.  The least j < b with a nonzero kernel thus gives
+    h, and when there is none, deg g' = b and h is constant.  A power of
+    Z in h is a factor like any other.
 
-def _bi_content(p, field):
-    cont = []
-    for row in p:
-        if row:
-            cont = poly_gcd(cont, row)
-        if len(cont) == 1:
-            break
-    return cont or [field.one()]
-
-
-def _bi_primitive(p, field):
-    cont = _bi_content(p, field)
-    if len(cont) == 1 and cont[0] == field.one():
-        return p, cont
-    out = []
-    for row in p:
-        if not row:
-            out.append([])
+    The kernels are taken on the integral model (``numfield.integral``),
+    which scales f and g by one nonzero rational and changes no kernel.
+    A j whose matrix has full column rank mod the first split prime P is
+    skipped without an exact elimination: its rank mod P is at most its
+    rank in K (``numfield.residue``), so its kernel is zero.
+    """
+    if f.degree < g.degree:
+        f, g = g, f
+    field, shift = f.field, f.degree - g.degree
+    ring = exact_ring(field)
+    exact = integral([f.coeffs, g.coeffs], ring)
+    P, roots, _ = field.split_prime(0)
+    images = [{e: residue(c, P, roots[0]) for e, c in h.items()}
+              for h in exact]
+    for j in range(g.degree):
+        image = _multiplication_rows(*images, j, shift, 0)
+        if len(modp.rref(image, P)[1]) == len(image[0]):
             continue
-        quo, rem = poly_divmod(row, cont)
-        if rem:
-            raise RuntimeError("the content does not divide a coefficient")
-        out.append(quo)
-    return out, cont
+        kernel = nullspace(_multiplication_rows(*exact, j, shift,
+                                                lift(field.zero(), 1, ring)))
+        if kernel:
+            us = monomials(j)
+            U = HomogeneousForm(field, j, {
+                u: field.element(c) for u, c in zip(us, kernel[0][-len(us):])})
+            return divides(U, g).monic()
+    return HomogeneousForm.constant(field, 1)
 
 
-def _bi_pseudo_rem(f, g):
-    """Pseudo-remainder of f by g, both K[X][Y] dense in Y."""
-    f = poly_trim(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        top = f[-1]
-        # f := lead * f - top * g * Y^(df - dg)
-        new = []
-        for j in range(df):
-            row = poly_mul(f[j], lead)
-            if j - (df - dg) >= 0:
-                row = poly_sub(row, poly_mul(g[j - (df - dg)], top))
-            new.append(row)
-        f = poly_trim(new)
-    return f
-
-
-def _bi_gcd(f, g, field):
-    f, g = poly_trim(f), poly_trim(g)
-    if not f:
-        return g
-    if not g:
-        return f
-    if len(f) == 1 and len(g) == 1:
-        return [poly_gcd(f[0], g[0])]
-    if len(f) == 1:
-        cont_g = _bi_content(g, field)
-        return [poly_gcd(f[0], cont_g)]
-    if len(g) == 1:
-        cont_f = _bi_content(f, field)
-        return [poly_gcd(g[0], cont_f)]
-    fp, fc = _bi_primitive(f, field)
-    gp, gc = _bi_primitive(g, field)
-    cont = poly_gcd(fc, gc)
-    a, b = fp, gp
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _bi_pseudo_rem(a, b)
-        if not r:
-            break
-        r, _ = _bi_primitive(r, field)
-        a, b = b, r
-        if len(b) == 1:
-            b = [[field.one()]]
-            break
-    gcd_pp = b
-    return [poly_mul(row, cont) for row in gcd_pp]
-
-
-def _homogenize_bivariate(p, field):
-    total = 0
-    for j, row in enumerate(p):
-        for i, c in enumerate(row):
-            if not c.is_zero():
-                total = max(total, i + j)
-    out = {}
-    for j, row in enumerate(p):
-        for i, c in enumerate(row):
-            if not c.is_zero():
-                out[(i, j, total - i - j)] = c
-    return HomogeneousForm(field, total, out)
+def _multiplication_rows(f: dict, g: dict, j: int, shift: int, zero):
+    """The matrix of (U, V) -> U f - V g for U of degree j and V of degree
+    j + shift, with f of degree deg g + shift: one column per monomial of
+    V, then of U, and one row per monomial of the product."""
+    columns = ([(v, g, -1) for v in monomials(j + shift)]
+               + [(u, f, 1) for u in monomials(j)])
+    index = {e: i for i, e in enumerate(monomials(j + sum(next(iter(f)))))}
+    rows = [[zero] * len(columns) for _ in index]
+    for col, ((p, q, r), h, sign) in enumerate(columns):
+        for (x, y, z), c in h.items():
+            rows[index[x + p, y + q, z + r]][col] = c * sign
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +456,6 @@ def is_first_integral(F: HomogeneousForm, G: HomogeneousForm,
     A, B, _ = omega.model
     p, q = (_minus(g, _partial(f, i), f, _partial(g, i)) for i in (0, 1))
     return bool(p or q) and not _minus(p, B, q, A)
-
-
-def one_form_from_pencil(F: HomogeneousForm,
-                         G: HomogeneousForm) -> ProjectiveOneForm:
-    """The 1-form G dF - F dG with common factors removed.
-
-    This is the foliation whose first integral is F/G; handy for building
-    test inputs from an explicit rational function.
-    """
-    comps = [G * F.partial(i) - F * G.partial(i) for i in range(3)]
-    g = gcd3(*comps)
-    if g.degree > 0:
-        comps = [divides(g, c) for c in comps]
-    return ProjectiveOneForm(*comps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Helpers that only the tests use: ranks of integer class vectors, cone
 equality, the cone spanned by a dual, a record of the cone search's duals,
-total-transform valuations, spans of forms, the pencil of lines through
-a point, the value of a form at a point, the wedge and
-invariance tests on all three components of the 2-form, the node-wise
-resultant, the chart maps substituted in K, the filtered [-d, d] sweep
-of Algorithm 1 and the cone search's unpruned candidates, as references,
-seeded random configurations, the labels of the cone search's
+the line class, total exceptional classes and the proximity matrix of a
+configuration, total-transform valuations, the variables, partial
+derivatives, coefficient vectors and spans of forms, the pencil of lines
+through a point, the value of a form at a point, the 1-form of a pencil,
+the wedge and invariance tests on all three components of the 2-form, the
+node-wise resultant, the chart maps substituted in K, the filtered
+[-d, d] sweep of Algorithm 1 and the cone search's unpruned candidates, as
+references, seeded random configurations, the labels of the cone search's
 trace and Algorithm 1 held back from it."""
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from typing import Sequence
 
 from folint import cones, engine, linalg
 from folint.cluster import (
-    Configuration, InfinitelyNearPoint, root_chart_images,
+    Configuration, DivisorClass, InfinitelyNearPoint, root_chart_images,
 )
 from folint.cones import RationalCone, contains
 from folint.numfield import (
     poly_eval, poly_interpolate, poly_resultant, poly_trim,
 )
-from folint.polyforms import HomogeneousForm, divides, monomials
+from folint.polyforms import (
+    HomogeneousForm, ProjectiveOneForm, _partial, divides, gcd3, monomials,
+)
 
 
 def rank_of_classes(vectors) -> int:
@@ -57,12 +61,51 @@ def record_duals(monkeypatch) -> list:
     return seen
 
 
+def line_class(config: Configuration) -> DivisorClass:
+    return config.divisor(1, [0] * config.size)
+
+
+def total_exceptional_class(config: Configuration,
+                            name_or_index) -> DivisorClass:
+    """E_q*, the total transform of the exceptional divisor of q."""
+    e = [0] * config.size
+    e[config._idx(name_or_index)] = -1
+    return config.divisor(0, e)
+
+
+def proximity_matrix(config: Configuration):
+    """Lower triangular; unit diagonal, -1 where row-point prox
+    column-point."""
+    P = [[0] * config.size for _ in range(config.size)]
+    for i in range(config.size):
+        P[i][i] = 1
+        for j in config.prox_to[i]:
+            P[i][j] = -1
+    return P
+
+
 def total_valuations(mults, config: Configuration):
     """Valuation of the total transform along each exceptional divisor."""
     vals = [0] * config.size
     for i in range(config.size):
         vals[i] = mults[i] + sum(vals[j] for j in config.prox_to[i])
     return vals
+
+
+def variable(field, index: int) -> HomogeneousForm:
+    """X, Y or Z for index 0, 1 or 2."""
+    expo = [0, 0, 0]
+    expo[index] = 1
+    return HomogeneousForm(field, 1, {tuple(expo): field.one()})
+
+
+def partial(f: HomogeneousForm, index: int) -> HomogeneousForm:
+    return HomogeneousForm(f.field, max(f.degree - 1, 0),
+                           _partial(f.coeffs, index))
+
+
+def coefficient_vector(f: HomogeneousForm, order):
+    return [f.coeffs.get(e, f.field.zero()) for e in order]
 
 
 def same_span(forms_a: Sequence[HomogeneousForm],
@@ -72,8 +115,8 @@ def same_span(forms_a: Sequence[HomogeneousForm],
         return True
     degree = (forms_a[0] if forms_a else forms_b[0]).degree
     order = monomials(degree)
-    rows_a = [f.coefficient_vector(order) for f in forms_a]
-    rows_b = [f.coefficient_vector(order) for f in forms_b]
+    rows_a = [coefficient_vector(f, order) for f in forms_a]
+    rows_b = [coefficient_vector(f, order) for f in forms_b]
     ra = linalg.rank(rows_a)
     rb = linalg.rank(rows_b)
     rab = linalg.rank(rows_a + rows_b)
@@ -97,6 +140,17 @@ def value_at(f: HomogeneousForm, point):
     return acc
 
 
+def one_form_from_pencil(F: HomogeneousForm,
+                         G: HomogeneousForm) -> ProjectiveOneForm:
+    """The 1-form G dF - F dG with common factors removed: the foliation
+    whose first integral is F/G."""
+    comps = [G * partial(F, i) - F * partial(G, i) for i in range(3)]
+    g = gcd3(*comps)
+    if g.degree > 0:
+        comps = [divides(g, c) for c in comps]
+    return ProjectiveOneForm(*comps)
+
+
 def wedge_one_forms(p, q, r, omega):
     """(p dX + q dY + r dZ) ^ omega as its components on the basis
     (dY^dZ, dZ^dX, dX^dY)."""
@@ -106,7 +160,7 @@ def wedge_one_forms(p, q, r, omega):
 
 def wedge_d(G, omega):
     """dG ^ omega."""
-    return wedge_one_forms(G.partial(0), G.partial(1), G.partial(2), omega)
+    return wedge_one_forms(*(partial(G, i) for i in range(3)), omega)
 
 
 def is_invariant_curve(G, omega) -> bool:
@@ -123,7 +177,7 @@ def is_first_integral(F, G, omega) -> bool:
         raise ValueError("zero denominator")
     if F.degree != G.degree:
         raise ValueError("numerator and denominator degrees differ")
-    p, q, r = (G * F.partial(i) - F * G.partial(i) for i in range(3))
+    p, q, r = (G * partial(F, i) - F * partial(G, i) for i in range(3))
     if p.is_zero() and q.is_zero() and r.is_zero():
         return False
     return all(c.is_zero() for c in wedge_one_forms(p, q, r, omega))

@@ -22,7 +22,10 @@ from folint.numfield import NumberField
 from folint.polyforms import is_first_integral, is_invariant_curve, parse_form
 from folint.resolve import build_configuration
 
-from helpers import hold_back_algorithm1, record_duals, same_span
+from helpers import (
+    hold_back_algorithm1, line_class, record_duals, same_span,
+    total_exceptional_class,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -257,11 +260,11 @@ def test_criterion_7_property_suites():
                      "family_a59", "family_a861", "family_a0",
                      "cubic_pencil"):
             _, config, _ = load(name)
-            line = config.line_class()
+            line = line_class(config)
             assert line.intersect(line) == 1
             K = config.canonical_class()
             for i in range(config.size):
-                ei = config.total_exceptional_class(i)
+                ei = total_exceptional_class(config, i)
                 assert ei.intersect(ei) == -1
                 assert line.intersect(ei) == 0
                 et = config.exceptional_strict_class(i)
@@ -269,7 +272,7 @@ def test_criterion_7_property_suites():
                 assert et.square() == -1 - npx
                 assert K.intersect(et) == -1 + npx
                 for j in range(i):
-                    ej = config.total_exceptional_class(j)
+                    ej = total_exceptional_class(config, j)
                     assert ei.intersect(ej) == 0
             for i in range(config.size):
                 for j in config.prox_to[i]:

@@ -347,6 +347,20 @@ def test_a_reducible_declared_field_is_an_input_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
                                                                "machine"])
+@pytest.mark.parametrize("command", ["decide", "resolve"])
+def test_components_with_a_common_factor_are_an_input_error(tmp_path, capsys,
+                                                            machine, command):
+    # (X+Y+Z)(Y dX - X dY): no pair of A, B, C is certified coprime, so the
+    # factor that the message names comes from gcd3's fallback
+    form = tmp_path / "shared.fol"
+    form.write_text("A = (X+Y+Z)*Y\nB = -(X+Y+Z)*X\nC = 0\n")
+    code, out, err = run(capsys, command, *machine, str(form))
+    assert (code, out) == (3, "")
+    assert err == "error: %s: components share the factor X+Y+Z\n" % form
+
+
+@pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["text",
+                                                               "machine"])
 def test_deep_nesting_is_an_input_error(tmp_path, capsys, machine):
     # the parser recursed until RecursionError, which exited 4 as an
     # internal error

@@ -11,6 +11,8 @@ from folint.cluster import (
 )
 from folint.numfield import QQ
 
+from helpers import line_class, proximity_matrix, total_exceptional_class
+
 
 def pt(name, **kw):
     return InfinitelyNearPoint(name, **kw)
@@ -84,8 +86,8 @@ def penultimate_config():
 
 def test_intersection_form_is_lorentzian():
     config = fig1_config()
-    basis = [config.line_class()] + [config.total_exceptional_class(i)
-                                     for i in range(config.size)]
+    basis = [line_class(config)] + [total_exceptional_class(config, i)
+                                    for i in range(config.size)]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             expected = 0 if i != j else (1 if i == 0 else -1)
@@ -116,7 +118,7 @@ def test_exceptional_strict_class():
     e2 = config.exceptional_strict_class("q2")
     assert e2.coordinates() == (0, 0, 1, -1, 0, 0, 0, -1, 0, 0, 0)
     leaf = config.exceptional_strict_class("q10")
-    assert leaf == config.total_exceptional_class("q10")
+    assert leaf == total_exceptional_class(config, "q10")
     # squares and canonical products from the proximity matrix
     K = config.canonical_class()
     for i in range(config.size):
@@ -129,7 +131,7 @@ def test_exceptional_strict_class():
 def test_canonical_class():
     config = fig1_config()
     K = config.canonical_class()
-    assert K.intersect(config.line_class()) == -3
+    assert K.intersect(line_class(config)) == -3
     assert K.square() == 9 - config.size
 
 
@@ -317,7 +319,7 @@ def test_load_dump_round_trip():
     text = dump_configuration(config)
     again = load_configuration(text)
     assert again.size == config.size
-    assert again.proximity_matrix() == config.proximity_matrix()
+    assert proximity_matrix(again) == proximity_matrix(config)
     assert [p.dicritical for p in again.points] == \
         [p.dicritical for p in config.points]
     assert dump_configuration(again) == text

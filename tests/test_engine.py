@@ -20,14 +20,13 @@ from folint.engine import (
 )
 from folint.linsys import strict_class
 from folint.numfield import QQ, NumberField
-from folint.polyforms import (
-    HomogeneousForm, ProjectiveOneForm, one_form_from_pencil, parse_form,
-)
+from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 
 from helpers import (
     genus_bound, hold_back_algorithm1, lines_through, negative_curve_filter,
-    random_configuration, record_duals, same_span, trace_labels,
-    unpruned_effective_multiplicities, zero_sum_candidates,
+    one_form_from_pencil, random_configuration, record_duals, same_span,
+    trace_labels, unpruned_effective_multiplicities, variable,
+    zero_sum_candidates,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -147,7 +146,7 @@ def test_basis_reuses_the_h0_elimination(monkeypatch, name):
 def test_verdict_integral_runs_the_one_wedge_test():
     # F/G = X/Y is a first integral of Y dX - X dY; the common factor Z
     # goes before the test
-    X, Y, Z = (HomogeneousForm.variable(QQ, i) for i in range(3))
+    X, Y, Z = (variable(QQ, i) for i in range(3))
     omega = ProjectiveOneForm(Y, -X, Z * 0)
     verdict = Verdict.integral(X * Z, Y * Z, omega, "unused")
     assert verdict.is_integral
@@ -159,15 +158,16 @@ def test_verdict_integral_runs_the_one_wedge_test():
 
 def test_verdict_integral_reduces_only_a_pair_that_passes(monkeypatch):
     # family_a0's pencil with a planted common factor h comes back reduced;
-    # a failing pair with the same factor is refused before the gcd's PRS
+    # a failing pair with the same factor is refused before the gcd's
+    # fallback
     omega, _, _ = load("family_a0")
     F = parse_form("(X+Z)*(Z-Y)")
     G = parse_form("Z*(Y-X)")
     h = parse_form("X+2*Y-3*Z")
     calls = []
-    prs = polyforms._prs_gcd
-    monkeypatch.setattr(polyforms, "_prs_gcd",
-                        lambda f, g: calls.append(f) or prs(f, g))
+    fallback = polyforms._kernel_gcd
+    monkeypatch.setattr(polyforms, "_kernel_gcd",
+                        lambda f, g: calls.append(f) or fallback(f, g))
     verdict = Verdict.integral(F * h, G * h, omega, "unused")
     assert verdict.is_integral and calls
     assert verdict.numerator.degree == verdict.denominator.degree == 2
@@ -231,8 +231,7 @@ def test_condition_one_and_algorithm2_step_one():
     text = ("point p origin=(0:0:1)\npoint q origin=(1:0:0)\n"
             "dicritical p q\n")
     config = load_configuration(text)
-    omega = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
-                              -HomogeneousForm.variable(QQ, 0),
+    omega = ProjectiveOneForm(variable(QQ, 1), -variable(QQ, 0),
                               HomogeneousForm(QQ, 1, {}))
     system = IndependentSystem([parse_form("X"), parse_form("Z")], config)
     assert system.T.square() == -1
@@ -408,7 +407,7 @@ def test_algorithm2_on_pool_pencils_gives_the_pipeline_integral(tmp_path):
         omega, field = load_foliation(str(path))
         config = build_configuration(omega)
         verdict = pipeline(omega, config)
-        X, Y, Z = (HomogeneousForm.variable(field, k) for k in range(3))
+        X, Y, Z = (variable(field, k) for k in range(3))
         lines = [a * X + b * Y + c * Z for a, b, c in pencil.lines]
         for curves in combinations(lines, config.dicritical_count):
             try:
@@ -596,8 +595,7 @@ def test_pipeline_case1_family():
 
 
 def test_pipeline_pencil_of_lines():
-    omega = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
-                              -HomogeneousForm.variable(QQ, 0),
+    omega = ProjectiveOneForm(variable(QQ, 1), -variable(QQ, 0),
                               HomogeneousForm(QQ, 1, {}))
     text = "point p origin=(0:0:1)\ndicritical p\n"
     config = load_configuration(text)

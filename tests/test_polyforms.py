@@ -7,16 +7,15 @@ from folint import polyforms
 from folint.numfield import QQ, FieldElement, NumberField
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, format_form,
-    gcd3, is_first_integral, is_invariant_curve, monomials, one_form_from_pencil,
-    parse_form,
+    gcd3, is_first_integral, is_invariant_curve, monomials, parse_form,
 )
 
 import helpers
-from helpers import wedge_d
+from helpers import one_form_from_pencil, partial, variable, wedge_d
 
-X = HomogeneousForm.variable(QQ, 0)
-Y = HomogeneousForm.variable(QQ, 1)
-Z = HomogeneousForm.variable(QQ, 2)
+X = variable(QQ, 0)
+Y = variable(QQ, 1)
+Z = variable(QQ, 2)
 
 PENCIL_OF_LINES = ProjectiveOneForm(Y, -X, HomogeneousForm(QQ, 1, {}))
 
@@ -111,8 +110,8 @@ def test_gcd3_examples():
 def test_gcd3_with_extension_field():
     gauss = NumberField((1, 0, 1))
     i = gauss.gen()
-    x = HomogeneousForm.variable(gauss, 0)
-    y = HomogeneousForm.variable(gauss, 1)
+    x = variable(gauss, 0)
+    y = variable(gauss, 1)
     f = (x + y * i) * (x - y * i)
     g = (x + y * i) * x
     assert gcd3(f, g) == x + y * i
@@ -126,14 +125,17 @@ def _random_form(rng, field, degree):
 
 
 @pytest.mark.parametrize("field", [QQ, NumberField((1, 0, 1)),
-                                   NumberField((1, 1, 1))], ids=repr)
+                                   NumberField((1, 1, 1)), CUBIC], ids=repr)
 def test_gcd3_certificate_against_the_prs(field):
     # seeded pairs with forced common factors, among them powers of Z and
-    # the X-free Y - 2Z, whose resultant in x does not vanish
+    # the X-free Y - 2Z, whose resultant in x does not vanish; the gcd is
+    # checked by its definition: a monic common divisor, a multiple of the
+    # planted factor, whose two cofactors are certified coprime
     rng = random.Random(field.degree)
-    x, y, z = (HomogeneousForm.variable(field, i) for i in range(3))
+    x, y, z = (variable(field, i) for i in range(3))
     factors = [z, z ** 2, y - z * 2, (y - z * 2) * z, x + y * 3 - z,
                x * x - y * z]
+    one = HomogeneousForm.constant(field, 1)
     certified = 0
     for _ in range(60):
         f, g = (_random_form(rng, field, rng.randint(1, 4)) for _ in "fg")
@@ -142,13 +144,15 @@ def test_gcd3_certificate_against_the_prs(field):
             continue
         if h is not None:
             f, g = f * h, g * h
-        expected = polyforms._prs_gcd(f, g).monic()
         coprime = polyforms._coprime(f, g)
-        assert not (coprime and expected.degree > 0)
         certified += coprime
-        assert gcd3(f, g) == expected
+        d = gcd3(f, g)
+        assert d == d.monic() and not (coprime and d != one)
+        cofactors = [divides(d, f), divides(d, g)]
+        assert None not in cofactors
+        assert polyforms._coprime(*cofactors)
         if h is not None:
-            assert divides(h, expected) is not None
+            assert divides(h, d) is not None
     assert certified >= 20
 
 
@@ -158,7 +162,7 @@ def test_coprime_certifies_with_the_prime_in_a_denominator(field):
     # prime: the forms are cleared of denominators before they are reduced
     # mod P, which keeps both x- and both y-leading coefficients
     P = field.split_prime(0)[0]
-    x, y, z = (HomogeneousForm.variable(field, i) for i in range(3))
+    x, y, z = (variable(field, i) for i in range(3))
     a = field.gen() if field.degree == 2 else field.one()
     f = (x + y * a) * field.element(Fraction(1, P)) + z
     g = x - y + z
@@ -168,28 +172,30 @@ def test_coprime_certifies_with_the_prime_in_a_denominator(field):
 
 
 def test_gcd3_certifies_any_coprime_pair_before_the_prs(monkeypatch):
-    # (A, B) share Y and (B, C) share Z: only (A, C) is coprime
+    # (A, B) share Y and (B, C) share Z: only (A, C) is coprime, and the
+    # certificate spares the fallback
     A, B, C = X * Y, Y * Z, Z * (X + Y + Z)
 
-    def no_prs(f, g):
-        raise AssertionError("PRS on %s, %s" % (f, g))
+    def no_fallback(f, g):
+        raise AssertionError("fallback on %s, %s" % (f, g))
 
-    monkeypatch.setattr(polyforms, "_prs_gcd", no_prs)
+    monkeypatch.setattr(polyforms, "_kernel_gcd", no_fallback)
     one = HomogeneousForm.constant(QQ, 1)
     assert gcd3(A, B, C) == one
     assert gcd3(C, B, A) == one
 
 
 def test_gcd3_without_a_coprime_pair_runs_the_prs(monkeypatch):
-    # every pair of XY, YZ, ZX shares a variable, so only the PRS finds 1
+    # every pair of XY, YZ, ZX shares a variable, so only the fallback
+    # finds 1
     calls = []
-    prs = polyforms._prs_gcd
+    fallback = polyforms._kernel_gcd
 
     def counting(f, g):
         calls.append((f, g))
-        return prs(f, g)
+        return fallback(f, g)
 
-    monkeypatch.setattr(polyforms, "_prs_gcd", counting)
+    monkeypatch.setattr(polyforms, "_kernel_gcd", counting)
     assert gcd3(X * Y, Y * Z, Z * X) == HomogeneousForm.constant(QQ, 1)
     assert calls
 
@@ -314,7 +320,7 @@ def _evaluate(tree, field):
     if kind == "var":
         if tree[1] == "a":
             return HomogeneousForm.constant(field, field.gen())
-        return HomogeneousForm.variable(field, "XYZ".index(tree[1]))
+        return variable(field, "XYZ".index(tree[1]))
     if kind == "neg":
         return -_evaluate(tree[1], field)
     if kind == "^":
@@ -394,7 +400,7 @@ def test_certificates_agree_with_the_three_component_references(field):
         degree = rng.randint(1, 3)
         F = random_form(rng, field, degree)
         G = random_form(rng, field, degree)
-        if all((G * F.partial(i) - F * G.partial(i)).is_zero()
+        if all((G * partial(F, i) - F * partial(G, i)).is_zero()
                for i in range(3)):
             continue
         omega = one_form_from_pencil(F, G)

@@ -9,13 +9,13 @@ import pytest
 from folint.cli import load_foliation, main
 from folint.cluster import dump_configuration, load_configuration
 from folint.numfield import QQ, FieldExtensionNeeded, NumberField
-from folint.polyforms import (
-    HomogeneousForm, ProjectiveOneForm, one_form_from_pencil, parse_form,
-)
+from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 from folint.resolve import (
     LocalFoliation, _generator, _require_orbit_simple, blow_up_local,
     build_configuration, is_simple, local_at_plane_point, singular_points,
 )
+
+from helpers import one_form_from_pencil, proximity_matrix, variable
 
 
 def local(a_terms, b_terms, field=QQ):
@@ -26,8 +26,7 @@ def local(a_terms, b_terms, field=QQ):
     return LocalFoliation(field, series, (1, 1))
 
 
-PENCIL = ProjectiveOneForm(HomogeneousForm.variable(QQ, 1),
-                           -HomogeneousForm.variable(QQ, 0),
+PENCIL = ProjectiveOneForm(variable(QQ, 1), -variable(QQ, 0),
                            HomogeneousForm(QQ, 1, {}))
 
 
@@ -171,7 +170,6 @@ def test_escaped_dicritical_points_abort_with_certificate():
     # with the irreducible certificate rather than guessing
     f1 = parse_form("X*Z+3*Y*Z-Y^2")
     f2 = parse_form("Y*Z+3*X*Z-X^2")
-    from folint.polyforms import one_form_from_pencil
     omega = one_form_from_pencil(f1, f2)
     with pytest.raises(FieldExtensionNeeded) as err:
         build_configuration(omega)
@@ -198,7 +196,7 @@ def test_round_trip_of_emitted_configuration():
     config = build_configuration(PENCIL)
     text = dump_configuration(config)
     again = load_configuration(text)
-    assert again.proximity_matrix() == config.proximity_matrix()
+    assert proximity_matrix(again) == proximity_matrix(config)
 
 
 def test_depth_cap_is_an_error():
