@@ -19,6 +19,7 @@ own coordinates, and the resolution takes its gcds, squarefree parts and
 quotient-algebra inverses over K from the same code.  ``to_y_rows`` is the
 one bivariate form, rows over y of K[x] lists.  Resultants come exactly
 from their images mod word-size primes at which m splits (``modp``).
+Over Q, gcds and rational roots run on primitive int lists (``_z_gcd``).
 ``parse_polynomial`` reads every input expression.  Everything here is
 exact; no floats anywhere.
 """
@@ -182,8 +183,13 @@ def poly_divmod(num, den):
 
 
 def poly_gcd(p, q):
-    """Monic gcd; [] when p and q are both zero."""
+    """Monic gcd, [] for two zeros: ``_z_gcd`` over Q, else Euclid."""
     p, q = poly_trim(p), poly_trim(q)
+    c = (q or p or [0])[-1]
+    element = type(c) is FieldElement
+    if type(c) in (int, Fraction) or element and c.field.is_rational:
+        g = _monic(_z_gcd(_primitive(p), _primitive(q)))
+        return [c.field.element(x) for x in g] if element else g
     while q:
         p, q = q, poly_divmod(p, q)[1]
     return _monic(p)
@@ -226,29 +232,79 @@ def poly_squarefree_part(p):
     return _monic(p)
 
 
+def _primitive(p):
+    """p over Q times the one rational that makes it a primitive int list
+    with a positive leading coefficient; [] for zero."""
+    p = poly_trim(c.coeffs[0] if type(c) is FieldElement else c for c in p)
+    den = math.lcm(*(c.denominator for c in p))
+    p = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*p) if p and p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _z_gcd(p, q):
+    """The primitive gcd of primitive int lists by the primitive PRS
+    (Collins 1967; Brown and Traub 1971).  Exact: in the pseudo-division
+    lc(q)^e p = s q + r, e = deg p - deg q + 1, s, r in Z[x], lc(q) is a
+    unit of Q, so gcd(q, r) = gcd(p, q) in Q[x], with r over its content
+    too.  The degrees fall to a last nonzero term: the gcd up to a unit,
+    primitive, so by Gauss's lemma a divisor of p and q in Z[x]."""
+    while q:
+        rem, n = p, len(q) - 1
+        for k in range(len(p) - 1, n - 1, -1):
+            c, rem = rem[k], [q[-1] * a for a in rem[:k]]
+            for j in range(n):
+                rem[k - n + j] -= c * q[j]
+        p, q = q, _primitive(rem)
+    return p
+
+
+def _z_quotient(p, q):
+    """p / q for int lists, q primitive, or RuntimeError.  By Gauss's lemma
+    a q | p in Q[x] leaves an int quotient, so long division is exact."""
+    rem, n, quo = list(p), len(q) - 1, []
+    for k in range(len(rem) - 1, n - 1, -1):
+        quo.append(rem[k] // q[-1])
+        for j, b in enumerate(q):
+            rem[k - n + j] -= quo[-1] * b
+    if any(rem):
+        raise RuntimeError("a divisor over Q leaves a remainder")
+    return quo[::-1]
+
+
+def _z_squarefree(f):
+    """The squarefree part of a primitive int list, primitive."""
+    return _z_quotient(f, _z_gcd(f, _primitive(poly_derivative(f))))
+
+
+def _at_ratio(p, u, v, n):
+    """v^n p(u / v) for n >= deg p, by homogeneous Horner."""
+    acc, w = 0, v ** (n + 1 - len(p))
+    for c in reversed(p):
+        acc = acc * u + c * w
+        w *= v
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # rational roots
 # ---------------------------------------------------------------------------
 
-def _squarefree_rational_roots(p):
-    """All rational roots of a squarefree Fraction list, sorted, by p-adic
-    lifting.
+def _squarefree_rational_roots(f):
+    """All rational roots of a squarefree primitive f in Z[x], sorted, as
+    Fractions, by p-adic lifting.
 
-    Let f be the integer part of p, a_n its leading coefficient and B the
-    sum of its |coefficients|.  A root u/v of f has v | a_n and
-    |a_n u/v| <= B, so a_n u/v is the symmetric residue of a_n r mod p^k
-    for the Hensel lift r of u/v mod p, once p^k > 2B.  The primes only
-    propose candidates; each one is kept only if it is an exact root.
+    Let a_n be the leading coefficient of f and B the sum of its
+    |coefficients|.  A root u/v of f has v | a_n and |a_n u/v| <= B, so
+    a_n u/v is the symmetric residue of a_n r mod p^k for the Hensel lift r
+    of u/v mod p, once p^k > 2B.  The primes only propose candidates; each
+    one is kept only if v^n f(u/v) = 0 in ints (``_at_ratio``).
     """
-    roots = [Fraction(0)] if not p[0] else []
-    p = p[1:] if roots else p
-    if len(p) <= 1:
+    roots = [Fraction(0)] if not f[0] else []
+    f = f[1:] if roots else f
+    if len(f) <= 1:
         return roots
-    den = math.lcm(*(c.denominator for c in p))
-    f = [int(c * den) for c in p]
-    content = math.gcd(*f)
-    f = [c // content for c in f]
-    df = [i * c for i, c in enumerate(f)][1:]
+    df = poly_derivative(f)
     lead, bound = f[-1], sum(abs(c) for c in f)
     modulus, lifted = _simple_roots_mod_prime(f, df)
     while modulus <= 2 * bound:
@@ -258,11 +314,8 @@ def _squarefree_rational_roots(p):
                    pow(modp.evaluate(df, r, modulus), -1, modulus)) % modulus
                   for r in lifted]
     for r in lifted:
-        c = lead * r % modulus
-        if 2 * c > modulus:
-            c -= modulus
-        cand = Fraction(c, lead)
-        if poly_eval(f, cand) == 0:
+        cand = Fraction(modp.symmetric(lead * r, modulus), lead)
+        if not _at_ratio(f, cand.numerator, cand.denominator, len(f) - 1):
             roots.append(cand)
     return sorted(roots)
 
@@ -318,7 +371,7 @@ class NumberField:
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         if 2 <= self.degree:
-            squarefree = poly_squarefree_part(coeffs)
+            squarefree = _z_squarefree(_primitive(coeffs))
             if _squarefree_rational_roots(squarefree):
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
@@ -712,7 +765,7 @@ def bivariate_resultant(p, q, field):
       a leading coefficient is skipped.  Once the product M of the primes
       exceeds 2B, the symmetric residues mod M are T itself.
     """
-    p_rows, q_rows = to_y_rows(p, field), to_y_rows(q, field)
+    p_rows, q_rows = to_y_rows(p), to_y_rows(q)
     m, n = len(p_rows) - 1, len(q_rows) - 1
     if m < 1 or n < 1:
         base, power = (p_rows[0], n) if m < 1 else (q_rows[0], m)
@@ -753,10 +806,10 @@ def bivariate_resultant(p, q, field):
                      for i in range(0, len(coords), k))
 
 
-def to_y_rows(poly, field):
+def to_y_rows(poly):
     """Bivariate dict -> list over y-degree of K[x] coefficient lists, with
     no zero row on top (one zero row for the zero polynomial)."""
-    zero = field.zero()
+    zero = next(iter(poly.values()), 0) * 0
     rows = [[] for _ in range(max((j for _, j in poly), default=0) + 1)]
     for (i, j), c in poly.items():
         row = rows[j]
@@ -805,37 +858,40 @@ def find_roots_in_field(f: Sequence[FieldElement],
     The squarefree part of f is taken here, once, after the power of x
     that gives the root 0 is stripped; each root divides it once, and the
     cofactor, that part over the product of the (x - r), is squarefree
-    and monic.  Over Q the work is on the int and Fraction coordinates
-    themselves.  The roots are complete for K = Q (p-adic lifting) and for
-    quadratic K (``_quadratic_field_roots``).  For deg K >= 3 they are the
-    rational roots, then the root of a linear cofactor, or the roots of a
-    quadratic one whose discriminant is a rational square; the rest is
-    reported through remaining_degree.
+    and monic.  Over Q, where f may be an int or Fraction list, that part
+    is primitive in Z[x], a root u/v divides it as v x - u, and the
+    cofactor is made monic once.  The roots are complete for K = Q (p-adic
+    lifting) and for quadratic K (``_quadratic_field_roots``).  For deg K
+    >= 3 they are the rational roots, then the root of a linear cofactor,
+    or the roots of a quadratic one whose discriminant is a rational
+    square; the rest is reported through remaining_degree.
     """
     f = poly_trim(f)
     if not f:
         raise ValueError("root-finding on the zero polynomial")
     if field is None:
         field = f[0].field
-    rational = field.is_rational
     low = next(i for i, c in enumerate(f) if c)
-    work = poly_squarefree_part(
-        [c.coeffs[0] for c in f[low:]] if rational else f[low:])
-    if len(work) <= 2:
-        roots = [-work[0]] if len(work) == 2 else []
-    elif rational:
+    if field.is_rational:
+        work = _z_squarefree(_primitive(f[low:]))
         roots = _squarefree_rational_roots(work)
-    elif field.degree == 2:
-        roots = _quadratic_field_roots(work, field)
+        for r in roots:
+            work = _z_quotient(work, [-r.numerator, r.denominator])
+        roots, work = ([field.element(c) for c in p]
+                       for p in (roots, _monic(work)))
     else:
-        roots = list(_rational_roots_in_extension(work, field))
-    work = _divide_roots(work, roots)
-    if field.degree >= 3 and len(work) in (2, 3):
-        more = _small_cofactor_roots(work)
-        roots += more
-        work = _divide_roots(work, more)
-    if rational:
-        roots, work = ([field.element(c) for c in p] for p in (roots, work))
+        work = poly_squarefree_part(f[low:])
+        if len(work) <= 2:
+            roots = [-work[0]] if len(work) == 2 else []
+        elif field.degree == 2:
+            roots = _quadratic_field_roots(work, field)
+        else:
+            roots = list(_rational_roots_in_extension(work, field))
+        work = _divide_roots(work, roots)
+        if field.degree >= 3 and len(work) in (2, 3):
+            more = _small_cofactor_roots(work)
+            roots += more
+            work = _divide_roots(work, more)
     if low:
         roots.append(field.zero())
     roots.sort(key=FieldElement.sort_key)
@@ -856,7 +912,7 @@ def _rational_roots_in_extension(f, field):
     squarefree too."""
     coord = []
     for j in range(field.degree):
-        coord = poly_gcd(coord, [c.coeffs[j] for c in f])
+        coord = _z_gcd(coord, _primitive([c.coeffs[j] for c in f]))
     for r in _squarefree_rational_roots(coord):
         cand = field.element(r)
         if poly_eval(f, cand).is_zero():
@@ -929,7 +985,8 @@ def common_zeros(p, q, field):
     then y0, and the escapes (x0, cofactor): for x0 None the cofactor of
     Res_y cuts out x-coordinates outside K, else the cofactor cuts out the
     y-coordinates over x0 outside K.  A zero resultant, a common factor,
-    raises RuntimeError.
+    raises RuntimeError.  Cleared of denominators, the rows give v^n
+    row(u/v) at x0 = u/v, v = denominator(x0): ints over Q.
     """
     rx = bivariate_resultant(p, q, field)
     if not rx:
@@ -937,9 +994,13 @@ def common_zeros(p, q, field):
     xs = find_roots_in_field(rx, field)
     escapes = [(None, xs.cofactor)] if xs.remaining_degree else []
     points = []
-    rows = to_y_rows(p, field), to_y_rows(q, field)
+    ring = exact_ring(field)
+    rows = [to_y_rows(f) for f in integral([p, q], ring)]
+    n = max(len(row) for r in rows for row in r) - 1
     for x0 in xs.roots:
-        g = poly_gcd(*([poly_eval(row, x0) for row in r] for r in rows))
+        v = denominator(x0)
+        u = lift(x0, v, ring)
+        g = poly_gcd(*([_at_ratio(row, u, v, n) for row in r] for r in rows))
         if len(g) < 2:
             continue
         ys = find_roots_in_field(g, field)

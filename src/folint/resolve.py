@@ -53,11 +53,12 @@ def _column(series: Series, t: int):
     return {key: vec[t] for key, vec in series.items() if t in vec}
 
 
-def _coeffs_at_u0(poly, field):
-    """The restriction to the exceptional u = 0, as a K[w] list."""
+def _coeffs_at_u0(poly):
+    """The restriction to the exceptional u = 0, as a list over the
+    integral model's ring: ints over Q, which the gcd takes as they are."""
     row = {j: c for (i, j), c in poly.items() if not i}
-    return poly_trim(field.element(row.get(j, 0))
-                     for j in range(max(row, default=-1) + 1))
+    zero = next(iter(row.values()), 0) * 0
+    return poly_trim(row.get(j, zero) for j in range(max(row, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +177,8 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
 
     # singular points on u = 0 in chart 1
     a1, b1 = _column(form1, 0), _column(form1, 1)
-    a0 = _coeffs_at_u0(a1, field)
-    b0 = _coeffs_at_u0(b1, field)
+    a0 = _coeffs_at_u0(a1)
+    b0 = _coeffs_at_u0(b1)
     if not a0 and not b0:
         raise ResolutionError("exceptional divisor inside the singular locus")
     g = poly_gcd(a0, b0)
@@ -366,7 +367,7 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
         # the line common_zeros runs at x-coordinates in K; a row's value
         # at x = t is its residue
         gy = poly_gcd(*([_Quotient(row, cofactor) for row in
-                         to_y_rows(f, field)] for f in (p, q)))
+                         to_y_rows(f)] for f in (p, q)))
         if len(gy) != 2:
             raise FieldExtensionNeeded(
                 "conjugate singular points need a further extension "
@@ -378,7 +379,7 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
     univs = []
     for f in (A, B, C):
         # f(x, 1, 0), row z^0 of f(x, 1, z)
-        coeffs = to_y_rows(f.dehomogenize(1), field)[0]
+        coeffs = to_y_rows(f.dehomogenize(1))[0]
         if coeffs:
             univs.append(coeffs)
     g = univs[0]

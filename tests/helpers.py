@@ -8,21 +8,30 @@ the wedge and invariance tests on all three components of the 2-form, the
 node-wise resultant, the chart maps substituted in K, the filtered
 [-d, d] sweep of Algorithm 1 and the cone search's unpruned candidates, as
 references, seeded random configurations, the labels of the cone search's
-trace and Algorithm 1 held back from it."""
+trace and Algorithm 1 held back from it, Euclid over Fraction as the
+reference for the Z[x] kernel over Q, the benchmark's pool pencils and
+seeded log forms."""
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
+import random
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-from folint import cones, engine, linalg
+from folint import cones, engine, linalg, modp
 from folint.cluster import (
     Configuration, DivisorClass, InfinitelyNearPoint, root_chart_images,
 )
 from folint.cones import RationalCone, contains
 from folint.numfield import (
-    poly_eval, poly_interpolate, poly_resultant, poly_trim,
+    QQ, FieldElement, NumberField, _simple_roots_mod_prime, poly_derivative,
+    poly_divmod, poly_eval, poly_interpolate, poly_resultant, poly_trim,
+    reciprocal,
 )
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, _partial, divides, gcd3, monomials,
@@ -413,3 +422,136 @@ def hold_back_algorithm1(monkeypatch):
     not end the run first."""
     held_back = engine.Verdict.no_integral("held back")
     monkeypatch.setattr(engine, "algorithm1", lambda *args: held_back)
+
+
+# ---------------------------------------------------------------------------
+# Euclid over Fraction: the reference for the Z[x] kernel over Q
+# ---------------------------------------------------------------------------
+
+def reference_gcd(p, q):
+    """Monic gcd by Euclid over the coefficients themselves: Fractions for
+    int or Fraction lists, elements for elements of Q."""
+    p, q = poly_trim(p), poly_trim(q)
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return [c * reciprocal(p[-1]) for c in p]
+
+
+def reference_squarefree_part(p):
+    """p over gcd(p, p') by Euclid, monic, for a nonzero p."""
+    p = poly_trim(p)
+    g = reference_gcd(p, poly_derivative(p))
+    if len(g) > 1:
+        p = poly_divmod(p, g)[0]
+    return [c * reciprocal(p[-1]) for c in p]
+
+
+def _reference_rational_roots(p):
+    """The rational roots of a squarefree Fraction list of degree >= 2, by
+    p-adic lifting on its integer part and a Fraction root test."""
+    roots = [Fraction(0)] if not p[0] else []
+    p = p[1:] if roots else p
+    if len(p) <= 1:
+        return roots
+    den = math.lcm(*(c.denominator for c in p))
+    f = [int(c * den) for c in p]
+    f = [c // math.gcd(*f) for c in f]
+    df = [i * c for i, c in enumerate(f)][1:]
+    lead, bound = f[-1], sum(abs(c) for c in f)
+    modulus, lifted = _simple_roots_mod_prime(f, df)
+    while modulus <= 2 * bound:
+        modulus *= modulus
+        lifted = [(r - modp.evaluate(f, r, modulus) *
+                   pow(modp.evaluate(df, r, modulus), -1, modulus)) % modulus
+                  for r in lifted]
+    for r in lifted:
+        cand = Fraction(modp.symmetric(lead * r, modulus), lead)
+        if poly_eval(f, cand) == 0:
+            roots.append(cand)
+    return sorted(roots)
+
+
+def reference_roots_over_q(f):
+    """(roots, remaining degree, cofactor) of a nonzero list of elements of
+    Q, as ``find_roots_in_field`` gives them, by Euclid over Fraction and
+    one Fraction division per root."""
+    f = poly_trim(f)
+    low = next(i for i, c in enumerate(f) if c)
+    work = reference_squarefree_part([c.coeffs[0] for c in f[low:]])
+    if len(work) <= 2:
+        roots = [-work[0]] if len(work) == 2 else []
+    else:
+        roots = _reference_rational_roots(work)
+    for r in roots:
+        work = poly_divmod(work, [-r, work[-1]])[0]
+    roots, work = ([QQ.element(c) for c in p] for p in (roots, work))
+    if low:
+        roots.append(QQ.zero())
+    roots.sort(key=FieldElement.sort_key)
+    return roots, len(work) - 1, work
+
+
+# ---------------------------------------------------------------------------
+# inputs: the benchmark's pool pencils and seeded log forms
+# ---------------------------------------------------------------------------
+
+def bench_pencils():
+    """The benchmark's pencil generator ``perfbench/pencils.py``, loaded by
+    path as a fresh module."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "pencils.py")
+    spec = importlib.util.spec_from_file_location("bench_pencils", path)
+    pencils = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(pencils)
+    finally:
+        sys.dont_write_bytecode = written
+    return pencils
+
+
+def pool_pencils(count):
+    """The first ``count`` pencils of the benchmark's pool, drawn from its
+    workload seed 1."""
+    return bench_pencils().generate(1, count)
+
+
+def log_form(field, lines, residues) -> ProjectiveOneForm:
+    """L_1 ... L_n sum_i r_i dL_i / L_i = sum_i r_i (prod_(k != i) L_k) dL_i
+    for int lines (a, b, c), L = aX + bY + cZ, and residues r_i in K."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forms = [HomogeneousForm(field, 1, {u: field.element(c)
+                                        for u, c in zip(units, line) if c})
+             for line in lines]
+    comps = [HomogeneousForm(field, len(lines) - 1, {}) for _ in range(3)]
+    for i, r in enumerate(residues):
+        others = HomogeneousForm.constant(field, 1)
+        for k, f in enumerate(forms):
+            if k != i:
+                others = others * f
+        comps = [comp + others * (r * c) if c else comp
+                 for comp, c in zip(comps, lines[i])]
+    return ProjectiveOneForm(*comps)
+
+
+def seeded_log_form(seed) -> ProjectiveOneForm:
+    """The log form of four lines with residues (1, -1, a, -a), over
+    Q(sqrt 2) for an odd seed and Q(i) for an even one.  The lines have
+    int coefficients in [-3, 3] drawn by random.Random(seed), all four
+    redrawn until none is zero and no two are proportional."""
+    field = NumberField((-2, 0, 1) if seed % 2 else (1, 0, 1))
+    rng = random.Random(seed)
+    while True:
+        lines = [tuple(rng.randint(-3, 3) for _ in range(3))
+                 for _ in range(4)]
+        if all(map(any, lines)) and all(any(_cross(a, b)) for i, a in
+                                        enumerate(lines) for b in lines[:i]):
+            break
+    a = field.gen()
+    return log_form(field, lines, [field.one(), -field.one(), a, -a])
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])

@@ -1,7 +1,5 @@
-import importlib.util
 import os
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,10 +21,10 @@ from folint.numfield import QQ, NumberField
 from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 
 from helpers import (
-    genus_bound, hold_back_algorithm1, lines_through, negative_curve_filter,
-    one_form_from_pencil, random_configuration, record_duals, same_span,
-    trace_labels, unpruned_effective_multiplicities, variable,
-    zero_sum_candidates,
+    bench_pencils, genus_bound, hold_back_algorithm1, lines_through,
+    negative_curve_filter, one_form_from_pencil, pool_pencils,
+    random_configuration, record_duals, same_span, trace_labels,
+    unpruned_effective_multiplicities, variable, zero_sum_candidates,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -307,28 +305,6 @@ def test_cone_candidates_are_the_pruned_reference():
     assert min(seen.values()) >= 1000, seen
 
 
-def _bench_pencils():
-    """The benchmark's pencil generator ``perfbench/pencils.py``, loaded by
-    path as a fresh module."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "pencils.py")
-    spec = importlib.util.spec_from_file_location("bench_pencils", path)
-    pencils = importlib.util.module_from_spec(spec)
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(pencils)
-    finally:
-        sys.dont_write_bytecode = written
-    return pencils
-
-
-def _pool_pencils(count):
-    """The first ``count`` pencils of the benchmark's pool, drawn from its
-    workload seed 1."""
-    return _bench_pencils().generate(1, count)
-
-
 def test_unpruned_cone_search_admits_only_classes_with_p_a_at_least_0(
         monkeypatch, tmp_path):
     # with the unpruned candidates patched in, every class that enters V or
@@ -338,7 +314,7 @@ def test_unpruned_cone_search_admits_only_classes_with_p_a_at_least_0(
     from folint.resolve import build_configuration
     hold_back_algorithm1(monkeypatch)
     inputs = [load(name)[:2] for name in ("fig3", "example1", "family_a861")]
-    for i, pencil in enumerate(_pool_pencils(20)):
+    for i, pencil in enumerate(pool_pencils(20)):
         path = tmp_path / ("p%02d.fol" % i)
         path.write_text(pencil.fol_text())
         omega, _ = load_foliation(str(path))
@@ -401,7 +377,7 @@ def test_algorithm2_on_pool_pencils_gives_the_pipeline_integral(tmp_path):
     # same F/G exactly
     from folint.resolve import build_configuration
     checked = set()
-    for i, pencil in enumerate(_pool_pencils(20)):
+    for i, pencil in enumerate(pool_pencils(20)):
         path = tmp_path / ("p%02d.fol" % i)
         path.write_text(pencil.fol_text())
         omega, field = load_foliation(str(path))
@@ -426,7 +402,7 @@ def test_pipeline_decides_the_degree_4_line_pencil(tmp_path):
     # does not end at d = 1 in a minute, and Algorithm 1, running ahead of
     # it, finds the pencil at d = 4
     from folint.resolve import build_configuration
-    pencils = _bench_pencils()
+    pencils = bench_pencils()
     pencils.SHAPES = {"L1L2L3L4/L5L6L7L8": ((1, 1, 1, 1), (1, 1, 1, 1))}
     pencil, = pencils.generate(1, 1)
     path = tmp_path / "quartic.fol"

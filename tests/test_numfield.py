@@ -7,16 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from folint.numfield import (
-    QQ, FieldMismatchError, NumberField, bivariate_resultant, denominator,
-    find_roots_in_field, format_element, format_minpoly, parse_polynomial,
-    poly_degree,
+    QQ, FieldElement, FieldMismatchError, NumberField, bivariate_resultant,
+    denominator, find_roots_in_field, format_element, format_minpoly,
+    parse_polynomial, poly_degree,
     poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_interpolate,
     poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
-    rational_is_square, residue, _is_prime,
-    _taylor_coordinates,
+    rational_is_square, residue, _is_prime, _primitive,
+    _taylor_coordinates, _z_quotient, _z_squarefree,
 )
 
-from helpers import reference_resultant
+from helpers import (
+    reference_gcd, reference_resultant, reference_roots_over_q,
+    reference_squarefree_part,
+)
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
 EISEN = NumberField((1, 1, 1))          # t^2 + t + 1
@@ -725,3 +728,98 @@ def test_poly_squarefree_part_of_f_g_squared(domain, a, b):
     assume(len(poly_gcd(f, g)) == 1)
     fg = poly_mul(f, g)
     assert poly_squarefree_part(poly_mul(fg, g)) == _monic(fg)
+
+
+def _typed(p):
+    """A list with the type of every coefficient, and of every coordinate
+    of an element, next to its value."""
+    return [(type(c), c.field, [(type(x), x) for x in c.coeffs])
+            if isinstance(c, FieldElement) else (type(c), c) for c in p]
+
+
+def _z_kernel_cases(rng):
+    """Seeded pairs over Q as Fraction lists: forced common factors,
+    contents > 1, negative leading coefficients, large denominators, zero
+    and constant inputs, and the root 0 and repeated rational roots."""
+    def poly(degree, big=False):
+        top = 10 ** 20 if big else 9
+        den = 10 ** 18 if big else 7
+        return [Fraction(rng.randint(-top, top), rng.randint(1, den))
+                for _ in range(degree)] + [Fraction(rng.choice((-1, 1)) *
+                                                    rng.randint(1, top),
+                                                    rng.randint(1, den))]
+
+    def linear():
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1]
+
+    cases = [([], []), ([], [Fraction(3, 4)]), ([Fraction(-6)], []),
+             ([5], [0, 0]), ([0, 0, 0], [Fraction(2, 3), 4]),
+             ([7], [Fraction(-1, 2), 0, 3]), ([0, 1], [0, 0, 2])]
+    for _ in range(40):
+        big = rng.random() < 0.3
+        common = poly(rng.randint(0, 3), big)
+        p = poly_mul(poly(rng.randint(0, 3), big), common)
+        q = poly_mul(poly(rng.randint(0, 3), big), common)
+        content = rng.choice((1, 6, -35, 10 ** 15))
+        cases.append(([c * content for c in p], q))
+    for _ in range(20):
+        # x^k times repeated rational roots times a cofactor
+        f = [0] * rng.randint(0, 3) + [rng.choice((-4, -1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            root = linear()
+            for _ in range(rng.randint(1, 3)):
+                f = poly_mul(f, root)
+        f = poly_mul(f, poly(rng.randint(0, 2), rng.random() < 0.3))
+        cases.append((f, poly_derivative(f)))
+    return cases
+
+
+def _as_ints(p):
+    """p times the lcm of its denominators, as ints."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def test_z_kernel_matches_euclid_over_fraction():
+    # the Z[x] gcd, squarefree part and rational roots return the values
+    # and types of Euclid over Fraction, on int, Fraction and QQ lists
+    cases = _z_kernel_cases(random.Random(28))
+    seen = {"common factor": 0, "repeated root": 0, "root 0": 0}
+    for p, q in cases:
+        for convert in (_as_ints, list,
+                        lambda p: [QQ.element(c) for c in p]):
+            a, b = convert(p), convert(q)
+            g = poly_gcd(a, b)
+            assert _typed(g) == _typed(reference_gcd(a, b))
+            seen["common factor"] += len(g) > 1
+        for f in (p, q):
+            f = [QQ.element(c) for c in poly_trim(f)]
+            if not f:
+                continue
+            rational = [c.coeffs[0] for c in f]
+            squarefree = _z_squarefree(_primitive(f))
+            squarefree = [Fraction(c, squarefree[-1]) for c in squarefree]
+            for given in (rational, _as_ints(rational)):
+                assert (_typed(squarefree)
+                        == _typed(reference_squarefree_part(given)))
+            expected = reference_roots_over_q(f)
+            for given in (f, _as_ints(rational)):
+                roots, remaining, cofactor = find_roots_in_field(given, QQ)
+                assert _typed(roots) == _typed(expected[0])
+                assert remaining == expected[1]
+                assert _typed(cofactor) == _typed(expected[2])
+            seen["root 0"] += not f[0] and len(f) > 2
+            seen["repeated root"] += len(squarefree) < len(f)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_z_kernel_exact_division_refuses_a_remainder():
+    # (2x - 1)(2x + 1) over 2x + 1 is exact; (x + 1)(x + 2) over 2x + 1
+    # fails at the top step, x^2 + 1 over x + 1 only at the end
+    assert _z_quotient([-1, 0, 4], [1, 2]) == [-1, 2]
+    for p, q in (([2, 3, 1], [1, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(RuntimeError):
+            _z_quotient(p, q)
+    assert _primitive([Fraction(-3, 4), 0, Fraction(-3, 2)]) == [1, 0, 2]
+    assert _primitive([QQ.element(6), QQ.zero()]) == [1]
+    assert _primitive([0, 0]) == []

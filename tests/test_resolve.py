@@ -3,19 +3,27 @@ from functools import reduce
 from operator import mul
 from pathlib import Path
 import random
+import sys
 
 import pytest
 
+from folint import numfield
 from folint.cli import load_foliation, main
 from folint.cluster import dump_configuration, load_configuration
-from folint.numfield import QQ, FieldExtensionNeeded, NumberField
+from folint.engine import pipeline
+from folint.numfield import (
+    QQ, FieldElement, FieldExtensionNeeded, NumberField, poly_trim,
+)
 from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
 from folint.resolve import (
     LocalFoliation, _generator, _require_orbit_simple, blow_up_local,
     build_configuration, is_simple, local_at_plane_point, singular_points,
 )
 
-from helpers import one_form_from_pencil, proximity_matrix, variable
+from helpers import (
+    one_form_from_pencil, pool_pencils, proximity_matrix, seeded_log_form,
+    variable,
+)
 
 
 def local(a_terms, b_terms, field=QQ):
@@ -364,3 +372,44 @@ def test_resolve_y_free_pair_without_common_zeros(tmp_path, capsys):
     # transcendental
     assert main(["decide", "--machine", str(fol)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "verdict=no_integral"
+
+
+def test_resolution_over_q_takes_no_euclidean_remainder(monkeypatch,
+                                                        tmp_path):
+    # over Q, poly_gcd, poly_squarefree_part and the root division run on
+    # primitive int lists: none of them takes a remainder over Fraction or
+    # over elements of Q; the log form's Euclid over K shows the counter
+    # is live
+    forms = []
+    for i, pencil in enumerate(pool_pencils(10)):
+        path = tmp_path / ("p%02d.fol" % i)
+        path.write_text(pencil.fol_text())
+        forms.append(load_foliation(str(path))[0])
+    forms.append(seeded_log_form(3))
+    counted = ("poly_gcd", "poly_squarefree_part", "_divide_roots")
+    seen = {"over Q": [], "over K": []}
+    divmod_ = numfield.poly_divmod
+
+    def counting(num, den):
+        caller = sys._getframe(1).f_code.co_name
+        lead = (poly_trim(den) or [0])[-1]
+        over_q = (type(lead) in (int, Fraction) or type(lead) is FieldElement
+                  and lead.field.is_rational)
+        if caller in counted:
+            seen["over Q" if over_q else "over K"].append(caller)
+        return divmod_(num, den)
+
+    monkeypatch.setattr(numfield, "poly_divmod", counting)
+    for omega in forms:
+        build_configuration(omega)
+    assert seen["over Q"] == [] and seen["over K"]
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+def test_log_forms_have_no_integral(seed):
+    # four lines with residues (1, -1, a, -a) over Q(sqrt 2): two dicritical
+    # points, and no integral; resolution takes its squarefree parts over Q
+    omega = seeded_log_form(seed)
+    config = build_configuration(omega)
+    assert config.size == 2
+    assert pipeline(omega, config).outcome == "no_integral"
