@@ -19,17 +19,19 @@ own coordinates, and the resolution takes its gcds, squarefree parts and
 quotient-algebra inverses over K from the same code.  ``to_y_rows`` is the
 one bivariate form, rows over y of K[x] lists.  Resultants come exactly
 from their images mod word-size primes at which m splits (``modp``).
-Over Q, gcds and rational roots run on primitive int lists (``_z_gcd``).
+Over Q, gcds run on primitive int lists (``_z_gcd``); the roots in Q and
+in a quadratic K come from one p-adic lifting (``_squarefree_roots``).
 ``parse_polynomial`` reads every input expression.  Everything here is
 exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import modp
@@ -287,51 +289,101 @@ def _at_ratio(p, u, v, n):
 
 
 # ---------------------------------------------------------------------------
-# rational roots
+# roots in Q and in a quadratic field
 # ---------------------------------------------------------------------------
 
-def _squarefree_rational_roots(f):
-    """All rational roots of a squarefree primitive f in Z[x], sorted, as
-    Fractions, by p-adic lifting.
+def _squarefree_roots(f, field):
+    """The roots in K, [K:Q] = k <= 2, of a squarefree f, a primitive int
+    list over Q, as Fractions or elements of K, by p-adic lifting at the k
+    embeddings of K (von zur Gathen and Gerhard, ch. 15).
 
-    Let a_n be the leading coefficient of f and B the sum of its
-    |coefficients|.  A root u/v of f has v | a_n and |a_n u/v| <= B, so
-    a_n u/v is the symmetric residue of a_n r mod p^k for the Hensel lift r
-    of u/v mod p, once p^k > 2B.  The primes only propose candidates; each
-    one is kept only if v^n f(u/v) = 0 in ints (``_at_ratio``).
+    alpha = delta a, delta the lcm of m's denominators, has a monic minimal
+    polynomial m_alpha in Z[t]; scaled by a rational, f has int
+    alpha-coordinates.  Let l be its leading coefficient, D = disc(m_alpha)
+    N(l) (D = l for k = 1), A the 1-norm of m_alpha and |c| = |c_0| +
+    |c_1| A for c = c_0 + c_1 alpha.
+
+    - A root beta has D beta = u_0 + u_1 alpha in Z[alpha]: l beta is a
+      root of the monic l^(n-1) f(x / l), so integral, as is N(l) / l, the
+      conjugate of l, and disc(m_alpha) O_K lies in Z[alpha] (Cohen 1993,
+      Prop. 4.4.4).
+    - |u_0|, |u_1| <= B = 2 |disc| A S |l|, S = sum_i |f_i|: A bounds the
+      roots alpha_j of m_alpha (Cauchy), so |c| bounds c at each complex
+      embedding s_j, and Cauchy's bound with |s_j l| = |N(l)| / |s_j' l|
+      gives |N(l) s_j beta| <= S |l|.  With d = alpha_1 - alpha_2, u_1 =
+      (s_1 - s_2)(D beta) / d and u_0 = (alpha_1 s_2 - alpha_2 s_1)(D beta)
+      / d, where D / d = d N(l) and |d| <= |disc|, a nonzero int.  For
+      k = 1, Cauchy's bound is |l beta| <= B = S.
+    - At the first prime p not dividing D at which m_alpha has k roots r_j
+      and every image of f under alpha -> r_j only simple roots, Newton's
+      method lifts both to p^e > 2B.  A root beta gives one lifted root x_j
+      per image, the lift of (u_0 + u_1 r_j) / D, and the inverse
+      Vandermonde matrix of the r_j maps (D x_j) to u mod p^e, whose
+      symmetric residues are u.  A tuple beyond B is no root; the rest are
+      kept if exact roots, for k = 1 if v^n f(u/v) = 0 in ints.
     """
-    roots = [Fraction(0)] if not f[0] else []
-    f = f[1:] if roots else f
+    k = field.degree
     if len(f) <= 1:
-        return roots
-    df = poly_derivative(f)
-    lead, bound = f[-1], sum(abs(c) for c in f)
-    modulus, lifted = _simple_roots_mod_prime(f, df)
-    while modulus <= 2 * bound:
-        # one Newton step doubles the p-adic precision of every simple root
-        modulus *= modulus
-        lifted = [(r - modp.evaluate(f, r, modulus) *
-                   pow(modp.evaluate(df, r, modulus), -1, modulus)) % modulus
-                  for r in lifted]
-    for r in lifted:
-        cand = Fraction(modp.symmetric(lead * r, modulus), lead)
-        if not _at_ratio(f, cand.numerator, cand.denominator, len(f) - 1):
-            roots.append(cand)
-    return sorted(roots)
-
-
-def _simple_roots_mod_prime(f, df):
-    """The first prime p not dividing the leading coefficient of the integer
-    polynomial f at which every root of f mod p is simple, and those roots.
-    For squarefree f only the primes dividing a_n or disc(f) are skipped."""
+        return []
+    if k == 1:
+        images, D, bound = [(f, poly_derivative(f))], f[-1], sum(map(abs, f))
+    else:
+        delta = math.lcm(*(c.denominator for c in field.minpoly))
+        m = [int(c * delta ** (2 - i)) for i, c in enumerate(field.minpoly)]
+        scale = denominator(*f)
+        pairs = [(int(c.coeffs[0] * scale * delta), int(c.coeffs[1] * scale))
+                 for c in f]
+        (m0, m1, _), (l0, l1) = m, pairs[-1]
+        disc, A = m1 * m1 - 4 * m0, 1 + abs(m0) + abs(m1)
+        D = disc * (l0 * l0 - m1 * l0 * l1 + m0 * l1 * l1)
+        bound = 2 * abs(disc) * A * (abs(l0) + abs(l1) * A) * sum(
+            abs(x) + abs(y) * A for x, y in pairs)
     p = 1
     while True:
         p += 1
-        if f[-1] % p == 0 or not _is_prime(p):
+        if D % p == 0 or not _is_prime(p):
             continue
-        roots = [r for r in range(p) if modp.evaluate(f, r, p) == 0]
-        if all(modp.evaluate(df, r, p) for r in roots):
-            return p, roots
+        if k > 1:
+            rs = [r for r in range(p) if not modp.evaluate(m, r, p)]
+            images = [_image(pairs, r, p) for r in rs]
+        xs = [[x for x in range(p) if not modp.evaluate(g, x, p)]
+              for g, _ in images]
+        if len(xs) == k and all(modp.evaluate(dg, x, p) for (_, dg), row
+                                in zip(images, xs) for x in row):
+            break
+    q = p
+    while q <= 2 * bound:
+        q *= q
+        if k > 1:
+            rs = _newton(m, poly_derivative(m), rs, q)
+            images = [_image(pairs, r, q) for r in rs]
+        xs = [_newton(g, dg, row, q) for (g, dg), row in zip(images, xs)]
+    if k == 1:
+        cands = [Fraction(modp.symmetric(D * x, q), D) for x in xs[0]]
+        return [c for c in cands
+                if not _at_ratio(f, c.numerator, c.denominator, len(f) - 1)]
+    inverse, roots = modp.vandermonde_inverse(rs, q), []
+    for tup in itertools.product(*xs):
+        u = [modp.symmetric(D * sum(map(mul, row, tup)), q) for row in inverse]
+        if max(map(abs, u)) <= bound:
+            cand = field.element((Fraction(u[0], D),
+                                  Fraction(u[1] * delta, D)))
+            if not poly_eval(f, cand):
+                roots.append(cand)
+    return roots
+
+
+def _image(pairs, r, q):
+    """The images mod q of g = sum_i (x_i + alpha y_i) x^i and of g' under
+    alpha -> r, from the pairs (x_i, y_i)."""
+    g = [(x + r * y) % q for x, y in pairs]
+    return g, [i * c for i, c in enumerate(g)][1:]
+
+
+def _newton(g, dg, xs, q):
+    """The roots mod q of g lifted from its simple roots xs mod sqrt(q)."""
+    return [(x - modp.evaluate(g, x, q) * pow(modp.evaluate(dg, x, q), -1, q))
+            % q for x in xs]
 
 
 def rational_is_square(q):
@@ -372,7 +424,7 @@ class NumberField:
         self.degree = len(coeffs) - 1
         if 2 <= self.degree:
             squarefree = _z_squarefree(_primitive(coeffs))
-            if _squarefree_rational_roots(squarefree):
+            if _squarefree_roots(squarefree, QQ):
                 raise ValueError("minimal polynomial has a rational root, "
                                  "so it is reducible over Q")
             if len(squarefree) <= self.degree:
@@ -408,10 +460,6 @@ class NumberField:
 
     def one(self) -> "FieldElement":
         return self._one
-
-    def gen(self) -> "FieldElement":
-        """The residue class of t (for K = Q this is the rational -m[0])."""
-        return self.element((0, 1))
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -734,27 +782,21 @@ def bivariate_resultant(p, q, field):
       that is n a + m b - m n.  The x-degrees bx of the rows give the
       bound m bx(q) + n bx(p) too, and N = 1 + the smaller bound nodes
       determine Res_y.
-    - Bound.  Read t as an indeterminate.  R = Res_y(P, Q) in Z[t, x] has
-      |R|_1 <= |P|_1^n |Q|_1^m: a determinant is bounded by the product of
-      its row sums, and |fg|_1 <= |f|_1 |g|_1.  R has t-degree at most
-      (m + n)(k - 1), so E = max(0, (m + n)(k - 1) - k + 1) steps
-      f -> delta f - lc_t(f) t^(D - k) (delta mu), D the formal t-degree of
-      f and delta the lcm of the denominators of mu, end at delta^E R mod
-      mu.  Each step multiplies the 1-norm by at most delta + |delta mu|_1.
-      So T = delta^E c^n d^m Res(p, q) has int coordinates of absolute
-      value at most B = |P|_1^n |Q|_1^m (delta + |delta mu|_1)^E.
-    - Hadamard bound.  On the torus |t| = |x| = 1 an entry of the Sylvester
-      matrix has modulus at most the 1-norm of the y-coefficient it holds,
-      so Hadamard's inequality bounds |R| there by H, the product over the
-      rows of the 2-norms of those 1-norms:
-      H^2 = (sum_j |P_j|_1^2)^n (sum_j |Q_j|_1^2)^m, P_j the y^j
-      coefficient.  A coefficient of a polynomial is at most its maximum
-      on the torus (Cauchy), so every coefficient r_e,i of t^e x^i in R is
-      at most H.  The rows delta^E (t^e mod mu), e <= (m + n)(k - 1), have
-      int coordinates, since each step above multiplies by delta, and
-      T = sum_e r_e (delta^E t^e mod mu) in the coordinates of x^i.  So its
+    - Bound.  Read t as an indeterminate.  On the torus |t| = |x| = 1 an
+      entry of the Sylvester matrix of P and Q has modulus at most the
+      1-norm of the y-coefficient it holds, so Hadamard's inequality bounds
+      R = Res_y(P, Q) in Z[t, x] there by H, the product over the rows of
+      the 2-norms of those 1-norms: H^2 = (sum_j |P_j|_1^2)^n (sum_j
+      |Q_j|_1^2)^m, P_j the y^j coefficient.  A coefficient is at most the
+      maximum on the torus (Cauchy), so r_e,i, that of t^e x^i in R, is at
+      most H.  R has t-degree at most (m + n)(k - 1), so E = max(0,
+      (m + n)(k - 1) - k + 1) steps f -> delta f - lc_t(f) t^(D - k)
+      (delta mu), D the formal t-degree of f and delta the lcm of the
+      denominators of mu, take t^e to rows delta^E (t^e mod mu) with int
+      coordinates.  So T = delta^E c^n d^m Res(p, q) = sum_e r_e (delta^E
+      t^e mod mu), in the coordinates of x^i, has int coordinates, and its
       coordinate l is at most H times the sum over e of the absolute
-      coordinates l of those rows, and B is the smaller of the two bounds.
+      coordinates l of those rows; B is the largest of these.
     - Images.  At a prime P (``NumberField.split_prime``) mu has k distinct
       roots r_j, and t -> r_j, x -> x0 maps Z_(P)[t, x] onto F_P, taking
       delta mu, and so delta^E R - T, to 0.  When neither leading
@@ -773,7 +815,7 @@ def bivariate_resultant(p, q, field):
         for _ in range(power):
             out = poly_mul(out, base)
         return out
-    (p_int, c, p_norm), (q_int, d, q_norm) = map(_int_rows, (p_rows, q_rows))
+    (p_int, c), (q_int, d) = map(_int_rows, (p_rows, q_rows))
     k = field.degree
     delta = math.lcm(*(x.denominator for x in field.minpoly))
     steps = max(0, (m + n) * (k - 1) - k + 1)
@@ -783,9 +825,7 @@ def bivariate_resultant(p, q, field):
         sums = [s + abs(x) for s, x in zip(sums, power)]
         power = [(power[i - 1] if i else 0) - power[-1] * field.minpoly[i]
                  for i in range(k)]
-    bound = min(p_norm ** n * q_norm ** m * (
-        delta + sum(abs(x * delta) for x in field.minpoly)) ** steps,
-        (hadamard + 1) * max(sums))
+    bound = (hadamard + 1) * max(sums)
     count = 1 + min(
         m * _x_degree(q_rows) + n * _x_degree(p_rows),
         n * _total_degree(p_rows) + m * _total_degree(q_rows) - m * n)
@@ -824,11 +864,10 @@ def to_y_rows(poly):
 
 def _int_rows(rows):
     """The rows times the lcm c of their coordinate denominators, as int
-    coordinate tuples, with c and their 1-norm."""
+    coordinate tuples, with c."""
     c = denominator(*(e for row in rows for e in row))
-    out = [[tuple(x.numerator * (c // x.denominator) for x in e.coeffs)
-            for e in row] for row in rows]
-    return out, c, sum(abs(x) for row in out for e in row for x in e)
+    return [[tuple(x.numerator * (c // x.denominator) for x in e.coeffs)
+             for e in row] for row in rows], c
 
 
 def _square_sum(rows):
@@ -860,11 +899,11 @@ def find_roots_in_field(f: Sequence[FieldElement],
     cofactor, that part over the product of the (x - r), is squarefree
     and monic.  Over Q, where f may be an int or Fraction list, that part
     is primitive in Z[x], a root u/v divides it as v x - u, and the
-    cofactor is made monic once.  The roots are complete for K = Q (p-adic
-    lifting) and for quadratic K (``_quadratic_field_roots``).  For deg K
-    >= 3 they are the rational roots, then the root of a linear cofactor,
-    or the roots of a quadratic one whose discriminant is a rational
-    square; the rest is reported through remaining_degree.
+    cofactor is made monic once.  The roots are complete for K = Q and
+    quadratic K (p-adic lifting, ``_squarefree_roots``).  For deg K >= 3
+    they are the rational roots, then the root of a linear cofactor, or
+    the roots of a quadratic one whose discriminant is a rational square;
+    the rest is reported through remaining_degree.
     """
     f = poly_trim(f)
     if not f:
@@ -874,7 +913,7 @@ def find_roots_in_field(f: Sequence[FieldElement],
     low = next(i for i, c in enumerate(f) if c)
     if field.is_rational:
         work = _z_squarefree(_primitive(f[low:]))
-        roots = _squarefree_rational_roots(work)
+        roots = _squarefree_roots(work, field)
         for r in roots:
             work = _z_quotient(work, [-r.numerator, r.denominator])
         roots, work = ([field.element(c) for c in p]
@@ -884,7 +923,7 @@ def find_roots_in_field(f: Sequence[FieldElement],
         if len(work) <= 2:
             roots = [-work[0]] if len(work) == 2 else []
         elif field.degree == 2:
-            roots = _quadratic_field_roots(work, field)
+            roots = _squarefree_roots(work, field)
         else:
             roots = list(_rational_roots_in_extension(work, field))
         work = _divide_roots(work, roots)
@@ -913,7 +952,7 @@ def _rational_roots_in_extension(f, field):
     coord = []
     for j in range(field.degree):
         coord = _z_gcd(coord, _primitive([c.coeffs[j] for c in f]))
-    for r in _squarefree_rational_roots(coord):
+    for r in _squarefree_roots(coord, QQ):
         cand = field.element(r)
         if poly_eval(f, cand).is_zero():
             yield cand
@@ -929,49 +968,6 @@ def _small_cofactor_roots(g):
     if s is None:
         return []
     return [(s - g[1]) / 2, (-s - g[1]) / 2]
-
-
-def _quadratic_field_roots(f, field):
-    """The roots in a quadratic K = Q(a) of a squarefree f of degree >= 2.
-
-    A root x + a y, x and y rational, is a common rational zero of the
-    coordinates P, Q of f(x + a y) = P + a Q (``_taylor_coordinates``).
-    Over the algebraic closure f(x + a y) is a product of lines
-    x + a y = r and its conjugate P + a' Q one of lines x + a' y = r', so
-    P and Q have no common factor, and ``common_zeros`` over Q finds every
-    such zero.
-    """
-    P, Q = _taylor_coordinates(f, field)
-    roots = []
-    for x0, y0 in common_zeros(P, Q, QQ)[0]:
-        cand = field.element((x0.coeffs[0], y0.coeffs[0]))
-        if poly_eval(f, cand):
-            raise RuntimeError("a common zero of the coordinates of "
-                               "f(x + a y) is not a root of f")
-        roots.append(cand)
-    return roots
-
-
-def _taylor_coordinates(f, field):
-    """P, Q in Q[x, y], as dicts over QQ, with f(x + a y) = P + a Q for a
-    quadratic K = Q(a).
-
-    By Taylor's formula at x, f(x + a y) = sum_k a^k y^k f_k(x), where
-    f_k = f^(k) / k! = sum_i C(i + k, k) f_(i+k) x^i, so the two
-    coordinates of a^k C(i + k, k) f_(i+k) are the (i, k) coefficients of
-    P and Q.
-    """
-    P, Q = {}, {}
-    gen, power = field.gen(), field.one()
-    for k in range(len(f)):
-        for i in range(len(f) - k):
-            c0, c1 = (f[i + k] * power * math.comb(i + k, k)).coeffs
-            if c0:
-                P[(i, k)] = QQ.element(c0)
-            if c1:
-                Q[(i, k)] = QQ.element(c1)
-        power = power * gen
-    return P, Q
 
 
 def common_zeros(p, q, field):

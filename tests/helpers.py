@@ -9,12 +9,14 @@ node-wise resultant, the chart maps substituted in K, the filtered
 [-d, d] sweep of Algorithm 1 and the cone search's unpruned candidates, as
 references, seeded random configurations, the labels of the cone search's
 trace and Algorithm 1 held back from it, Euclid over Fraction as the
-reference for the Z[x] kernel over Q, the benchmark's pool pencils and
-seeded log forms."""
+reference for the Z[x] kernel over Q, the common zeros of the coordinates
+of f(x + a y) as the reference for the roots in a quadratic field, the
+benchmark's pool pencils, and seeded log forms and radial log forms."""
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -29,9 +31,9 @@ from folint.cluster import (
 )
 from folint.cones import RationalCone, contains
 from folint.numfield import (
-    QQ, FieldElement, NumberField, _simple_roots_mod_prime, poly_derivative,
-    poly_divmod, poly_eval, poly_interpolate, poly_resultant, poly_trim,
-    reciprocal,
+    QQ, FieldElement, NumberField, common_zeros, poly_derivative,
+    poly_divmod, poly_eval, poly_interpolate, poly_resultant,
+    poly_squarefree_part, poly_trim, reciprocal,
 )
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, _partial, divides, gcd3, monomials,
@@ -471,6 +473,20 @@ def _reference_rational_roots(p):
     return sorted(roots)
 
 
+def _simple_roots_mod_prime(f, df):
+    """The first prime p not dividing the leading coefficient of the integer
+    polynomial f at which every root of f mod p is simple, and those roots.
+    For squarefree f only the primes dividing a_n or disc(f) are skipped."""
+    p = 1
+    while True:
+        p += 1
+        if f[-1] % p == 0 or not modp._is_prime(p):
+            continue
+        roots = [r for r in range(p) if modp.evaluate(f, r, p) == 0]
+        if all(modp.evaluate(df, r, p) for r in roots):
+            return p, roots
+
+
 def reference_roots_over_q(f):
     """(roots, remaining degree, cofactor) of a nonzero list of elements of
     Q, as ``find_roots_in_field`` gives them, by Euclid over Fraction and
@@ -492,7 +508,74 @@ def reference_roots_over_q(f):
 
 
 # ---------------------------------------------------------------------------
-# inputs: the benchmark's pool pencils and seeded log forms
+# common zeros over Q: the reference for the roots in a quadratic field
+# ---------------------------------------------------------------------------
+
+def reference_roots_over_k(f):
+    """(roots, remaining degree, cofactor) of a nonzero list over a
+    quadratic K, as ``find_roots_in_field`` gives them, from the rational
+    common zeros of the coordinates of f(x + a y)."""
+    f = poly_trim(f)
+    field = f[0].field
+    low = next(i for i, c in enumerate(f) if c)
+    work = poly_squarefree_part(f[low:])
+    if len(work) <= 2:
+        roots = [-work[0]] if len(work) == 2 else []
+    else:
+        roots = _quadratic_field_roots(work, field)
+    for r in roots:
+        work = poly_divmod(work, [-r, work[-1]])[0]
+    if low:
+        roots.append(field.zero())
+    roots.sort(key=FieldElement.sort_key)
+    return roots, len(work) - 1, work
+
+
+def _quadratic_field_roots(f, field):
+    """The roots in a quadratic K = Q(a) of a squarefree f of degree >= 2.
+
+    A root x + a y, x and y rational, is a common rational zero of the
+    coordinates P, Q of f(x + a y) = P + a Q (``taylor_coordinates``).
+    Over the algebraic closure f(x + a y) is a product of lines
+    x + a y = r and its conjugate P + a' Q one of lines x + a' y = r', so
+    P and Q have no common factor, and ``common_zeros`` over Q finds every
+    such zero.
+    """
+    P, Q = taylor_coordinates(f, field)
+    roots = []
+    for x0, y0 in common_zeros(P, Q, QQ)[0]:
+        cand = field.element((x0.coeffs[0], y0.coeffs[0]))
+        if poly_eval(f, cand):
+            raise RuntimeError("a common zero of the coordinates of "
+                               "f(x + a y) is not a root of f")
+        roots.append(cand)
+    return roots
+
+
+def taylor_coordinates(f, field):
+    """P, Q in Q[x, y], as dicts over QQ, with f(x + a y) = P + a Q for a
+    quadratic K = Q(a).
+
+    By Taylor's formula at x, f(x + a y) = sum_k a^k y^k f_k(x), where
+    f_k = f^(k) / k! = sum_i C(i + k, k) f_(i+k) x^i, so the two
+    coordinates of a^k C(i + k, k) f_(i+k) are the (i, k) coefficients of
+    P and Q.
+    """
+    P, Q = {}, {}
+    gen, power = field.element((0, 1)), field.one()
+    for k in range(len(f)):
+        for i in range(len(f) - k):
+            c0, c1 = (f[i + k] * power * math.comb(i + k, k)).coeffs
+            if c0:
+                P[(i, k)] = QQ.element(c0)
+            if c1:
+                Q[(i, k)] = QQ.element(c1)
+        power = power * gen
+    return P, Q
+
+
+# ---------------------------------------------------------------------------
+# inputs: the benchmark's pool pencils, seeded log forms and radial log forms
 # ---------------------------------------------------------------------------
 
 def bench_pencils():
@@ -548,8 +631,27 @@ def seeded_log_form(seed) -> ProjectiveOneForm:
         if all(map(any, lines)) and all(any(_cross(a, b)) for i, a in
                                         enumerate(lines) for b in lines[:i]):
             break
-    a = field.gen()
+    a = field.element((0, 1))
     return log_form(field, lines, [field.one(), -field.one(), a, -a])
+
+
+def radial_log_form(field, p, q, seed) -> ProjectiveOneForm:
+    """The log form of p + q + 2 lines with residues 1 (p times), -1 (q
+    times), a and -(p - q) - a, which sum to 0.  The lines have int
+    coefficients in [-3, 3] drawn by random.Random(seed), all redrawn until
+    no three are concurrent, which also keeps every line nonzero.  Each
+    point where a residue 1 meets a residue -1, and for p = q the point
+    of a and -a, has the radial linear part v du - u dv."""
+    rng = random.Random(seed)
+    while True:
+        lines = [tuple(rng.randint(-3, 3) for _ in range(3))
+                 for _ in range(p + q + 2)]
+        if all(sum(x * y for x, y in zip(a, _cross(b, c)))
+               for a, b, c in itertools.combinations(lines, 3)):
+            break
+    a, one = field.element((0, 1)), field.one()
+    return log_form(field, lines,
+                    [one] * p + [-one] * q + [a, (q - p) * one - a])
 
 
 def _cross(a, b):

@@ -184,7 +184,7 @@ def test_criterion_6_cubic_pencil():
     with deadline("6 cubic pencil", 60):
         omega, config, field = load("cubic_pencil")
         assert config.size == 9 and config.dicritical_count == 9
-        a = field.gen()
+        a = field.element((0, 1))
         r5 = (17 * a - a ** 3) / 6
         one = field.one()
         X = parse_form("X", field)

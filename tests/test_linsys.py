@@ -558,7 +558,7 @@ def test_pivots_that_differ_between_roots_fall_back(exact_calls):
     # over Q(i) the point (1 : i - r : 1), r the first root of t^2 + 1 mod
     # the first split prime, has Y-coordinate 0 at t -> r only
     P, (r, _), _ = GAUSS.split_prime(0)
-    y = GAUSS.gen() - r
+    y = GAUSS.element((0, 1)) - r
     config = plane_points_config([(1, 0, 0), (1, y, 1)], GAUSS)
     D = config.divisor(1, [1, 1])
     assert h0(D, config) == 1

@@ -6,19 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from folint import numfield
 from folint.numfield import (
     QQ, FieldElement, FieldMismatchError, NumberField, bivariate_resultant,
     denominator, find_roots_in_field, format_element, format_minpoly,
     parse_polynomial, poly_degree,
     poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_interpolate,
     poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
-    rational_is_square, residue, _is_prime, _primitive,
-    _taylor_coordinates, _z_quotient, _z_squarefree,
+    rational_is_square, residue, _is_prime, _primitive, _z_quotient,
+    _z_squarefree,
 )
 
 from helpers import (
-    reference_gcd, reference_resultant, reference_roots_over_q,
-    reference_squarefree_part,
+    reference_gcd, reference_resultant, reference_roots_over_k,
+    reference_roots_over_q, reference_squarefree_part, taylor_coordinates,
 )
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
@@ -35,17 +36,17 @@ def test_rational_arithmetic():
 
 
 def test_generator_reduction():
-    a = EISEN.gen()
+    a = EISEN.element((0, 1))
     assert a * a == EISEN.element((-1, -1))      # a^2 = -a - 1
-    s = ROOT5.gen()
+    s = ROOT5.element((0, 1))
     assert (1 + s) * (1 - s) == ROOT5.element(-4)
 
 
 def test_inverse_in_extension():
-    a = EISEN.gen()
+    a = EISEN.element((0, 1))
     assert a.inverse() == EISEN.element((-1, -1))
     assert a * a.inverse() == EISEN.one()
-    s = ROOT5.gen()
+    s = ROOT5.element((0, 1))
     assert s.inverse() == s / 5
     with pytest.raises(ZeroDivisionError):
         EISEN.zero().inverse()
@@ -53,7 +54,7 @@ def test_inverse_in_extension():
 
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
-        GAUSS.gen() + EISEN.gen()
+        GAUSS.element((0, 1)) + EISEN.element((0, 1))
 
 
 def test_minimal_polynomial_validation():
@@ -133,7 +134,7 @@ def test_roots_in_extension():
     assert len(res.roots) == 2
     for r in res.roots:
         assert poly_eval(f, r).is_zero()
-    assert EISEN.gen() in res.roots
+    assert EISEN.element((0, 1)) in res.roots
 
 
 def test_roots_cubic_over_eisenstein():
@@ -146,7 +147,7 @@ def test_roots_cubic_over_eisenstein():
 
 def test_roots_mixed_cubic_over_gauss():
     # (t - a)(t^2 + t + 3): the only K-root is a, quadratic part stays
-    a = GAUSS.gen()
+    a = GAUSS.element((0, 1))
     quad = [GAUSS.element(3), GAUSS.one(), GAUSS.one()]
     f = poly_mul([-a, GAUSS.one()], quad)
     res = find_roots_in_field(f)
@@ -159,7 +160,7 @@ def test_rational_root_in_a_cubic_field_from_integer_coordinates():
     # 3t^3 - t^2 and 1 - 3t have integer coefficients and the gcd t - 1/3,
     # which only exact division finds
     cubic = NumberField((-2, 0, 0, 1))
-    a = cubic.gen()
+    a = cubic.element((0, 1))
     f = [a * a, -3 * a * a, cubic.element(-1), cubic.element(3)]
     res = find_roots_in_field(f)
     assert res.roots == [cubic.element(Fraction(1, 3))]
@@ -263,7 +264,7 @@ def test_find_roots_in_field_against_planted_roots(field):
 
 
 def test_cubic_field_roots_after_the_rational_ones():
-    a, one = CUBIC.gen(), CUBIC.one()
+    a, one = CUBIC.element((0, 1)), CUBIC.one()
     half = CUBIC.element(Fraction(1, 2))
     # a linear cofactor is split
     res = find_roots_in_field(poly_mul(poly_mul(_linear(half), _linear(a)),
@@ -403,13 +404,100 @@ def test_rational_roots_with_a_huge_constant_term():
        small_fraction, small_fraction)
 def test_taylor_coordinates_are_f_at_x_plus_a_y(field, coeffs, x, y):
     f = [field.element(pair) for pair in coeffs]
-    P, Q = _taylor_coordinates(f, field)
+    P, Q = taylor_coordinates(f, field)
 
     def value(poly):
         return sum(c.coeffs[0] * x ** i * y ** j for (i, j), c in poly.items())
 
-    point = field.element((x, 0)) + field.gen() * y
-    assert value(P) + field.gen() * value(Q) == poly_eval(f, point)
+    point = field.element((x, 0)) + field.element((0, 1)) * y
+    assert value(P) + field.element((0, 1)) * value(Q) == poly_eval(f, point)
+
+
+QUADRATIC_FIELDS = [GAUSS, EISEN, NumberField((-2, 0, 1)), ROOT5,
+                    NumberField.from_string("t^2-3/4")]
+
+
+def _planted_quadratic_cases(field, rng, count):
+    """(f, planted roots, what the case holds) over a quadratic K: roots
+    small or with numerators near 10^20, the generator, and over Q(sqrt 5)
+    first (1 + a)/2, an algebraic integer outside Z[a]; repeated roots and
+    the root 0, a leading coefficient such as 3 + 5a, and a factor
+    x^2 - 7, shifted, without roots in K."""
+    one, a = field.one(), field.element((0, 1))
+
+    def element(size):
+        return field.element(tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(size // 2, size),
+                     rng.randint(1, 9)) for _ in range(2)))
+
+    for _ in range(count):
+        kinds, planted = set(), []
+        for i in range(rng.randint(1, 3)):
+            kind = rng.choice(("small", "huge", "generator"))
+            if field is ROOT5 and i == 0:
+                kind = "integer"
+            r = {"small": lambda: element(9),
+                 "huge": lambda: element(10 ** 20),
+                 "generator": lambda: a - rng.randint(-3, 3),
+                 "integer": lambda: (one + a) / 2 + rng.randint(-3, 3)}[kind]()
+            if r not in planted:
+                planted.append(r)
+                kinds.add(kind)
+        lead = rng.choice((one, 3 + 5 * a, element(9) or one))
+        kinds.add("non-unit lead" if lead != one else "monic")
+        f = [lead]
+        for r in planted:
+            times = rng.choice((1, 1, 2, 3))
+            kinds.add("repeated" if times > 1 else "simple")
+            for _ in range(times):
+                f = poly_mul(f, [-r, one])
+        if rng.random() < 0.4:
+            f = [field.zero()] * rng.randint(1, 2) + f
+            planted.append(field.zero())
+            kinds.add("root 0")
+        if rng.random() < 0.4:
+            shift = element(9)
+            square = poly_mul([-shift, one], [-shift, one])
+            f = poly_mul(f, poly_sub(square, [7 * one]))
+            kinds.add("no roots in K")
+        yield f, planted, kinds
+
+
+def test_quadratic_roots_match_the_common_zeros_reference():
+    # p-adic lifting at both embeddings gives the roots, their types and
+    # the cofactor that the common zeros of the coordinates of f(x + a y)
+    # over Q gave, and finds every planted root
+    rng = random.Random(29)
+    seen = {"huge": 0, "non-unit lead": 0, "integer": 0, "repeated": 0,
+            "root 0": 0, "no roots in K": 0}
+    for field in QUADRATIC_FIELDS:
+        for f, planted, kinds in _planted_quadratic_cases(field, rng, 12):
+            roots, remaining, cofactor = find_roots_in_field(f)
+            expected = reference_roots_over_k(f)
+            assert _typed(roots) == _typed(expected[0])
+            assert remaining == expected[1]
+            assert _typed(cofactor) == _typed(expected[2])
+            assert set(planted) <= set(roots)
+            for kind in seen:
+                seen[kind] += kind in kinds
+    assert min(seen.values()) >= 5, seen
+
+
+def test_quadratic_roots_take_no_resultant(monkeypatch):
+    # the roots in a quadratic K come from lifting at the degree of f: no
+    # common zeros of its coordinates and no resultant over Q
+    calls = []
+    for name in ("common_zeros", "bivariate_resultant"):
+        def counting(*args, name=name, real=getattr(numfield, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(numfield, name, counting)
+    rng = random.Random(4)
+    found = 0
+    for field in QUADRATIC_FIELDS:
+        for f, planted, _ in _planted_quadratic_cases(field, rng, 4):
+            found += len(find_roots_in_field(f).roots)
+    assert calls == [] and found >= 20
 
 
 @settings(deadline=None)
@@ -575,15 +663,14 @@ def test_bivariate_resultant_matches_the_reference(kind, field):
 
 
 def test_bivariate_resultant_of_y_free_inputs_is_a_power():
-    x_plus_a = {(1, 0): GAUSS.one(), (0, 0): GAUSS.gen()}
+    x_plus_a = {(1, 0): GAUSS.one(), (0, 0): GAUSS.element((0, 1))}
     q = {(0, 3): GAUSS.one(), (2, 0): GAUSS.element(5)}
-    cube = poly_mul(poly_mul([GAUSS.gen(), GAUSS.one()],
-                             [GAUSS.gen(), GAUSS.one()]),
-                    [GAUSS.gen(), GAUSS.one()])
+    linear = [GAUSS.element((0, 1)), GAUSS.one()]
+    cube = poly_mul(poly_mul(linear, linear), linear)
     assert bivariate_resultant(x_plus_a, q, GAUSS) == cube
     square = {(0, 2): GAUSS.one(), (0, 0): GAUSS.element(-2)}
-    assert bivariate_resultant(square, x_plus_a, GAUSS) == poly_mul(
-        [GAUSS.gen(), GAUSS.one()], [GAUSS.gen(), GAUSS.one()])
+    assert bivariate_resultant(square, x_plus_a, GAUSS) == poly_mul(linear,
+                                                                    linear)
     assert bivariate_resultant(x_plus_a, {(0, 0): GAUSS.element(7)},
                                GAUSS) == [GAUSS.one()]
 

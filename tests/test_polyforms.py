@@ -109,7 +109,7 @@ def test_gcd3_examples():
 
 def test_gcd3_with_extension_field():
     gauss = NumberField((1, 0, 1))
-    i = gauss.gen()
+    i = gauss.element((0, 1))
     x = variable(gauss, 0)
     y = variable(gauss, 1)
     f = (x + y * i) * (x - y * i)
@@ -163,7 +163,7 @@ def test_coprime_certifies_with_the_prime_in_a_denominator(field):
     # mod P, which keeps both x- and both y-leading coefficients
     P = field.split_prime(0)[0]
     x, y, z = (variable(field, i) for i in range(3))
-    a = field.gen() if field.degree == 2 else field.one()
+    a = field.element((0, 1)) if field.degree == 2 else field.one()
     f = (x + y * a) * field.element(Fraction(1, P)) + z
     g = x - y + z
     assert polyforms._coprime(f, g)
@@ -319,7 +319,7 @@ def _evaluate(tree, field):
         return HomogeneousForm.constant(field, tree[2])
     if kind == "var":
         if tree[1] == "a":
-            return HomogeneousForm.constant(field, field.gen())
+            return HomogeneousForm.constant(field, field.element((0, 1)))
         return variable(field, "XYZ".index(tree[1]))
     if kind == "neg":
         return -_evaluate(tree[1], field)

@@ -21,8 +21,8 @@ from folint.resolve import (
 )
 
 from helpers import (
-    one_form_from_pencil, pool_pencils, proximity_matrix, seeded_log_form,
-    variable,
+    one_form_from_pencil, pool_pencils, proximity_matrix, radial_log_form,
+    seeded_log_form, variable,
 )
 
 
@@ -412,4 +412,16 @@ def test_log_forms_have_no_integral(seed):
     omega = seeded_log_form(seed)
     config = build_configuration(omega)
     assert config.size == 2
+    assert pipeline(omega, config).outcome == "no_integral"
+
+
+def test_six_line_radial_form_has_no_integral():
+    # residues (1, 1, -1, -1, a, -a) over Q(sqrt 2): the four points where
+    # a residue 1 meets a residue -1, and the point of a and -a, are radial
+    # and so dicritical; the ratio -1/a at the point of 1 and a is
+    # irrational, so there is no integral.  The affine resultant has
+    # degree 19 over K, which resolution splits at its own degree
+    omega = radial_log_form(NumberField((-2, 0, 1)), 2, 2, 1)
+    config = build_configuration(omega)
+    assert config.size == config.dicritical_count == 5
     assert pipeline(omega, config).outcome == "no_integral"
