@@ -2,8 +2,10 @@
 
 ``rref`` is the one elimination loop over exact entries, int, Fraction or
 FieldElement (``modp.rref`` is its twin on ints mod a prime), and rank and
-nullspace are thin wrappers over it.  It inverts a pivot with
-``numfield.reciprocal``, so int matrices go in as they are.  ``rank_int``
+nullspace are thin wrappers over it.  Over a field it inverts each pivot
+with ``numfield.reciprocal``; an int matrix goes in as it is and is
+eliminated fraction-free, in ints up to one division at the end.
+``rank_int``
 takes the rank of an integer matrix mod one prime first and eliminates
 over Q only when that rank falls short of the row count.  The simplex is
 the reference that the tests check cone membership against.
@@ -19,31 +21,61 @@ from .numfield import QQ, reciprocal
 
 def rref(rows):
     """Reduced row echelon form (on a copy); returns (rows, pivots), the
-    nonzero reduced rows and their pivot columns."""
+    nonzero reduced rows and their pivot columns.
+
+    Gauss-Jordan with the first nonzero entry at or below row r as the
+    pivot of each column.  Over a field the pivot row is scaled to 1 and
+    its column cleared from the other rows.  An int matrix is eliminated
+    fraction-free (Bareiss 1968) instead.  Let R be the matrix that
+    Gauss-Jordan over Q reaches after k pivots, and d the determinant of
+    the k x k pivot block in the input M with the same row swaps (d = 1
+    for k = 0).  The loop keeps A = d R and divides by d once at the end.
+    A and R have the same zeros, so they give the same pivots.  At the next
+    pivot p = A[r][c] = d R[r][c], Gauss-Jordan makes row r into R_r /
+    R[r][c] and every other row R_i - R[i][c] R_r / R[r][c].  The new
+    block's determinant is d' = d R[r][c] = p by Schur's formula, so d' R'
+    has row r equal to A_r, unchanged, and every other row (p A_i - A[i][c]
+    A_r) / d.  Every entry of d' R' is a minor of M: a pivot row's by
+    Cramer's rule, as d' R' = adj(B) M there for the pivot block B, and
+    another row's by Schur's formula, det [[B, u], [w, x]] = det B (x - w
+    B^-1 u).  So the division by d is exact in Z.  A row is zero left of
+    its own pivot, and a row below r is zero left of c, so each row is
+    updated from there on; over a field a row with a zero in column c
+    keeps its entries.
+    """
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    ints = all(type(v) is int for row in m for v in row)
     pivots = []
-    r = 0
-    for c in range(ncols):
+    r, last = 0, 1
+    for c in range(len(m[0])):
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        # the pivot row is zero left of c, so only columns c.. change
-        inv = reciprocal(m[r][c])
-        tail = [v * inv for v in m[r][c:]]
-        m[r][c:] = tail
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i][c:] = [a - f * b if b else a
-                             for a, b in zip(m[i][c:], tail)]
+        top, p = m[r], m[r][c]
+        if not ints:
+            inv = reciprocal(p)
+            top[c:] = [v * inv for v in top[c:]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i == r:
+                continue
+            if ints:
+                s = pivots[i] if i < r else c
+                row[s:] = [(p * a - f * b) // last
+                           for a, b in zip(row[s:], top[s:])]
+            elif f:
+                row[c:] = [a - f * b if b else a
+                           for a, b in zip(row[c:], top[c:])]
         pivots.append(c)
-        r += 1
+        r, last = r + 1, p
         if r == len(m):
             break
+    if ints:
+        return [[a // last if a % last == 0 else Fraction(a, last)
+                 for a in row] for row in m[:r]], pivots
     return m[:r], pivots
 
 

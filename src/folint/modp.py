@@ -6,10 +6,12 @@ product of two residues is a machine-size int.  Besides the ring operations
 this holds what a modular algorithm needs: a Euclidean resultant, Newton
 interpolation on non-negative integer nodes, the Chinese remainder step with
 a symmetric lift, rational reconstruction, the roots of a polynomial that
-splits into distinct linear factors, the inverse of their Vandermonde
-matrix, and from these the image of a bivariate resultant over a number
-field.  Matrices mod P have their reduced row echelon form.  Nothing here
-depends on the rest of the package.
+splits into distinct linear factors (a quadratic's in closed form, by
+Euler's criterion and a Tonelli-Shanks square root, with no polynomial
+power), the inverse of their Vandermonde matrix, and from these the image
+of a bivariate resultant over a number field.  Matrices mod P have their
+reduced row echelon form.  Nothing here depends on the rest of the
+package.
 """
 
 from __future__ import annotations
@@ -172,7 +174,15 @@ def symmetric(x, modulus):
 
 def split_roots(m, P):
     """The distinct roots of the monic m mod the odd prime P; m splits into
-    distinct linear factors when there are deg m of them.
+    distinct linear factors when there are deg m of them.  A quadratic is
+    answered in closed form (``_quadratic_roots``), in the same order."""
+    if len(m) == 3:
+        return _quadratic_roots(m, P)
+    return _generic_roots(m, P)
+
+
+def _generic_roots(m, P):
+    """``split_roots`` for m of any degree.
 
     gcd(m, x^P - x), where x^P - x = x (h^2 - 1) for h = x^((P-1)/2), is
     the product of the distinct linear factors of m.  Its gcd with
@@ -189,6 +199,59 @@ def split_roots(m, P):
     if len(g) > 1:
         _split(g, 0, divmod_(half, g, P)[1], P, roots)
     return roots
+
+
+def _quadratic_roots(m, P):
+    """``split_roots`` for a monic quadratic m = x^2 + b x + c, in the
+    order ``_generic_roots`` gives, with no polynomial power.
+
+    The roots are (-b +- s) / 2 for s^2 = disc = b^2 - 4c: none when disc
+    is not a square (Euler's criterion), the one root -b / 2 when disc = 0,
+    where m = (x + b/2)^2, else two.  Of two roots the generic splitting
+    keeps in its first proper gcd, and so reaches first, the root r for
+    which r + a is a nonzero square, a >= 0 the least shift at which that
+    holds for exactly one of them: at every smaller shift the gcd is 1 or
+    m, which is not proper.
+    """
+    c, b, _ = m
+    half, inv2 = (P - 1) // 2, (P + 1) // 2
+    disc = (b * b - 4 * c) % P
+    if not disc:
+        return [-b * inv2 % P]
+    if pow(disc, half, P) != 1:
+        return []
+    s = _sqrt(disc, P)
+    roots = [(s - b) * inv2 % P, (-s - b) * inv2 % P]
+    a = 0
+    while True:
+        first, second = (pow(r + a, half, P) == 1 for r in roots)
+        if first != second:
+            return roots if first else roots[::-1]
+        a += 1
+
+
+def _sqrt(n, P):
+    """A square root of the nonzero square n mod the odd prime P
+    (Tonelli-Shanks).  With P - 1 = q 2^e, q odd, and z the least
+    non-square, the loop keeps r^2 = n t, t of order below 2^e and c of
+    order exactly 2^e.  If t has order 2^i, b = c^(2^(e-i-1)) has order
+    2^(i+1), so t b^2 has order below 2^i, and r b, b^2, i replace r, c,
+    e until t = 1."""
+    q, e = P - 1, 0
+    while not q & 1:
+        q, e = q >> 1, e + 1
+    z = 2
+    while pow(z, (P - 1) // 2, P) != P - 1:
+        z += 1
+    c, t, r = pow(z, q, P), pow(n, q, P), pow(n, (q + 1) // 2, P)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % P, i + 1
+        b = pow(c, 1 << (e - i - 1), P)
+        e, c = i, b * b % P
+        t, r = t * c % P, r * b % P
+    return r
 
 
 def _split(g, a, half, P, roots):

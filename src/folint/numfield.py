@@ -114,7 +114,7 @@ def integral(columns, ring):
 # FieldElement.  A zero comes from the inputs (c * 0) and a coefficient is
 # tested for zero by its truth value.  A division multiplies by
 # ``reciprocal(lead)``, which is exact for an int lead too, so int lists go
-# in as they are (``linalg.rref`` inverts its pivots the same way).
+# in as they are (over a field ``linalg.rref`` inverts its pivots so too).
 
 def reciprocal(x):
     """1 / x, exactly: a Fraction for an int x, where ``1 / x`` would be a
@@ -982,7 +982,8 @@ def common_zeros(p, q, field):
     Res_y cuts out x-coordinates outside K, else the cofactor cuts out the
     y-coordinates over x0 outside K.  A zero resultant, a common factor,
     raises RuntimeError.  Cleared of denominators, the rows give v^n
-    row(u/v) at x0 = u/v, v = denominator(x0): ints over Q.
+    row(u/v) at x0 = u/v, v = denominator(x0): ints over Q, whose gcd stays
+    the primitive int list that the root finder takes.
     """
     rx = bivariate_resultant(p, q, field)
     if not rx:
@@ -996,7 +997,9 @@ def common_zeros(p, q, field):
     for x0 in xs.roots:
         v = denominator(x0)
         u = lift(x0, v, ring)
-        g = poly_gcd(*([_at_ratio(row, u, v, n) for row in r] for r in rows))
+        at_x0 = [[_at_ratio(row, u, v, n) for row in r] for r in rows]
+        g = (_z_gcd(*map(_primitive, at_x0)) if field.is_rational
+             else poly_gcd(*at_x0))
         if len(g) < 2:
             continue
         ys = find_roots_in_field(g, field)

@@ -17,17 +17,17 @@ constants, c = (mu/lambda) c_stored, and certificates map back to true ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from .cluster import (
     Configuration, InfinitelyNearPoint, normalize_point,
 )
 from .numfield import (
-    FieldElement, FieldExtensionNeeded, NumberField, bivariate_resultant,
-    common_zeros, denominator, exact_ring, find_roots_in_field,
-    format_poly_in_t, lift, poly_degree, poly_divmod, poly_gcd,
-    poly_inverse_mod, poly_mul, poly_sub, poly_trim, rational_is_square,
-    to_y_rows,
+    FieldElement, FieldExtensionNeeded, NumberField, _primitive, _z_gcd,
+    bivariate_resultant, common_zeros, denominator, exact_ring,
+    find_roots_in_field, format_poly_in_t, lift, poly_degree, poly_divmod,
+    poly_gcd, poly_inverse_mod, poly_mul, poly_sub, poly_trim,
+    rational_is_square, to_y_rows,
 )
 from .polyforms import ProjectiveOneForm, _partial
 from .linsys import (
@@ -61,6 +61,14 @@ def _coeffs_at_u0(poly):
     return poly_trim(row.get(j, zero) for j in range(max(row, default=-1) + 1))
 
 
+def _root_gcd(p, q, field):
+    """gcd(p, q) as ``find_roots_in_field`` takes it: over Q the primitive
+    int list of ``_z_gcd``, with no monic Fraction copy, else monic."""
+    if field.is_rational:
+        return _z_gcd(_primitive(p), _primitive(q))
+    return poly_gcd(p, q)
+
+
 # ---------------------------------------------------------------------------
 # local foliations
 # ---------------------------------------------------------------------------
@@ -85,14 +93,19 @@ class LocalFoliation:
     def is_singular(self) -> bool:
         return self.order() >= 1
 
-    def linear_data(self) -> Tuple[FieldElement, FieldElement]:
-        """(trace, determinant) of the linear part of the dual vector field."""
+    def linear_data(self):
+        """(trace, determinant) of the linear part of the dual vector field:
+        rationals over Q, whether the series holds ints or elements of Q,
+        and elements of K otherwise."""
         du = self.series.get((1, 0), {})
         dv = self.series.get((0, 1), {})
         a_u, b_u = du.get(0, 0), du.get(1, 0)
         a_v, b_v = dv.get(0, 0), dv.get(1, 0)
-        return tuple(map(self.field.element, (a_v - b_u,
-                                              a_u * b_v - a_v * b_u)))
+        pair = (a_v - b_u, a_u * b_v - a_v * b_u)
+        if self.field.is_rational:
+            return tuple(x.coeffs[0] if type(x) is FieldElement else x
+                         for x in pair)
+        return tuple(map(self.field.element, pair))
 
 
 def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
@@ -106,27 +119,29 @@ def local_at_plane_point(omega: ProjectiveOneForm, origin) -> LocalFoliation:
                           (Fraction(1, chart[1]),) * 2)
 
 
-def _ratio_is_positive_rational(c: FieldElement) -> bool:
-    """Does r^2 - c r + 1 = 0 have a positive rational root?"""
-    if not c.is_rational():
-        return False
-    cq = c.as_fraction()
-    if cq < 2:
-        # real rational roots need disc >= 0, and their product is 1
-        return False
-    return rational_is_square(cq * cq - 4) is not None
+def _ratio_is_positive_rational(c: Fraction) -> bool:
+    """Does r^2 - c r + 1 = 0, c rational, have a positive rational root?
+    Real rational roots need c^2 - 4 a rational square, and as their
+    product is 1 they are positive iff their sum c is, that is c >= 2."""
+    return c >= 2 and rational_is_square(c * c - 4) is not None
 
 
 def is_simple(omega: LocalFoliation) -> bool:
     """Seidenberg-final singularities: eigenvalue ratio not a positive
-    rational, including saddle-nodes; nilpotent linear part is not simple."""
+    rational, including saddle-nodes; nilpotent linear part is not simple.
+    The ratio r is a root of r^2 - c r + 1 for c = (tr^2 - 2 det) / det,
+    which over Q is a Fraction of the two rationals."""
     if not omega.is_singular():
         raise ResolutionError("simplicity test at a non-singular point")
     trace, det = omega.linear_data()
-    if det.is_zero():
-        return not trace.is_zero()
+    if not det:
+        return bool(trace)
+    if omega.field.is_rational:
+        return not _ratio_is_positive_rational(
+            Fraction(trace * trace - 2 * det) / det)
     c = (trace * trace - 2 * det) / det
-    return not _ratio_is_positive_rational(c)
+    return not (c.is_rational() and _ratio_is_positive_rational(
+        c.as_fraction()))
 
 
 class BlowUpResult(NamedTuple):
@@ -181,7 +196,7 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     b0 = _coeffs_at_u0(b1)
     if not a0 and not b0:
         raise ResolutionError("exceptional divisor inside the singular locus")
-    g = poly_gcd(a0, b0)
+    g = _root_gcd(a0, b0, field)
     children = []
     if poly_degree(g) >= 1:
         roots, remaining, cofactor = find_roots_in_field(g, field)
@@ -316,7 +331,8 @@ def _require_orbit_simple(a, b, u0, v0, field, scale=1):
     roots, _, _ = find_roots_in_field(res_in_c, field) \
         if poly_degree(res_in_c) >= 1 else ([], 0, [])
     for root in roots:
-        if root.is_rational() and _ratio_is_positive_rational(root):
+        if root.is_rational() and _ratio_is_positive_rational(
+                root.as_fraction()):
             raise FieldExtensionNeeded(
                 "a conjugate singular point outside the base field is not "
                 "simple (certificate %s)" % certificate, certificate=scaled)
@@ -384,7 +400,7 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
             univs.append(coeffs)
     g = univs[0]
     for other in univs[1:]:
-        g = poly_gcd(g, other)
+        g = _root_gcd(g, other, field)
         if poly_degree(g) < 1:
             break
     if poly_degree(g) >= 1:

@@ -11,7 +11,11 @@ references, seeded random configurations, the labels of the cone search's
 trace and Algorithm 1 held back from it, Euclid over Fraction as the
 reference for the Z[x] kernel over Q, the common zeros of the coordinates
 of f(x + a y) as the reference for the roots in a quadratic field, the
-benchmark's pool pencils, and seeded log forms and radial log forms."""
+elimination loop that inverts each pivot as the reference for the
+fraction-free ``rref``, the simplicity test on elements of K and the split
+primes from the generic splitting as references for the arithmetic over
+Q and the closed form, the benchmark's pool pencils, and seeded log forms
+and radial log forms."""
 
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from folint.cones import RationalCone, contains
 from folint.numfield import (
     QQ, FieldElement, NumberField, common_zeros, poly_derivative,
     poly_divmod, poly_eval, poly_interpolate, poly_resultant,
-    poly_squarefree_part, poly_trim, reciprocal,
+    poly_squarefree_part, poly_trim, rational_is_square, reciprocal,
 )
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, _partial, divides, gcd3, monomials,
@@ -572,6 +576,72 @@ def taylor_coordinates(f, field):
                 Q[(i, k)] = QQ.element(c1)
         power = power * gen
     return P, Q
+
+
+# ---------------------------------------------------------------------------
+# elimination by inverted pivots, simplicity over K and the generic
+# splitting: the references for the fraction-free rref, the simplicity test
+# over Q and the closed form for quadratics
+# ---------------------------------------------------------------------------
+
+def reference_rref(rows):
+    """``linalg.rref`` by the loop that scales each pivot row by the
+    pivot's reciprocal and clears its column from every other row."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = reciprocal(m[r][c])
+        tail = [v * inv for v in m[r][c:]]
+        m[r][c:] = tail
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i][c:] = [a - f * b if b else a
+                             for a, b in zip(m[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_is_simple(omega) -> bool:
+    """``resolve.is_simple`` on elements of K: c = (tr^2 - 2 det) / det by
+    a FieldElement division, a ratio that is a positive rational iff c is
+    a rational >= 2 with c^2 - 4 a rational square."""
+    du, dv = (omega.series.get(key, {}) for key in ((1, 0), (0, 1)))
+    a_u, b_u, a_v, b_v = (omega.field.element(d.get(t, 0))
+                          for d in (du, dv) for t in (0, 1))
+    trace, det = a_v - b_u, a_u * b_v - a_v * b_u
+    if det.is_zero():
+        return not trace.is_zero()
+    c = (trace * trace - 2 * det) / det
+    if not c.is_rational() or c.as_fraction() < 2:
+        return True
+    return rational_is_square(c.as_fraction() ** 2 - 4) is None
+
+
+def reference_split_primes(field, count):
+    """The first ``count`` entries of ``field.split_prime``, from the
+    generic splitting of m mod each prime, whatever its degree."""
+    primes, P = [], 2 ** 31 - 1
+    while len(primes) < count:
+        if modp._is_prime(P) and all(c.denominator % P
+                                     for c in field.minpoly):
+            m = [c.numerator * pow(c.denominator, -1, P) % P
+                 for c in field.minpoly]
+            roots = modp._generic_roots(m, P)
+            if len(roots) == field.degree:
+                primes.append((P, roots, modp.vandermonde_inverse(roots, P)))
+        P -= 2
+    return primes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Properties of the exact elimination kernel over Q and Q(i), and of the
 polynomial kernel on int lists."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from folint.numfield import (
     QQ, FieldElement, NumberField, poly_degree, poly_divmod, poly_gcd,
     poly_inverse_mod, poly_squarefree_part, poly_trim,
 )
+
+from helpers import reference_rref
 
 QI = NumberField((1, 0, 1))          # Q(i), i^2 = -1
 
@@ -78,6 +81,55 @@ def test_kernel_over_q(matrix):
 @given(qi_matrices())
 def test_kernel_over_qi(rows):
     check_kernel(rows)
+
+
+def _deficient_matrix(rng):
+    """A seeded int matrix of known rank: rows drawn from a few random
+    rows, mixed with random sparse rows, maybe a zero column."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+    base = [[rng.randint(-5, 5) for _ in range(ncols)]
+            for _ in range(rng.randint(0, min(nrows, ncols)))]
+    rows = []
+    for _ in range(nrows):
+        if base and rng.random() < 0.7:
+            mix = [rng.randint(-3, 3) for _ in base]
+            rows.append([sum(k * row[j] for k, row in zip(mix, base))
+                         for j in range(ncols)])
+        else:
+            rows.append([rng.randint(-6, 6) if rng.random() < 0.5 else 0
+                         for _ in range(ncols)])
+    if rng.random() < 0.3:
+        zero = rng.randrange(ncols)
+        for row in rows:
+            row[zero] = 0
+    return rows
+
+
+def test_fraction_free_rref_is_the_pivot_inverting_loop():
+    # the same reduced rows and pivots as the loop that divides by each
+    # pivot, on rank-deficient matrices, zero columns, row swaps and
+    # negative pivots, over Z, Fraction and Q(i)
+    rng = random.Random(30)
+    seen = {"swap": 0, "negative": 0, "deficient": 0, "zero column": 0}
+    for _ in range(300):
+        rows = _deficient_matrix(rng)
+        fractions = [[Fraction(v, rng.randint(1, 4)) for v in row]
+                     for row in rows]
+        gaussian = [[QI.element((v, rng.randint(-1, 1))) for v in row]
+                    for row in rows]
+        for matrix in (rows, fractions, gaussian):
+            assert linalg.rref(matrix) == reference_rref(matrix)
+        reduced, pivots = linalg.rref(rows)
+        assert no_float(reduced)
+        first = next((c for c in range(len(rows[0]))
+                      if any(row[c] for row in rows)), None)
+        seen["swap"] += first is not None and rows[0][first] == 0
+        seen["negative"] += first is not None and any(
+            row[first] < 0 for row in rows)
+        seen["deficient"] += len(pivots) < min(len(rows), len(rows[0]))
+        seen["zero column"] += any(not any(row[c] for row in rows)
+                                   for c in range(len(rows[0])))
+    assert all(seen.values()), seen
 
 
 int_polys = st.lists(small, min_size=1, max_size=5)

@@ -38,6 +38,48 @@ def test_split_roots_of_products_of_distinct_linear_factors():
         assert sorted(modp.split_roots(m, P)) == sorted(roots)
 
 
+# P = 1 mod 8 runs the Tonelli-Shanks loop with s >= 3 (P - 1 = q 2^s),
+# P = 3 mod 4 has s = 1, P = 5 mod 8 has s = 2
+CLOSED_FORM_PRIMES = [3, 5, 7, 11, 13, 17, 41, 73, 97, 101, 113, 257,
+                      65537, 998244353, 2 ** 31 - 1, 2 ** 31 - 19]
+
+
+@pytest.mark.parametrize("P", CLOSED_FORM_PRIMES)
+def test_quadratic_closed_form_is_the_generic_splitting(P):
+    # the same roots in the same order: none for a non-square
+    # discriminant, one for a zero one, two for a nonzero square
+    rng = random.Random(P)
+    cases = [[rng.randrange(P), rng.randrange(P), 1] for _ in range(120)]
+    for _ in range(15):
+        r, s = rng.randrange(P), rng.randrange(P)
+        cases.append(modp.mul([-r % P, 1], [-s % P, 1], P))
+        cases.append(modp.mul([-r % P, 1], [-r % P, 1], P))
+    kinds = set()
+    for m in cases:
+        roots = modp.split_roots(m, P)
+        assert roots == modp._generic_roots(m, P)
+        assert all(_eval(m, r, P) == 0 for r in roots)
+        kinds.add(len(roots))
+    assert kinds == {0, 1, 2}
+
+
+@pytest.mark.parametrize("P", CLOSED_FORM_PRIMES)
+def test_tonelli_shanks_square_roots(P):
+    rng = random.Random(P)
+    for _ in range(50):
+        n = pow(rng.randrange(1, P), 2, P)
+        assert pow(modp._sqrt(n, P), 2, P) == n
+
+
+def test_a_double_root_does_not_split():
+    # disc = 0 mod P: m = (x - r)^2 has the one root r, so m does not split
+    # into distinct linear factors and split_prime skips P
+    P = 97
+    for r in range(P):
+        m = modp.mul([-r % P, 1], [-r % P, 1], P)
+        assert modp.split_roots(m, P) == [r]
+
+
 def test_vandermonde_inverse_recovers_coordinates():
     P = 101
     roots = [3, 17, 55, 90]

@@ -19,7 +19,8 @@ from folint.numfield import (
 
 from helpers import (
     reference_gcd, reference_resultant, reference_roots_over_k,
-    reference_roots_over_q, reference_squarefree_part, taylor_coordinates,
+    reference_roots_over_q, reference_split_primes, reference_squarefree_part,
+    taylor_coordinates,
 )
 
 GAUSS = NumberField((1, 0, 1))          # t^2 + 1
@@ -757,6 +758,33 @@ def test_residue_fields_and_split_primes():
             assert _is_prime(P) and len(set(roots)) == field.degree
             assert all(sum(_mod(c, P) * pow(r, e, P) for e, c in
                            enumerate(field.minpoly)) % P == 0 for r in roots)
+
+
+# the first eight split primes of five quadratic fields and the roots at the
+# eighth, as the generic splitting found them before the closed form
+QUADRATIC_SPLIT_PRIMES = {
+    "t^2+1": ([2147483629, 2147483549, 2147483497, 2147483489, 2147483477,
+               2147483353, 2147483269, 2147483249], [1940280148, 207203101]),
+    "t^2+t+1": ([2147483647, 2147483629, 2147483587, 2147483563, 2147483497,
+                 2147483353, 2147483323, 2147483269], [195207388, 1952275880]),
+    "t^2-2": ([2147483647, 2147483543, 2147483497, 2147483489, 2147483423,
+               2147483399, 2147483353, 2147483249], [1921895135, 225588114]),
+    "t^2-5": ([2147483629, 2147483579, 2147483549, 2147483489, 2147483399,
+               2147483269, 2147483249, 2147483179], [1945977510, 201505669]),
+    "t^2-3/4": ([2147483629, 2147483579, 2147483543, 2147483497, 2147483423,
+                 2147483399, 2147483353, 2147483269], [275621779, 1871861490]),
+}
+
+
+@pytest.mark.parametrize("minpoly", sorted(QUADRATIC_SPLIT_PRIMES))
+def test_quadratic_split_primes_come_from_the_closed_form_unchanged(minpoly):
+    # the closed form gives the primes, roots and inverse Vandermonde
+    # matrices that the generic splitting gives
+    field = NumberField.from_string(minpoly)
+    found = [field.split_prime(i) for i in range(8)]
+    primes, roots = QUADRATIC_SPLIT_PRIMES[minpoly]
+    assert [P for P, _, _ in found] == primes and found[7][1] == roots
+    assert found == reference_split_primes(field, 8)
 
 
 # ---------------------------------------------------------------------------

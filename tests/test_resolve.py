@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from folint import numfield
+from folint import numfield, resolve
 from folint.cli import load_foliation, main
 from folint.cluster import dump_configuration, load_configuration
 from folint.engine import pipeline
@@ -22,7 +22,7 @@ from folint.resolve import (
 
 from helpers import (
     one_form_from_pencil, pool_pencils, proximity_matrix, radial_log_form,
-    seeded_log_form, variable,
+    reference_is_simple, seeded_log_form, variable,
 )
 
 
@@ -61,6 +61,80 @@ def test_is_simple_complex_ratio():
     # trace 1, det 1: c = -1, so r^2 + r + 1 has no rational root -> simple
     f = local({(1, 0): 1, (0, 1): 1}, {(0, 1): 1})
     assert is_simple(f)
+
+
+def _linear_part(a_u, a_v, b_u, b_v, field=None):
+    """A local form with the given linear part, and a quadratic term that
+    keeps it nonzero: ints as resolution builds them, or elements of
+    ``field``."""
+    make = field.element if field else int
+    series = {(1, 0): {0: make(a_u), 1: make(b_u)},
+              (0, 1): {0: make(a_v), 1: make(b_v)},
+              (2, 0): {0: make(1)}}
+    return LocalFoliation(field or QQ, series, (1, 1))
+
+
+def test_is_simple_over_q_matches_the_field_element_reference():
+    # (a_u, a_v, b_u, b_v): tr = a_v - b_u, det = a_u b_v - a_v b_u
+    cases = [
+        (0, 0, 0, 0),       # det = 0, tr = 0: nilpotent
+        (1, 1, 0, 0),       # det = 0, tr != 0: saddle-node
+        (1, 0, 0, 1),       # tr = 0, det = 1: c = -2
+        (0, 1, -1, 0),      # det = 1, tr = 2: c = 2, disc = 0, ratio 1
+        (0, 1, 1, 0),       # det = -1 < 0
+        (0, 2, -1, 0),      # ratio 2: disc a nonzero square
+        (0, 3, -1, 0),      # ratio 3
+        (1, 1, -1, 1),      # tr = 2, det = 2: disc < 0
+        (0, 3, -2, 1),      # tr = 5, det = 2: disc 17, not a square
+    ]
+    rng = random.Random(30)
+    cases += [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(400)]
+    verdicts = set()
+    for case in cases:
+        expected = reference_is_simple(_linear_part(*case, QQ))
+        assert is_simple(_linear_part(*case)) == expected
+        assert is_simple(_linear_part(*case, QQ)) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    gauss = NumberField((1, 0, 1))
+    for case in cases[:60]:
+        local_k = _linear_part(*case, gauss)
+        assert is_simple(local_k) == reference_is_simple(local_k)
+
+
+def test_resolution_over_q_divides_no_field_element(monkeypatch, tmp_path):
+    # over Q the simplicity test reads its rationals off the int series, and
+    # the gcds reach the root finder as primitive int lists: no
+    # FieldElement division, one monic cofactor per root finding, and at
+    # most half the 1,581 elements that the first ten pool pencils built
+    # when both went through elements of Q
+    forms = []
+    for i, pencil in enumerate(pool_pencils(10)):
+        path = tmp_path / ("p%02d.fol" % i)
+        path.write_text(pencil.fol_text())
+        forms.append(load_foliation(str(path))[0])
+    counts = dict.fromkeys(("elements", "divisions", "monic", "roots"), 0)
+    init, truediv = FieldElement.__init__, FieldElement.__truediv__
+    monic, roots = numfield._monic, numfield.find_roots_in_field
+
+    def counted(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(FieldElement, "__init__", counted("elements", init))
+    monkeypatch.setattr(FieldElement, "__truediv__",
+                        counted("divisions", truediv))
+    monkeypatch.setattr(numfield, "_monic", counted("monic", monic))
+    finder = counted("roots", roots)
+    monkeypatch.setattr(numfield, "find_roots_in_field", finder)
+    monkeypatch.setattr(resolve, "find_roots_in_field", finder)
+    for omega in forms:
+        build_configuration(omega)
+    assert counts["roots"] > 0 and counts["divisions"] == 0
+    assert counts["monic"] == counts["roots"]
+    assert counts["elements"] <= 1581 // 2
 
 
 def test_blow_up_radial_is_dicritical():
