@@ -17,14 +17,13 @@ from .cluster import (
     Configuration, ConfigurationError, dump_configuration, is_p_sufficient,
     load_configuration, read_field,
 )
-from .numfield import (
-    QQ, FieldExtensionNeeded, NumberField, format_poly_in_t,
-)
+from .numfield import QQ, FieldExtensionNeeded, NumberField
 from .polyforms import (
     ProjectiveOneForm, format_form, is_first_integral, is_invariant_curve,
     parse_form,
 )
 from .resolve import DEPTH_CAP, DepthCapExceeded, build_configuration
+from .textio import format_poly_in_t
 
 EXIT_YES = 0
 EXIT_NO = 1

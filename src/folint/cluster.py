@@ -15,9 +15,8 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .numfield import (
-    QQ, FieldElement, NumberField, format_element, format_minpoly,
-)
+from .numfield import QQ, FieldElement, NumberField
+from .textio import format_element, format_minpoly
 
 
 class ConfigurationError(ValueError):
@@ -56,7 +55,9 @@ class InfinitelyNearPoint:
 def normalize_point(coords):
     """Scale projective coordinates so the first nonzero entry is 1."""
     for v in coords:
-        if not v.is_zero():
+        if v == 1:
+            return coords
+        if v:
             inv = v.inverse()
             return tuple(inv * w for w in coords)
     raise ConfigurationError("(0:0:0) is not a projective point")

@@ -17,8 +17,10 @@ from operator import add, sub
 from . import modp
 from .linalg import nullspace
 from .numfield import (
-    QQ, FieldElement, NumberField, coefficient_list, exact_ring,
-    format_element, integral, join_terms, lift, parse_polynomial, residue,
+    QQ, FieldElement, NumberField, exact_ring, integral, lift, residue,
+)
+from .textio import (
+    coefficient_list, format_element, join_terms, parse_polynomial,
     scaled_term,
 )
 

@@ -22,18 +22,19 @@ from typing import NamedTuple
 from .cluster import (
     Configuration, InfinitelyNearPoint, normalize_point,
 )
+from .bivariate import bivariate_resultant, common_zeros, to_y_rows
 from .numfield import (
-    FieldElement, FieldExtensionNeeded, NumberField, _primitive, _z_gcd,
-    bivariate_resultant, common_zeros, denominator, exact_ring,
-    find_roots_in_field, format_poly_in_t, lift, poly_degree, poly_divmod,
-    poly_gcd, poly_inverse_mod, poly_mul, poly_sub, poly_trim,
-    rational_is_square, to_y_rows,
+    FieldElement, FieldExtensionNeeded, NumberField, denominator, exact_ring,
+    find_roots_in_field, lift, poly_degree, poly_divmod, poly_gcd,
+    poly_inverse_mod, poly_mul, poly_sub, poly_trim, root_gcd,
 )
 from .polyforms import ProjectiveOneForm, _partial
 from .linsys import (
     Series, _prune, _shift, chart_step, child_scales, integral_chart,
     root_series,
 )
+from .textio import format_poly_in_t
+from .zpoly import rational_is_square
 
 
 class ResolutionError(RuntimeError):
@@ -59,14 +60,6 @@ def _coeffs_at_u0(poly):
     row = {j: c for (i, j), c in poly.items() if not i}
     zero = next(iter(row.values()), 0) * 0
     return poly_trim(row.get(j, zero) for j in range(max(row, default=-1) + 1))
-
-
-def _root_gcd(p, q, field):
-    """gcd(p, q) as ``find_roots_in_field`` takes it: over Q the primitive
-    int list of ``_z_gcd``, with no monic Fraction copy, else monic."""
-    if field.is_rational:
-        return _z_gcd(_primitive(p), _primitive(q))
-    return poly_gcd(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +189,7 @@ def blow_up_local(omega: LocalFoliation) -> BlowUpResult:
     b0 = _coeffs_at_u0(b1)
     if not a0 and not b0:
         raise ResolutionError("exceptional divisor inside the singular locus")
-    g = _root_gcd(a0, b0, field)
+    g = root_gcd(a0, b0, field)
     children = []
     if poly_degree(g) >= 1:
         roots, remaining, cofactor = find_roots_in_field(g, field)
@@ -400,7 +393,7 @@ def singular_points(omega: ProjectiveOneForm) -> SingularLocus:
             univs.append(coeffs)
     g = univs[0]
     for other in univs[1:]:
-        g = _root_gcd(g, other, field)
+        g = root_gcd(g, other, field)
         if poly_degree(g) < 1:
             break
     if poly_degree(g) >= 1:

@@ -34,14 +34,16 @@ from folint.cluster import (
     Configuration, DivisorClass, InfinitelyNearPoint, root_chart_images,
 )
 from folint.cones import RationalCone, contains
+from folint.bivariate import common_zeros
 from folint.numfield import (
-    QQ, FieldElement, NumberField, common_zeros, poly_derivative,
-    poly_divmod, poly_eval, poly_interpolate, poly_resultant,
-    poly_squarefree_part, poly_trim, rational_is_square, reciprocal,
+    QQ, FieldElement, NumberField, poly_derivative, poly_divmod, poly_eval,
+    poly_interpolate, poly_resultant, poly_squarefree_part, poly_trim,
+    reciprocal,
 )
 from folint.polyforms import (
     HomogeneousForm, ProjectiveOneForm, _partial, divides, gcd3, monomials,
 )
+from folint.zpoly import rational_is_square
 
 
 def rank_of_classes(vectors) -> int:

@@ -7,9 +7,10 @@ import pytest
 from folint import cli
 from folint.cli import main
 from folint.cluster import dump_configuration, load_configuration
-from folint.numfield import QQ, NumberField, format_minpoly
+from folint.numfield import QQ, NumberField
 from folint.polyforms import format_form, parse_form
 from folint.resolve import ResolutionError
+from folint.textio import format_minpoly
 
 from helpers import (
     genus_bound, hold_back_algorithm1, negative_curve_filter, trace_labels,

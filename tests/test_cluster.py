@@ -142,6 +142,20 @@ def test_root_chart_images_reads_a_normalized_point():
         root_chart_images((QQ.zero(), two, QQ.one()))
 
 
+def test_configuration_scales_only_origins_that_need_it():
+    # a hand-built or loaded origin becomes field elements with its first
+    # nonzero coordinate 1; one already scaled keeps its coordinates, and
+    # (0:0:0) is refused
+    config = Configuration([
+        pt("q1", origin=(0, 2, Fraction(-3, 2)), dicritical=True),
+        pt("q2", origin=(1, Fraction(1, 2), 0), dicritical=True)])
+    origins = [p.origin for p in config.points]
+    assert origins == [(0, 1, Fraction(-3, 4)), (1, Fraction(1, 2), 0)]
+    assert all(c.field == QQ for origin in origins for c in origin)
+    with pytest.raises(ConfigurationError):
+        Configuration([pt("q1", origin=(0, 0, 0), dicritical=True)])
+
+
 def test_t_from_system_example1():
     config = fig1_config()
     line = config.divisor(1, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])

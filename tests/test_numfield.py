@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from folint import numfield
+from folint import bivariate
+from folint.bivariate import bivariate_resultant
+from folint.modp import _is_prime
 from folint.numfield import (
-    QQ, FieldElement, FieldMismatchError, NumberField, bivariate_resultant,
-    denominator, find_roots_in_field, format_element, format_minpoly,
-    parse_polynomial, poly_degree,
-    poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_interpolate,
-    poly_inverse_mod, poly_mul, poly_squarefree_part, poly_sub, poly_trim,
-    rational_is_square, residue, _is_prime, _primitive, _z_quotient,
-    _z_squarefree,
+    QQ, FieldElement, FieldMismatchError, NumberField, denominator,
+    find_roots_in_field, poly_degree, poly_derivative, poly_divmod,
+    poly_eval, poly_gcd, poly_interpolate, poly_inverse_mod, poly_mul,
+    poly_squarefree_part, poly_sub, poly_trim, residue,
+)
+from folint.textio import format_element, format_minpoly, parse_polynomial
+from folint.zpoly import (
+    _primitive, _z_quotient, _z_squarefree, rational_is_square,
 )
 
 from helpers import (
@@ -489,10 +492,10 @@ def test_quadratic_roots_take_no_resultant(monkeypatch):
     # common zeros of its coordinates and no resultant over Q
     calls = []
     for name in ("common_zeros", "bivariate_resultant"):
-        def counting(*args, name=name, real=getattr(numfield, name)):
+        def counting(*args, name=name, real=getattr(bivariate, name)):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(numfield, name, counting)
+        monkeypatch.setattr(bivariate, name, counting)
     rng = random.Random(4)
     found = 0
     for field in QUADRATIC_FIELDS:

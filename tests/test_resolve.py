@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from folint import numfield, resolve
+from folint import bivariate, numfield, resolve
 from folint.cli import load_foliation, main
-from folint.cluster import dump_configuration, load_configuration
+from folint.cluster import (
+    Configuration, dump_configuration, load_configuration,
+)
 from folint.engine import pipeline
 from folint.numfield import (
     QQ, FieldElement, FieldExtensionNeeded, NumberField, poly_trim,
@@ -130,6 +132,7 @@ def test_resolution_over_q_divides_no_field_element(monkeypatch, tmp_path):
     finder = counted("roots", roots)
     monkeypatch.setattr(numfield, "find_roots_in_field", finder)
     monkeypatch.setattr(resolve, "find_roots_in_field", finder)
+    monkeypatch.setattr(bivariate, "find_roots_in_field", finder)
     for omega in forms:
         build_configuration(omega)
     assert counts["roots"] > 0 and counts["divisions"] == 0
@@ -301,6 +304,34 @@ def test_build_configuration_reproduces_fixture(name):
     lines = (FIXTURES / (name + ".cfg")).read_text().splitlines(True)
     expected = "".join(l for l in lines if not l.startswith("#"))
     assert dump_configuration(build_configuration(omega)) == expected
+
+
+def test_configuration_keeps_the_resolved_points_as_they_are(monkeypatch):
+    # singular_points returns its points normalised, so Configuration
+    # inverts none of their coordinates again; the inverses that
+    # normalisation takes outside it show that the counter is live
+    inverses = {"inside": 0, "outside": 0}
+    where = ["outside"]
+    inverse, init = FieldElement.inverse, Configuration.__init__
+
+    def counting_inverse(self):
+        inverses[where[-1]] += 1
+        return inverse(self)
+
+    def counting_init(self, *args):
+        where.append("inside")
+        try:
+            init(self, *args)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(FieldElement, "inverse", counting_inverse)
+    monkeypatch.setattr(Configuration, "__init__", counting_init)
+    for name in ("example1", "fig2", "fig3", "family_a0", "family_a59",
+                 "family_a861", "penultimate"):
+        omega, _ = load_foliation(str(FIXTURES / (name + ".fol")))
+        assert build_configuration(omega).size > 0
+    assert inverses["inside"] == 0 and inverses["outside"] > 0
 
 
 def line_pencils(rng, count):

@@ -343,6 +343,46 @@ def test_import_check_sees_function_imports():
     assert _function_imports(ast.parse(snippet)) == [4, 9, 11]
 
 
+# what each arithmetic layer may import of the package: only what lies
+# below it
+_BELOW = {"modp": set(), "textio": set(), "zpoly": {"modp"},
+          "numfield": {"modp", "textio", "zpoly"}}
+
+
+def _package_imports(tree):
+    """The package modules that the ``from .x import ...`` and
+    ``from . import x`` statements of tree name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+    return found
+
+
+def test_lower_layers_import_only_what_lies_below():
+    # modp and textio import nothing of the package, zpoly only modp and
+    # numfield only those three, so the kernels stay usable on their own
+    found = {}
+    for path in SOURCES:
+        if path.stem in _BELOW:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            extra = _package_imports(tree) - _BELOW[path.stem]
+            if extra:
+                found[path.stem] = sorted(extra)
+    assert found == {}
+    assert set(_BELOW) <= {path.stem for path in SOURCES}
+
+
+def test_layer_check_sees_package_imports():
+    snippet = ("from __future__ import annotations\nimport math\n"
+               "from fractions import Fraction\nfrom . import modp, zpoly\n"
+               "from .numfield import QQ\nfrom .textio import (\n"
+               "    join_terms,\n)\n\ndef f():\n    from .cones import dual\n")
+    assert _package_imports(ast.parse(snippet)) == {
+        "cones", "modp", "numfield", "textio", "zpoly"}
+
+
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                ast.SetComp)
 _CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
