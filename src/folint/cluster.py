@@ -92,15 +92,17 @@ class LinsysMemo:
     above one of them.  A kernel is certified one of three ways: such an
     entry or a rank of n mod a prime proves it empty, and otherwise its
     vectors, lifted from primes, passed an exact check in K and are zero
-    at every pivot after their free column."""
+    at every pivot after their free column.  ``first`` keeps the last
+    elimination of ``linsys.kernel_mod_p``: (class, reduced rows, pivots)."""
 
-    __slots__ = ("exact", "images", "kernel", "empty")
+    __slots__ = ("exact", "images", "kernel", "empty", "first")
 
     def __init__(self):
         self.exact = None
         self.images = {}
         self.kernel = None
         self.empty = {}
+        self.first = None
 
 
 class Configuration:

@@ -13,9 +13,10 @@ from typing import List, Optional, Sequence
 from . import cones, linalg, linsys
 from .cluster import Configuration, ConfigurationError, Decomposition, \
     DivisorClass, decompose_in_AS, t_from_system
+from .numfield import residue
 from .polyforms import (
     HomogeneousForm, ProjectiveOneForm, divides, foliation_degree, gcd3,
-    is_first_integral, is_invariant_curve,
+    is_first_integral, is_invariant_curve, monomials,
 )
 
 
@@ -283,18 +284,62 @@ def _effective_multiplicities(config: Configuration, d: int):
     return sorted(kept)
 
 
+_POINT = (271828183, 314159265, 141421356)
+
+
+def _wedge_at_point(omega: ProjectiveOneForm, d: int, P: int, r: int):
+    """(F, G) -> R = p B - q A, the dX^dY coefficient of (G dF - F dG) ^
+    omega, at a fixed point of F_P^3 for degree-d vectors mod P; omega's
+    integral model goes through t -> r, and the monomials' values once."""
+    x, y, z = ([pow(v, k, P) for k in range(d + omega.coefficient_degree)]
+               for v in _POINT)
+    a, b = (sum(residue(c, P, r) * x[i] * y[j] * z[k]
+                for (i, j, k), c in comp.items()) for comp in omega.model[:2])
+    # x[i - 1] at i = 0 is x[-1] times 0
+    columns = [(x[i] * y[j] * z[k], i * x[i - 1] * y[j] * z[k],
+                j * x[i] * y[j - 1] * z[k]) for i, j, k in monomials(d)]
+
+    def wedge(F, G):
+        f, fx, fy, g, gx, gy = (sum(u * w[s] for u, w in zip(vec, columns))
+                                for vec in (F, G) for s in range(3))
+        return ((g * fx - f * gx) * b - (g * fy - f * gy) * a) % P
+    return wedge
+
+
 def algorithm1(omega: ProjectiveOneForm, config: Configuration, d: int,
                candidates=None) -> Verdict:
     """Decide a rational first integral of the exact degree d, trying
     ``candidates`` when the caller has built them already, else
-    ``_pencil_multiplicities(config, d)``."""
+    ``_pencil_multiplicities(config, d)``.
+
+    A candidate D is first dropped if its kernel mod the first split prime
+    P at the first root r (``linsys.kernel_mod_p``) proves h0(D) != 2 or
+    |D| not invariant.  That kernel has dimension k >= h0(D): k = 1 proves
+    h0(D) <= 1.  Let k = h0(D) = 2, with exact kernel V.  P splits m into
+    distinct roots, so P does not divide disc(m), and the localisation O of
+    Z_(P)[t]/(m), where the conditions lie, at (P, t - r) is a DVR.  Its
+    lattice L = V cap O^n is saturated and free of rank 2, and L mod P lies
+    in the kernel of the images of the conditions, so in the kernel mod P
+    (each row mod P is a multiple of an image, ``linsys._shift``): all are
+    equal.  If |D| is invariant, an O-basis (F, G) of L has (G dF - F dG)
+    ^ omega = 0 on omega's integral model, so mod P too, and a basis mod P
+    is (F, G) mod P times an M in GL_2(F_P), scaling G dF - F dG by det M.
+    So R = p B - q A nonzero at a point (``_wedge_at_point``) proves h0(D)
+    != 2 or |D| not invariant, and the exact test rejects D too.  A zero,
+    k = 0 or k > 2 decides nothing; ``h0`` records an empty kernel."""
     if d < 1:
         raise ValueError("degree must be positive")
     if candidates is None:
         candidates = _pencil_multiplicities(config, d)
     failure = "no degree-%d pencil is invariant" % d
+    wedge = None
     for e in candidates:
         D = config.divisor(d, e)
+        P, r, kernel = linsys.kernel_mod_p(D, config) or (0, 0, ())
+        if len(kernel) == 2 and wedge is None:
+            wedge = _wedge_at_point(omega, d, P, r)
+        if len(kernel) == 1 or len(kernel) == 2 and wedge(*kernel):
+            continue
         if linsys.h0(D, config) != 2:
             continue
         F, G = linsys.basis(D, config)

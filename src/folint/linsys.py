@@ -43,6 +43,9 @@ as a multiple, possibly zero, of the image of its exact series (see
   h0(D) = 0 (``_kernel``).
 
 When none holds the conditions are eliminated exactly in K.
+
+Algorithm 1 drops most non-invariant pencils at the first split prime's
+first root (``kernel_mod_p``), and ``_lifted_kernel`` starts from that image.
 """
 
 from __future__ import annotations
@@ -369,16 +372,17 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     a prime that divides a scale of the model can only lower the rank mod
     P, and so ends in one of these.
     """
-    n = len(monomials(D.d))
+    n, memo = len(monomials(D.d)), config.linsys_memo
     pivots = None
     coords, modulus = [], 1
     for index in range(_PRIMES):
         data = _modular_data(config, index)
         P, _, inverse = config.field.split_prime(index)
         images = []
-        for root in data:
-            reduced, found = modp.rref(_dense(_conditions(D, config, root),
-                                              n, 0), P)
+        for j, root in enumerate(data):
+            kept = index == j == 0 and memo.first and memo.first[0] == D
+            reduced, found = memo.first[1:] if kept else modp.rref(
+                _dense(_conditions(D, config, root), n, 0), P)
             if pivots is None:
                 if len(found) == n:
                     return []
@@ -419,6 +423,15 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     return vectors
 
 
+def _known(D: DivisorClass, memo):
+    """D's kernel if the memo proves it (see ``_kernel``), else None."""
+    if memo.kernel is not None and memo.kernel[0] == D:
+        return memo.kernel[1]
+    clamped = tuple(max(v, 0) for v in D.e)
+    if any(all(map(le, z, clamped)) for z in memo.empty.get(D.d, ())):
+        return []
+
+
 def _kernel(D: DivisorClass, config: Configuration):
     """The reduced echelon kernel of D's conditions in K, certified from
     primes or else eliminated exactly; the last one is kept for ``basis``.
@@ -438,20 +451,32 @@ def _kernel(D: DivisorClass, config: Configuration):
     eliminated, so no entry is ever above an older one, and the list needs
     no pruning."""
     memo = config.linsys_memo
-    if memo.kernel is not None and memo.kernel[0] == D:
-        return memo.kernel[1]
-    clamped = tuple(max(v, 0) for v in D.e)
-    if any(all(map(le, z, clamped)) for z in memo.empty.get(D.d, ())):
-        return []
+    vectors = _known(D, memo)
+    if vectors is not None:
+        return vectors
     vectors = _lifted_kernel(D, config)
     if vectors is None:
         reduced, pivots = linalg.rref(condition_rows(D, config))
         vectors = linalg.kernel(reduced, pivots, len(monomials(D.d)),
                                 config.field.zero())
     if not vectors:
-        memo.empty.setdefault(D.d, []).append(clamped)
+        memo.empty.setdefault(D.d, []).append(tuple(max(v, 0) for v in D.e))
     memo.kernel = (D, vectors)
     return vectors
+
+
+def kernel_mod_p(D: DivisorClass, config: Configuration):
+    """(P, r, vectors): the kernel of D's conditions mod the first split
+    prime P at its first root r, eliminated into ``LinsysMemo.first``; or
+    None when ``_known``.  It has h0(D) vectors or more (rank_P <= rank_K)."""
+    memo, n = config.linsys_memo, len(monomials(D.d))
+    if _known(D, memo) is not None:
+        return None
+    data = _modular_data(config, 0)[0]
+    memo.first = (D, *modp.rref(_dense(_conditions(D, config, data), n, 0),
+                                data.field))
+    P, roots, _ = config.field.split_prime(0)
+    return P, roots[0], linalg.kernel(*memo.first[1:], n, 0)
 
 
 def h0(D: DivisorClass, config: Configuration) -> int:

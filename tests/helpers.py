@@ -8,14 +8,15 @@ the wedge and invariance tests on all three components of the 2-form, the
 node-wise resultant, the chart maps substituted in K, the filtered
 [-d, d] sweep of Algorithm 1 and the cone search's unpruned candidates, as
 references, seeded random configurations, the labels of the cone search's
-trace and Algorithm 1 held back from it, Euclid over Fraction as the
+trace, Algorithm 1 without its test mod a prime, as a reference, and held
+back from the cone search, Euclid over Fraction as the
 reference for the Z[x] kernel over Q, the common zeros of the coordinates
 of f(x + a y) as the reference for the roots in a quadratic field, the
 elimination loop that inverts each pivot as the reference for the
 fraction-free ``rref``, the simplicity test on elements of K and the split
 primes from the generic splitting as references for the arithmetic over
-Q and the closed form, the benchmark's pool pencils, and seeded log forms
-and radial log forms."""
+Q and the closed form, the benchmark's pool pencils, seeded line pencils
+over K, and seeded log forms and radial log forms."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from folint import cones, engine, linalg, modp
+from folint import cones, engine, linalg, linsys, modp
 from folint.cluster import (
     Configuration, DivisorClass, InfinitelyNearPoint, root_chart_images,
 )
@@ -422,6 +423,26 @@ def trace_labels(lines):
             for m in map(_LABEL.fullmatch, lines) if m]
 
 
+def reference_algorithm1(omega, config: Configuration, d: int,
+                         candidates=None):
+    """Reference for ``engine.algorithm1``: every candidate with h0 = 2 is
+    certified exactly and wedge-tested in K, with no test mod a prime."""
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if candidates is None:
+        candidates = engine._pencil_multiplicities(config, d)
+    failure = "no degree-%d pencil is invariant" % d
+    for e in candidates:
+        D = config.divisor(d, e)
+        if linsys.h0(D, config) != 2:
+            continue
+        F, G = linsys.basis(D, config)
+        verdict = engine.Verdict.integral(F, G, omega, failure)
+        if verdict.is_integral:
+            return verdict
+    return engine.Verdict.no_integral(failure)
+
+
 def hold_back_algorithm1(monkeypatch):
     """Make every ``engine.algorithm1`` call find nothing, so that
     ``algorithm3`` runs its cone search to its own end.  Algorithm 1's
@@ -647,7 +668,8 @@ def reference_split_primes(field, count):
 
 
 # ---------------------------------------------------------------------------
-# inputs: the benchmark's pool pencils, seeded log forms and radial log forms
+# inputs: the benchmark's pool pencils, line pencils, seeded log forms and
+# radial log forms
 # ---------------------------------------------------------------------------
 
 def bench_pencils():
@@ -688,6 +710,35 @@ def log_form(field, lines, residues) -> ProjectiveOneForm:
         comps = [comp + others * (r * c) if c else comp
                  for comp, c in zip(comps, lines[i])]
     return ProjectiveOneForm(*comps)
+
+
+def line_pencil(rng, field):
+    """F and G, products of distinct lines over K whose coefficients have
+    int coordinates in [-3, 3], in one of the benchmark's pool shapes
+    L1L2/L3L4, L1^2L2/L3^2L4, L1L2L3/L4^3 and L1^3/L2^2L3, drawn by rng."""
+    top, bottom = rng.choice((((1, 1), (1, 1)), ((2, 1), (2, 1)),
+                              ((1, 1, 1), (3,)), ((3,), (2, 1))))
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lines, seen = [], set()
+    while len(lines) < len(top) + len(bottom):
+        coeffs = [field.element([rng.randint(-3, 3)
+                                 for _ in range(field.degree)])
+                  for _ in range(3)]
+        first = next((c for c in coeffs if not c.is_zero()), None)
+        if first is None:
+            continue
+        coeffs = [c / first for c in coeffs]
+        if tuple(c.coeffs for c in coeffs) in seen:
+            continue
+        seen.add(tuple(c.coeffs for c in coeffs))
+        lines.append(HomogeneousForm(field, 1, dict(zip(units, coeffs))))
+    F = G = HomogeneousForm.constant(field, 1)
+    for i, (line, e) in enumerate(zip(lines, top + bottom)):
+        if i < len(top):
+            F = F * line ** e
+        else:
+            G = G * line ** e
+    return F, G
 
 
 def seeded_log_form(seed) -> ProjectiveOneForm:

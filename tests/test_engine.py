@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from folint import cones, engine, linsys, polyforms
+from folint import cones, engine, linsys, modp, polyforms
 from folint.cli import load_foliation, load_config_file
 from folint.cluster import (
-    Configuration, ConfigurationError, InfinitelyNearPoint,
+    Configuration, ConfigurationError, InfinitelyNearPoint, LinsysMemo,
     load_configuration, normalize_point,
 )
 from folint.engine import (
@@ -18,13 +18,16 @@ from folint.engine import (
 )
 from folint.linsys import strict_class
 from folint.numfield import QQ, NumberField
-from folint.polyforms import HomogeneousForm, ProjectiveOneForm, parse_form
+from folint.polyforms import (
+    HomogeneousForm, ProjectiveOneForm, is_first_integral, parse_form,
+)
 
 from helpers import (
-    bench_pencils, genus_bound, hold_back_algorithm1, lines_through,
-    negative_curve_filter, one_form_from_pencil, pool_pencils,
-    random_configuration, record_duals, same_span, trace_labels,
-    unpruned_effective_multiplicities, variable, zero_sum_candidates,
+    bench_pencils, genus_bound, hold_back_algorithm1, line_pencil,
+    lines_through, negative_curve_filter, one_form_from_pencil, pool_pencils,
+    random_configuration, record_duals, reference_algorithm1, same_span,
+    seeded_log_form, trace_labels, unpruned_effective_multiplicities,
+    variable, zero_sum_candidates,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -687,3 +690,192 @@ def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
     assert (other.system is None) == (result.system is None)
     if result.system is not None:
         assert other.system.curves == result.system.curves
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1's wedge test mod the first split prime
+# ---------------------------------------------------------------------------
+
+GAUSS = NumberField((1, 0, 1))
+
+
+def _algorithm1_inputs():
+    """(label, omega, config): the seven fixtures that finish, 15 seeded
+    line pencils each over Q and Q(i), log-form seeds 1-9 and Jouanolou's
+    J_2 and J_3, the last three resolved."""
+    from folint.resolve import build_configuration
+    for name in ("example1", "fig2", "fig3", "family_a0", "family_a59",
+                 "family_a861", "penultimate"):
+        omega, config, _ = load(name)
+        yield name, omega, config
+    rng = random.Random(321)
+    forms = []
+    for name, field in (("Q", QQ), ("Q(i)", GAUSS)):
+        for i in range(15):
+            forms.append(("%s pencil %d" % (name, i),
+                          one_form_from_pencil(*line_pencil(rng, field))))
+    forms += [("log form %d" % seed, seeded_log_form(seed))
+              for seed in range(1, 10)]
+    for d in (2, 3):
+        comps = ("Y*X^%d-Z^%d" % (d, d + 1), "Z*Y^%d-X^%d" % (d, d + 1),
+                 "X*Z^%d-Y^%d" % (d, d + 1))
+        forms.append(("J_%d" % d, ProjectiveOneForm(*map(parse_form, comps))))
+    for label, omega in forms:
+        yield label, omega, build_configuration(omega)
+
+
+def test_algorithm1_agrees_with_the_reference(monkeypatch):
+    # every Algorithm 1 call of a decide run gives the verdict, F, G and
+    # reason that the exact certification of each pencil gives, run again
+    # on the same configuration with a fresh LinsysMemo
+    real, wedge = engine.algorithm1, engine._wedge_at_point
+    calls, tested = [], []
+
+    def recording(omega, config, d, candidates=None):
+        verdict = real(omega, config, d, candidates)
+        calls.append((d, candidates, verdict))
+        return verdict
+
+    def recording_wedge(*args):
+        at_point = wedge(*args)
+        return lambda F, G: tested.append(at_point(F, G)) or tested[-1]
+
+    monkeypatch.setattr(engine, "algorithm1", recording)
+    monkeypatch.setattr(engine, "_wedge_at_point", recording_wedge)
+    seen = 0
+    for label, omega, config in _algorithm1_inputs():
+        calls.clear()
+        pipeline(omega, config)
+        config.linsys_memo = LinsysMemo()
+        for d, candidates, verdict in calls:
+            expected = reference_algorithm1(omega, config, d, candidates)
+            assert (verdict.outcome, verdict.numerator, verdict.denominator,
+                    verdict.reason) == (
+                expected.outcome, expected.numerator, expected.denominator,
+                expected.reason), (label, d)
+            seen += 1
+    rejected = sum(1 for r in tested if r)
+    assert seen >= 100 and rejected >= 5 and len(tested) > rejected
+
+
+def _counting(monkeypatch, targets):
+    """Count the calls of each (module, name), looked up as module
+    attributes; the counts dict is keyed by name."""
+    counts = dict.fromkeys(name for _, name in targets)
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        counts[name] = 0
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_first_prime_drops_fig3s_pencils(monkeypatch, capsys):
+    # decide FOL CFG on fig3: its three non-invariant degree-6 pencils are
+    # dropped at the first prime, before a kernel is lifted; without the
+    # test mod P the run makes 4 wedge tests in K, 8 lifts and 17
+    # eliminations mod a prime
+    from folint.cli import main
+    counts = _counting(monkeypatch, [(engine, "is_first_integral"),
+                                     (linsys, "_lifted_kernel"),
+                                     (modp, "rref")])
+    assert main(["decide", os.path.join(FIXTURES, "fig3.fol"),
+                 os.path.join(FIXTURES, "fig3.cfg")]) == 0
+    assert "rational first integral" in capsys.readouterr().out
+    assert counts == {"is_first_integral": 1, "_lifted_kernel": 5,
+                      "rref": 14}
+
+
+def test_no_class_is_eliminated_twice_at_a_prime(monkeypatch, tmp_path):
+    # over the pool pencils, each class's conditions are eliminated at most
+    # once at each root of each split prime: the elimination that the test
+    # mod P makes is the one that the lift then starts from.  Without the
+    # test the pass makes 111 wedge tests in K and 186 lifts, and as many
+    # eliminations mod a prime
+    from folint.resolve import build_configuration
+    counts = _counting(monkeypatch, [(modp, "rref"),
+                                     (engine, "is_first_integral"),
+                                     (linsys, "_lifted_kernel")])
+    conditions = linsys._conditions
+    seen = []
+
+    def recording(D, config, data, columns=None):
+        if type(data.field) is int and data.field and columns is None:
+            seen.append((D.d, D.e, id(data)))
+        return conditions(D, config, data, columns)
+
+    monkeypatch.setattr(linsys, "_conditions", recording)
+    for i, pencil in enumerate(pool_pencils(100)):
+        path = tmp_path / ("p%02d.fol" % i)
+        path.write_text(pencil.fol_text())
+        omega, _ = load_foliation(str(path))
+        config = build_configuration(omega)
+        seen.clear()
+        assert pipeline(omega, config).is_integral
+        assert len(set(seen)) == len(seen), i
+    assert counts == {"rref": 213, "is_first_integral": 100,
+                      "_lifted_kernel": 175}
+
+
+def _point_test(F, G, omega):
+    """``engine._wedge_at_point`` on F and G mapped into F_P, for the first
+    split prime P and its first root r."""
+    from folint.numfield import exact_ring, integral, residue
+    field = omega.field
+    P, roots, _ = field.split_prime(0)
+    order = polyforms.monomials(F.degree)
+    vectors = [[residue(c.get(m, 0), P, roots[0]) for m in order]
+               for c in integral([F.coeffs, G.coeffs], exact_ring(field))]
+    return engine._wedge_at_point(omega, F.degree, P, roots[0])(*vectors)
+
+
+def test_point_test_against_the_exact_wedge_test():
+    # seeded pencils over Q and Q(i): no basis of an invariant pencil is
+    # rejected, and a pencil is rejected only where the exact test fails
+    rng = random.Random(322)
+    kept = rejected = 0
+    for field in (QQ, GAUSS):
+        for _ in range(12):
+            F, G = line_pencil(rng, field)
+            omega = one_form_from_pencil(F, G)
+            c = field.element([rng.randint(-3, 3)
+                               for _ in range(field.degree)])
+            for pair in ((F, G), (G, F), (F + G * c, G)):
+                assert is_first_integral(*pair, omega)
+                assert _point_test(*pair, omega) == 0
+                kept += 1
+            other = line_pencil(rng, field)
+            while other[0].degree != F.degree:
+                other = line_pencil(rng, field)
+            for pair in (other, (F, other[1]), (F + G * c, other[0])):
+                if _point_test(*pair, omega):
+                    assert not is_first_integral(*pair, omega)
+                    rejected += 1
+    assert kept == 72 and rejected >= 60
+
+
+def test_a_zero_at_the_point_falls_through(monkeypatch):
+    # the pencil of lines through the test point itself vanishes there, so
+    # R(pt) = 0 although it is not invariant for the lines through (0:0:1):
+    # the candidate goes on to the exact test, which rejects it; at another
+    # point the same pencil is dropped mod P with no exact test
+    omega = ProjectiveOneForm(variable(QQ, 1), -variable(QQ, 0),
+                              HomogeneousForm(QQ, 1, {}))
+    counts = _counting(monkeypatch, [(engine, "is_first_integral")])
+    for point, exact_tests in ((engine._POINT, 1), ((1, 2, 3), 0)):
+        origin = normalize_point([QQ.element(v) for v in point])
+        config = Configuration([InfinitelyNearPoint(
+            "p", origin=origin, dicritical=True)], QQ)
+        P, r, vectors = linsys.kernel_mod_p(config.divisor(1, (1,)), config)
+        assert len(vectors) == 2
+        assert (_point_test(*lines_through(origin, QQ), omega) == 0) == (
+            exact_tests == 1)
+        counts["is_first_integral"] = 0
+        verdict = algorithm1(omega, config, 1)
+        assert counts["is_first_integral"] == exact_tests
+        expected = reference_algorithm1(omega, config, 1)
+        assert verdict == expected and verdict.outcome == "no_integral"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from folint import bivariate
+from folint import modp, numfield
 from folint.bivariate import bivariate_resultant
 from folint.modp import _is_prime
 from folint.numfield import (
@@ -488,20 +488,29 @@ def test_quadratic_roots_match_the_common_zeros_reference():
 
 
 def test_quadratic_roots_take_no_resultant(monkeypatch):
-    # the roots in a quadratic K come from lifting at the degree of f: no
-    # common zeros of its coordinates and no resultant over Q
+    # the roots in a quadratic K come from lifting at the degree of f: none
+    # of the resultants that numfield can reach, over K or mod a prime
     calls = []
-    for name in ("common_zeros", "bivariate_resultant"):
-        def counting(*args, name=name, real=getattr(bivariate, name)):
+    for module, name in ((numfield, "poly_resultant"),
+                         (modp, "resultant_images"), (modp, "resultant")):
+        def counting(*args, name=name, real=getattr(module, name)):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(bivariate, name, counting)
+        monkeypatch.setattr(module, name, counting)
     rng = random.Random(4)
     found = 0
     for field in QUADRATIC_FIELDS:
         for f, planted, _ in _planted_quadratic_cases(field, rng, 4):
             found += len(find_roots_in_field(f).roots)
     assert calls == [] and found >= 20
+    # the counters see a call: Res(y + x, y) in x = 0, 1 mod 7, and the
+    # Euclidean resultants inside it
+    one = QQ.one()
+    assert numfield.poly_resultant([one, one], [one, one], QQ) == 0
+    assert modp.resultant_images([[[0], [1]], [[1]]], [[[0]], [[1]]], [0],
+                                 [[1]], 2, 7) == [0, 6]
+    assert calls == ["poly_resultant", "resultant_images", "resultant",
+                     "resultant"]
 
 
 @settings(deadline=None)

@@ -420,15 +420,62 @@ def _module_caches(tree):
                     yield deco.lineno, "cache decorator"
 
 
+# the module-level objects of package classes that may hold a list, dict
+# or set, each with the reason why what it keeps cannot change an answer
+_KEPT_STATE = {
+    "numfield.QQ": "its split primes depend only on its minimal polynomial "
+                   "t, which is fixed",
+}
+
+
+def _module_state(modules):
+    """{id: (module.name, object)} of the module-level instances of package
+    classes whose attributes hold a list, dict or set, each once."""
+    found = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            cls = type(obj)
+            if isinstance(obj, type) or not cls.__module__.startswith(
+                    "folint."):
+                continue
+            values = list(getattr(obj, "__dict__", {}).values())
+            values += [getattr(obj, slot, None) for klass in cls.__mro__
+                       for slot in getattr(klass, "__slots__", ())]
+            if any(isinstance(v, (list, dict, set)) for v in values):
+                found.setdefault(id(obj), (
+                    "%s.%s" % (module.__name__.split(".")[-1], name), obj))
+    return found
+
+
 def test_no_module_level_caches():
     # what a run keeps lives on the objects it belongs to, such as a
-    # configuration's LinsysMemo, and goes with them
+    # configuration's LinsysMemo (the last class's first elimination mod
+    # a prime among it), and goes with them.  The source is read for
+    # module-level containers and memoising decorators, and the imported
+    # modules for objects that hold a container, such as QQ's split primes
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d %s" % (path.name, line, what)
                   for line, what in _module_caches(tree)]
     assert found == []
+    state = _module_state(importlib.import_module(
+        "folint" if path.stem == "__init__" else "folint." + path.stem)
+        for path in SOURCES)
+    kept = {id(getattr(importlib.import_module("folint." + module), attr))
+            for module, attr in (name.split(".") for name in _KEPT_STATE)}
+    unlisted = sorted(name for key, (name, _) in state.items()
+                      if key not in kept)
+    assert unlisted == [] and kept <= set(state)
+
+
+def test_state_check_sees_containers_in_objects():
+    from folint.cluster import LinsysMemo
+    from folint.numfield import NumberField
+    module = SimpleNamespace(__name__="folint.sample", field=NumberField(
+        (-2, 0, 1)), memo=LinsysMemo(), text="x", pair=(1, 2))
+    assert sorted(name for name, _ in _module_state([module]).values()) == [
+        "sample.field", "sample.memo"]
 
 
 def test_cache_check_sees_caches():
