@@ -328,25 +328,16 @@ def main(argv=None) -> int:
     except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
-    except FieldExtensionNeeded as err:
-        certificate = ""
-        if err.certificate is not None:
-            certificate = format_poly_in_t(err.certificate)
-        if getattr(args, "machine", False):
-            print("verdict=inconclusive")
-            print("reason=field extension required")
-            if certificate:
-                print("certificate=%s" % certificate)
-        else:
-            print("inconclusive: %s" % err)
-        return EXIT_INCONCLUSIVE
-    except DepthCapExceeded as err:
-        if getattr(args, "machine", False):
-            print("verdict=inconclusive")
-            print("reason=depth cap exceeded")
-        else:
-            print("inconclusive: %s" % err)
-        return EXIT_INCONCLUSIVE
+    except (FieldExtensionNeeded, DepthCapExceeded) as err:
+        extension = isinstance(err, FieldExtensionNeeded)
+        reason = str(err)
+        if args.machine:
+            reason = ("field extension required" if extension
+                      else "depth cap exceeded")
+        code = _print_verdict(args, engine.Verdict.inconclusive(reason))
+        if args.machine and extension and err.certificate is not None:
+            print("certificate=%s" % format_poly_in_t(err.certificate))
+        return code
     except (ConfigurationError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT

@@ -42,7 +42,8 @@ class InfinitelyNearPoint:
             raise ConfigurationError("plane point %s has no chart or c" % name)
         if parent is not None:
             if chart not in (1, 2):
-                raise ConfigurationError("point %s: chart must be 1 or 2" % name)
+                raise ConfigurationError(
+                    "point %s: chart must be 1 or 2" % name)
             if chart == 1 and c is None:
                 raise ConfigurationError("point %s: chart 1 needs c" % name)
             if chart == 2 and c is not None:
@@ -85,24 +86,23 @@ class LinsysMemo:
     plan reduced mod each split prime tried, one per root of the minimal
     polynomial, each with the series of the generic form at the points,
     kept for one degree at a time and up to ``linsys._KEPT`` of them; and
-    the last kernel that ``h0`` returned, as (class, vectors), for
+    the last kernel that ``h0`` returned, as ((d, e), vectors), for
     ``basis``; and ``empty``, for each degree d a plain list of the
     clamped multiplicity tuples whose kernel came out empty, scanned by
     ``linsys._kernel``: they prove h0 = 0 at every class of degree d at or
     above one of them.  A kernel is certified one of three ways: such an
     entry or a rank of n mod a prime proves it empty, and otherwise its
     vectors, lifted from primes, passed an exact check in K and are zero
-    at every pivot after their free column.  ``first`` keeps the last
-    elimination of ``linsys.kernel_mod_p``: (class, reduced rows, pivots)."""
+    at every pivot after their free column.  Nothing in it refers to a
+    ``DivisorClass``, so nothing points back at the configuration."""
 
-    __slots__ = ("exact", "images", "kernel", "empty", "first")
+    __slots__ = ("exact", "images", "kernel", "empty")
 
     def __init__(self):
         self.exact = None
         self.images = {}
         self.kernel = None
         self.empty = {}
-        self.first = None
 
 
 class Configuration:
@@ -253,7 +253,8 @@ class Configuration:
 
     def simple_ideal_divisor(self, name_or_index) -> "DivisorClass":
         """D(p) with I_p O_Z = O_Z(-D(p)); multiplicities obey the proximity
-        equalities m_q = sum of m_q' over q' proximate to q within the branch."""
+        equalities m_q = sum of m_q' over q' proximate to q within the
+        branch."""
         p = self._idx(name_or_index)
         branch = self.ancestors_or_self(p)
         mult = {p: 1}
@@ -363,7 +364,8 @@ def t_from_system(s_classes: Sequence[DivisorClass],
     kernel = linalg.nullspace([c.coordinates() for c in classes])
     if len(kernel) != 1:
         # m rows of m + 1 columns have rank m exactly when the kernel is a line
-        raise ConfigurationError("not an independent system: rank below %d" % m)
+        raise ConfigurationError(
+            "not an independent system: rank below %d" % m)
     den = lcm(*(v.denominator for v in kernel[0]))
     deltas = [abs(v.numerator) * (den // v.denominator) for v in kernel[0]]
     g = gcd(*deltas)

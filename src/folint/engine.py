@@ -312,12 +312,12 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration, d: int,
     ``candidates`` when the caller has built them already, else
     ``_pencil_multiplicities(config, d)``.
 
-    A candidate D is first dropped if its kernel mod the first split prime
-    P at the first root r (``linsys.kernel_mod_p``) proves h0(D) != 2 or
-    |D| not invariant.  That kernel has dimension k >= h0(D): k = 1 proves
-    h0(D) <= 1.  Let k = h0(D) = 2, with exact kernel V.  P splits m into
-    distinct roots, so P does not divide disc(m), and the localisation O of
-    Z_(P)[t]/(m), where the conditions lie, at (P, t - r) is a DVR.  Its
+    A candidate D is dropped inside ``linsys.h0`` by its ``screen`` if its
+    kernel mod the first split prime P at the first root r proves h0(D) !=
+    2 or |D| not invariant.  That kernel has dimension k >= h0(D): k = 1
+    proves h0(D) <= 1.  Let k = h0(D) = 2, with exact kernel V.  P splits m
+    into distinct roots, so P does not divide disc(m), and the localisation
+    O of Z_(P)[t]/(m), where the conditions lie, at (P, t - r) is a DVR.  Its
     lattice L = V cap O^n is saturated and free of rank 2, and L mod P lies
     in the kernel of the images of the conditions, so in the kernel mod P
     (each row mod P is a multiple of an image, ``linsys._shift``): all are
@@ -333,14 +333,16 @@ def algorithm1(omega: ProjectiveOneForm, config: Configuration, d: int,
         candidates = _pencil_multiplicities(config, d)
     failure = "no degree-%d pencil is invariant" % d
     wedge = None
-    for e in candidates:
-        D = config.divisor(d, e)
-        P, r, kernel = linsys.kernel_mod_p(D, config) or (0, 0, ())
+
+    def screen(P, r, kernel):
+        nonlocal wedge
         if len(kernel) == 2 and wedge is None:
             wedge = _wedge_at_point(omega, d, P, r)
-        if len(kernel) == 1 or len(kernel) == 2 and wedge(*kernel):
-            continue
-        if linsys.h0(D, config) != 2:
+        return len(kernel) == 1 or len(kernel) == 2 and wedge(*kernel)
+
+    for e in candidates:
+        D = config.divisor(d, e)
+        if linsys.h0(D, config, screen) != 2:
             continue
         F, G = linsys.basis(D, config)
         verdict = Verdict.integral(F, G, omega, failure)

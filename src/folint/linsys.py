@@ -44,8 +44,9 @@ as a multiple, possibly zero, of the image of its exact series (see
 
 When none holds the conditions are eliminated exactly in K.
 
-Algorithm 1 drops most non-invariant pencils at the first split prime's
-first root (``kernel_mod_p``), and ``_lifted_kernel`` starts from that image.
+The elimination at the first split prime's first root comes first, and a
+caller's ``screen`` may drop the class there (Algorithm 1 drops most
+non-invariant pencils so); otherwise ``_lifted_kernel`` starts from it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 from operator import le
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg, modp
 from .cluster import Configuration, DivisorClass, root_chart_images
@@ -344,9 +345,10 @@ _PRIMES = 6
 _MARGIN = 11
 
 
-def _lifted_kernel(D: DivisorClass, config: Configuration):
+def _lifted_kernel(D: DivisorClass, config: Configuration, first):
     """The reduced echelon kernel of D's conditions in K, from their
-    eliminations mod split primes, or None when it is not certified.
+    eliminations mod split primes, or None when it is not certified;
+    ``first`` is the elimination at the first prime's first root.
 
     At the i-th split prime P the minimal polynomial has k distinct roots
     r_j, and each t -> r_j maps the integral model's conditions into F_P
@@ -354,12 +356,13 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     the first root proves h0 = 0.  Otherwise every root must give the same
     pivots; the kernel vector v_f of a free column f is 1 at f, 0 at the
     other free columns, and minus the reduced entries at the pivots, which
-    are 0 at the pivots after f.  The images at the r_j give each K-coordinate mod P through
-    the inverse Vandermonde matrix of the roots, and Garner's CRT combines
-    the primes until every coordinate has a rational reconstruction.  The
-    vectors so found are accepted only after an exact check in K: the
-    chart steps are linear in the columns, so v is in the kernel iff the
-    forms sum_t v_t m_t leave no monomial of order below e_q at any point.
+    are 0 at the pivots after f.  The images at the r_j give each
+    K-coordinate mod P through the inverse Vandermonde matrix of the roots,
+    and Garner's CRT combines the primes until every coordinate has a
+    rational reconstruction.  The vectors so found are accepted only after
+    an exact check in K: the chart steps are linear in the columns, so v is
+    in the kernel iff the forms sum_t v_t m_t leave no monomial of order
+    below e_q at any point.
 
     Then the f of the vectors, which number k = n - rank_P >= n - rank_K,
     are free columns of the exact elimination as well: v_f is a kernel
@@ -372,27 +375,24 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     a prime that divides a scale of the model can only lower the rank mod
     P, and so ends in one of these.
     """
-    n, memo = len(monomials(D.d)), config.linsys_memo
-    pivots = None
+    n = len(monomials(D.d))
+    reduced, pivots = first
+    if len(pivots) == n:
+        return []
+    free = [c for c in range(n) if c not in pivots]
+    # the entries that the reconstruction finds: (f, row)
+    entries = [(f, r) for f in free for r, pc in enumerate(pivots) if pc < f]
     coords, modulus = [], 1
     for index in range(_PRIMES):
         data = _modular_data(config, index)
         P, _, inverse = config.field.split_prime(index)
         images = []
         for j, root in enumerate(data):
-            kept = index == j == 0 and memo.first and memo.first[0] == D
-            reduced, found = memo.first[1:] if kept else modp.rref(
-                _dense(_conditions(D, config, root), n, 0), P)
-            if pivots is None:
-                if len(found) == n:
-                    return []
-                pivots = found
-                free = [c for c in range(n) if c not in pivots]
-                # the entries that the reconstruction finds: (f, row)
-                entries = [(f, r) for f in free
-                           for r, pc in enumerate(pivots) if pc < f]
-            elif found != pivots:
-                return None
+            if index or j:
+                reduced, found = modp.rref(
+                    _dense(_conditions(D, config, root), n, 0), P)
+                if found != pivots:
+                    return None
             images.append([-reduced[r][f] for f, r in entries])
         coords = modp.crt(coords or [0] * (len(entries) * len(inverse)),
                           modulus, [sum(w * v[e] for w, v in zip(row, images))
@@ -423,18 +423,10 @@ def _lifted_kernel(D: DivisorClass, config: Configuration):
     return vectors
 
 
-def _known(D: DivisorClass, memo):
-    """D's kernel if the memo proves it (see ``_kernel``), else None."""
-    if memo.kernel is not None and memo.kernel[0] == D:
-        return memo.kernel[1]
-    clamped = tuple(max(v, 0) for v in D.e)
-    if any(all(map(le, z, clamped)) for z in memo.empty.get(D.d, ())):
-        return []
-
-
-def _kernel(D: DivisorClass, config: Configuration):
+def _kernel(D: DivisorClass, config: Configuration, screen=None):
     """The reduced echelon kernel of D's conditions in K, certified from
-    primes or else eliminated exactly; the last one is kept for ``basis``.
+    primes or else eliminated exactly; the last one is kept for ``basis``
+    under (d, e).
 
     A third certificate comes first: an empty kernel at a class of the
     same degree below D.  Let z and e be the clamped multiplicities of two
@@ -449,42 +441,41 @@ def _kernel(D: DivisorClass, config: Configuration):
     out empty are appended to the configuration's ``LinsysMemo.empty[d]``,
     which is scanned.  A class that an entry covers returns before it is
     eliminated, so no entry is ever above an older one, and the list needs
-    no pruning."""
-    memo = config.linsys_memo
-    vectors = _known(D, memo)
-    if vectors is not None:
-        return vectors
-    vectors = _lifted_kernel(D, config)
+    no pruning.
+
+    A class that the memo does not answer is eliminated first mod the first
+    split prime P at its first root r.  With a ``screen``, its kernel mod P
+    goes to ``screen(P, r, vectors)``, and a true answer gives None and
+    keeps nothing; those vectors number h0(D) or more (rank_P <= rank_K).
+    Otherwise ``_lifted_kernel`` starts from that elimination."""
+    memo, key = config.linsys_memo, (D.d, D.e)
+    if memo.kernel is not None and memo.kernel[0] == key:
+        return memo.kernel[1]
+    clamped = tuple(max(v, 0) for v in D.e)
+    if any(all(map(le, z, clamped)) for z in memo.empty.get(D.d, ())):
+        return []
+    n, (P, roots, _) = len(monomials(D.d)), config.field.split_prime(0)
+    first = modp.rref(_dense(_conditions(
+        D, config, _modular_data(config, 0)[0]), n, 0), P)
+    if screen is not None and screen(P, roots[0], linalg.kernel(*first, n, 0)):
+        return None
+    vectors = _lifted_kernel(D, config, first)
     if vectors is None:
         reduced, pivots = linalg.rref(condition_rows(D, config))
-        vectors = linalg.kernel(reduced, pivots, len(monomials(D.d)),
-                                config.field.zero())
+        vectors = linalg.kernel(reduced, pivots, n, config.field.zero())
     if not vectors:
-        memo.empty.setdefault(D.d, []).append(tuple(max(v, 0) for v in D.e))
-    memo.kernel = (D, vectors)
+        memo.empty.setdefault(D.d, []).append(clamped)
+    memo.kernel = (key, vectors)
     return vectors
 
 
-def kernel_mod_p(D: DivisorClass, config: Configuration):
-    """(P, r, vectors): the kernel of D's conditions mod the first split
-    prime P at its first root r, eliminated into ``LinsysMemo.first``; or
-    None when ``_known``.  It has h0(D) vectors or more (rank_P <= rank_K)."""
-    memo, n = config.linsys_memo, len(monomials(D.d))
-    if _known(D, memo) is not None:
-        return None
-    data = _modular_data(config, 0)[0]
-    memo.first = (D, *modp.rref(_dense(_conditions(D, config, data), n, 0),
-                                data.field))
-    P, roots, _ = config.field.split_prime(0)
-    return P, roots[0], linalg.kernel(*memo.first[1:], n, 0)
-
-
-def h0(D: DivisorClass, config: Configuration) -> int:
+def h0(D: DivisorClass, config: Configuration, screen=None) -> Optional[int]:
     """dim H^0 of the direct image on the plane of O(D): the dimension of
     the kernel of D's conditions, read off an empty kernel below D,
     certified from word-size primes or eliminated exactly in K (see
-    ``_kernel``)."""
-    return len(_kernel(D, config))
+    ``_kernel``); None when ``screen`` dropped D."""
+    vectors = _kernel(D, config, screen)
+    return None if vectors is None else len(vectors)
 
 
 def basis(D: DivisorClass, config: Configuration) -> List[HomogeneousForm]:

@@ -474,7 +474,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via extended gcd with the minimal polynomial."""
+        """Multiplicative inverse via extended gcd with the minimal
+        polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
         field = self.field
@@ -527,7 +528,8 @@ class FieldElement:
         return hash((self.field.minpoly, self.coeffs))
 
     def sort_key(self):
-        """Deterministic total order on elements of one field (not algebraic)."""
+        """Deterministic total order on elements of one field (not
+        algebraic)."""
         return tuple(self.coeffs)
 
     def __repr__(self):

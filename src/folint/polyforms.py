@@ -28,7 +28,8 @@ VARS = ("X", "Y", "Z")
 
 
 class HomogeneousForm:
-    """A homogeneous trivariate polynomial; zero coefficients are not stored."""
+    """A homogeneous trivariate polynomial; zero coefficients are not
+    stored."""
 
     __slots__ = ("field", "degree", "coeffs")
 
@@ -101,8 +102,8 @@ class HomogeneousForm:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.degree,
-                     tuple(sorted((e, c.coeffs) for e, c in self.coeffs.items()))))
+        return hash((self.degree, tuple(sorted(
+            (e, c.coeffs) for e, c in self.coeffs.items()))))
 
     # -- calculus -----------------------------------------------------------
 

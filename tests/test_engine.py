@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -677,9 +679,9 @@ def test_algorithm3_without_the_empty_kernel_record(name, monkeypatch):
     assert record
     kernel = linsys._kernel
 
-    def forgetting(D, config):
+    def forgetting(D, config, screen=None):
         config.linsys_memo.empty.clear()
-        return kernel(D, config)
+        return kernel(D, config, screen)
 
     monkeypatch.setattr(linsys, "_kernel", forgetting)
     again, other, _, other_duals = run()
@@ -866,12 +868,19 @@ def test_a_zero_at_the_point_falls_through(monkeypatch):
     omega = ProjectiveOneForm(variable(QQ, 1), -variable(QQ, 0),
                               HomogeneousForm(QQ, 1, {}))
     counts = _counting(monkeypatch, [(engine, "is_first_integral")])
+    shown = []
+
+    def keep_nothing(P, r, vectors):
+        shown.append(vectors)
+        return True
+
     for point, exact_tests in ((engine._POINT, 1), ((1, 2, 3), 0)):
         origin = normalize_point([QQ.element(v) for v in point])
         config = Configuration([InfinitelyNearPoint(
             "p", origin=origin, dicritical=True)], QQ)
-        P, r, vectors = linsys.kernel_mod_p(config.divisor(1, (1,)), config)
-        assert len(vectors) == 2
+        shown.clear()
+        assert linsys.h0(config.divisor(1, (1,)), config, keep_nothing) is None
+        assert [len(vectors) for vectors in shown] == [2]
         assert (_point_test(*lines_through(origin, QQ), omega) == 0) == (
             exact_tests == 1)
         counts["is_first_integral"] = 0
@@ -879,3 +888,23 @@ def test_a_zero_at_the_point_falls_through(monkeypatch):
         assert counts["is_first_integral"] == exact_tests
         expected = reference_algorithm1(omega, config, 1)
         assert verdict == expected and verdict.outcome == "no_integral"
+
+
+def test_a_configuration_is_freed_without_the_collector():
+    # nothing that a run keeps points back at its configuration (the memo
+    # keeps kernels under (d, e), not under a class), so reference counting
+    # alone frees it once the caller lets go
+    alive = []
+    gc.disable()
+    try:
+        for name in ("example1", "fig2", "fig3", "family_a0", "family_a59",
+                     "family_a861", "penultimate"):
+            omega, config, _ = load(name)
+            assert pipeline(omega, config).outcome != "inconclusive"
+            ref = weakref.ref(config)
+            del config
+            if ref() is not None:
+                alive.append(name)
+    finally:
+        gc.enable()
+    assert alive == []

@@ -644,10 +644,11 @@ def test_empty_record_answers_without_an_elimination(monkeypatch):
     config = plane_points_config([(0, 0, 1), (1, 0, 1)])
     assert h0(config.divisor(1, [2, 2]), config) == 0
 
-    def no_elimination(D, config):
-        raise AssertionError("eliminated %r" % (D.e,))
+    def no_elimination(rows, *args):
+        raise AssertionError("eliminated %d rows" % len(rows))
 
-    monkeypatch.setattr(linsys, "_lifted_kernel", no_elimination)
+    monkeypatch.setattr(modp, "rref", no_elimination)
+    monkeypatch.setattr(linalg, "rref", no_elimination)
     for e in ([2, 2], [3, 2], [2, 5], [7, 9]):
         D = config.divisor(1, e)
         assert h0(D, config) == 0
@@ -656,3 +657,29 @@ def test_empty_record_answers_without_an_elimination(monkeypatch):
         h0(config.divisor(1, [2, 1]), config)
     with pytest.raises(AssertionError):
         h0(config.divisor(2, [2, 2]), config)
+
+
+def test_a_screen_keeps_nothing():
+    # a class that the screen drops leaves the memo as it was, and is
+    # answered exactly later; a class that the memo answers, the last
+    # kernel or one above an empty record, is never shown to the screen
+    config = plane_points_config([(0, 0, 1), (1, 0, 1)])
+    memo = config.linsys_memo
+    shown = []
+
+    def drop(P, r, vectors):
+        shown.append(len(vectors))
+        return True
+
+    assert h0(config.divisor(1, [2, 2]), config) == 0
+    kernel, empty = memo.kernel, {d: list(z) for d, z in memo.empty.items()}
+    D = config.divisor(1, [1, 0])
+    assert h0(D, config, drop) is None
+    assert shown == [2]
+    assert memo.kernel is kernel and memo.empty == empty
+    fresh = plane_points_config([(0, 0, 1), (1, 0, 1)])
+    assert h0(D, config) == h0(fresh.divisor(1, [1, 0]), fresh) == 2
+    assert len(basis(D, config)) == 2
+    assert h0(D, config, drop) == 2
+    assert h0(config.divisor(1, [3, 2]), config, drop) == 0
+    assert shown == [2]

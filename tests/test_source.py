@@ -318,6 +318,29 @@ def test_exit_code_check_sees_unhandled_raises():
     assert _unhandled_raises(tree, namespace, handled) == [17, 20, 23]
 
 
+_MAX_LINE = 79
+
+
+def _long_lines(text):
+    """Numbers of the lines of text longer than ``_MAX_LINE`` characters."""
+    return [number for number, line in enumerate(text.splitlines(), 1)
+            if len(line) > _MAX_LINE]
+
+
+def test_no_long_lines():
+    # PEP 8's 79 characters hold in every module, code and docstrings alike
+    found = []
+    for path in SOURCES:
+        found += ["%s:%d" % (path.name, line)
+                  for line in _long_lines(path.read_text())]
+    assert found == []
+
+
+def test_line_check_sees_long_lines():
+    snippet = "x = 1\n" + "#" * 79 + "\n" + "y" * 80 + "\n\n" + "z" * 100
+    assert _long_lines(snippet) == [3, 5]
+
+
 def _function_imports(tree):
     """Line numbers of the import statements inside function bodies."""
     return sorted({inner.lineno for node in ast.walk(tree)
