@@ -1,11 +1,14 @@
 """Bivariate dicts {(i, j): c} over K, x^i y^j, in their one row form
 ``to_y_rows``: the resultant in y, exact from its images mod word-size
-primes (``modp``), and the common zeros of two curves, from the roots of
-that resultant and of the gcds over each of them.
+primes (``modp``) and interpolated only on the x-range x^lo .. x^hi that
+the weighted x-degrees and x-valuations of its Sylvester matrix allow
+(``_x_range``), and the common zeros of two curves, from the roots of that
+resultant and of the gcds over each of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,12 +31,28 @@ def bivariate_resultant(p, q, field):
     - Scale.  With c, d the lcm of the coordinate denominators of p, q, the
       forms P = c p and Q = d q have int coordinates, and Res(P, Q) =
       c^n d^m Res(p, q), since c scales the n p-rows of the Sylvester matrix.
-    - Nodes.  In a p-row i the entry of column l is the y^(l-i) coefficient,
-      of x-degree at most a - (l - i), so each permutation product has
-      x-degree at most n a + m b - sum_l l + sum_i i over both row sets,
-      that is n a + m b - m n.  The x-degrees bx of the rows give the
-      bound m bx(q) + n bx(p) too, and N = 1 + the smaller bound nodes
-      determine Res_y.
+    - x-range.  Let p_j, q_j be the y^j coefficients.  For a rational s
+      let alpha(s) = max_j (deg p_j - s j) over the nonzero p_j and beta(s)
+      the same over q.  In a p-row i the entry of column l is p_(l-i), of
+      x-degree at most alpha + s (l - i), and in a q-row i that of q_(l-i),
+      at most beta + s (l - i).  A permutation meets every column once, so
+      its product has x-degree at most n alpha + m beta + s (sum_l l -
+      sum_i i over both row sets), that is hi(s) = n alpha + m beta +
+      s m n.  The same sum with min and the x-valuations v(p_j), v(q_j) in
+      place of max and the degrees gives lo(s), and every product, so
+      Res_y, has x-valuation at least lo(s).  s = 0 and s = -1 give the
+      bounds m bx(q) + n bx(p) by the x-degrees of the rows and n a + m b
+      - m n by the total degrees.  hi is convex and piecewise linear in s,
+      with its breaks where two rows of p or two rows of q tie, so where it
+      has a least value it takes it at one of those slopes (deg p_k -
+      deg p_j) / (k - j) or (deg q_k - deg q_j) / (k - j); lo is concave
+      with its breaks at the slopes of the valuations.  ``_x_range`` takes
+      the least floor(hi) and the largest ceil(lo) over those slopes and
+      s = 0, -1.  As a nonzero polynomial has valuation <= degree, lo > hi
+      proves Res_y = 0, which is returned with no prime.  Otherwise Res_y =
+      x^lo S, S of x-degree <= hi - lo, and N = hi - lo + 1 values of S
+      determine it.  The x-support of a row is the same in K[x] and in
+      Z[t][x] below, so the range holds for R there too.
     - Bound.  Read t as an indeterminate.  On the torus |t| = |x| = 1 an
       entry of the Sylvester matrix of P and Q has modulus at most the
       1-norm of the y-coefficient it holds, so Hadamard's inequality bounds
@@ -53,8 +72,9 @@ def bivariate_resultant(p, q, field):
       roots r_j, and t -> r_j, x -> x0 maps Z_(P)[t, x] onto F_P, taking
       delta mu, and so delta^E R - T, to 0.  When neither leading
       y-coefficient vanishes there, the Sylvester matrix keeps its shape
-      and R maps to the resultant of the images.  Interpolation at N such
-      x0 gives delta^E R(r_j, x) = T(r_j, x) mod P, and the inverse
+      and R maps to the resultant of the images.  Interpolation of the
+      values R(r_j, x0) / x0^lo at N such x0, all nonzero mod P when lo >
+      0, gives delta^E S(r_j, x) = T(r_j, x) / x^lo mod P, and the inverse
       Vandermonde matrix of the r_j the coordinates of T mod P.  A prime
       at which some t -> r_j kills a leading coefficient is skipped.  Once
       the product M of the primes exceeds 2B, the symmetric residues mod M
@@ -79,15 +99,16 @@ def bivariate_resultant(p, q, field):
         power = [(power[i - 1] if i else 0) - power[-1] * field.minpoly[i]
                  for i in range(k)]
     bound = (hadamard + 1) * max(sums)
-    count = 1 + min(
-        m * _x_degree(q_rows) + n * _x_degree(p_rows),
-        n * _total_degree(p_rows) + m * _total_degree(q_rows) - m * n)
+    low, high = _x_range(p_rows, q_rows)
+    if low > high:
+        return []
+    count = high - low + 1
     coords, modulus, index = [0] * (count * k), 1, 0
     while modulus <= 2 * bound:
         P, roots, inverse = field.split_prime(index)
         index += 1
         images = modp.resultant_images(p_int, q_int, roots, inverse, count,
-                                       P)
+                                       P, low)
         if images is not None:
             scale = pow(delta, steps, P)
             coords = modp.crt(coords, modulus, [v * scale for v in images], P)
@@ -95,8 +116,9 @@ def bivariate_resultant(p, q, field):
     den = delta ** steps * c ** n * d ** m
     coords = [_canon(Fraction(modp.symmetric(v, modulus), den))
               for v in coords]
-    return poly_trim(FieldElement(field, tuple(coords[i:i + k]))
-                     for i in range(0, len(coords), k))
+    return poly_trim([field.zero()] * low + [
+        FieldElement(field, tuple(coords[i:i + k]))
+        for i in range(0, len(coords), k)])
 
 
 def to_y_rows(poly):
@@ -128,12 +150,28 @@ def _square_sum(rows):
     return sum(sum(abs(x) for e in row for x in e) ** 2 for row in rows)
 
 
-def _x_degree(rows):
-    return max(len(row) - 1 for row in rows)
+def _x_range(p_rows, q_rows):
+    """(lo, hi): Res_y of the rows has x-valuation >= lo and x-degree <=
+    hi, the best of the weighted bounds at the slopes where they can be
+    best (``bivariate_resultant``).  At s = a / b, b > 0, b times either
+    bound is an int, and floor and ceil are taken in ints."""
+    m, n = len(p_rows) - 1, len(q_rows) - 1
+    ends = [[(j, next(i for i, c in enumerate(row) if c), len(row) - 1)
+             for j, row in enumerate(rows) if row]
+            for rows in (p_rows, q_rows)]
 
+    def bounds(side, pick):
+        slopes = {(0, 1), (-1, 1)}
+        for rows in ends:
+            for u, v in itertools.combinations(rows, 2):
+                slopes.add((v[side] - u[side], v[0] - u[0]))
+        for a, b in slopes:
+            p, q = (pick(b * e[side] - a * e[0] for e in rows)
+                    for rows in ends)
+            yield n * p + m * q + a * m * n, b
 
-def _total_degree(rows):
-    return max(len(row) - 1 + j for j, row in enumerate(rows) if row)
+    return (max(-(-x // b) for x, b in bounds(1, min)),
+            min(x // b for x, b in bounds(2, max)))
 
 
 def common_zeros(p, q, field):

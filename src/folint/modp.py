@@ -285,16 +285,19 @@ def vandermonde_inverse(roots, P):
     return [list(row) for row in zip(*columns)]
 
 
-def resultant_images(p_rows, q_rows, roots, inverse, count, P):
-    """The t-coordinates mod P of the first ``count`` x-coefficients of
-    Res_y(p, q) mod mu, flat (coefficient-major), or None when some t -> r_j
-    kills a leading y-coefficient of p or q.
+def resultant_images(p_rows, q_rows, roots, inverse, count, P, low=0):
+    """The t-coordinates mod P of the ``count`` x-coefficients of Res_y(p,
+    q) mod mu from x^low on, flat (coefficient-major), or None when some
+    t -> r_j kills a leading y-coefficient of p or q.
 
     ``p_rows[j][i]`` holds the int t-coordinates of the x^i y^j coefficient
     of p; ``roots`` are the distinct roots r_j of mu mod P and ``inverse``
-    their inverse Vandermonde matrix.  Each image under t -> r_j is
-    interpolated from Euclidean resultants at the nodes x = 0, 1, ... where
-    no leading y-coefficient vanishes under any t -> r_j.
+    their inverse Vandermonde matrix.  The caller knows that x^low divides
+    the resultant and that its x-degree is below low + count.  Each image
+    under t -> r_j, divided by x^low, is interpolated from Euclidean
+    resultants, each divided by x0^low, at the nodes x0 = 0, 1, ... (from
+    1 when low > 0) where no leading y-coefficient vanishes under any
+    t -> r_j.
     """
     reduced = []
     for r in roots:
@@ -303,17 +306,19 @@ def resultant_images(p_rows, q_rows, roots, inverse, count, P):
         if not any(pair[0][-1]) or not any(pair[1][-1]):
             return None
         reduced.append(pair)
-    nodes, x = [], 0
+    nodes, x = [], 1 if low else 0
     while len(nodes) < count:
         if all(evaluate(pr[-1], x, P) and evaluate(qr[-1], x, P)
                for pr, qr in reduced):
             nodes.append(x)
         x += 1
     inverses = [0] + [pow(dx, -1, P) for dx in range(1, x)]
+    scales = [pow(x0, -low, P) for x0 in nodes]
     values = [interpolate(nodes, [
         resultant([evaluate(row, x0, P) for row in pr],
-                  [evaluate(row, x0, P) for row in qr], P) for x0 in nodes],
-        inverses, P) for pr, qr in reduced]
+                  [evaluate(row, x0, P) for row in qr], P) * scale % P
+        for x0, scale in zip(nodes, scales)], inverses, P)
+        for pr, qr in reduced]
     return [sum(w * v[i] for w, v in zip(row, values)) % P
             for i in range(count) for row in inverse]
 

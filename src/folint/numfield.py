@@ -7,11 +7,11 @@ integral, else Fractions in lowest terms (``_canon``).  An element with
 int coordinates has an image mod P at each root of m mod P (``residue``).
 
 The routines ``poly_*`` take lists of int, Fraction or FieldElement alike
-and divide by ``reciprocal``, the one exact 1 / x.  Elements, and the
-resolution's quotient algebras over K, are inverted by
-``poly_inverse_mod``.  Over Q, gcds run on primitive int lists
-(``zpoly``), which ``root_gcd`` hands to ``find_roots_in_field`` as they
-are.  No floats.
+and divide by ``reciprocal``, the one exact 1 / x.  Elements with a
+coordinate above t^0, and the resolution's quotient algebras over K, are
+inverted by ``poly_inverse_mod``; a rational element by ``reciprocal``.
+Over Q, gcds run on primitive int lists (``zpoly``), which ``root_gcd``
+hands to ``find_roots_in_field`` as they are.  No floats.
 """
 
 from __future__ import annotations
@@ -474,13 +474,14 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via extended gcd with the minimal
-        polynomial."""
+        """Multiplicative inverse: of the one coordinate of a rational
+        element, else via extended gcd with the minimal polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
         field = self.field
-        if field.degree == 1:
-            return FieldElement(field, (_canon(reciprocal(self.coeffs[0])),))
+        if not any(self.coeffs[1:]):
+            return FieldElement(field, (_canon(reciprocal(self.coeffs[0])),)
+                                + field._zero.coeffs[1:])
         inv = poly_inverse_mod(list(self.coeffs), field.minpoly)
         if inv is None:
             raise ReducibleMinpoly(

@@ -3,7 +3,8 @@ equality, the cone spanned by a dual, a record of the cone search's duals,
 the line class, total exceptional classes and the proximity matrix of a
 configuration, total-transform valuations, the variables, partial
 derivatives, coefficient vectors and spans of forms, the pencil of lines
-through a point, the value of a form at a point, the 1-form of a pencil,
+through a point, the pullback of a 1-form along a linear change of
+coordinates, the value of a form at a point, the 1-form of a pencil,
 the wedge and invariance tests on all three components of the 2-form, the
 node-wise resultant, the chart maps substituted in K, the filtered
 [-d, d] sweep of Algorithm 1 and the cone search's unpruned candidates, as
@@ -147,6 +148,33 @@ def lines_through(point, field):
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return [HomogeneousForm(field, 1, {u: c for u, c in zip(units, vec) if c})
             for vec in linalg.nullspace([list(point)])]
+
+
+def transform(omega: ProjectiveOneForm, M) -> ProjectiveOneForm:
+    """omega pulled back along X -> M X for an invertible 3 x 3 int matrix
+    M: the components M^T (A, B, C)(M X).  The Euler relation holds again,
+    since X . M^T (A, B, C)(M X) = (M X) . (A, B, C)(M X) = 0, and the
+    components stay coprime, as M is invertible."""
+    field = omega.field
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    images = [HomogeneousForm(field, 1, {u: field.element(c)
+                                         for u, c in zip(units, row) if c})
+              for row in M]
+
+    def compose(f):
+        out = HomogeneousForm(field, f.degree, {})
+        for expo, c in f.coeffs.items():
+            term = HomogeneousForm.constant(field, c)
+            for image, e in zip(images, expo):
+                term = term * image ** e
+            out = out + term
+        return out
+
+    comps = [compose(f) for f in omega.components()]
+    zero = HomogeneousForm(field, omega.coefficient_degree, {})
+    return ProjectiveOneForm(*(
+        sum((comps[i] * M[i][j] for i in range(3) if M[i][j]), zero)
+        for j in range(3)))
 
 
 def value_at(f: HomogeneousForm, point):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from folint import modp, numfield
+from folint import bivariate, modp, numfield
 from folint.bivariate import bivariate_resultant
 from folint.modp import _is_prime
 from folint.numfield import (
@@ -673,6 +673,132 @@ def test_bivariate_resultant_matches_the_reference(kind, field):
         if kind == "degree-bound":
             (a, m), (b, n) = (max((i + j, j) for i, j in f) for f in (p, q))
             assert poly_degree(res) == n * a + m * b - m * n
+
+
+def _monomial_rows(rng, field, ydeg):
+    """A sparse dict whose y^j row is one or two monomials from x^v_j on,
+    v_j in [0, 4] (as in fig3), with the y^ydeg row always present."""
+    p = {}
+    for j in range(ydeg + 1):
+        if j < ydeg and rng.random() < 0.3:
+            continue
+        low = rng.randint(0, 4)
+        for i in rng.sample(range(low, low + 3), rng.randint(1, 2)):
+            p[i, j] = _element(rng, field, rng.random() < 0.3)
+    return p
+
+
+def _old_count(p, q):
+    """The node count of the bounds at s = 0 and s = -1 alone: one more
+    than the smaller of the x-degree and total-degree bounds."""
+    (a, m, bx), (b, n, by) = ((max(i + j for i, j in f),
+                               max(j for _, j in f),
+                               max(i for i, _ in f)) for f in (p, q))
+    return 1 + min(m * by + n * bx, n * a + m * b - m * n)
+
+
+def _valuation(poly):
+    return next(i for i, c in enumerate(poly) if c)
+
+
+@pytest.mark.parametrize("field", RESULTANT_FIELDS, ids=repr)
+def test_bivariate_resultant_of_rows_with_valuations(field):
+    # seeded sparse pairs whose rows start at positive x-powers: the
+    # resultant is exact on the x-range of _x_range, which ends no later
+    # than the two fixed bounds did and is shorter on most pairs
+    rng = random.Random("valuations %s" % field)
+    smaller = positive = 0
+    for _ in range(4):
+        p, q = (_monomial_rows(rng, field, rng.randint(1, 3)) for _ in "pq")
+        low, high = bivariate._x_range(*map(bivariate.to_y_rows, (p, q)))
+        res = bivariate_resultant(p, q, field)
+        assert res == reference_resultant(p, q, field)
+        assert 0 <= low and high < _old_count(p, q)
+        if res:
+            assert low <= _valuation(res) and poly_degree(res) <= high
+        smaller += high - low + 1 < _old_count(p, q)
+        positive += low > 0
+    assert smaller >= 3 and positive >= 3
+
+
+def _int_slope_range(p_rows, q_rows, s):
+    """The bounds lo(s), hi(s) at an int slope s, by their definition."""
+    m, n = len(p_rows) - 1, len(q_rows) - 1
+    ends = [[(j, _valuation(row), len(row) - 1)
+             for j, row in enumerate(rows) if row]
+            for rows in (p_rows, q_rows)]
+    lo, hi = (n * pick(e[k] - s * e[0] for e in ends[0])
+              + m * pick(e[k] - s * e[0] for e in ends[1]) + s * m * n
+              for k, pick in ((1, min), (2, max)))
+    return lo, hi
+
+
+@pytest.mark.parametrize("field", RESULTANT_FIELDS, ids=repr)
+def test_x_range_at_a_fractional_slope(field):
+    # p = y^2 - x - x^3 and q = y^2 - 2x - 5x^3: Res_y = (x + 4x^3)^2,
+    # valuation 2 and degree 6.  Both bounds are attained, lo only at
+    # s = -1/2 and hi only at s = -3/2, where no int slope reaches them;
+    # 5 nodes, where s = 0 and s = -1 alone take 9
+    one = field.one()
+    p = {(0, 2): one, (1, 0): -one, (3, 0): -one}
+    q = {(0, 2): one, (1, 0): -2 * one, (3, 0): -5 * one}
+    rows = [bivariate.to_y_rows(f) for f in (p, q)]
+    assert bivariate._x_range(*rows) == (2, 6)
+    for s in range(-6, 7):
+        lo, hi = _int_slope_range(*rows, s)
+        assert lo < 2 and hi > 6
+    res = bivariate_resultant(p, q, field)
+    assert res == reference_resultant(p, q, field)
+    assert _valuation(res) == 2 and poly_degree(res) == 6
+    assert res == poly_mul(*[[field.zero(), one, field.zero(), 4 * one]] * 2)
+    assert _old_count(p, q) == 9
+
+
+def test_x_range_proves_a_zero_resultant(monkeypatch):
+    # p = (1 + x) y and q = y^3 + i x^3 y^2 share the factor y.  At s = 0
+    # the rows give hi = 6, and at the slope s = -3 of q's rows lo = 9 > 6
+    # proves Res_y = 0, which comes back with no split prime taken
+    used = []
+    monkeypatch.setattr(type(GAUSS), "split_prime",
+                        lambda self, i: used.append(i))
+    one = GAUSS.one()
+    p = {(0, 1): one, (1, 1): one}
+    q = {(0, 3): one, (3, 2): GAUSS.element((0, 1))}
+    assert bivariate._x_range(*map(bivariate.to_y_rows, (p, q))) == (9, 6)
+    assert bivariate_resultant(p, q, GAUSS) == [] and used == []
+    assert reference_resultant(p, q, GAUSS) == []
+
+
+@pytest.mark.parametrize("field", [GAUSS, EISEN, QUARTIC, HALF_ROOT3],
+                         ids=repr)
+def test_rational_elements_are_inverted_without_euclid(field, monkeypatch):
+    # a rational element's inverse is the reciprocal of its one coordinate:
+    # the inverse that Euclid against m gives, with no poly_inverse_mod call
+    rng = random.Random("inverse %s" % field)
+    cases = []
+    for _ in range(30):
+        x = field.element(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
+                                   rng.randint(1, 12)))
+        euclid = poly_inverse_mod(list(x.coeffs), field.minpoly)
+        cases.append((x, FieldElement(field, field._reduce(euclid))))
+    calls = []
+
+    def counting(*args, real=numfield.poly_inverse_mod):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numfield, "poly_inverse_mod", counting)
+    for x, euclid in cases:
+        inv = x.inverse()
+        assert inv.coeffs == euclid.coeffs
+        assert list(map(type, inv.coeffs)) == list(map(type, euclid.coeffs))
+        assert x * inv == field.one()
+    assert calls == []
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+    # the counter sees the Euclid of an element off Q
+    generator = field.element((0, 1))
+    assert generator * generator.inverse() == field.one() and len(calls) == 1
 
 
 def test_bivariate_resultant_of_y_free_inputs_is_a_power():

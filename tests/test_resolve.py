@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from folint import bivariate, numfield, resolve
+from folint import bivariate, modp, numfield, resolve
 from folint.cli import load_foliation, main
 from folint.cluster import (
     Configuration, dump_configuration, load_configuration,
@@ -23,8 +23,9 @@ from folint.resolve import (
 )
 
 from helpers import (
-    one_form_from_pencil, pool_pencils, proximity_matrix, radial_log_form,
-    reference_is_simple, seeded_log_form, variable,
+    is_first_integral, one_form_from_pencil, pool_pencils, proximity_matrix,
+    radial_log_form, rank_of_classes, reference_is_simple, seeded_log_form,
+    transform, variable,
 )
 
 
@@ -304,6 +305,55 @@ def test_build_configuration_reproduces_fixture(name):
     lines = (FIXTURES / (name + ".cfg")).read_text().splitlines(True)
     expected = "".join(l for l in lines if not l.startswith("#"))
     assert dump_configuration(build_configuration(omega)) == expected
+
+
+@pytest.mark.parametrize("name, calls", [("fig3", 91), ("penultimate", 13)])
+def test_resultants_interpolate_only_their_x_range(name, calls, monkeypatch):
+    # bivariate_resultant interpolates Res_y / x^lo on the x-range that the
+    # weighted bounds of its Sylvester matrix allow: fig3's affine
+    # resultant c x^31 (lo = 28, hi = 49) takes 22 nodes at each of 2 roots
+    # of each of 2 primes, not 50, and resolution makes 91 Euclidean
+    # resultants mod P, not the 203 of the bounds at s = 0 and s = -1 alone;
+    # penultimate makes 13, not 21
+    seen = []
+    resultant = modp.resultant
+    monkeypatch.setattr(modp, "resultant",
+                        lambda *args: seen.append(1) or resultant(*args))
+    omega, _ = load_foliation(str(FIXTURES / (name + ".fol")))
+    build_configuration(omega)
+    assert len(seen) == calls
+
+
+def test_a_change_of_coordinates_keeps_verdict_and_m():
+    # B_F and a rational first integral are projective invariants: after
+    # three random invertible int changes of coordinates, entries in
+    # [-2, 2], each of the 7 fixtures that resolve over their field gets
+    # the same verdict and the same m, and an integral F/G passes the
+    # reference wedge test on the transformed form
+    rng = random.Random(1)
+    for name in ("example1", "fig2", "fig3", "family_a0", "family_a59",
+                 "family_a861", "penultimate"):
+        omega, _ = load_foliation(str(FIXTURES / (name + ".fol")))
+        config = build_configuration(omega)
+        expected = (pipeline(omega, config).outcome, config.size)
+        for _ in range(3):
+            M = _invertible(rng)
+            moved = transform(omega, M)
+            config = build_configuration(moved)
+            verdict = pipeline(moved, config)
+            assert (verdict.outcome, config.size) == expected, (name, M)
+            if verdict.is_integral:
+                assert is_first_integral(verdict.numerator,
+                                         verdict.denominator, moved)
+
+
+def _invertible(rng):
+    """A 3 x 3 int matrix with entries in [-2, 2], redrawn until it is
+    invertible."""
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if rank_of_classes(M) == 3:
+            return M
 
 
 def test_configuration_keeps_the_resolved_points_as_they_are(monkeypatch):
